@@ -28,10 +28,6 @@
 #                      byte-identically through its original backend
 #   make metriclint  - /metrics namespace lint: naming discipline and no
 #                      unregistered metric names in code or docs
-#   make quant-golden - int8 golden-tolerance harness: quantized detectors
-#                      must match their float twins on the held-out fold +
-#                      fault-injection corpus with zero decisive verdict
-#                      flips and bounded score drift (quant_test.go)
 #   make bench-coldstart - per-backend fit-vs-load time-to-ready benchmarks
 #   make fuzz-replay - replay the checked-in fuzz seed corpora (no fuzzing)
 #   make fuzz        - actively fuzz the serve protocol parsers (NDJSON and
@@ -46,9 +42,9 @@ TRAIN_FLAGS ?= -demos 16 -scale 0.5 -epochs 4 -stride 3
 
 .PHONY: ci fmt fmtcheck vet build test race bench bench-smoke benchguard \
 	bench-coldstart fuzz fuzz-replay train lifecycle-smoke mitigate-smoke \
-	incidents-smoke quant-golden metriclint
+	incidents-smoke metriclint
 
-ci: fmtcheck vet build test race fuzz-replay bench-smoke mitigate-smoke incidents-smoke quant-golden metriclint
+ci: fmtcheck vet build test race fuzz-replay bench-smoke mitigate-smoke incidents-smoke metriclint
 
 fmt:
 	gofmt -w .
@@ -116,19 +112,13 @@ mitigate-smoke:
 incidents-smoke:
 	$(GO) run ./cmd/experiments -run incidents
 
-# The /metrics namespace lint: registered families must follow the
-# safemon_*_{total,seconds,bytes} naming discipline, and every metric
-# name mentioned in code, README or the exposition golden must resolve
-# to a real registration (no phantom or misspelled metrics).
+# The /metrics namespace lint: registered families are safemon_-prefixed
+# with type-aware suffixes (counters _total, gauges never _total,
+# histograms _seconds or _bytes), and every metric name mentioned in
+# code, README or the exposition golden must resolve to a real
+# registration (no phantom or misspelled metrics).
 metriclint:
 	sh scripts/metriclint.sh
-
-# The quantization golden-tolerance gate: every nn backend's int8 twin
-# (float artifact loaded WithQuantized) replays the golden corpus with zero
-# verdict flips outside the eps guard band and per-frame score drift within
-# quantScoreEps.
-quant-golden:
-	$(GO) test -run='^TestQuantizedVerdictTolerance$$' -count=1 -v ./safemon/
 
 # Replay the checked-in fuzz seed corpora as plain tests (what CI runs):
 # the serve protocol parser, the model artifact/manifest decoders, and the

@@ -217,8 +217,6 @@ func run(args []string) error {
 	mailbox := fs.Int("mailbox", 0, "per-shard mailbox depth (0 = serve default)")
 	maxSessions := fs.Int("max-sessions", 0, "concurrent stream cap (0 = serve default)")
 	enqueueTimeout := fs.Duration("enqueue-timeout", 0, "backpressure wait on a full mailbox (0 = serve default)")
-	maxBatch := fs.Int("max-batch", 0, "cross-session micro-batch size per shard (0/1 = per-stream dispatch)")
-	batchWindow := fs.Duration("batch-window", 0, "micro-batch gather window (0 = serve default 250µs; needs -max-batch >= 2)")
 	binaryCodec := fs.Bool("binary", true, "offer the binary wire codec (application/x-safemon-frames) and /v1/mux; false serves NDJSON only")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 	threshold := fs.Float64("threshold", 0.5, "unsafe-score alert threshold (training paths)")
@@ -395,8 +393,6 @@ func run(args []string) error {
 		MailboxDepth:   *mailbox,
 		MaxSessions:    *maxSessions,
 		EnqueueTimeout: *enqueueTimeout,
-		MaxBatch:       *maxBatch,
-		BatchWindow:    *batchWindow,
 	}
 	cfg.Logger = logger
 	srv, err := serve.NewServer(cfg)

@@ -11,10 +11,6 @@ type Conv1D struct {
 	Weight *Param // Out x K x In, row major
 	Bias   *Param // Out
 
-	// Qnt, when non-nil, carries int8 per-channel quantized weights used by
-	// the scratch inference path only (see quant.go).
-	Qnt *QuantWeights
-
 	lastIn [][]float64
 }
 

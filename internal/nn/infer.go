@@ -106,11 +106,7 @@ func (d *Dense) newScratch(maxT, _ int) *scratch { return newSeqScratch(maxT, d.
 
 func (d *Dense) infer(x [][]float64, s *scratch) [][]float64 {
 	out := s.rows[:len(x)]
-	if d.Qnt != nil {
-		seqDenseQuantInto(out, x, d.Qnt.Q, d.Qnt.Scale, d.Bias.W, d.Out, d.In)
-	} else {
-		seqDenseInto(out, x, d.Weight.W, d.Bias.W, d.Out, d.In)
-	}
+	seqDenseInto(out, x, d.Weight.W, d.Bias.W, d.Out, d.In)
 	return out
 }
 
@@ -215,11 +211,7 @@ func (c *Conv1D) infer(x [][]float64, s *scratch) [][]float64 {
 		outT = 1
 	}
 	out := s.rows[:outT]
-	if c.Qnt != nil {
-		conv1dQuantInto(out, x, c.Qnt.Q, c.Qnt.Scale, c.Bias.W, c.Out, c.In, c.K)
-	} else {
-		conv1dInto(out, x, c.Weight.W, c.Bias.W, c.Out, c.In, c.K)
-	}
+	conv1dInto(out, x, c.Weight.W, c.Bias.W, c.Out, c.In, c.K)
 	return out
 }
 

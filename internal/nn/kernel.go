@@ -160,386 +160,6 @@ func seqDenseInto(out, x [][]float64, w, bias []float64, outDim, inDim int) {
 	}
 }
 
-// denseRowsInto computes outRows[r][o] = bias[o] + w[o*in:(o+1)*in] ·
-// xRows[r] for a flat list of rows sharing one weight matrix — the
-// cross-session batch the serve shards dispatch, with every stream's
-// window rows concatenated into one list (BatchPredictor flattens; ragged
-// windows and post-Flatten short rows keep seqDenseInto's zero-padding
-// semantics).
-//
-// The kernel blocks on two axes and unrolls on a third, none of which
-// perturbs any accumulation chain:
-//
-//   - output lanes are tiled by four (one tile of weight rows per pass);
-//   - the input dimension is blocked by denseInputBlock so the tile's
-//     weight block (4 × 512 × 8 B = 16 KB) stays L1-resident while every
-//     row sweeps over it; partial sums spill to the output row between
-//     blocks, which is exact for float64 — the chain's additions happen in
-//     the same ascending-input order with a store/reload in between;
-//   - equal-length rows are processed in PAIRS inside the block: each
-//     weight element is loaded once and applied to both rows, and the
-//     eight independent accumulator chains (4 lanes × 2 rows) give the
-//     out-of-order core twice the add ILP of the per-stream kernel.
-//
-// Each (row, lane) sum is still one accumulator seeded with the bias
-// walking inputs in ascending index — exactly the chain seqDenseInto runs
-// for that row alone — so batched outputs are bit-identical to per-stream
-// calls (the property batch_test.go pins).
-func denseRowsInto(outRows, xRows [][]float64, w, bias []float64, outDim, inDim int) {
-	R := len(xRows)
-	o := 0
-	for ; o+4 <= outDim; o += 4 {
-		base := o * inDim
-		r0 := w[base+0*inDim : base+1*inDim : base+1*inDim]
-		r1 := w[base+1*inDim : base+2*inDim : base+2*inDim]
-		r2 := w[base+2*inDim : base+3*inDim : base+3*inDim]
-		r3 := w[base+3*inDim : base+4*inDim : base+4*inDim]
-		b0, b1, b2, b3 := bias[o], bias[o+1], bias[o+2], bias[o+3]
-		for i0 := 0; i0 < inDim; i0 += denseInputBlock {
-			i1 := i0 + denseInputBlock
-			if i1 > inDim {
-				i1 = inDim
-			}
-			first := i0 == 0
-			for r := 0; r < R; {
-				xa := xRows[r]
-				na := len(xa)
-				if na > inDim {
-					na = inDim
-				}
-				hiA := i1
-				if hiA > na {
-					hiA = na
-				}
-				if !first && hiA <= i0 {
-					// Short row already finished by an earlier block.
-					r++
-					continue
-				}
-				if r+1 < R {
-					xb := xRows[r+1]
-					nb := len(xb)
-					if nb > inDim {
-						nb = inDim
-					}
-					if nb == na {
-						oa, ob := outRows[r], outRows[r+1]
-						var sa0, sa1, sa2, sa3, sb0, sb1, sb2, sb3 float64
-						if first {
-							sa0, sa1, sa2, sa3 = b0, b1, b2, b3
-							sb0, sb1, sb2, sb3 = b0, b1, b2, b3
-						} else {
-							sa0, sa1, sa2, sa3 = oa[o], oa[o+1], oa[o+2], oa[o+3]
-							sb0, sb1, sb2, sb3 = ob[o], ob[o+1], ob[o+2], ob[o+3]
-						}
-						wb0 := r0[i0:hiA:hiA]
-						wb1 := r1[i0:hiA:hiA]
-						wb2 := r2[i0:hiA:hiA]
-						wb3 := r3[i0:hiA:hiA]
-						xba := xa[i0:hiA:hiA]
-						xbb := xb[i0:hiA:hiA]
-						for i, xia := range xba {
-							xib := xbb[i]
-							w0 := wb0[i]
-							sa0 += w0 * xia
-							sb0 += w0 * xib
-							w1 := wb1[i]
-							sa1 += w1 * xia
-							sb1 += w1 * xib
-							w2 := wb2[i]
-							sa2 += w2 * xia
-							sb2 += w2 * xib
-							w3 := wb3[i]
-							sa3 += w3 * xia
-							sb3 += w3 * xib
-						}
-						oa[o], oa[o+1], oa[o+2], oa[o+3] = sa0, sa1, sa2, sa3
-						ob[o], ob[o+1], ob[o+2], ob[o+3] = sb0, sb1, sb2, sb3
-						r += 2
-						continue
-					}
-				}
-				ot := outRows[r]
-				var s0, s1, s2, s3 float64
-				if first {
-					s0, s1, s2, s3 = b0, b1, b2, b3
-				} else {
-					s0, s1, s2, s3 = ot[o], ot[o+1], ot[o+2], ot[o+3]
-				}
-				wb0 := r0[i0:hiA:hiA]
-				wb1 := r1[i0:hiA:hiA]
-				wb2 := r2[i0:hiA:hiA]
-				wb3 := r3[i0:hiA:hiA]
-				for i, xi := range xa[i0:hiA:hiA] {
-					s0 += wb0[i] * xi
-					s1 += wb1[i] * xi
-					s2 += wb2[i] * xi
-					s3 += wb3[i] * xi
-				}
-				ot[o], ot[o+1], ot[o+2], ot[o+3] = s0, s1, s2, s3
-				r++
-			}
-		}
-	}
-	for ; o < outDim; o++ {
-		row := w[o*inDim : (o+1)*inDim : (o+1)*inDim]
-		b := bias[o]
-		for r, x := range xRows {
-			if len(x) > inDim {
-				x = x[:inDim]
-			}
-			s := b
-			for i, xi := range x {
-				s += row[i] * xi
-			}
-			outRows[r][o] = s
-		}
-	}
-}
-
-// denseInputBlock is the input-axis cache block of the dense row kernels:
-// a four-lane weight tile restricted to one block is 4 × 512 × 8 B = 16 KB,
-// comfortably L1-resident together with the two active input-row blocks.
-const denseInputBlock = 512
-
-// seqDenseQuantInto is seqDenseInto against int8 per-output-channel
-// quantized weights: out[t][o] = bias[o] + scale[o] * Σ_i q[o*in+i]·x[t][i].
-// The raw int8 dot product accumulates in float64 input-index-ascending
-// (one chain per lane, like the float kernel) and the channel scale is
-// applied once at the end, so quantized inference is deterministic and the
-// only difference from the float path is the rounded weights themselves.
-func seqDenseQuantInto(out, x [][]float64, q []int8, scale, bias []float64, outDim, inDim int) {
-	o := 0
-	for ; o+4 <= outDim; o += 4 {
-		base := o * inDim
-		r0 := q[base+0*inDim : base+1*inDim : base+1*inDim]
-		r1 := q[base+1*inDim : base+2*inDim : base+2*inDim]
-		r2 := q[base+2*inDim : base+3*inDim : base+3*inDim]
-		r3 := q[base+3*inDim : base+4*inDim : base+4*inDim]
-		for t := range x {
-			xt := x[t]
-			if len(xt) > inDim {
-				xt = xt[:inDim]
-			}
-			var s0, s1, s2, s3 float64
-			for i, xi := range xt {
-				s0 += float64(r0[i]) * xi
-				s1 += float64(r1[i]) * xi
-				s2 += float64(r2[i]) * xi
-				s3 += float64(r3[i]) * xi
-			}
-			ot := out[t]
-			ot[o] = bias[o] + scale[o]*s0
-			ot[o+1] = bias[o+1] + scale[o+1]*s1
-			ot[o+2] = bias[o+2] + scale[o+2]*s2
-			ot[o+3] = bias[o+3] + scale[o+3]*s3
-		}
-	}
-	for ; o < outDim; o++ {
-		row := q[o*inDim : (o+1)*inDim : (o+1)*inDim]
-		for t := range x {
-			xt := x[t]
-			if len(xt) > inDim {
-				xt = xt[:inDim]
-			}
-			var s float64
-			for i, xi := range xt {
-				s += float64(row[i]) * xi
-			}
-			out[t][o] = bias[o] + scale[o]*s
-		}
-	}
-}
-
-// denseRowsQuantInto is denseRowsInto over int8 quantized weights: raw
-// dot products accumulate in float64 per (row, lane) chain and the
-// per-channel scale is applied once at the end, exactly as
-// seqDenseQuantInto does per stream. Same input blocking and row-pairing
-// as the float row kernel — between blocks the RAW running sums spill to
-// the output row and the bias/scale finalization happens only on a row's
-// last block, so the single-finalize chain is preserved bit for bit.
-func denseRowsQuantInto(outRows, xRows [][]float64, q []int8, scale, bias []float64, outDim, inDim int) {
-	R := len(xRows)
-	o := 0
-	for ; o+4 <= outDim; o += 4 {
-		base := o * inDim
-		r0 := q[base+0*inDim : base+1*inDim : base+1*inDim]
-		r1 := q[base+1*inDim : base+2*inDim : base+2*inDim]
-		r2 := q[base+2*inDim : base+3*inDim : base+3*inDim]
-		r3 := q[base+3*inDim : base+4*inDim : base+4*inDim]
-		for i0 := 0; i0 < inDim; i0 += denseInputBlock {
-			i1 := i0 + denseInputBlock
-			if i1 > inDim {
-				i1 = inDim
-			}
-			first := i0 == 0
-			for r := 0; r < R; {
-				xa := xRows[r]
-				na := len(xa)
-				if na > inDim {
-					na = inDim
-				}
-				hiA := i1
-				if hiA > na {
-					hiA = na
-				}
-				if !first && hiA <= i0 {
-					// Short row already finalized by an earlier block.
-					r++
-					continue
-				}
-				last := hiA == na
-				if r+1 < R {
-					xb := xRows[r+1]
-					nb := len(xb)
-					if nb > inDim {
-						nb = inDim
-					}
-					if nb == na {
-						oa, ob := outRows[r], outRows[r+1]
-						var sa0, sa1, sa2, sa3, sb0, sb1, sb2, sb3 float64
-						if !first {
-							sa0, sa1, sa2, sa3 = oa[o], oa[o+1], oa[o+2], oa[o+3]
-							sb0, sb1, sb2, sb3 = ob[o], ob[o+1], ob[o+2], ob[o+3]
-						}
-						wb0 := r0[i0:hiA:hiA]
-						wb1 := r1[i0:hiA:hiA]
-						wb2 := r2[i0:hiA:hiA]
-						wb3 := r3[i0:hiA:hiA]
-						xba := xa[i0:hiA:hiA]
-						xbb := xb[i0:hiA:hiA]
-						for i, xia := range xba {
-							xib := xbb[i]
-							w0 := float64(wb0[i])
-							sa0 += w0 * xia
-							sb0 += w0 * xib
-							w1 := float64(wb1[i])
-							sa1 += w1 * xia
-							sb1 += w1 * xib
-							w2 := float64(wb2[i])
-							sa2 += w2 * xia
-							sb2 += w2 * xib
-							w3 := float64(wb3[i])
-							sa3 += w3 * xia
-							sb3 += w3 * xib
-						}
-						if last {
-							oa[o] = bias[o] + scale[o]*sa0
-							oa[o+1] = bias[o+1] + scale[o+1]*sa1
-							oa[o+2] = bias[o+2] + scale[o+2]*sa2
-							oa[o+3] = bias[o+3] + scale[o+3]*sa3
-							ob[o] = bias[o] + scale[o]*sb0
-							ob[o+1] = bias[o+1] + scale[o+1]*sb1
-							ob[o+2] = bias[o+2] + scale[o+2]*sb2
-							ob[o+3] = bias[o+3] + scale[o+3]*sb3
-						} else {
-							oa[o], oa[o+1], oa[o+2], oa[o+3] = sa0, sa1, sa2, sa3
-							ob[o], ob[o+1], ob[o+2], ob[o+3] = sb0, sb1, sb2, sb3
-						}
-						r += 2
-						continue
-					}
-				}
-				ot := outRows[r]
-				var s0, s1, s2, s3 float64
-				if !first {
-					s0, s1, s2, s3 = ot[o], ot[o+1], ot[o+2], ot[o+3]
-				}
-				wb0 := r0[i0:hiA:hiA]
-				wb1 := r1[i0:hiA:hiA]
-				wb2 := r2[i0:hiA:hiA]
-				wb3 := r3[i0:hiA:hiA]
-				for i, xi := range xa[i0:hiA:hiA] {
-					s0 += float64(wb0[i]) * xi
-					s1 += float64(wb1[i]) * xi
-					s2 += float64(wb2[i]) * xi
-					s3 += float64(wb3[i]) * xi
-				}
-				if last {
-					ot[o] = bias[o] + scale[o]*s0
-					ot[o+1] = bias[o+1] + scale[o+1]*s1
-					ot[o+2] = bias[o+2] + scale[o+2]*s2
-					ot[o+3] = bias[o+3] + scale[o+3]*s3
-				} else {
-					ot[o], ot[o+1], ot[o+2], ot[o+3] = s0, s1, s2, s3
-				}
-				r++
-			}
-		}
-	}
-	for ; o < outDim; o++ {
-		row := q[o*inDim : (o+1)*inDim : (o+1)*inDim]
-		for r, x := range xRows {
-			if len(x) > inDim {
-				x = x[:inDim]
-			}
-			var s float64
-			for i, xi := range x {
-				s += float64(row[i]) * xi
-			}
-			outRows[r][o] = bias[o] + scale[o]*s
-		}
-	}
-}
-
-// matvecQuantStridedAccum accumulates one quantized kernel tap into the
-// raw (unscaled) running sums: dst[o] += q[base+o*stride : +in] · x[:in].
-// The caller zeroes dst, applies every tap in ascending k, then finalizes
-// with bias and the per-channel scale (conv1dQuantInto).
-func matvecQuantStridedAccum(dst []float64, q []int8, x []float64, base, stride, out, in int) {
-	x = x[:in]
-	o := 0
-	for ; o+4 <= out; o += 4 {
-		off := base + o*stride
-		r0 := q[off+0*stride : off+0*stride+in : off+0*stride+in]
-		r1 := q[off+1*stride : off+1*stride+in : off+1*stride+in]
-		r2 := q[off+2*stride : off+2*stride+in : off+2*stride+in]
-		r3 := q[off+3*stride : off+3*stride+in : off+3*stride+in]
-		s0, s1, s2, s3 := dst[o], dst[o+1], dst[o+2], dst[o+3]
-		for i, xi := range x {
-			s0 += float64(r0[i]) * xi
-			s1 += float64(r1[i]) * xi
-			s2 += float64(r2[i]) * xi
-			s3 += float64(r3[i]) * xi
-		}
-		dst[o], dst[o+1], dst[o+2], dst[o+3] = s0, s1, s2, s3
-	}
-	for ; o < out; o++ {
-		off := base + o*stride
-		row := q[off : off+in : off+in]
-		s := dst[o]
-		for i, xi := range x {
-			s += float64(row[i]) * xi
-		}
-		dst[o] = s
-	}
-}
-
-// conv1dQuantInto is conv1dInto against int8 per-output-channel quantized
-// weights. Raw tap sums accumulate in the destination rows (zeroed first,
-// taps in ascending k, each tap input-index-ascending), then every lane is
-// finalized as bias[o] + scale[o]*raw — one multiply per output, no
-// per-call allocation.
-func conv1dQuantInto(out, x [][]float64, q []int8, scale, bias []float64, outDim, inDim, K int) {
-	T := len(x)
-	for t := range out {
-		dst := out[t][:outDim]
-		for o := range dst {
-			dst[o] = 0
-		}
-		for k := 0; k < K; k++ {
-			ti := t + k
-			if ti >= T {
-				break
-			}
-			matvecQuantStridedAccum(dst, q, x[ti], k*inDim, K*inDim, outDim, inDim)
-		}
-		for o := range dst {
-			dst[o] = bias[o] + scale[o]*dst[o]
-		}
-	}
-}
-
 // conv1dInto computes the valid-padding stride-1 1D convolution
 // out[t][o] = bias[o] + Σ_k w[(o*K+k)*in : ...] · x[t+k][:in], truncating
 // taps past the end of x (the graceful short-window degradation of

@@ -12,11 +12,6 @@ type Dense struct {
 	Weight  *Param // Out x In, row major
 	Bias    *Param // Out
 
-	// Qnt, when non-nil, carries int8 per-channel quantized weights used by
-	// the scratch inference path only (see quant.go). Float weights above
-	// remain the source of truth for training and Forward.
-	Qnt *QuantWeights
-
 	lastIn [][]float64
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"os"
 )
@@ -25,12 +24,6 @@ type layerSpec struct {
 	Ints    []int   // layer-specific shape parameters
 	Float   float64 // layer-specific scalar (e.g. dropout p)
 	Weights [][]float64
-
-	// Optional int8 quantized-weight section (dense/conv1d only). Gob
-	// leaves both empty when absent, so artifacts written before
-	// quantization existed — and decoders predating it — interoperate.
-	Quant      []int8
-	QuantScale []float64
 }
 
 // netSpec is the serializable description of a network.
@@ -42,19 +35,11 @@ type netSpec struct {
 func specFor(l Layer) (layerSpec, error) {
 	switch v := l.(type) {
 	case *Dense:
-		s := layerSpec{Kind: "dense", Ints: []int{v.In, v.Out}, Weights: [][]float64{v.Weight.W, v.Bias.W}}
-		if v.Qnt != nil {
-			s.Quant, s.QuantScale = v.Qnt.Q, v.Qnt.Scale
-		}
-		return s, nil
+		return layerSpec{Kind: "dense", Ints: []int{v.In, v.Out}, Weights: [][]float64{v.Weight.W, v.Bias.W}}, nil
 	case *LSTM:
 		return layerSpec{Kind: "lstm", Ints: []int{v.In, v.Hidden}, Weights: [][]float64{v.Wx.W, v.Wh.W, v.B.W}}, nil
 	case *Conv1D:
-		s := layerSpec{Kind: "conv1d", Ints: []int{v.In, v.Out, v.K}, Weights: [][]float64{v.Weight.W, v.Bias.W}}
-		if v.Qnt != nil {
-			s.Quant, s.QuantScale = v.Qnt.Q, v.Qnt.Scale
-		}
-		return s, nil
+		return layerSpec{Kind: "conv1d", Ints: []int{v.In, v.Out, v.K}, Weights: [][]float64{v.Weight.W, v.Bias.W}}, nil
 	case *ReLU:
 		return layerSpec{Kind: "relu"}, nil
 	case *Tanh:
@@ -108,29 +93,6 @@ func checkSpec(s layerSpec, ints int, weightLens func() []int64) error {
 	return nil
 }
 
-// quantFrom validates and copies a spec's optional int8 section for a
-// rows×cols weight matrix. Both halves must be present with exactly the
-// implied lengths and finite non-negative scales, or neither; anything
-// else is corrupt input.
-func quantFrom(s layerSpec, rows, cols int) (*QuantWeights, error) {
-	if len(s.Quant) == 0 && len(s.QuantScale) == 0 {
-		return nil, nil
-	}
-	if int64(len(s.Quant)) != int64(rows)*int64(cols) || len(s.QuantScale) != rows {
-		return nil, fmt.Errorf("%w: %s layer quant section %d/%d values, want %d/%d",
-			ErrBadNetworkSpec, s.Kind, len(s.Quant), len(s.QuantScale), rows*cols, rows)
-	}
-	for _, sc := range s.QuantScale {
-		if math.IsNaN(sc) || math.IsInf(sc, 0) || sc < 0 {
-			return nil, fmt.Errorf("%w: %s layer quant scale %v", ErrBadNetworkSpec, s.Kind, sc)
-		}
-	}
-	qw := &QuantWeights{Q: make([]int8, len(s.Quant)), Scale: make([]float64, rows)}
-	copy(qw.Q, s.Quant)
-	copy(qw.Scale, s.QuantScale)
-	return qw, nil
-}
-
 // layerFrom reconstructs a live layer from its serialized form.
 func layerFrom(s layerSpec, rng *rand.Rand) (Layer, error) {
 	switch s.Kind {
@@ -144,11 +106,6 @@ func layerFrom(s layerSpec, rng *rand.Rand) (Layer, error) {
 		d := NewDense(rng, s.Ints[0], s.Ints[1])
 		copy(d.Weight.W, s.Weights[0])
 		copy(d.Bias.W, s.Weights[1])
-		qw, err := quantFrom(s, d.Out, d.In)
-		if err != nil {
-			return nil, err
-		}
-		d.Qnt = qw
 		return d, nil
 	case "lstm":
 		if err := checkSpec(s, 2, func() []int64 {
@@ -172,11 +129,6 @@ func layerFrom(s layerSpec, rng *rand.Rand) (Layer, error) {
 		c := NewConv1D(rng, s.Ints[0], s.Ints[1], s.Ints[2])
 		copy(c.Weight.W, s.Weights[0])
 		copy(c.Bias.W, s.Weights[1])
-		qw, err := quantFrom(s, c.Out, c.K*c.In)
-		if err != nil {
-			return nil, err
-		}
-		c.Qnt = qw
 		return c, nil
 	case "relu":
 		return &ReLU{}, nil

@@ -94,73 +94,3 @@ func TestDecodeNetworkRoundTripStillExact(t *testing.T) {
 		}
 	}
 }
-
-// TestQuantSectionRoundTrip pins the optional int8 payload section:
-// quantized tensors survive encode/decode exactly, and a decoded network
-// keeps producing the quantized inference outputs bit-identically.
-func TestQuantSectionRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	net := BuildConv1D(rng, Conv1DConfig{
-		InputDim: 4, ConvUnits: []int{6, 4}, KernelSize: 3, DenseUnits: 5, NumClasses: 2, Dropout: 0.1,
-	})
-	net.Quantize()
-	var buf bytes.Buffer
-	if err := net.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeNetwork(&buf, rand.New(rand.NewSource(10)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Quantized() {
-		t.Fatal("decoded network lost its quant section")
-	}
-	x := randSeq(rng, 5, 4)
-	want := net.NewPredictor(5, 4).Predict(x)
-	have := got.NewPredictor(5, 4).Predict(x)
-	for i := range want {
-		if want[i] != have[i] {
-			t.Fatalf("class %d: %v != %v", i, want[i], have[i])
-		}
-	}
-}
-
-// TestDecodeNetworkRejectsCorruptQuant extends the corrupt-spec contract
-// to the int8 section: mismatched lengths or non-finite scales must fail
-// decode, and a one-sided section is corrupt too.
-func TestDecodeNetworkRejectsCorruptQuant(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	dense := func(mut func(*layerSpec)) netSpec {
-		s := layerSpec{
-			Kind: "dense", Ints: []int{2, 2},
-			Weights:    [][]float64{{1, 2, 3, 4}, {0, 0}},
-			Quant:      []int8{1, 2, 3, 4},
-			QuantScale: []float64{0.5, 0.25},
-		}
-		mut(&s)
-		return netSpec{Layers: []layerSpec{s}}
-	}
-	cases := map[string]netSpec{
-		"quant short":    dense(func(s *layerSpec) { s.Quant = s.Quant[:3] }),
-		"scale short":    dense(func(s *layerSpec) { s.QuantScale = s.QuantScale[:1] }),
-		"scale only":     dense(func(s *layerSpec) { s.Quant = nil }),
-		"quant only":     dense(func(s *layerSpec) { s.QuantScale = nil }),
-		"scale NaN":      dense(func(s *layerSpec) { s.QuantScale[0] = math.NaN() }),
-		"scale Inf":      dense(func(s *layerSpec) { s.QuantScale[1] = math.Inf(1) }),
-		"scale negative": dense(func(s *layerSpec) { s.QuantScale[0] = -1 }),
-		"conv quant short": {Layers: []layerSpec{{
-			Kind: "conv1d", Ints: []int{2, 2, 3},
-			Weights:    [][]float64{make([]float64, 12), make([]float64, 2)},
-			Quant:      make([]int8, 7),
-			QuantScale: []float64{1, 1},
-		}}},
-	}
-	for name, spec := range cases {
-		t.Run(name, func(t *testing.T) {
-			_, err := DecodeNetwork(bytes.NewReader(encodeSpec(t, spec)), rng)
-			if !errors.Is(err, ErrBadNetworkSpec) {
-				t.Fatalf("err = %v, want ErrBadNetworkSpec", err)
-			}
-		})
-	}
-}

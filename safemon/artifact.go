@@ -258,8 +258,10 @@ type persistedConfig struct {
 	CascadeInner       string
 	CascadeArm         float64
 	CascadeHoldoff     int
-	// Quantized is a new field: artifacts written before it decode as
-	// false, and older decoders ignore it (gob field evolution).
+	// Quantized is read, never written: it marks an artifact saved with
+	// int8-quantized error heads, which must fail to load with
+	// errQuantizedArtifact. Without the field gob would drop it, and the
+	// model would silently serve float scores.
 	Quantized bool
 }
 
@@ -282,13 +284,20 @@ func persistConfig(c Config) persistedConfig {
 		CascadeInner:       c.CascadeInner,
 		CascadeArm:         c.CascadeArm,
 		CascadeHoldoff:     c.CascadeHoldoff,
-		Quantized:          c.Quantized,
 	}
 }
+
+// errQuantizedArtifact refuses artifacts whose error heads were saved
+// int8-quantized: this build serves float weights only, and replaying such
+// a model in float would change its recorded verdicts.
+var errQuantizedArtifact = errors.New("safemon: artifact has int8-quantized error heads, which this build does not serve")
 
 // restore rebuilds a Config, keeping base's runtime-only fields (Timing,
 // Verbose) that artifacts deliberately do not carry.
 func (p persistedConfig) restore(base Config) (Config, error) {
+	if p.Quantized {
+		return Config{}, errQuantizedArtifact
+	}
 	gf, err := restoreFeatureSet(p.GestureFeatures)
 	if err != nil {
 		return Config{}, err
@@ -315,9 +324,6 @@ func (p persistedConfig) restore(base Config) (Config, error) {
 	cfg.CascadeInner = p.CascadeInner
 	cfg.CascadeArm = p.CascadeArm
 	cfg.CascadeHoldoff = p.CascadeHoldoff
-	// Quantization can be enabled at load time on a float artifact (the
-	// open-time option wins), but a quantized artifact stays quantized.
-	cfg.Quantized = p.Quantized || base.Quantized
 	return cfg, nil
 }
 

@@ -198,6 +198,53 @@ func TestLoadBackendMismatch(t *testing.T) {
 	}
 }
 
+// rewriteArtifact decodes an artifact's gob payload into p, applies edit
+// and re-frames the result with a valid checksum.
+func rewriteArtifact[P any](t *testing.T, art []byte, p *P, edit func(*P)) []byte {
+	t.Helper()
+	backend, payload, err := parseArtifact(art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := decodeGob(backend, payload, p); err != nil {
+		t.Fatal(err)
+	}
+	edit(p)
+	if payload, err = encodeGob(backend, *p); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := writeArtifact(&buf, backend, payload); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadRefusesQuantizedArtifact pins the refusal of artifacts saved
+// with int8-quantized error heads (the persisted Quantized flag), which
+// this build cannot serve without changing their verdicts. For the
+// cascade only the nested inner-stage artifact carries the flag, so the
+// refusal must come from the inner stage's own load.
+func TestLoadRefusesQuantizedArtifact(t *testing.T) {
+	quantize := func(art []byte) []byte {
+		return rewriteArtifact(t, art, &contextPayload{}, func(p *contextPayload) { p.Config.Quantized = true })
+	}
+	cases := map[string][]byte{
+		"context-aware": quantize(saveArtifact(t, fittedDetector(t, "context-aware"))),
+		"cascade-inner": rewriteArtifact(t, saveArtifact(t, fittedDetector(t, "cascade")), &cascadePayload{},
+			func(p *cascadePayload) { p.Inner = quantize(p.Inner) }),
+	}
+	for name, art := range cases {
+		t.Run(name, func(t *testing.T) {
+			_, err := LoadDetector(bytes.NewReader(art))
+			var ae *ArtifactError
+			if !errors.As(err, &ae) || !errors.Is(err, errQuantizedArtifact) {
+				t.Fatalf("LoadDetector = %v, want an *ArtifactError wrapping errQuantizedArtifact", err)
+			}
+		})
+	}
+}
+
 // TestSessionAfterFailedLoad pins the partially-loaded guard: after a
 // failed Load the detector must refuse sessions (and Run) with an error
 // that wraps the typed *ArtifactError — not silently act unfitted, and

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/kinematics"
 )
 
@@ -229,10 +228,8 @@ func (d *cascadeDetector) loadPayload(backend string, payload []byte) error {
 		if got := front.Info().Name; got != frontName {
 			return artifactErr("validate", "cascade", fmt.Errorf("%w: front artifact is for %q, config says %q", ErrCorruptPayload, got, frontName))
 		}
-		// The inner stage loads through its open-time stage config rather
-		// than LoadDetector's artifact-only path, so cascade-level options
-		// with load-time semantics (WithQuantized) reach the nested
-		// detector; its own Load rejects artifacts for any other backend.
+		// The inner stage loads into a detector opened with its stage
+		// config, whose Load rejects artifacts for any other backend.
 		innerDet, err := openWith(innerName, probe.stageConfig(false))
 		if err != nil {
 			return artifactErr("decode", "cascade", fmt.Errorf("inner stage: %w", err))
@@ -332,43 +329,11 @@ func (s *cascadeSession) Reset(groundTruth []int) error {
 
 func (s *cascadeSession) Close() error { return s.front.Close() }
 
-// batchable reports whether the inner stage can join a cross-session
-// batch. The front stage always runs per-stream in planPush — it is the
-// cheap filter; only the armed inner inference is worth batching.
-func (s *cascadeSession) batchable() bool { return s.inner.st != nil }
-
-// planPush runs the front filter and the gating decision exactly as Push
-// does, deferring only the armed inner inference to the batch.
-func (s *cascadeSession) planPush(f *Frame) batchEntry {
-	fv, err := s.front.Push(f)
-	if err != nil {
-		return batchEntry{done: true, err: err}
-	}
-	if fv.Score >= s.arm {
-		s.armed = s.holdoff
-	}
-	if s.armed > 0 {
-		s.armed--
-		return batchEntry{stream: s.inner.st, mon: s.inner.mon}
-	}
-	s.inner.observe(f)
-	fv.Unsafe = false
-	return batchEntry{done: true, verdict: fv}
-}
-
-func (s *cascadeSession) finishPush(_ *Frame, v FrameVerdict) (FrameVerdict, error) {
-	return v, nil
-}
-
 // gatedStream is the cascade's view of an inner nn-backed stream: full
 // inference (push), window-warming without inference (observe), and reuse
 // (reset). Frame indices stay aligned because both paths advance the
-// stream's frame counter. st/mon are set only for plain two-stage monitor
-// streams; they expose the concrete stream to the cross-session Batcher
-// (batch.go) — lookahead inner stages stay unbatchable.
+// stream's frame counter.
 type gatedStream struct {
-	st      *core.Stream
-	mon     *core.Monitor
 	push    func(*kinematics.Frame) FrameVerdict
 	observe func(*kinematics.Frame)
 	reset   func([]int) error
@@ -390,5 +355,5 @@ func (d *contextDetector) newGatedStream(groundTruth []int) (*gatedStream, error
 	if err != nil {
 		return nil, err
 	}
-	return &gatedStream{st: st, mon: d.mon, push: st.Push, observe: st.Observe, reset: st.Reset}, nil
+	return &gatedStream{push: st.Push, observe: st.Observe, reset: st.Reset}, nil
 }

@@ -111,9 +111,6 @@ func (d *contextDetector) Fit(ctx context.Context, trajs []*Trajectory) error {
 	mon := core.NewMonitor(gc, lib)
 	mon.Threshold = d.cfg.Threshold
 	mon.UseGroundTruthGestures = d.cfg.GroundTruthContext
-	if d.cfg.Quantized {
-		mon.QuantizeWeights()
-	}
 	if d.cfg.Lookahead {
 		chain := d.cfg.Chain
 		if chain == nil {
@@ -221,12 +218,6 @@ func (d *contextDetector) loadPayload(backend string, payload []byte) error {
 			}
 			cfg.Chain = p.Chain
 		}
-		if cfg.Quantized {
-			// No-op for layers restored with an int8 artifact section;
-			// deterministic re-quantization for float artifacts loaded
-			// with WithQuantized.
-			mon.QuantizeWeights()
-		}
 		d.cfg = cfg
 		d.mon = mon
 		d.la = la
@@ -255,24 +246,17 @@ func (d *contextDetector) NewSession(opts ...SessionOption) (Session, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Lookahead blends a grammar term into every score, which the
-		// batched stepper does not model: st/mon stay nil so the session
-		// reports itself unbatchable and the batcher falls back to Push.
 		return wrapGuard(&coreSession{push: st.Push, reset: st.Reset}, sc)
 	}
 	st, err := d.mon.NewStream(sc.groundTruth)
 	if err != nil {
 		return nil, err
 	}
-	return wrapGuard(&coreSession{st: st, mon: d.mon, push: st.Push, reset: st.Reset}, sc)
+	return wrapGuard(&coreSession{push: st.Push, reset: st.Reset}, sc)
 }
 
 // coreSession adapts core's two stream types to the Session interface.
-// st/mon are set only for plain two-stage monitor streams; they expose the
-// concrete stream to the cross-session Batcher (batch.go).
 type coreSession struct {
-	st    *core.Stream
-	mon   *core.Monitor
 	push  func(*Frame) FrameVerdict
 	reset func([]int) error
 }
@@ -280,13 +264,3 @@ type coreSession struct {
 func (s *coreSession) Push(f *Frame) (FrameVerdict, error) { return s.push(f), nil }
 func (s *coreSession) Reset(groundTruth []int) error       { return s.reset(groundTruth) }
 func (s *coreSession) Close() error                        { return nil }
-
-func (s *coreSession) batchable() bool { return s.st != nil }
-
-func (s *coreSession) planPush(_ *Frame) batchEntry {
-	return batchEntry{stream: s.st, mon: s.mon}
-}
-
-func (s *coreSession) finishPush(_ *Frame, v FrameVerdict) (FrameVerdict, error) {
-	return v, nil
-}

@@ -72,27 +72,6 @@ func (g *guardedSession) Reset(groundTruth []int) error {
 	return nil
 }
 
-// batchable/planPush delegate to the inner session; finishPush appends the
-// guard step so the batched path runs the exact post-verdict sequence of
-// Push.
-func (g *guardedSession) batchable() bool {
-	bs, ok := g.Session.(batchSession)
-	return ok && bs.batchable()
-}
-
-func (g *guardedSession) planPush(f *Frame) batchEntry {
-	return g.Session.(batchSession).planPush(f)
-}
-
-func (g *guardedSession) finishPush(f *Frame, v FrameVerdict) (FrameVerdict, error) {
-	v, err := g.Session.(batchSession).finishPush(f, v)
-	if err != nil {
-		return v, err
-	}
-	g.last = g.eng.Step(v)
-	return v, nil
-}
-
 func (g *guardedSession) Decision() guard.Decision      { return g.last }
 func (g *guardedSession) GuardPolicy() guard.Policy     { return g.eng.Policy() }
 func (g *guardedSession) GuardCounters() guard.Counters { return g.eng.Counters() }

@@ -108,32 +108,6 @@ func (l *ledgeredSession) Push(f *Frame) (FrameVerdict, error) {
 	return v, nil
 }
 
-// batchable/planPush delegate inward; finishPush appends the recording
-// step so batched frames are ledgered exactly as pushed ones.
-func (l *ledgeredSession) batchable() bool {
-	bs, ok := l.Session.(batchSession)
-	return ok && bs.batchable()
-}
-
-func (l *ledgeredSession) planPush(f *Frame) batchEntry {
-	return l.Session.(batchSession).planPush(f)
-}
-
-func (l *ledgeredSession) finishPush(f *Frame, v FrameVerdict) (FrameVerdict, error) {
-	v, err := l.Session.(batchSession).finishPush(f, v)
-	if err != nil {
-		return v, err
-	}
-	l.frames++
-	l.rec.Verdict(v, f)
-	if l.g != nil {
-		if d := l.g.Decision(); d.Changed {
-			l.rec.Action(d)
-		}
-	}
-	return v, nil
-}
-
 func (l *ledgeredSession) Reset(groundTruth []int) error {
 	if err := l.Session.Reset(groundTruth); err != nil {
 		return err

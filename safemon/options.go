@@ -43,9 +43,6 @@ type Config struct {
 	// 30, one second at 30 Hz).
 	CascadeArm     float64
 	CascadeHoldoff int
-	// Quantized switches the nn-backed detectors' streaming inference to
-	// int8 per-channel quantized Dense/Conv1D weights (see WithQuantized).
-	Quantized bool
 	// Timing makes Run measure per-frame compute, at the cost of traces
 	// (and therefore reports) no longer being bit-reproducible.
 	Timing bool
@@ -133,23 +130,6 @@ func WithCascadeArm(score float64) Option { return func(c *Config) { c.CascadeAr
 // WithCascadeHoldoff sets how many frames the inner detector keeps running
 // after the last frame whose front score reached the arm threshold.
 func WithCascadeHoldoff(frames int) Option { return func(c *Config) { c.CascadeHoldoff = frames } }
-
-// WithQuantized switches the nn-backed detectors (context-aware,
-// monolithic, and a cascade's inner stage) to int8 per-output-channel
-// quantized Dense/Conv1D weights on the error heads' streaming inference
-// path. The gesture classifier stays float so the operational context —
-// which error head scores each frame — is bit-identical to the unquantized
-// detector. Training, Forward, and the float weights are untouched;
-// quantization is deterministic and idempotent, and quantized tensors
-// round-trip through Save/Load as an extra artifact payload section.
-//
-// Tolerance policy (asserted by quant_test.go on the held-out fold plus
-// the Table III fault-injection corpus): per-frame scores drift by at most
-// quantScoreEps, and no verdict flips on any frame whose float score is
-// more than quantScoreEps from the threshold. Frames already inside that
-// band are ambiguous at eps precision and may flip either way. Backends
-// without nn weights ignore the option.
-func WithQuantized() Option { return func(c *Config) { c.Quantized = true } }
 
 // WithTiming makes Run measure mean per-frame compute time (Table VIII's
 // computation-time column). Timed traces are not bit-reproducible.

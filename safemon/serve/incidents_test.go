@@ -408,13 +408,14 @@ func TestShutdownFlushesInFlightStream(t *testing.T) {
 // client, and a ledger-less server omits the section entirely.
 func TestStatsLedgerSection(t *testing.T) {
 	det := fittedDetector(t, "envelope")
-	_, client, app := newLedgeredService(t, map[string]safemon.Detector{"envelope": det})
+	srv, client, app := newLedgeredService(t, map[string]safemon.Detector{"envelope": det})
 	ctx := context.Background()
 
 	traj := testFold(t).Test[0]
 	if _, err := client.StreamTrajectory(ctx, "envelope", traj); err != nil {
 		t.Fatal(err)
 	}
+	waitReleased(t, srv)
 	app.Flush()
 
 	snap, err := client.Stats(ctx)

@@ -11,8 +11,7 @@ package serve
 //
 //	decode  parse of the request record (excluding network wait)
 //	queue   submit → shard mailbox dequeue
-//	gather  dequeue → batch dispatch (batched managers only)
-//	infer   dispatch → verdict (the model forward)
+//	infer   dequeue → verdict (the model forward)
 //	guard   mitigation policy engine step (guarded streams only)
 //	ledger  event-ledger emit (ledgered servers only)
 //	encode  response record serialize + write + flush
@@ -37,7 +36,6 @@ import (
 const (
 	stageDecode = iota
 	stageQueue
-	stageGather
 	stageInfer
 	stageGuard
 	stageLedger
@@ -48,7 +46,7 @@ const (
 // stageNames are the stage label values of safemon_frame_stage_seconds,
 // in pipeline order.
 var stageNames = [numStages]string{
-	"decode", "queue", "gather", "infer", "guard", "ledger", "encode",
+	"decode", "queue", "infer", "guard", "ledger", "encode",
 }
 
 // slowStageNames names the slow-frame ring's stage slots (the trace's
@@ -94,10 +92,9 @@ type streamTrace struct {
 }
 
 // streamTrace resolves the stage histograms for one admitted stream.
-// Gather only exists on batched managers, guard on policy streams,
-// ledger on ledgered servers; their histograms stay nil otherwise so
-// inactive stages record nothing.
-func (m *serveMetrics) streamTrace(backend, codec, version, policyName string, batched, ledgered bool) *streamTrace {
+// Guard only exists on policy streams and ledger on ledgered servers;
+// their histograms stay nil otherwise so inactive stages record nothing.
+func (m *serveMetrics) streamTrace(backend, codec, version, policyName string, ledgered bool) *streamTrace {
 	tr := &streamTrace{
 		slow: m.slow,
 		meta: &obs.SlowMeta{
@@ -108,10 +105,6 @@ func (m *serveMetrics) streamTrace(backend, codec, version, policyName string, b
 	}
 	for i := 0; i < numStages; i++ {
 		switch i {
-		case stageGather:
-			if !batched {
-				continue
-			}
 		case stageGuard:
 			if policyName == "" {
 				continue
@@ -193,10 +186,10 @@ func (s *Server) registerMetrics() {
 			}
 		})
 	if app := s.cfg.Ledger; app != nil {
-		reg.GaugeFunc("safemon_ledger_queue_depth_total",
+		reg.GaugeFunc("safemon_ledger_queue_depth",
 			"Event-ledger emit-queue depth.",
 			func() float64 { return float64(app.Stats().Queue) })
-		reg.GaugeFunc("safemon_ledger_queue_capacity_total",
+		reg.GaugeFunc("safemon_ledger_queue_capacity",
 			"Event-ledger emit-queue bound.",
 			func() float64 { return float64(app.Stats().QueueCap) })
 		reg.CounterFunc("safemon_ledger_appended_total",
@@ -214,7 +207,7 @@ func (s *Server) registerMetrics() {
 		reg.GaugeFunc("safemon_ledger_bytes",
 			"Ledger store footprint in bytes.",
 			func() float64 { return float64(app.Stats().Bytes) })
-		reg.GaugeFunc("safemon_ledger_segments_total",
+		reg.GaugeFunc("safemon_ledger_segments",
 			"Ledger store segment count.",
 			func() float64 { return float64(app.Stats().Segments) })
 		reg.CounterFunc("safemon_ledger_last_seq_total",

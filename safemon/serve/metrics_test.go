@@ -123,13 +123,20 @@ func (p *promScrape) get(t *testing.T, key string) float64 {
 // +Inf bucket equals _count.
 func (p *promScrape) checkConformance(t *testing.T) {
 	t.Helper()
-	suffixRe := regexp.MustCompile(`_(total|seconds|bytes)$`)
-	for fam := range p.types {
+	unitRe := regexp.MustCompile(`_(seconds|bytes)$`)
+	for fam, typ := range p.types {
 		if !strings.HasPrefix(fam, "safemon_") {
 			t.Errorf("family %s lacks the safemon_ prefix", fam)
 		}
-		if !suffixRe.MatchString(fam) {
-			t.Errorf("family %s lacks a _total/_seconds/_bytes suffix", fam)
+		// The suffix follows the type, as scripts/metriclint.sh enforces.
+		total := strings.HasSuffix(fam, "_total")
+		switch {
+		case typ == "counter" && !total:
+			t.Errorf("counter %s must end in _total", fam)
+		case typ == "gauge" && total:
+			t.Errorf("gauge %s must not end in _total", fam)
+		case typ == "histogram" && !unitRe.MatchString(fam):
+			t.Errorf("histogram %s must end in _seconds or _bytes", fam)
 		}
 	}
 	// Group histogram buckets per family+labels (minus le) and require
@@ -269,7 +276,7 @@ func TestMetricsGolden(t *testing.T) {
 	parseProm(t, rr.Body.String()).checkConformance(t)
 }
 
-// metricsTestService stands up the full pipeline — batched shards, guard
+// metricsTestService stands up the full pipeline — sharded manager, guard
 // policy, ledger, both codecs — and drives traffic over every transport
 // so each instrumented path has run at least once.
 func metricsTestService(t *testing.T) (*Server, *Client) {
@@ -281,7 +288,7 @@ func metricsTestService(t *testing.T) (*Server, *Client) {
 		Detectors: map[string]safemon.Detector{"envelope": det},
 		Policies:  []guard.Policy{testGuardPolicy()},
 		Ledger:    app,
-		Manager:   ManagerConfig{Shards: 2, MaxBatch: 4, BatchWindow: 200 * time.Microsecond},
+		Manager:   ManagerConfig{Shards: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -376,10 +383,6 @@ func TestMetricsMatchesStats(t *testing.T) {
 		{"sessions_active", float64(snap.SessionsActive),
 			sum("safemon_sessions_opened_total", "") - sum("safemon_sessions_closed_total", "")},
 		{"queue_full", float64(snap.QueueFull), sum("safemon_queue_full_total", "")},
-		{"batches", float64(snap.Batching.Batches), sum("safemon_batches_total", "")},
-		{"batched_frames", float64(snap.Batching.BatchedFrames), sum("safemon_batched_frames_total", "")},
-		{"window_timeouts", float64(snap.Batching.WindowTimeouts), sum("safemon_batch_window_timeouts_total", "")},
-		{"fallbacks", float64(snap.Batching.Fallbacks), sum("safemon_batch_fallback_frames_total", "")},
 		{"json_streams", float64(snap.Codec.JSONStreams), scrape.get(t, `safemon_streams_total{codec="json"}`)},
 		{"binary_streams", float64(snap.Codec.BinaryStreams), scrape.get(t, `safemon_streams_total{codec="binary"}`)},
 		{"mux_conns", float64(snap.Codec.MuxConns), scrape.get(t, "safemon_mux_connections_total")},
@@ -396,9 +399,9 @@ func TestMetricsMatchesStats(t *testing.T) {
 		{"ledger_dropped", float64(snap.Ledger.Dropped), scrape.get(t, "safemon_ledger_dropped_total")},
 		{"ledger_errors", float64(snap.Ledger.Errors), scrape.get(t, "safemon_ledger_errors_total")},
 		{"ledger_bytes", float64(snap.Ledger.Bytes), scrape.get(t, "safemon_ledger_bytes")},
-		{"ledger_segments", float64(snap.Ledger.Segments), scrape.get(t, "safemon_ledger_segments_total")},
+		{"ledger_segments", float64(snap.Ledger.Segments), scrape.get(t, "safemon_ledger_segments")},
 		{"ledger_last_seq", float64(snap.Ledger.LastSeq), scrape.get(t, "safemon_ledger_last_seq_total")},
-		{"ledger_queue_cap", float64(snap.Ledger.QueueCap), scrape.get(t, "safemon_ledger_queue_capacity_total")},
+		{"ledger_queue_cap", float64(snap.Ledger.QueueCap), scrape.get(t, "safemon_ledger_queue_capacity")},
 	}
 	for _, c := range checks {
 		if c.stat != c.got {

@@ -338,8 +338,7 @@ func (s *Server) muxOpen(r *http.Request, mw *muxWriter, sessions map[uint32]*mu
 		}
 	}
 	s.codec.muxSessions.Add(1)
-	tr := s.metrics.streamTrace(backend, "binary-mux", sess.Version(), policyName,
-		s.manager.cfg.MaxBatch > 1, s.cfg.Ledger != nil)
+	tr := s.metrics.streamTrace(backend, "binary-mux", sess.Version(), policyName, s.cfg.Ledger != nil)
 	ms := &muxSession{sid: sid, in: make(chan muxFrame, muxInDepth), quit: make(chan struct{})}
 	sessions[sid] = ms
 	mw.opened(sid, sess.Version())
@@ -399,7 +398,6 @@ func (s *Server) runMuxSession(ctx context.Context, ms *muxSession, sess *Sessio
 				return
 			}
 			tr.setStage(stageQueue, sess.trace.queueNS)
-			tr.setStage(stageGather, sess.trace.gatherNS)
 			tr.setStage(stageInfer, sess.trace.inferNS)
 			frames++
 			wire := WireVerdict(v)

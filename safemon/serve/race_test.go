@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -17,11 +18,24 @@ import (
 // TestServeConcurrentSessionsRace soaks the shard mailboxes: many
 // concurrent NDJSON sessions over one shared trained network, a third of
 // them cancelled mid-stream, then a full drain — run under -race by make
-// ci, with a goroutine-count check for leaks.
+// ci, with a goroutine-count check for leaks. Every stream that completes
+// must equal (==) the offline replay of its trajectory, verdict for verdict.
 func TestServeConcurrentSessionsRace(t *testing.T) {
 	fold := testFold(t)
 	det := fittedDetector(t, "context-aware") // one shared trained network
 	env := fittedDetector(t, "envelope")
+
+	// refs[backend][k] is the offline replay of fold.Test[k].
+	refs := map[string][][]safemon.FrameVerdict{}
+	for name, d := range map[string]safemon.Detector{"context-aware": det, "envelope": env} {
+		for _, traj := range fold.Test {
+			trace, err := d.Run(context.Background(), traj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs[name] = append(refs[name], trace.Verdicts)
+		}
+	}
 
 	baseline := runtime.NumGoroutine()
 	srv, err := NewServer(Config{
@@ -45,7 +59,8 @@ func TestServeConcurrentSessionsRace(t *testing.T) {
 			if i%2 == 1 {
 				backend = "envelope"
 			}
-			traj := fold.Test[i%len(fold.Test)]
+			k := i % len(fold.Test)
+			traj := fold.Test[k]
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			if i%3 == 0 {
@@ -73,8 +88,8 @@ func TestServeConcurrentSessionsRace(t *testing.T) {
 				errs <- fmt.Errorf("session %d (%s): %w", i, backend, err)
 				return
 			}
-			if len(got) != traj.Len() {
-				errs <- fmt.Errorf("session %d: %d verdicts for %d frames", i, len(got), traj.Len())
+			if !slices.Equal(refs[backend][k], got) {
+				errs <- fmt.Errorf("session %d (%s): verdicts diverge from offline replay", i, backend)
 			}
 		}(i)
 	}

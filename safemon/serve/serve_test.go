@@ -101,6 +101,20 @@ func newTestService(t *testing.T, detectors map[string]safemon.Detector, cfg Man
 	return srv, &Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
 }
 
+// waitReleased waits up to 2 s for every stream's handler to release its
+// session slot. A client sees its done record before the handler's
+// deferred cleanup (ledger end record, then release) has run.
+func waitReleased(t *testing.T, srv *Server) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for srv.Stats().SessionsActive != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("sessions never released: %+v", srv.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestBackendsAndHealthEndpoints(t *testing.T) {
 	det := fittedDetector(t, "envelope")
 	srv, client := newTestService(t, map[string]safemon.Detector{"envelope": det}, ManagerConfig{})
@@ -128,6 +142,7 @@ func TestBackendsAndHealthEndpoints(t *testing.T) {
 	if _, err := client.StreamTrajectory(ctx, "envelope", traj); err != nil {
 		t.Fatal(err)
 	}
+	waitReleased(t, srv)
 	snap, err := client.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -316,13 +331,7 @@ func TestStreamIdleTimeout(t *testing.T) {
 	if _, err := st.Recv(); err == nil {
 		t.Fatal("idle stream should be terminated")
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.Stats().SessionsActive != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("idle stream pinned its session slot: %+v", srv.Stats())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitReleased(t, srv)
 }
 
 // TestBeginDrainKeepsInFlightStreams pins the graceful-drain layering:
@@ -536,13 +545,7 @@ func TestStreamEarlyHangup(t *testing.T) {
 	}
 	st.Close() // abrupt: no CloseSend handshake
 
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.Stats().SessionsActive != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("session slot leaked: %+v", srv.Stats())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitReleased(t, srv)
 }
 
 func TestWireVerdictRoundTrip(t *testing.T) {

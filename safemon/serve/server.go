@@ -212,9 +212,6 @@ func (s *Server) BeginDrain() {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-	// Shards flush any partially-gathered micro-batches and stop holding
-	// gather windows open; attached streams keep their verdicts flowing.
-	s.manager.BeginDrain()
 	// Every ledger event emitted so far reaches stable storage now, so a
 	// SIGTERM that never completes the full Shutdown still loses nothing.
 	s.cfg.Ledger.Flush()
@@ -430,8 +427,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	// Per-frame stage instrumentation: resolved once at admission (the
 	// histogram registrations), fed per frame without allocating.
-	tr := s.metrics.streamTrace(backend, codecName, sess.Version(), policyName,
-		s.manager.cfg.MaxBatch > 1, s.cfg.Ledger != nil)
+	tr := s.metrics.streamTrace(backend, codecName, sess.Version(), policyName, s.cfg.Ledger != nil)
 
 	// One heap frame reused across the loop: its pointer rides the shard
 	// mailbox, so an in-loop variable would escape and cost an allocation
@@ -476,9 +472,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			conn.fail(pushError(err))
 			return
 		}
-		// The shard wrote the queue/gather/infer split before replying.
+		// The shard wrote the queue/infer split before replying.
 		tr.setStage(stageQueue, sess.trace.queueNS)
-		tr.setStage(stageGather, sess.trace.gatherNS)
 		tr.setStage(stageInfer, sess.trace.inferNS)
 		frames++
 		wire := WireVerdict(v)

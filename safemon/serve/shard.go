@@ -27,14 +27,13 @@ var (
 )
 
 // pushTrace carries one frame's shard-side stage timings back to the
-// stream handler: mailbox queue wait, batch gather wait, and inference.
-// The shard goroutine writes it before sending the reply; the handler
-// reads it after receiving the reply, so the reply channel's
-// happens-before edge orders the fields without any atomics.
+// stream handler: mailbox queue wait and inference. The shard goroutine
+// writes it before sending the reply; the handler reads it after
+// receiving the reply, so the reply channel's happens-before edge orders
+// the fields without any atomics.
 type pushTrace struct {
-	queueNS  int64 // enqueue → shard dequeue
-	gatherNS int64 // dequeue → batch dispatch (0 on unbatched shards)
-	inferNS  int64 // dispatch → verdict
+	queueNS int64 // enqueue → shard dequeue
+	inferNS int64 // dequeue → verdict
 }
 
 // pushTask is one unit of shard work: push a frame through a session and
@@ -43,7 +42,6 @@ type pushTask struct {
 	sess  safemon.Session
 	frame *safemon.Frame
 	enq   time.Time
-	deq   time.Time // set by the shard at mailbox receipt
 	reply chan<- pushResult
 	stats *shardStats
 	trace *pushTrace
@@ -58,194 +56,36 @@ type pushResult struct {
 // shard is one owning goroutine with a bounded mailbox. Every stream is
 // pinned to a single shard for its lifetime, so per-session frame order is
 // the mailbox FIFO order, while distinct shards run in parallel.
-//
-// With MaxBatch > 1 the shard micro-batches: after the first task arrives
-// it gathers more from the mailbox for at most one BatchWindow (or until
-// the batch is full), then dispatches the whole set through one
-// safemon.Batcher call so armed sessions sharing a model run a single
-// batched forward. A batch of one takes the exact single-task path, so an
-// idle service is byte- and latency-identical to an unbatched one.
 type shard struct {
 	mailbox chan pushTask
 	stats   shardStats
-
-	maxBatch int
-	window   time.Duration
-	drain    <-chan struct{} // closed by Manager.BeginDrain: stop window-waiting
-	batcher  *safemon.Batcher
-
-	// Gather/dispatch scratch, reused across batches.
-	tasks    []pushTask
-	sessions []safemon.Session
-	frames   []*safemon.Frame
-	verdicts []safemon.FrameVerdict
-	errs     []error
 }
 
 func (sh *shard) run(quit <-chan struct{}, wg *sync.WaitGroup) {
 	defer wg.Done()
-	if sh.maxBatch > 1 {
-		sh.runBatched(quit)
-		return
-	}
 	for {
 		select {
 		case t := <-sh.mailbox:
-			t.deq = time.Now()
-			t.run(t.deq)
+			t.run()
 		case <-quit:
 			// The manager only closes quit once no submits are in
 			// flight, so the mailbox is empty; drain defensively anyway.
 			for {
 				select {
 				case t := <-sh.mailbox:
-					t.deq = time.Now()
-					t.run(t.deq)
+					t.run()
 				default:
 					return
 				}
 			}
 		}
 	}
-}
-
-// runBatched is the micro-batching shard loop.
-func (sh *shard) runBatched(quit <-chan struct{}) {
-	timer := time.NewTimer(sh.window)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		select {
-		case t := <-sh.mailbox:
-			t.deq = time.Now()
-			sh.dispatch(sh.gather(t, timer))
-		case <-quit:
-			for {
-				select {
-				case t := <-sh.mailbox:
-					t.deq = time.Now()
-					t.run(t.deq)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// gather assembles one micro-batch starting from first: everything already
-// queued, then — unless the manager is draining — whatever else arrives
-// within one gather window. The timer is owned by the caller and is always
-// left stopped and drained.
-func (sh *shard) gather(first pushTask, timer *time.Timer) []pushTask {
-	tasks := append(sh.tasks[:0], first)
-	for len(tasks) < sh.maxBatch {
-		select {
-		case t := <-sh.mailbox:
-			t.deq = time.Now()
-			tasks = append(tasks, t)
-			continue
-		default:
-		}
-		break
-	}
-	if len(tasks) >= sh.maxBatch {
-		sh.tasks = tasks
-		return tasks
-	}
-	select {
-	case <-sh.drain:
-		// Draining: flush the partial batch without holding frames back.
-		sh.tasks = tasks
-		return tasks
-	default:
-	}
-	timer.Reset(sh.window)
-	for len(tasks) < sh.maxBatch {
-		select {
-		case t := <-sh.mailbox:
-			t.deq = time.Now()
-			tasks = append(tasks, t)
-		case <-sh.drain:
-			if !timer.Stop() {
-				<-timer.C
-			}
-			sh.tasks = tasks
-			return tasks
-		case <-timer.C:
-			sh.stats.windowTimeouts.Add(1)
-			sh.tasks = tasks
-			return tasks
-		}
-	}
-	if !timer.Stop() {
-		<-timer.C
-	}
-	sh.tasks = tasks
-	return tasks
-}
-
-// dispatch runs one gathered batch. A singleton takes pushTask.run — the
-// exact per-stream path, byte- and allocation-identical to an unbatched
-// shard — so batching cannot perturb a lone stream. Larger batches go
-// through the shard's Batcher, which groups same-monitor sessions into
-// shared batched forwards and falls back to Push for the rest; every
-// verdict is bit-identical either way (see safemon/batch.go).
-func (sh *shard) dispatch(tasks []pushTask) {
-	start := time.Now()
-	if len(tasks) == 1 {
-		t := &tasks[0]
-		// The deq→start gap is the gather window the lone task waited
-		// through; run's inference measurement starts after it.
-		if t.trace != nil {
-			t.trace.gatherNS = start.Sub(t.deq).Nanoseconds()
-		}
-		t.run(start)
-		return
-	}
-	sessions := sh.sessions[:0]
-	frames := sh.frames[:0]
-	for _, t := range tasks {
-		sessions = append(sessions, t.sess)
-		frames = append(frames, t.frame)
-	}
-	if cap(sh.verdicts) < len(tasks) {
-		sh.verdicts = make([]safemon.FrameVerdict, len(tasks))
-		sh.errs = make([]error, len(tasks))
-	}
-	verdicts := sh.verdicts[:len(tasks)]
-	errs := sh.errs[:len(tasks)]
-	counts := sh.batcher.PushBatch(sessions, frames, verdicts, errs)
-	sh.stats.batches.Add(1)
-	sh.stats.batchedFrames.Add(uint64(len(tasks)))
-	sh.stats.fallbackFrames.Add(uint64(counts.Fallback))
-	end := time.Now()
-	// The whole dispatch ran as one batched forward: each frame's infer
-	// time is the batch's, its gather wait its own deq→dispatch gap.
-	inferNS := end.Sub(start).Nanoseconds()
-	for i := range tasks {
-		t := &tasks[i]
-		t.stats.latency.Observe(end.Sub(t.enq))
-		if errs[i] == nil {
-			t.stats.frames.Add(1)
-		}
-		if t.trace != nil {
-			t.trace.queueNS = t.deq.Sub(t.enq).Nanoseconds()
-			t.trace.gatherNS = start.Sub(t.deq).Nanoseconds()
-			t.trace.inferNS = inferNS
-		}
-		t.reply <- pushResult{verdict: verdicts[i], err: errs[i]}
-	}
-	sh.sessions, sh.frames = sessions, frames
 }
 
 // run executes the push on the shard goroutine and records its latency
-// (queue wait + inference) in the shard histogram. now is when the
-// shard began executing the task — its dequeue time on unbatched
-// shards, the dispatch start on batched ones (the caller records the
-// dequeue→dispatch gap as gather wait).
-func (t *pushTask) run(now time.Time) {
+// (queue wait + inference) in the shard histogram.
+func (t *pushTask) run() {
+	deq := time.Now()
 	v, err := t.sess.Push(t.frame)
 	end := time.Now()
 	t.stats.latency.Observe(end.Sub(t.enq))
@@ -253,8 +93,8 @@ func (t *pushTask) run(now time.Time) {
 		t.stats.frames.Add(1)
 	}
 	if t.trace != nil {
-		t.trace.queueNS = t.deq.Sub(t.enq).Nanoseconds()
-		t.trace.inferNS = end.Sub(now).Nanoseconds()
+		t.trace.queueNS = deq.Sub(t.enq).Nanoseconds()
+		t.trace.inferNS = end.Sub(deq).Nanoseconds()
 	}
 	t.reply <- pushResult{verdict: v, err: err}
 }
@@ -273,32 +113,11 @@ type ManagerConfig struct {
 	// MaxIdlePerBackend caps each backend's warm session pool; <= 0
 	// means the session cap.
 	MaxIdlePerBackend int
-	// MaxBatch enables cross-session micro-batching: each shard may gather
-	// up to this many queued pushes into one batched forward. <= 1 keeps
-	// the per-task path (no batching).
-	MaxBatch int
-	// BatchWindow bounds how long a shard holds a partial batch open
-	// waiting for more work after the first task arrives; a full batch
-	// dispatches immediately. <= 0 with MaxBatch > 1 means 250µs, well
-	// under a 30 Hz frame period.
-	BatchWindow time.Duration
 	// Metrics receives the manager's per-shard counters and latency
 	// histograms (and, under a Server, everything else the service
 	// exports at /metrics). Nil mints a private registry. A registry
 	// must not be shared between managers: series names would collide.
 	Metrics *obs.Registry
-}
-
-// WithMaxBatch returns the config with the micro-batch cap set (chainable).
-func (c ManagerConfig) WithMaxBatch(n int) ManagerConfig {
-	c.MaxBatch = n
-	return c
-}
-
-// WithBatchWindow returns the config with the gather window set (chainable).
-func (c ManagerConfig) WithBatchWindow(d time.Duration) ManagerConfig {
-	c.BatchWindow = d
-	return c
 }
 
 func (c ManagerConfig) withDefaults() ManagerConfig {
@@ -317,9 +136,6 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	if c.MaxIdlePerBackend <= 0 {
 		c.MaxIdlePerBackend = c.MaxSessions
 	}
-	if c.MaxBatch > 1 && c.BatchWindow <= 0 {
-		c.BatchWindow = 250 * time.Microsecond
-	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
 	}
@@ -334,13 +150,11 @@ type Manager struct {
 	cfg    ManagerConfig
 	shards []*shard
 
-	quit      chan struct{}
-	drainCh   chan struct{} // closed by BeginDrain: shards flush partial batches
-	drainOnce sync.Once
-	wg        sync.WaitGroup
-	inflight  sync.WaitGroup
-	next      atomic.Uint64 // round-robin shard assignment
-	active    atomic.Int64  // attached streams, for the MaxSessions cap
+	quit     chan struct{}
+	wg       sync.WaitGroup
+	inflight sync.WaitGroup
+	next     atomic.Uint64 // round-robin shard assignment
+	active   atomic.Int64  // attached streams, for the MaxSessions cap
 
 	mu       sync.RWMutex
 	models   map[string]*backendModel
@@ -366,10 +180,9 @@ func NewManagerModels(models map[string]Model, cfg ManagerConfig) (*Manager, err
 	}
 	cfg = cfg.withDefaults()
 	m := &Manager{
-		cfg:     cfg,
-		models:  map[string]*backendModel{},
-		quit:    make(chan struct{}),
-		drainCh: make(chan struct{}),
+		cfg:    cfg,
+		models: map[string]*backendModel{},
+		quit:   make(chan struct{}),
 	}
 	now := time.Now().UTC()
 	for name, mod := range models {
@@ -385,15 +198,7 @@ func NewManagerModels(models map[string]Model, cfg ManagerConfig) (*Manager, err
 	}
 	m.shards = make([]*shard, cfg.Shards)
 	for i := range m.shards {
-		sh := &shard{
-			mailbox:  make(chan pushTask, cfg.MailboxDepth),
-			maxBatch: cfg.MaxBatch,
-			window:   cfg.BatchWindow,
-			drain:    m.drainCh,
-		}
-		if sh.maxBatch > 1 {
-			sh.batcher = safemon.NewBatcher(sh.maxBatch)
-		}
+		sh := &shard{mailbox: make(chan pushTask, cfg.MailboxDepth)}
 		registerShardMetrics(cfg.Metrics, &sh.stats, i)
 		m.shards[i] = sh
 		m.wg.Add(1)
@@ -409,7 +214,7 @@ func NewManagerModels(models map[string]Model, cfg ManagerConfig) (*Manager, err
 func registerShardMetrics(reg *obs.Registry, st *shardStats, i int) {
 	shard := obs.Label{Key: "shard", Value: strconv.Itoa(i)}
 	st.latency = reg.Histogram("safemon_frame_latency_seconds",
-		"End-to-end submit-to-verdict frame latency (mailbox wait + gather + inference).", shard)
+		"End-to-end submit-to-verdict frame latency (mailbox wait + inference).", shard)
 	reg.CounterFunc("safemon_frames_total",
 		"Frames pushed through sessions.", st.frames.Load, shard)
 	reg.CounterFunc("safemon_sessions_opened_total",
@@ -418,14 +223,6 @@ func registerShardMetrics(reg *obs.Registry, st *shardStats, i int) {
 		"Streams released from the shard (opened - closed = active).", st.sessionsClosed.Load, shard)
 	reg.CounterFunc("safemon_queue_full_total",
 		"Frame submits rejected by mailbox backpressure.", st.queueFull.Load, shard)
-	reg.CounterFunc("safemon_batches_total",
-		"Multi-session micro-batch dispatches.", st.batches.Load, shard)
-	reg.CounterFunc("safemon_batched_frames_total",
-		"Frames carried by micro-batch dispatches.", st.batchedFrames.Load, shard)
-	reg.CounterFunc("safemon_batch_window_timeouts_total",
-		"Batch gathers dispatched on window expiry.", st.windowTimeouts.Load, shard)
-	reg.CounterFunc("safemon_batch_fallback_frames_total",
-		"Batched frames routed via per-stream Push.", st.fallbackFrames.Load, shard)
 }
 
 // Session is one stream attached to the manager: a pooled safemon session
@@ -582,20 +379,10 @@ func (s *Session) Release(healthy bool) {
 	s.sess = nil
 }
 
-// BeginDrain tells the shards to stop holding gather windows open: every
-// partial micro-batch flushes immediately and subsequent batches dispatch
-// with whatever is already queued. Attached streams keep pushing — this
-// only removes the batching latency — so it is safe to call well before
-// Close (the server's graceful-shutdown sequence does). Idempotent.
-func (m *Manager) BeginDrain() {
-	m.drainOnce.Do(func() { close(m.drainCh) })
-}
-
 // Close drains the manager: new Opens and Pushes fail with ErrDraining,
 // in-flight pushes complete, then the shard goroutines exit and the warm
 // pools are closed.
 func (m *Manager) Close() {
-	m.BeginDrain()
 	m.mu.Lock()
 	if m.draining {
 		m.mu.Unlock()

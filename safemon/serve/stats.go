@@ -36,14 +36,6 @@ type shardStats struct {
 	// registry-owned obs.Histogram so /metrics renders the exact bucket
 	// array the /stats quantiles are computed from.
 	latency *obs.Histogram
-
-	// Micro-batching counters (zero on unbatched shards). A "batch" is one
-	// multi-task dispatch; singletons take the per-task path and are not
-	// counted here.
-	batches        atomic.Uint64 // multi-task batch dispatches
-	batchedFrames  atomic.Uint64 // frames carried by those dispatches
-	windowTimeouts atomic.Uint64 // gathers that dispatched on window expiry
-	fallbackFrames atomic.Uint64 // batched frames routed via per-stream Push
 }
 
 // ShardSnapshot is one shard's row in the /stats report.
@@ -56,24 +48,6 @@ type ShardSnapshot struct {
 	ThroughputFPS  float64 `json:"throughput_fps"`
 	P50LatencyMS   float64 `json:"p50_latency_ms"`
 	P99LatencyMS   float64 `json:"p99_latency_ms"`
-}
-
-// BatchingSnapshot is the /stats batching section: how the shards'
-// cross-session micro-batching behaved since start. All-zero (with
-// MeanBatchSize 0) when the manager runs unbatched.
-type BatchingSnapshot struct {
-	// Batches counts multi-session batch dispatches across all shards.
-	Batches uint64 `json:"batches"`
-	// BatchedFrames counts the frames those batches carried.
-	BatchedFrames uint64 `json:"batched_frames"`
-	// MeanBatchSize is BatchedFrames / Batches (0 when no batches ran).
-	MeanBatchSize float64 `json:"mean_batch_size"`
-	// WindowTimeouts counts gathers that dispatched because the gather
-	// window expired rather than because the batch filled.
-	WindowTimeouts uint64 `json:"window_timeouts"`
-	// Fallbacks counts batched frames that took the per-stream Push path
-	// because their session cannot batch (lookahead, non-nn backends).
-	Fallbacks uint64 `json:"fallbacks"`
 }
 
 // codecCounters tracks which wire codecs the service's streams have
@@ -122,7 +96,6 @@ type StatsSnapshot struct {
 	ThroughputFPS  float64            `json:"throughput_fps"`
 	P50LatencyMS   float64            `json:"p50_latency_ms"`
 	P99LatencyMS   float64            `json:"p99_latency_ms"`
-	Batching       BatchingSnapshot   `json:"batching"`
 	Codec          CodecSnapshot      `json:"codec"`
 	Mitigation     MitigationSnapshot `json:"mitigation"`
 	// Ledger is the event-ledger appender's counters; omitted entirely
@@ -163,16 +136,9 @@ func (m *Manager) snapshot(backends []string, uptime time.Duration) StatsSnapsho
 		snap.SessionsOpened += row.SessionsOpened
 		snap.SessionsActive += row.SessionsActive
 		snap.QueueFull += row.QueueFull
-		snap.Batching.Batches += st.batches.Load()
-		snap.Batching.BatchedFrames += st.batchedFrames.Load()
-		snap.Batching.WindowTimeouts += st.windowTimeouts.Load()
-		snap.Batching.Fallbacks += st.fallbackFrames.Load()
 		for b, c := range counts {
 			merged[b] += c
 		}
-	}
-	if snap.Batching.Batches > 0 {
-		snap.Batching.MeanBatchSize = float64(snap.Batching.BatchedFrames) / float64(snap.Batching.Batches)
 	}
 	if secs > 0 {
 		snap.ThroughputFPS = float64(snap.Frames) / secs

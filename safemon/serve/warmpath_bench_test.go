@@ -95,8 +95,7 @@ func newWarmStream(tb testing.TB, guarded, ledgered bool) *warmStream {
 	ws.rec = ledger.NewRecorder(cfg.Ledger, "envelope", sess.Version(), policyName)
 	ws.rec.Start(nil)
 	tb.Cleanup(func() { ws.rec.End(0, "eof") })
-	ws.tr = srv.metrics.streamTrace("envelope", "binary", sess.Version(), policyName,
-		false, ledgered)
+	ws.tr = srv.metrics.streamTrace("envelope", "binary", sess.Version(), policyName, ledgered)
 
 	// One in-envelope frame, encoded once and replayed forever.
 	safe := testFold(tb).Train[0].Frames[10]
@@ -124,7 +123,6 @@ func (ws *warmStream) step(ctx context.Context, frameIdx int) error {
 		return err
 	}
 	ws.tr.setStage(stageQueue, ws.sess.trace.queueNS)
-	ws.tr.setStage(stageGather, ws.sess.trace.gatherNS)
 	ws.tr.setStage(stageInfer, ws.sess.trace.inferNS)
 	wire := WireVerdict(v)
 	t0 := time.Now()

@@ -4,9 +4,8 @@
 #
 # Runs the per-backend session-step benchmarks with -benchmem — the
 # fitted-detector path (BenchmarkSessionStep), the artifact-loaded path
-# (BenchmarkSessionStepLoaded), the ledger-recording path
-# (BenchmarkSessionStepLedgered), and the B=16 cross-session micro-batch
-# path (BenchmarkBatchedStep) — plus the guard policy engine's
+# (BenchmarkSessionStepLoaded) and the ledger-recording path
+# (BenchmarkSessionStepLedgered) — plus the guard policy engine's
 # BenchmarkGuardStep, the event ledger's emit path
 # (BenchmarkLedgerAppend), the binary wire codec's encode+decode
 # round trip (BenchmarkCodecRoundTrip, binary subs only), and the
@@ -49,12 +48,6 @@ out="$("$GO" test -run='^$' -bench='^BenchmarkSessionStep(Loaded|Ledgered)?$' \
 	echo "benchguard: benchmark run failed" >&2
 	exit 1
 }
-batchout="$("$GO" test -run='^$' -bench='^BenchmarkBatchedStep$/.*/^B=16$' \
-	-benchtime="$BENCHTIME" -count="$BENCHCOUNT" -benchmem ./safemon/)" || {
-	echo "$batchout"
-	echo "benchguard: batched-step benchmark run failed" >&2
-	exit 1
-}
 guardout="$("$GO" test -run='^$' -bench='^BenchmarkGuardStep$' \
 	-benchtime="$BENCHTIME" -count="$BENCHCOUNT" -benchmem ./safemon/guard/)" || {
 	echo "$guardout"
@@ -86,7 +79,6 @@ warmout="$("$GO" test -run='^$' -bench='^BenchmarkServeStreamWarm$' \
 	exit 1
 }
 out="$out
-$batchout
 $guardout
 $ledgerout
 $codecout
@@ -107,7 +99,7 @@ echo "$out" | awk -v baseline="$baseline" -v scale="$BENCHGUARD_NSOP_SCALE" '
 		}
 		close(baseline)
 	}
-	/^Benchmark(SessionStep|BatchedStep|GuardStep|LedgerAppend|CodecRoundTrip|ServeStreamWarm)/ {
+	/^Benchmark(SessionStep|GuardStep|LedgerAppend|CodecRoundTrip|ServeStreamWarm)/ {
 		name = $1
 		sub(/-[0-9]+$/, "", name)
 		if ($(NF-1) + 0 > 0) {
@@ -152,4 +144,4 @@ echo "$out" | awk -v baseline="$baseline" -v scale="$BENCHGUARD_NSOP_SCALE" '
 	echo "benchguard: hot-path budget exceeded (allocs/op or median ns/op)" >&2
 	exit 1
 }
-echo "benchguard: all session-step, batched-step, guard-step, ledger-append, codec round-trip and serve warm-path benchmarks within the 0 allocs/op and median ns/op budgets"
+echo "benchguard: all session-step, guard-step, ledger-append, codec round-trip and serve warm-path benchmarks within the 0 allocs/op and median ns/op budgets"
