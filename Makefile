@@ -1,18 +1,22 @@
 # CI entry points for the conf_dsn_YasarA20 reproduction.
 #
-#   make ci          - gofmt check, vet, build, tests (incl. the
-#                      train->save->load->serve lifecycle smoke), -race on
-#                      safemon+serve, fuzz-corpus replay, allocation
-#                      benchguard, closed-loop mitigation smoke (tier-1 gate)
+#   make ci          - gofmt check, vet (incl. the perfbench module),
+#                      build, tests (incl. the train->save->load->serve
+#                      lifecycle smoke), -race on safemon+serve, fuzz-corpus
+#                      replay, allocation benchguard, closed-loop
+#                      mitigation smoke (tier-1 gate)
 #   make train       - fit every backend and write versioned model artifacts
 #                      into ./models (serve them: safemond -model-dir ./models)
 #   make lifecycle-smoke - train->save->load->serve smoke test only: safemond
 #                      must answer streams from artifacts with zero Fit calls
 #   make bench       - one-iteration benchmark smoke incl. the serve path (perf trajectory capture)
-#   make bench-smoke - per-backend session-step benchmarks (fitted AND
-#                      artifact-loaded) plus the guard policy engine's
-#                      BenchmarkGuardStep with -benchmem, gated by
-#                      scripts/benchguard.sh: 0 allocs/op, and the median
+#   make bench-smoke - with -benchmem: per-backend session-step
+#                      benchmarks (fitted, artifact-loaded and ledgered),
+#                      the guard engine's BenchmarkGuardStep, the event
+#                      ledger's BenchmarkLedgerAppend, the binary subs of
+#                      BenchmarkCodecRoundTrip, and BenchmarkServeStreamWarm
+#                      (the production serve pump's per-frame step), gated
+#                      by scripts/benchguard.sh: 0 allocs/op, and the median
 #                      of BENCHCOUNT repeats must stay within the per-
 #                      benchmark ns/op budgets in scripts/bench_baseline.txt
 #                      (scale them on slower machines with
@@ -53,8 +57,12 @@ fmtcheck:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# perfbench is its own module (its go.mod replaces repro with ../), so
+# the root ./... never compiles it; vetting it here catches a serve API
+# change that would break the benchmark before the pipeline runs it.
 vet:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 build:
 	$(GO) build ./...

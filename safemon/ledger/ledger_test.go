@@ -365,7 +365,7 @@ func TestRecorderEmitsSessionTrail(t *testing.T) {
 	if rec.Session() == 0 {
 		t.Fatal("recorder session not assigned")
 	}
-	rec.Start([]int32{1, 2})
+	rec.Start([]int{1, 2})
 	var input kinematics.Frame
 	input[3] = 1.5
 	rec.Verdict(sampleEvents()[1].Verdict(), &input)
@@ -406,7 +406,7 @@ func TestIncidentDerivation(t *testing.T) {
 	r1.End(1, "eof")
 	// Session 2: safe-stop — an incident.
 	r2 := NewRecorder(a, "envelope", "v2", "strict")
-	r2.Start([]int32{4, 4})
+	r2.Start([]int{4, 4})
 	var f kinematics.Frame
 	f[0] = 2.5
 	r2.Verdict(sampleEvents()[1].Verdict(), &f)

@@ -57,14 +57,19 @@ func (r *Recorder) event(kind Kind) Event {
 }
 
 // Start emits the session-start event. labels is the stream's
-// ground-truth gesture sequence (nil when the client sent none); it is
-// retained by the event, so the caller must not mutate it afterwards.
-func (r *Recorder) Start(labels []int32) {
+// ground-truth gesture sequence (nil when the client sent none), copied
+// into the event's compact int32 form.
+func (r *Recorder) Start(labels []int) {
 	if r == nil {
 		return
 	}
 	e := r.event(KindSessionStart)
-	e.Labels = labels
+	if len(labels) > 0 {
+		e.Labels = make([]int32, len(labels))
+		for i, l := range labels {
+			e.Labels[i] = int32(l)
+		}
+	}
 	r.app.Emit(&e)
 }
 

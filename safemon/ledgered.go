@@ -76,21 +76,8 @@ func (l *ledgeredSession) open(groundTruth []int) {
 		policy = l.g.GuardPolicy().Name
 	}
 	l.rec = ledger.NewRecorder(l.app, l.backend, l.model, policy)
-	l.rec.Start(labels32(groundTruth))
+	l.rec.Start(groundTruth)
 	l.frames = 0
-}
-
-// labels32 converts session ground-truth labels to the ledger's compact
-// form (nil in, nil out).
-func labels32(labels []int) []int32 {
-	if len(labels) == 0 {
-		return nil
-	}
-	out := make([]int32, len(labels))
-	for i, l := range labels {
-		out[i] = int32(l)
-	}
-	return out
 }
 
 func (l *ledgeredSession) Push(f *Frame) (FrameVerdict, error) {

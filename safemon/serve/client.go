@@ -39,144 +39,91 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// Backends fetches the server's served backend names.
-func (c *Client) Backends(ctx context.Context) ([]string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/backends", nil)
+// request sends one body-less request to path and decodes a 200 answer's
+// JSON body into out (nil skips the body). Any other status is returned
+// as the *ErrorMsg statusError builds.
+func (c *Client) request(ctx context.Context, method, path string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return statusError(resp)
+	}
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// statusError reports a non-200 answer as *ErrorMsg: its status code and
+// the first 512 bytes of its body.
+func statusError(resp *http.Response) *ErrorMsg {
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+	return &ErrorMsg{Code: resp.StatusCode, Message: strings.TrimSpace(string(body))}
+}
+
+// Backends fetches the server's served backend names.
+func (c *Client) Backends(ctx context.Context) ([]string, error) {
 	var out struct {
 		Backends []string `json:"backends"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out.Backends, nil
+	err := c.request(ctx, http.MethodGet, "/v1/backends", &out)
+	return out.Backends, err
 }
 
 // Models fetches the model versions the server is currently serving.
 func (c *Client) Models(ctx context.Context) ([]ModelInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/models", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("serve: /v1/models: %s", resp.Status)
-	}
 	var out struct {
 		Models []ModelInfo `json:"models"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out.Models, nil
+	err := c.request(ctx, http.MethodGet, "/v1/models", &out)
+	return out.Models, err
 }
 
 // Reload asks the server to hot-swap to its loader's current model set and
 // returns the model versions now serving.
 func (c *Client) Reload(ctx context.Context) ([]ModelInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/models/reload", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, &ErrorMsg{Code: resp.StatusCode, Message: strings.TrimSpace(string(body))}
-	}
 	var out struct {
 		Models []ModelInfo `json:"models"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out.Models, nil
+	err := c.request(ctx, http.MethodPost, "/v1/models/reload", &out)
+	return out.Models, err
 }
 
 // Policies fetches the guard mitigation policies the server offers
 // (?policy=NAME on Open selects one).
 func (c *Client) Policies(ctx context.Context) ([]guard.Policy, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/policies", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("serve: /v1/policies: %s", resp.Status)
-	}
 	var out struct {
 		Policies []guard.Policy `json:"policies"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out.Policies, nil
+	err := c.request(ctx, http.MethodGet, "/v1/policies", &out)
+	return out.Policies, err
 }
 
 // Incidents fetches the server's captured incidents, newest first.
 // limit > 0 caps the list.
 func (c *Client) Incidents(ctx context.Context, limit int) ([]ledger.IncidentSummary, error) {
-	target := c.BaseURL + "/v1/incidents"
+	path := "/v1/incidents"
 	if limit > 0 {
-		target += fmt.Sprintf("?limit=%d", limit)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, &ErrorMsg{Code: resp.StatusCode, Message: strings.TrimSpace(string(body))}
+		path += fmt.Sprintf("?limit=%d", limit)
 	}
 	var out struct {
 		Incidents []ledger.IncidentSummary `json:"incidents"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out.Incidents, nil
+	err := c.request(ctx, http.MethodGet, path, &out)
+	return out.Incidents, err
 }
 
 // Incident fetches one incident's recorded trail.
 func (c *Client) Incident(ctx context.Context, id string) (*IncidentDetail, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/incidents/"+url.PathEscape(id), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, &ErrorMsg{Code: resp.StatusCode, Message: strings.TrimSpace(string(body))}
-	}
 	var out IncidentDetail
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := c.request(ctx, http.MethodGet, "/v1/incidents/"+url.PathEscape(id), &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -186,21 +133,7 @@ func (c *Client) Incident(ctx context.Context, id string) (*IncidentDetail, erro
 // its ledger segments so retention may reclaim them. The incident stays
 // listable and replayable until compaction actually removes its events.
 func (c *Client) ResolveIncident(ctx context.Context, id string) error {
-	target := c.BaseURL + "/v1/incidents/" + url.PathEscape(id)
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, target, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return &ErrorMsg{Code: resp.StatusCode, Message: strings.TrimSpace(string(body))}
-	}
-	return nil
+	return c.request(ctx, http.MethodDelete, "/v1/incidents/"+url.PathEscape(id), nil)
 }
 
 // ReplayIncident re-runs a captured incident's recorded frames through a
@@ -208,7 +141,7 @@ func (c *Client) ResolveIncident(ctx context.Context, id string) error {
 // originals. The result carries the fresh verdict/action trail next to
 // the recorded one.
 func (c *Client) ReplayIncident(ctx context.Context, id, backend, policy string) (*ReplayResult, error) {
-	target := c.BaseURL + "/v1/incidents/" + url.PathEscape(id) + "/replay"
+	path := "/v1/incidents/" + url.PathEscape(id) + "/replay"
 	query := url.Values{}
 	if backend != "" {
 		query.Set("backend", backend)
@@ -217,23 +150,10 @@ func (c *Client) ReplayIncident(ctx context.Context, id, backend, policy string)
 		query.Set("policy", policy)
 	}
 	if len(query) > 0 {
-		target += "?" + query.Encode()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, &ErrorMsg{Code: resp.StatusCode, Message: strings.TrimSpace(string(body))}
+		path += "?" + query.Encode()
 	}
 	var out ReplayResult
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := c.request(ctx, http.MethodPost, path, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -241,17 +161,8 @@ func (c *Client) ReplayIncident(ctx context.Context, id, backend, policy string)
 
 // Stats fetches the server's /stats snapshot.
 func (c *Client) Stats(ctx context.Context) (*StatsSnapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/stats", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
 	var out StatsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := c.request(ctx, http.MethodGet, "/stats", &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -312,10 +223,10 @@ func (c *Client) OpenGuarded(ctx context.Context, backend, policy string, ground
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		err := statusError(resp)
 		resp.Body.Close()
 		pw.Close()
-		return nil, &ErrorMsg{Code: resp.StatusCode, Message: strings.TrimSpace(string(body))}
+		return nil, err
 	}
 	st := &Stream{body: pw, resp: resp}
 	if c.binary() {
@@ -424,18 +335,37 @@ func (s *Stream) Close() error {
 // fully present, are forwarded — mirroring what Detector.Run does — so the
 // served verdicts are comparable to the offline path for every backend.
 func (c *Client) StreamTrajectory(ctx context.Context, backend string, traj *safemon.Trajectory) ([]safemon.FrameVerdict, error) {
-	var labels []int
-	if len(traj.Gestures) == len(traj.Frames) {
-		labels = traj.Gestures
-	}
-	st, err := c.Open(ctx, backend, labels)
+	st, err := c.Open(ctx, backend, trajectoryLabels(traj))
 	if err != nil {
 		return nil, err
 	}
 	defer st.Close()
-	verdicts := make([]safemon.FrameVerdict, 0, len(traj.Frames))
-	for i := range traj.Frames {
-		if err := st.Send(&traj.Frames[i]); err != nil {
+	return lockstep(st, traj.Frames)
+}
+
+// trajectoryLabels returns a trajectory's gesture labels when every
+// frame has one, the labels header a replay forwards.
+func trajectoryLabels(traj *safemon.Trajectory) []int {
+	if len(traj.Gestures) == len(traj.Frames) {
+		return traj.Gestures
+	}
+	return nil
+}
+
+// lockstepStream is the Send/Recv surface Stream and MuxStream share.
+type lockstepStream interface {
+	Send(frame *safemon.Frame) error
+	Recv() (safemon.FrameVerdict, error)
+	CloseSend() error
+}
+
+// lockstep replays frames through an open stream one verdict at a time,
+// then half-closes it and requires the server's done record: the loop
+// behind Client.StreamTrajectory and MuxConn.StreamTrajectory.
+func lockstep(st lockstepStream, frames []safemon.Frame) ([]safemon.FrameVerdict, error) {
+	verdicts := make([]safemon.FrameVerdict, 0, len(frames))
+	for i := range frames {
+		if err := st.Send(&frames[i]); err != nil {
 			return nil, fmt.Errorf("serve: send frame %d: %w", i, err)
 		}
 		v, err := st.Recv()
@@ -445,7 +375,7 @@ func (c *Client) StreamTrajectory(ctx context.Context, backend string, traj *saf
 		verdicts = append(verdicts, v)
 	}
 	if err := st.CloseSend(); err != nil {
-		return nil, err
+		return verdicts, err
 	}
 	if _, err := st.Recv(); err != io.EOF {
 		return verdicts, fmt.Errorf("serve: expected done record, got %v", err)

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 
 	"repro/safemon"
@@ -77,10 +76,10 @@ func (c *Client) OpenMux(ctx context.Context) (*MuxConn, error) {
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		err := statusError(resp)
 		resp.Body.Close()
 		pw.Close()
-		return nil, &ErrorMsg{Code: resp.StatusCode, Message: strings.TrimSpace(string(body))}
+		return nil, err
 	}
 	m := &MuxConn{
 		body:     pw,
@@ -287,30 +286,10 @@ func (st *MuxStream) forget() {
 // session on the connection and returns the verdict sequence plus any
 // guard action records — the mux twin of Client.StreamTrajectory.
 func (m *MuxConn) StreamTrajectory(ctx context.Context, backend, policy string, traj *safemon.Trajectory) ([]safemon.FrameVerdict, []ActionMsg, error) {
-	var labels []int
-	if len(traj.Gestures) == len(traj.Frames) {
-		labels = traj.Gestures
-	}
-	st, err := m.Open(ctx, backend, policy, labels)
+	st, err := m.Open(ctx, backend, policy, trajectoryLabels(traj))
 	if err != nil {
 		return nil, nil, err
 	}
-	verdicts := make([]safemon.FrameVerdict, 0, len(traj.Frames))
-	for i := range traj.Frames {
-		if err := st.Send(&traj.Frames[i]); err != nil {
-			return nil, st.Actions(), fmt.Errorf("serve: send frame %d: %w", i, err)
-		}
-		v, err := st.Recv()
-		if err != nil {
-			return nil, st.Actions(), fmt.Errorf("serve: frame %d: %w", i, err)
-		}
-		verdicts = append(verdicts, v)
-	}
-	if err := st.CloseSend(); err != nil {
-		return verdicts, st.Actions(), err
-	}
-	if _, err := st.Recv(); err != io.EOF {
-		return verdicts, st.Actions(), fmt.Errorf("serve: expected done record, got %v", err)
-	}
-	return verdicts, st.Actions(), nil
+	verdicts, err := lockstep(st, traj.Frames)
+	return verdicts, st.Actions(), err
 }

@@ -8,61 +8,6 @@ import (
 	"repro/safemon/guard"
 )
 
-// streamGuard runs one stream's mitigation policy engine and keeps the
-// bookkeeping the handler needs to emit action records and maintain the
-// service-wide mitigation counters.
-type streamGuard struct {
-	eng    *guard.Engine
-	policy string
-	mit    *mitigationCounters
-	last   guard.Counters
-	lastD  guard.Decision
-}
-
-// decision returns the engine's decision for the most recent step — the
-// structured twin of the wire ActionMsg, for ledger recording.
-func (g *streamGuard) decision() guard.Decision { return g.lastD }
-
-// newStreamGuard builds the per-stream engine for a validated policy.
-func newStreamGuard(p guard.Policy, mit *mitigationCounters) (*streamGuard, error) {
-	eng, err := guard.NewEngine(p)
-	if err != nil {
-		return nil, err
-	}
-	mit.guardedStreams.Add(1)
-	return &streamGuard{eng: eng, policy: p.Name, mit: mit}, nil
-}
-
-// step advances the engine on one verdict and returns the action record to
-// interleave into the stream, nil when the mitigation level is unchanged.
-// The service counters are fed from the deltas of the engine's own
-// guard.Counters — one source of truth for transition classification —
-// and updated live so /stats reflects in-flight streams. Every counted
-// event coincides with a level change, so the common (unchanged) frame
-// touches no shared atomics.
-func (g *streamGuard) step(v VerdictMsg) *ActionMsg {
-	d := g.eng.Step(v.Verdict())
-	g.lastD = d
-	if !d.Changed {
-		return nil
-	}
-	c := g.eng.Counters()
-	g.mit.alerts.Add(c.Alerts - g.last.Alerts)
-	g.mit.warns.Add(c.Warns - g.last.Warns)
-	g.mit.pauses.Add(c.Pauses - g.last.Pauses)
-	g.mit.safeStops.Add(c.SafeStops - g.last.SafeStops)
-	g.mit.retracts.Add(c.Retracts - g.last.Retracts)
-	g.mit.releases.Add(c.Releases - g.last.Releases)
-	g.last = c
-	return &ActionMsg{
-		I:          d.FrameIndex,
-		Level:      d.Action.String(),
-		AlertFrame: d.AlertFrame,
-		Score:      d.Score,
-		Policy:     g.policy,
-	}
-}
-
 // mitigationCounters aggregates guard activity across every stream the
 // service has carried. Stream handlers write live; /stats readers snapshot
 // concurrently.

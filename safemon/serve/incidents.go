@@ -258,13 +258,7 @@ func (s *Server) Replay(ctx context.Context, id, backend, policy string) (*Repla
 		wire := WireVerdict(v)
 		if eng != nil {
 			if d := eng.Step(v); d.Changed {
-				replay.Actions = append(replay.Actions, ActionMsg{
-					I:          d.FrameIndex,
-					Level:      d.Action.String(),
-					AlertFrame: d.AlertFrame,
-					Score:      d.Score,
-					Policy:     policy,
-				})
+				replay.Actions = append(replay.Actions, actionMsg(d, policy))
 			}
 		}
 		replay.Verdicts = append(replay.Verdicts, wire)

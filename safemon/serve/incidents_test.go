@@ -40,17 +40,45 @@ func newLedgeredService(t *testing.T, detectors map[string]safemon.Detector, pol
 	return srv, &Client{BaseURL: ts.URL, HTTPClient: ts.Client()}, app
 }
 
-// driveIncident streams safe/wild/safe frames through a guarded stream so
-// the policy latches, and returns the verdicts and actions the live
-// stream delivered.
+// driveIncident streams safe/wild/safe frames through a guarded NDJSON
+// stream so the policy latches, and returns the verdicts and actions the
+// live stream delivered.
 func driveIncident(t *testing.T, client *Client, backend, policy string, frames []*safemon.Frame) ([]safemon.FrameVerdict, []ActionMsg) {
 	t.Helper()
+	return driveIncidentOver(t, client, "json", backend, policy, frames)
+}
+
+// driveIncidentOver is driveIncident over a chosen transport: "json" or
+// "binary" for a /v1/stream codec, "binary-mux" for one logical session
+// on a /v1/mux connection.
+func driveIncidentOver(t *testing.T, client *Client, codec, backend, policy string, frames []*safemon.Frame) ([]safemon.FrameVerdict, []ActionMsg) {
+	t.Helper()
 	ctx := context.Background()
-	st, err := client.OpenGuarded(ctx, backend, policy, nil)
-	if err != nil {
-		t.Fatal(err)
+	var st interface {
+		Send(*safemon.Frame) error
+		Recv() (safemon.FrameVerdict, error)
+		CloseSend() error
+		Actions() []ActionMsg
 	}
-	defer st.Close()
+	if codec == "binary-mux" {
+		m, err := client.OpenMux(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		if st, err = m.Open(ctx, backend, policy, nil); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		c := *client
+		c.Codec = codec
+		s, err := c.OpenGuarded(ctx, backend, policy, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		st = s
+	}
 	var verdicts []safemon.FrameVerdict
 	for i, f := range frames {
 		if err := st.Send(f); err != nil {
@@ -123,73 +151,79 @@ func wireMsgLines(t *testing.T, verdicts []VerdictMsg) []byte {
 	return buf.Bytes()
 }
 
-// TestIncidentRoundTripOverServe is the incidents smoke test: a guarded
-// stream latches safe-stop, the incident shows up in GET /v1/incidents,
-// its detail carries the exact recorded trail, and a same-backend
-// same-policy replay reproduces that trail byte-identically.
+// TestIncidentRoundTripOverServe is the incidents smoke test, run over
+// every transport that records into the ledger: a guarded stream latches
+// safe-stop, the incident shows up in GET /v1/incidents, its detail
+// carries the exact recorded trail, and a same-backend same-policy
+// replay reproduces that trail byte-identically. The binary-mux case is
+// the path perfbench's guarded-incidents workload drives.
 func TestIncidentRoundTripOverServe(t *testing.T) {
-	det := fittedDetector(t, "envelope")
-	_, client, _ := newLedgeredService(t, map[string]safemon.Detector{"envelope": det}, testGuardPolicy())
-	ctx := context.Background()
+	for _, codec := range []string{"json", "binary", "binary-mux"} {
+		t.Run(codec, func(t *testing.T) {
+			det := fittedDetector(t, "envelope")
+			_, client, _ := newLedgeredService(t, map[string]safemon.Detector{"envelope": det}, testGuardPolicy())
+			ctx := context.Background()
 
-	frames := incidentFrames(t)
-	verdicts, actions := driveIncident(t, client, "envelope", "stop-fast", frames)
-	if len(actions) == 0 || actions[len(actions)-1].Level != "safe-stop" {
-		t.Fatalf("stream did not latch: actions = %+v", actions)
-	}
+			frames := incidentFrames(t)
+			verdicts, actions := driveIncidentOver(t, client, codec, "envelope", "stop-fast", frames)
+			if len(actions) == 0 || actions[len(actions)-1].Level != "safe-stop" {
+				t.Fatalf("stream did not latch: actions = %+v", actions)
+			}
 
-	incs, err := client.Incidents(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(incs) != 1 {
-		t.Fatalf("incidents = %+v, want exactly 1", incs)
-	}
-	inc := incs[0]
-	if inc.Backend != "envelope" || inc.Policy != "stop-fast" {
-		t.Errorf("incident context = %q/%q", inc.Backend, inc.Policy)
-	}
-	if inc.TriggerAction != "safe-stop" {
-		t.Errorf("trigger action = %q, want safe-stop", inc.TriggerAction)
-	}
-	if inc.TriggerFrame != 8 {
-		t.Errorf("trigger frame = %d, want 8", inc.TriggerFrame)
-	}
+			incs, err := client.Incidents(ctx, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(incs) != 1 {
+				t.Fatalf("incidents = %+v, want exactly 1", incs)
+			}
+			inc := incs[0]
+			if inc.Backend != "envelope" || inc.Policy != "stop-fast" {
+				t.Errorf("incident context = %q/%q", inc.Backend, inc.Policy)
+			}
+			if inc.TriggerAction != "safe-stop" {
+				t.Errorf("trigger action = %q, want safe-stop", inc.TriggerAction)
+			}
+			if inc.TriggerFrame != 8 {
+				t.Errorf("trigger frame = %d, want 8", inc.TriggerFrame)
+			}
 
-	detail := waitIncidentClosed(t, client, inc.ID)
-	if !detail.Closed || detail.EndReason != "eof" {
-		t.Errorf("detail closed=%v end=%q, want closed eof", detail.Closed, detail.EndReason)
-	}
-	if detail.Frames != len(frames) {
-		t.Errorf("detail frames = %d, want %d", detail.Frames, len(frames))
-	}
-	if !bytes.Equal(wireMsgLines(t, detail.Verdicts), wireLines(t, verdicts)) {
-		t.Errorf("recorded verdicts differ from the live stream's")
-	}
-	if !reflect.DeepEqual(detail.Actions, actions) {
-		t.Errorf("recorded actions = %+v, want %+v", detail.Actions, actions)
-	}
+			detail := waitIncidentClosed(t, client, inc.ID)
+			if !detail.Closed || detail.EndReason != "eof" {
+				t.Errorf("detail closed=%v end=%q, want closed eof", detail.Closed, detail.EndReason)
+			}
+			if detail.Frames != len(frames) {
+				t.Errorf("detail frames = %d, want %d", detail.Frames, len(frames))
+			}
+			if !bytes.Equal(wireMsgLines(t, detail.Verdicts), wireLines(t, verdicts)) {
+				t.Errorf("recorded verdicts differ from the live stream's")
+			}
+			if !reflect.DeepEqual(detail.Actions, actions) {
+				t.Errorf("recorded actions = %+v, want %+v", detail.Actions, actions)
+			}
 
-	res, err := client.ReplayIncident(ctx, inc.ID, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.VerdictsMatch || !res.ActionsMatch {
-		t.Fatalf("replay fidelity: verdicts_match=%v actions_match=%v", res.VerdictsMatch, res.ActionsMatch)
-	}
-	if res.Replay.Backend != "envelope" || res.Replay.Policy != "stop-fast" {
-		t.Errorf("replay defaulted to %q/%q", res.Replay.Backend, res.Replay.Policy)
-	}
-	if !bytes.Equal(wireMsgLines(t, res.Replay.Verdicts), wireLines(t, verdicts)) {
-		t.Errorf("replayed verdicts differ from the live stream's")
-	}
+			res, err := client.ReplayIncident(ctx, inc.ID, "", "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.VerdictsMatch || !res.ActionsMatch {
+				t.Fatalf("replay fidelity: verdicts_match=%v actions_match=%v", res.VerdictsMatch, res.ActionsMatch)
+			}
+			if res.Replay.Backend != "envelope" || res.Replay.Policy != "stop-fast" {
+				t.Errorf("replay defaulted to %q/%q", res.Replay.Backend, res.Replay.Policy)
+			}
+			if !bytes.Equal(wireMsgLines(t, res.Replay.Verdicts), wireLines(t, verdicts)) {
+				t.Errorf("replayed verdicts differ from the live stream's")
+			}
 
-	// Unknown incidents and backends are 404s, not 500s.
-	if _, err := client.Incident(ctx, "inc-999"); err == nil {
-		t.Error("expected error for unknown incident")
-	}
-	if _, err := client.ReplayIncident(ctx, inc.ID, "no-such-backend", ""); err == nil {
-		t.Error("expected error for unknown replay backend")
+			// Unknown incidents and backends are 404s, not 500s.
+			if _, err := client.Incident(ctx, "inc-999"); err == nil {
+				t.Error("expected error for unknown incident")
+			}
+			if _, err := client.ReplayIncident(ctx, inc.ID, "no-such-backend", ""); err == nil {
+				t.Error("expected error for unknown replay backend")
+			}
+		})
 	}
 }
 

@@ -12,9 +12,10 @@ package serve
 //	decode  parse of the request record (excluding network wait)
 //	queue   submit → shard mailbox dequeue
 //	infer   dequeue → verdict (the model forward)
-//	guard   mitigation policy engine step (guarded streams only)
-//	ledger  event-ledger emit (ledgered servers only)
-//	encode  response record serialize + write + flush
+//	guard   mitigation policy engine step and its ledger action edge
+//	        (guarded streams only)
+//	ledger  event-ledger verdict emit (ledgered servers only)
+//	encode  action and verdict record writes plus one flush
 //
 // Each admitted stream registers its stage histograms once (a map
 // lookup after the first stream of a backend+codec) and then feeds them

@@ -22,8 +22,6 @@ import (
 	"time"
 
 	"repro/safemon"
-	"repro/safemon/guard"
-	"repro/safemon/ledger"
 )
 
 // muxInDepth bounds each logical session's routing channel: enough to
@@ -35,29 +33,30 @@ const muxInDepth = 64
 // muxWriter serializes binary record writes from the per-session
 // goroutines onto the shared response. Per-sid record order is preserved
 // because each session writes its own records from one goroutine; the
-// mutex only interleaves records of different sessions.
+// mutex only interleaves records of different sessions. A binary
+// /v1/stream connection is its single sid-0 user.
 type muxWriter struct {
 	mu    sync.Mutex
 	w     *binWriter
 	flush func()
 }
 
-func (m *muxWriter) verdict(sid uint32, v *VerdictMsg) {
+func (m *muxWriter) emit(rec *BinaryRecord) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.w.writeVerdict(sid, v) != nil {
+	if m.w.emit(rec) != nil {
 		return
 	}
 	m.flush()
 }
 
-// actionVerdict writes a guard action edge immediately followed by the
-// verdict that produced it, under one lock acquisition so no other
+// verdict writes a frame's guard action edge, when a is non-nil, and
+// then its verdict under one lock acquisition and one flush, so no other
 // session's record lands between them.
-func (m *muxWriter) actionVerdict(sid uint32, a *ActionMsg, v *VerdictMsg) {
+func (m *muxWriter) verdict(sid uint32, a *ActionMsg, v *VerdictMsg) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.w.emit(&BinaryRecord{Type: BinAction, SID: sid, Action: *a}) != nil {
+	if a != nil && m.w.emit(&BinaryRecord{Type: BinAction, SID: sid, Action: *a}) != nil {
 		return
 	}
 	if m.w.writeVerdict(sid, v) != nil {
@@ -67,30 +66,11 @@ func (m *muxWriter) actionVerdict(sid uint32, a *ActionMsg, v *VerdictMsg) {
 }
 
 func (m *muxWriter) done(sid uint32, frames int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.w.emit(&BinaryRecord{Type: BinDone, SID: sid, Frames: uint64(frames)}) != nil {
-		return
-	}
-	m.flush()
-}
-
-func (m *muxWriter) opened(sid uint32, version string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.w.emit(&BinaryRecord{Type: BinOpened, SID: sid, Version: version}) != nil {
-		return
-	}
-	m.flush()
+	m.emit(&BinaryRecord{Type: BinDone, SID: sid, Frames: uint64(frames)})
 }
 
 func (m *muxWriter) error(sid uint32, e *ErrorMsg) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.w.emit(&BinaryRecord{Type: BinError, SID: sid, Code: uint32(e.Code), Message: e.Message}) != nil {
-		return
-	}
-	m.flush()
+	m.emit(&BinaryRecord{Type: BinError, SID: sid, Code: uint32(e.Code), Message: e.Message})
 }
 
 // muxFrame is one routed frame plus its decode-parse time (measured by
@@ -106,6 +86,7 @@ type muxFrame struct {
 // switch for per-sid backpressure cuts.
 type muxSession struct {
 	sid  uint32
+	mw   *muxWriter
 	in   chan muxFrame
 	quit chan struct{} // closed by kill: abandon queued frames and exit
 	// reason is the ledger end-reason for a killed session; written
@@ -116,6 +97,18 @@ type muxSession struct {
 	failed atomic.Bool
 	killed bool // reader-side: kill() called
 	closed bool // reader-side: in closed
+}
+
+// verdict, done and fail make the session the pump's sink: its records
+// under its sid on the connection's shared writer.
+func (ms *muxSession) verdict(a *ActionMsg, v *VerdictMsg) { ms.mw.verdict(ms.sid, a, v) }
+func (ms *muxSession) done(frames int)                     { ms.mw.done(ms.sid, frames) }
+
+// fail marks the stream dead before its error record goes out, so the
+// reader drops every frame the client sends after seeing it.
+func (ms *muxSession) fail(e *ErrorMsg) {
+	ms.failed.Store(true)
+	ms.mw.error(ms.sid, e)
 }
 
 // offer routes one frame, waiting up to timeout when the channel is
@@ -250,7 +243,7 @@ func (s *Server) handleMux(w http.ResponseWriter, r *http.Request) {
 		}
 		switch rec.Type {
 		case BinOpen:
-			s.muxOpen(r, mw, sessions, &wg, rec)
+			s.muxOpen(r.Context(), mw, sessions, &wg, rec)
 		case BinFrame:
 			ms := sessions[rec.SID]
 			if ms == nil || ms.failed.Load() {
@@ -274,10 +267,10 @@ func (s *Server) handleMux(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// muxOpen admits one logical session: the mux twin of handleStream's
-// admission sequence, answering with per-sid records instead of HTTP
-// statuses.
-func (s *Server) muxOpen(r *http.Request, mw *muxWriter, sessions map[uint32]*muxSession, wg *sync.WaitGroup, rec *BinaryRecord) {
+// muxOpen admits one logical session through the same admission as
+// /v1/stream, answering failures with per-sid records instead of HTTP
+// statuses, and starts the session's goroutine.
+func (s *Server) muxOpen(ctx context.Context, mw *muxWriter, sessions map[uint32]*muxSession, wg *sync.WaitGroup, rec *BinaryRecord) {
 	sid := rec.SID
 	if sid == 0 {
 		mw.error(0, &ErrorMsg{Code: http.StatusBadRequest, Message: "open needs a nonzero sid"})
@@ -287,34 +280,6 @@ func (s *Server) muxOpen(r *http.Request, mw *muxWriter, sessions map[uint32]*mu
 		mw.error(sid, &ErrorMsg{Code: http.StatusBadRequest, Message: "sid already open"})
 		return
 	}
-	backend := rec.Backend
-	if backend == "" {
-		backend = s.cfg.DefaultBackend
-	}
-	if backend == "" {
-		backend = s.manager.soleBackend()
-	}
-	var policy *guard.Policy
-	policyName := ""
-	if rec.Policy != "" {
-		p, ok := s.policies[rec.Policy]
-		if !ok {
-			mw.error(sid, &ErrorMsg{Code: http.StatusNotFound, Message: "unknown policy " + rec.Policy})
-			return
-		}
-		policy = &p
-		policyName = rec.Policy
-	}
-	if s.isDraining() {
-		mw.error(sid, &ErrorMsg{Code: http.StatusServiceUnavailable, Message: ErrDraining.Error()})
-		return
-	}
-	// Per-sid admission control: the session cap answers with a 429
-	// record for this sid, leaving the connection's other sessions alone.
-	if err := s.manager.Reserve(); err != nil {
-		mw.error(sid, openError(err))
-		return
-	}
 	// Copied out of the decoder's reused record; zero labels means an
 	// unlabeled stream (the open payload cannot distinguish nil from
 	// empty, and neither can a backend).
@@ -322,111 +287,55 @@ func (s *Server) muxOpen(r *http.Request, mw *muxWriter, sessions map[uint32]*mu
 	if len(rec.Labels) > 0 {
 		labels = append([]int{}, rec.Labels...)
 	}
-	sess, err := s.manager.Open(backend, labels)
-	if err != nil {
-		s.manager.Unreserve()
-		mw.error(sid, openError(err))
-		return
-	}
-	var sg *streamGuard
-	if policy != nil {
-		sg, err = newStreamGuard(*policy, &s.mitigation)
-		if err != nil {
-			sess.Release(false)
-			mw.error(sid, &ErrorMsg{Code: http.StatusInternalServerError, Message: err.Error()})
-			return
+	ms := &muxSession{sid: sid, mw: mw, in: make(chan muxFrame, muxInDepth), quit: make(chan struct{})}
+	// Per-sid admission control: the session cap answers with a 429
+	// record for this sid, leaving the connection's other sessions alone.
+	p, em := s.admit(rec.Backend, rec.Policy)
+	if em == nil {
+		if em = p.open(labels, "binary-mux", ms); em != nil {
+			p.close()
 		}
 	}
+	if em != nil {
+		mw.error(sid, em)
+		return
+	}
 	s.codec.muxSessions.Add(1)
-	tr := s.metrics.streamTrace(backend, "binary-mux", sess.Version(), policyName, s.cfg.Ledger != nil)
-	ms := &muxSession{sid: sid, in: make(chan muxFrame, muxInDepth), quit: make(chan struct{})}
 	sessions[sid] = ms
-	mw.opened(sid, sess.Version())
+	mw.emit(&BinaryRecord{Type: BinOpened, SID: sid, Version: p.sess.Version()})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.runMuxSession(r.Context(), ms, sess, sg, tr, backend, policyName, labels, mw)
+		runMuxSession(ctx, ms, p)
 	}()
 }
 
-// runMuxSession is one logical session's pump: frames in from the
-// connection reader, verdicts (and guard actions) out through the shared
-// writer, with the same ledger recording as a /v1/stream handler.
-func (s *Server) runMuxSession(ctx context.Context, ms *muxSession, sess *Session, sg *streamGuard, tr *streamTrace, backend, policyName string, labels []int, mw *muxWriter) {
-	rec := ledger.NewRecorder(s.cfg.Ledger, backend, sess.Version(), policyName)
-	rec.Start(labels32(labels))
-	frames := 0
-	healthy := true
-	endReason := "error: handler exit"
-	defer func() {
-		rec.End(frames, endReason)
-		sess.Release(healthy)
-	}()
-	// Reused across the loop like handleStream's frame: its pointer rides
-	// the shard mailbox, and Push blocks until the shard replied, so
-	// hoisting it saves one heap allocation per frame.
-	var frame safemon.Frame
+// runMuxSession is one logical session's record loop: frames in from
+// the connection reader, each carried by the pump.
+func runMuxSession(ctx context.Context, ms *muxSession, p *pump) {
+	defer p.close()
 	for {
 		// Kill wins over queued frames: a 429-cut session must stop
 		// promptly, not finish its backlog.
 		select {
 		case <-ms.quit:
-			healthy = false
-			endReason = ms.reason
+			p.end(ms.reason, false)
 			return
 		default:
 		}
 		select {
 		case <-ms.quit:
-			healthy = false
-			endReason = ms.reason
+			p.end(ms.reason, false)
 			return
 		case mf, ok := <-ms.in:
 			if !ok {
-				endReason = "eof"
-				mw.done(ms.sid, frames)
+				p.end("eof", true)
+				ms.done(p.frames)
 				return
 			}
-			frame = mf.frame
-			tr.setStage(stageDecode, mf.decNS)
-			v, err := sess.Push(ctx, &frame)
-			if err != nil {
-				healthy = false
-				endReason = "error: push"
-				ms.failed.Store(true)
-				mw.error(ms.sid, pushError(err))
+			if !p.step(ctx, &mf.frame, mf.decNS) {
 				return
 			}
-			tr.setStage(stageQueue, sess.trace.queueNS)
-			tr.setStage(stageInfer, sess.trace.inferNS)
-			frames++
-			wire := WireVerdict(v)
-			t0 := time.Now()
-			rec.Verdict(v, &frame)
-			t1 := time.Now()
-			// Guard covers the step decision and its ledger edge; encode
-			// covers the wire write (actionVerdict bundles action+verdict
-			// under one lock, so the pair lands in encode together).
-			t2 := t1
-			emitted := false
-			if sg != nil {
-				if act := sg.step(wire); act != nil {
-					rec.Action(sg.decision())
-					t2 = time.Now()
-					mw.actionVerdict(ms.sid, act, &wire)
-					emitted = true
-				} else {
-					t2 = time.Now()
-				}
-			}
-			if !emitted {
-				mw.verdict(ms.sid, &wire)
-			}
-			end := time.Now()
-			tr.setStage(stageLedger, t1.Sub(t0).Nanoseconds())
-			tr.setStage(stageGuard, t2.Sub(t1).Nanoseconds())
-			tr.setStage(stageEncode, end.Sub(t2).Nanoseconds())
-			tr.observe(frames-1, end.UnixNano())
 		}
 	}
 }

@@ -275,10 +275,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleStream is the duplex streaming endpoint. The codec is negotiated
 // per request — NDJSON by default, the binary record format when
 // Content-Type or Accept names application/x-safemon-frames — and
-// admission errors (unknown backend, draining, session cap) are HTTP
-// statuses; once the stream is admitted, errors become terminal records
-// in the stream's codec so the verdict prefix already delivered stays
-// valid.
+// admission errors (unknown backend or policy, draining, session cap) are
+// HTTP statuses; once the stream is admitted, errors become terminal
+// records in the stream's codec so the verdict prefix already delivered
+// stays valid. The loop only reads records; the pump does the rest.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// Stream connections are one-shot: telling the client (and our own
 	// http.Server) the connection won't be reused keeps error responses
@@ -294,50 +294,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "binary codec disabled; send NDJSON", http.StatusUnsupportedMediaType)
 		return
 	}
-	backend := r.URL.Query().Get("backend")
-	if backend == "" {
-		backend = s.cfg.DefaultBackend
-	}
-	if backend == "" {
-		backend = s.manager.soleBackend()
-	}
-	if !s.manager.has(backend) {
-		http.Error(w, fmt.Sprintf("unknown backend %q (have %v)", backend, s.manager.backendNames()), http.StatusNotFound)
+	// Admission claims a session slot before committing the response
+	// status: at the session cap the client gets a real HTTP 429, not a
+	// broken stream.
+	q := r.URL.Query()
+	p, em := s.admit(q.Get("backend"), q.Get("policy"))
+	if em != nil {
+		http.Error(w, em.Message, em.Code)
 		return
 	}
-	// Guarded streams opt in per request; an unknown policy name is an
-	// admission failure, like an unknown backend.
-	var policy *guard.Policy
-	policyName := ""
-	if name := r.URL.Query().Get("policy"); name != "" {
-		p, ok := s.policies[name]
-		if !ok {
-			http.Error(w, fmt.Sprintf("unknown policy %q (have %v)", name, s.policyNames), http.StatusNotFound)
-			return
-		}
-		policy = &p
-		policyName = name
-	}
-	if s.isDraining() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	// Claim a session slot before committing the response status: at the
-	// session cap the client gets a real HTTP 429, not a broken stream.
-	if err := s.manager.Reserve(); err != nil {
-		status := http.StatusTooManyRequests
-		if errors.Is(err, ErrDraining) {
-			status = http.StatusServiceUnavailable
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	reserved := true
-	defer func() {
-		if reserved {
-			s.manager.Unreserve()
-		}
-	}()
+	defer p.close()
 
 	// HTTP/1.1 interleaves request-body reads with response writes only
 	// when full duplex is enabled; HTTP/2 duplexes natively.
@@ -372,173 +338,54 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	defer conn.release()
 	armIdle := func() { rc.SetReadDeadline(time.Now().Add(s.cfg.StreamIdleTimeout)) }
 
-	// The first record may carry the stream's ground-truth labels.
-	var labels []int
-	var pending *ClientMsg
-	var first ClientMsg
+	// The first record may carry the stream's ground-truth labels; msg
+	// holds every record after it too (conn.next's argument escapes, so
+	// a per-record variable would allocate).
+	var msg ClientMsg
 	armIdle()
-	switch err := conn.next(&first); {
+	switch err := conn.next(&msg); {
 	case errors.Is(err, io.EOF):
 		conn.done(0)
 		return
 	case err != nil:
 		conn.fail(&ErrorMsg{Code: http.StatusBadRequest, Message: "bad record: " + err.Error()})
 		return
-	case first.Labels != nil && first.Frame != nil:
+	case msg.Labels != nil && msg.Frame != nil:
 		conn.fail(&ErrorMsg{Code: http.StatusBadRequest,
 			Message: "labels and frame in one record; send the labels header on its own line"})
 		return
-	case first.Frame == nil:
-		labels = first.Labels
-	default:
-		pending = &first
 	}
-
-	sess, err := s.manager.Open(backend, labels)
-	if err != nil {
-		conn.fail(openError(err))
+	if em := p.open(msg.Labels, codecName, conn); em != nil {
+		conn.fail(em)
 		return
 	}
-	reserved = false // the session owns the slot now
-	healthy := true
-	defer func() { sess.Release(healthy) }()
-
-	// Ledger recording: the whole stream — lifecycle, verdicts with
-	// their input frames, guard edges — lands in the event log, where a
-	// latching action turns it into a replayable incident. A nil
-	// appender makes every recorder call a no-op.
-	rec := ledger.NewRecorder(s.cfg.Ledger, backend, sess.Version(), policyName)
-	rec.Start(labels32(labels))
-	frames := 0
-	endReason := "error: handler exit"
-	defer func() { rec.End(frames, endReason) }()
-
-	var sg *streamGuard
-	if policy != nil {
-		sg, err = newStreamGuard(*policy, &s.mitigation)
-		if err != nil {
-			// Policies are validated at construction; reaching this is a
-			// server bug, not a client error.
-			healthy = false
-			conn.fail(&ErrorMsg{Code: http.StatusInternalServerError, Message: err.Error()})
-			return
-		}
-	}
-
-	// Per-frame stage instrumentation: resolved once at admission (the
-	// histogram registrations), fed per frame without allocating.
-	tr := s.metrics.streamTrace(backend, codecName, sess.Version(), policyName, s.cfg.Ledger != nil)
-
-	// One heap frame reused across the loop: its pointer rides the shard
-	// mailbox, so an in-loop variable would escape and cost an allocation
-	// per frame. Push blocks until the shard replied, so the previous
-	// frame is never still in use when the next record overwrites it.
-	var frame safemon.Frame
+	pending := msg.Frame != nil // the first record was already a frame
 	for {
-		var msg *ClientMsg
-		if pending != nil {
-			msg, pending = pending, nil
-		} else {
-			var rc2 ClientMsg
+		if !pending {
 			armIdle()
-			switch err := conn.next(&rc2); {
+			switch err := conn.next(&msg); {
 			case errors.Is(err, io.EOF):
-				endReason = "eof"
-				conn.done(frames)
+				p.end("eof", true)
+				conn.done(p.frames)
 				return
 			case err != nil:
 				// Client hung up mid-record or sent garbage; either
 				// way the stream is over.
-				healthy = frames > 0 && errors.Is(err, io.ErrUnexpectedEOF)
-				endReason = "error: bad record"
+				p.end("error: bad record", p.frames > 0 && errors.Is(err, io.ErrUnexpectedEOF))
 				conn.fail(&ErrorMsg{Code: http.StatusBadRequest, Message: "bad record: " + err.Error()})
 				return
 			}
-			msg = &rc2
 		}
+		pending = false
 		if len(msg.Frame) != frameSize {
-			healthy = false
-			endReason = "error: bad frame"
+			p.end("error: bad frame", false)
 			conn.fail(&ErrorMsg{Code: http.StatusBadRequest,
 				Message: fmt.Sprintf("frame needs %d values, got %d", frameSize, len(msg.Frame))})
 			return
 		}
-		copy(frame[:], msg.Frame)
-		tr.setStage(stageDecode, conn.decodeNS())
-		v, err := sess.Push(r.Context(), &frame)
-		if err != nil {
-			healthy = false
-			endReason = "error: push"
-			conn.fail(pushError(err))
+		if !p.step(r.Context(), (*safemon.Frame)(msg.Frame), conn.decodeNS()) {
 			return
 		}
-		// The shard wrote the queue/infer split before replying.
-		tr.setStage(stageQueue, sess.trace.queueNS)
-		tr.setStage(stageInfer, sess.trace.inferNS)
-		frames++
-		wire := WireVerdict(v)
-		t0 := time.Now()
-		rec.Verdict(v, &frame)
-		t1 := time.Now()
-		t2 := t1
-		if sg != nil {
-			// The engine steps on the verdict; an action edge is emitted
-			// immediately before it so a lockstep client sees the action
-			// no later than the verdict that caused it. The (rare) edge
-			// frame's action emit lands in the guard stage.
-			if act := sg.step(wire); act != nil {
-				rec.Action(sg.decision())
-				conn.action(act)
-			}
-			t2 = time.Now()
-		}
-		conn.verdict(&wire)
-		end := time.Now()
-		tr.setStage(stageLedger, t1.Sub(t0).Nanoseconds())
-		tr.setStage(stageGuard, t2.Sub(t1).Nanoseconds())
-		tr.setStage(stageEncode, end.Sub(t2).Nanoseconds())
-		tr.observe(frames-1, end.UnixNano())
-	}
-}
-
-// labels32 converts a stream's ground-truth labels to the ledger's
-// compact form (nil in, nil out).
-func labels32(labels []int) []int32 {
-	if len(labels) == 0 {
-		return nil
-	}
-	out := make([]int32, len(labels))
-	for i, l := range labels {
-		out[i] = int32(l)
-	}
-	return out
-}
-
-// openError maps session-admission failures onto wire records.
-func openError(err error) *ErrorMsg {
-	switch {
-	case errors.Is(err, ErrBusy):
-		return &ErrorMsg{Code: http.StatusTooManyRequests, Message: err.Error()}
-	case errors.Is(err, ErrDraining):
-		return &ErrorMsg{Code: http.StatusServiceUnavailable, Message: err.Error()}
-	case errors.Is(err, ErrUnknownBackend):
-		return &ErrorMsg{Code: http.StatusNotFound, Message: err.Error()}
-	default:
-		return &ErrorMsg{Code: http.StatusBadRequest, Message: err.Error()}
-	}
-}
-
-// pushError maps mid-stream push failures onto wire records.
-func pushError(err error) *ErrorMsg {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		return &ErrorMsg{Code: http.StatusTooManyRequests, Message: err.Error()}
-	case errors.Is(err, ErrDraining):
-		return &ErrorMsg{Code: http.StatusServiceUnavailable, Message: err.Error()}
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return &ErrorMsg{Code: 499, Message: err.Error()}
-	default:
-		return &ErrorMsg{Code: http.StatusInternalServerError, Message: err.Error()}
 	}
 }
 

@@ -11,20 +11,16 @@ import (
 // streamConn abstracts one admitted /v1/stream connection's codec so the
 // handler loop is written once: NDJSON (the default) and the binary
 // record format behind it carry exactly the same records in the same
-// order, so verdict values are equal across codecs by construction.
-// Write methods do not return errors — a failed write means the client
-// is gone, and the read side will surface that on the next record.
+// order, so verdict values are equal across codecs by construction. The
+// write side is the pump's sink.
 type streamConn interface {
+	sink
 	// next decodes the next client record (labels header or frame).
 	next(msg *ClientMsg) error
 	// decodeNS reports the parse time of the most recent next — just
 	// the record decode, excluding the network wait — for the decode
 	// stage histogram.
 	decodeNS() int64
-	verdict(v *VerdictMsg)
-	action(a *ActionMsg)
-	done(frames int)
-	fail(e *ErrorMsg)
 	// release returns pooled buffers; the conn must not be used after.
 	release()
 }
@@ -50,23 +46,27 @@ func (c *jsonStream) emit(m ServerMsg) {
 	c.flush()
 }
 
-func (c *jsonStream) verdict(v *VerdictMsg) { c.emit(ServerMsg{Verdict: v}) }
-func (c *jsonStream) action(a *ActionMsg)   { c.emit(ServerMsg{Action: a}) }
-func (c *jsonStream) done(frames int)       { c.emit(ServerMsg{Done: &DoneMsg{Frames: frames}}) }
-func (c *jsonStream) fail(e *ErrorMsg)      { c.emit(ServerMsg{Error: e}) }
-func (c *jsonStream) release()              { c.dec.release() }
+func (c *jsonStream) verdict(a *ActionMsg, v *VerdictMsg) {
+	if a != nil && c.enc.Encode(ServerMsg{Action: a}) != nil {
+		return
+	}
+	c.emit(ServerMsg{Verdict: v})
+}
 
-// binStream is the binary codec on a single-session stream: every
-// record carries sid 0, and the warm frame→verdict round trip allocates
-// nothing on either side.
+func (c *jsonStream) done(frames int)  { c.emit(ServerMsg{Done: &DoneMsg{Frames: frames}}) }
+func (c *jsonStream) fail(e *ErrorMsg) { c.emit(ServerMsg{Error: e}) }
+func (c *jsonStream) release()         { c.dec.release() }
+
+// binStream is the binary codec on a single-session stream: the sid-0
+// user of the record writer /v1/mux sessions share, so the warm
+// frame→verdict round trip allocates nothing on either side.
 type binStream struct {
-	r     *binReader
-	w     *binWriter
-	flush func()
+	r *binReader
+	w muxWriter
 }
 
 func newBinStream(r io.Reader, w io.Writer, flush func()) *binStream {
-	return &binStream{r: newBinReader(r), w: newBinWriter(w), flush: flush}
+	return &binStream{r: newBinReader(r), w: muxWriter{w: newBinWriter(w), flush: flush}}
 }
 
 func (c *binStream) next(msg *ClientMsg) error {
@@ -90,35 +90,11 @@ func (c *binStream) next(msg *ClientMsg) error {
 	}
 }
 
-func (c *binStream) decodeNS() int64 { return c.r.decNS }
-
-func (c *binStream) emit(rec *BinaryRecord) {
-	if err := c.w.emit(rec); err != nil {
-		return
-	}
-	c.flush()
-}
-
-func (c *binStream) verdict(v *VerdictMsg) {
-	if err := c.w.writeVerdict(0, v); err != nil {
-		return
-	}
-	c.flush()
-}
-
-func (c *binStream) action(a *ActionMsg) {
-	c.emit(&BinaryRecord{Type: BinAction, Action: *a})
-}
-
-func (c *binStream) done(frames int) {
-	c.emit(&BinaryRecord{Type: BinDone, Frames: uint64(frames)})
-}
-
-func (c *binStream) fail(e *ErrorMsg) {
-	c.emit(&BinaryRecord{Type: BinError, Code: uint32(e.Code), Message: e.Message})
-}
-
-func (c *binStream) release() { c.r.release() }
+func (c *binStream) decodeNS() int64                     { return c.r.decNS }
+func (c *binStream) verdict(a *ActionMsg, v *VerdictMsg) { c.w.verdict(0, a, v) }
+func (c *binStream) done(frames int)                     { c.w.done(0, frames) }
+func (c *binStream) fail(e *ErrorMsg)                    { c.w.error(0, e) }
+func (c *binStream) release()                            { c.r.release() }
 
 // binTypeName names a record type for error messages.
 func binTypeName(typ byte) string {

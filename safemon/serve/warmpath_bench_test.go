@@ -1,18 +1,23 @@
 package serve
 
-// Warm-path benchmarks for the instrumented frame loop: the exact
-// per-frame work handleStream does after admission — binary record
-// decode, session push through the sharded manager, ledger emit, guard
-// step, verdict encode — including the full stage-histogram and
-// slow-ring telemetry, with the HTTP transport replaced by in-memory
-// readers so the measurement is the server's own work.
-// scripts/benchguard.sh holds BenchmarkServeStreamWarm to 0 allocs/op:
-// the telemetry must ride the zero-allocation contract, not erode it.
+// Warm-path gates for the production frame path. BenchmarkServeStreamWarm
+// times the pump's step — shard push, ledger emit, guard step, verdict
+// encode and the stage-histogram and slow-ring telemetry — behind a
+// binary record decode, with the HTTP transport replaced by in-memory
+// readers so the measurement is the server's own work. It stays at pump
+// level because scripts/benchguard.sh runs it at -benchtime=10x, where
+// per-stream admission would dominate; benchguard holds it to 0
+// allocs/op. TestServeWarmPathZeroAlloc pins the same contract on the
+// whole /v1/stream handler, admission to done record.
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -37,32 +42,13 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// warmStream is one admitted binary stream's warm-path state, built the
-// same way handleStream builds it.
-type warmStream struct {
-	srv  *Server
-	sess *Session
-	tr   *streamTrace
-	sg   *streamGuard
-	rec  *ledger.Recorder
-	conn *binStream
-	// frame is hoisted like handleStream's loop frame: its pointer rides
-	// the shard mailbox, so a per-step variable would escape and allocate.
-	frame safemon.Frame
-}
-
-// newWarmStream stands up a server and admits one binary stream against
-// it. guarded attaches the test policy (fed safe frames, so the engine
-// steps without transitioning); ledgered records into an in-memory
-// event ledger.
-func newWarmStream(tb testing.TB, guarded, ledgered bool) *warmStream {
+// newWarmServer stands up an envelope server offering the test guard
+// policy; ledgered records into an in-memory event ledger.
+func newWarmServer(tb testing.TB, ledgered bool) *Server {
 	tb.Helper()
-	det := fittedDetector(tb, "envelope")
-	cfg := Config{Detectors: map[string]safemon.Detector{"envelope": det}}
-	policyName := ""
-	if guarded {
-		cfg.Policies = []guard.Policy{testGuardPolicy()}
-		policyName = testGuardPolicy().Name
+	cfg := Config{
+		Detectors: map[string]safemon.Detector{"envelope": fittedDetector(tb, "envelope")},
+		Policies:  []guard.Policy{testGuardPolicy()},
 	}
 	if ledgered {
 		app := ledger.NewAppender(ledger.NewMemoryStore(0), ledger.Options{})
@@ -74,103 +60,69 @@ func newWarmStream(tb testing.TB, guarded, ledgered bool) *warmStream {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(srv.Shutdown)
+	return srv
+}
 
-	if err := srv.manager.Reserve(); err != nil {
-		tb.Fatal(err)
-	}
-	sess, err := srv.manager.Open("envelope", nil)
-	if err != nil {
-		srv.manager.Unreserve()
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { sess.Release(true) })
-
-	ws := &warmStream{srv: srv, sess: sess}
-	if guarded {
-		ws.sg, err = newStreamGuard(testGuardPolicy(), &srv.mitigation)
-		if err != nil {
-			tb.Fatal(err)
-		}
-	}
-	ws.rec = ledger.NewRecorder(cfg.Ledger, "envelope", sess.Version(), policyName)
-	ws.rec.Start(nil)
-	tb.Cleanup(func() { ws.rec.End(0, "eof") })
-	ws.tr = srv.metrics.streamTrace("envelope", "binary", sess.Version(), policyName, ledgered)
-
-	// One in-envelope frame, encoded once and replayed forever.
+// warmFrames encodes n binary frame records of one in-envelope frame, so
+// a guarded stream steps its engine without transitioning.
+func warmFrames(tb testing.TB, n int) []byte {
+	tb.Helper()
 	safe := testFold(tb).Train[0].Frames[10]
 	var buf bytes.Buffer
 	bw := newBinWriter(&buf)
-	if err := bw.writeFrame(0, &safe); err != nil {
-		tb.Fatal(err)
+	for i := 0; i < n; i++ {
+		if err := bw.writeFrame(0, &safe); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	ws.conn = newBinStream(&repeatReader{data: buf.Bytes()}, io.Discard, func() {})
-	tb.Cleanup(ws.conn.release)
+	return buf.Bytes()
+}
+
+// warmStream is one admitted binary stream's pump, fed the same frame
+// record forever.
+type warmStream struct {
+	p    *pump
+	conn *binStream
+	msg  ClientMsg
+}
+
+// newWarmStream admits one binary stream through the server's own
+// admission; guarded attaches the test policy.
+func newWarmStream(tb testing.TB, guarded, ledgered bool) *warmStream {
+	tb.Helper()
+	srv := newWarmServer(tb, ledgered)
+	policy := ""
+	if guarded {
+		policy = testGuardPolicy().Name
+	}
+	p, em := srv.admit("envelope", policy)
+	if em != nil {
+		tb.Fatal(em)
+	}
+	ws := &warmStream{p: p, conn: newBinStream(&repeatReader{data: warmFrames(tb, 1)}, io.Discard, func() {})}
+	tb.Cleanup(func() {
+		p.close()
+		ws.conn.release()
+	})
+	if em := p.open(nil, "binary", ws.conn); em != nil {
+		tb.Fatal(em)
+	}
 	return ws
 }
 
-// step runs one frame through the instrumented warm path — the body of
-// handleStream's loop.
-func (ws *warmStream) step(ctx context.Context, frameIdx int) error {
-	var msg ClientMsg
-	if err := ws.conn.next(&msg); err != nil {
+// step decodes the next frame record and hands it to the pump, as
+// handleStream's loop does.
+func (ws *warmStream) step(ctx context.Context) error {
+	if err := ws.conn.next(&ws.msg); err != nil {
 		return err
 	}
-	copy(ws.frame[:], msg.Frame)
-	ws.tr.setStage(stageDecode, ws.conn.decodeNS())
-	v, err := ws.sess.Push(ctx, &ws.frame)
-	if err != nil {
-		return err
+	if !ws.p.step(ctx, (*safemon.Frame)(ws.msg.Frame), ws.conn.decodeNS()) {
+		return errors.New("push failed")
 	}
-	ws.tr.setStage(stageQueue, ws.sess.trace.queueNS)
-	ws.tr.setStage(stageInfer, ws.sess.trace.inferNS)
-	wire := WireVerdict(v)
-	t0 := time.Now()
-	ws.rec.Verdict(v, &ws.frame)
-	t1 := time.Now()
-	t2 := t1
-	if ws.sg != nil {
-		if act := ws.sg.step(wire); act != nil {
-			ws.rec.Action(ws.sg.decision())
-			ws.conn.action(act)
-		}
-		t2 = time.Now()
-	}
-	ws.conn.verdict(&wire)
-	end := time.Now()
-	ws.tr.setStage(stageLedger, t1.Sub(t0).Nanoseconds())
-	ws.tr.setStage(stageGuard, t2.Sub(t1).Nanoseconds())
-	ws.tr.setStage(stageEncode, end.Sub(t2).Nanoseconds())
-	ws.tr.observe(frameIdx, end.UnixNano())
 	return nil
 }
 
-// stepBare is the same frame path with every telemetry touch removed:
-// the uninstrumented baseline BENCH_PR10.json's overhead row is the
-// delta against.
-func (ws *warmStream) stepBare(ctx context.Context) error {
-	var msg ClientMsg
-	if err := ws.conn.next(&msg); err != nil {
-		return err
-	}
-	copy(ws.frame[:], msg.Frame)
-	v, err := ws.sess.Push(ctx, &ws.frame)
-	if err != nil {
-		return err
-	}
-	wire := WireVerdict(v)
-	ws.rec.Verdict(v, &ws.frame)
-	if ws.sg != nil {
-		if act := ws.sg.step(wire); act != nil {
-			ws.rec.Action(ws.sg.decision())
-			ws.conn.action(act)
-		}
-	}
-	ws.conn.verdict(&wire)
-	return nil
-}
-
-// BenchmarkServeStreamWarm is the instrumented warm path, gated by
+// BenchmarkServeStreamWarm is the production warm path, gated by
 // scripts/benchguard.sh at 0 allocs/op.
 func BenchmarkServeStreamWarm(b *testing.B) {
 	for _, bc := range []struct {
@@ -187,7 +139,7 @@ func BenchmarkServeStreamWarm(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := ws.step(ctx, i); err != nil {
+				if err := ws.step(ctx); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -195,56 +147,74 @@ func BenchmarkServeStreamWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkServeStreamUninstrumented is the identical frame path with
-// the telemetry stripped; the ServeStreamWarm delta is the cost of the
-// instrumentation itself.
-func BenchmarkServeStreamUninstrumented(b *testing.B) {
-	for _, bc := range []struct {
-		name              string
-		guarded, ledgered bool
-	}{
-		{"binary", false, false},
-		{"binary-guarded", true, false},
-		{"binary-ledgered", false, true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			ws := newWarmStream(b, bc.guarded, bc.ledgered)
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := ws.stepBare(ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+// memResponse is an in-memory http.ResponseWriter that also supports
+// the full-duplex and read-deadline controls handleStream asks of its
+// connection through http.ResponseController.
+type memResponse struct {
+	header http.Header
+	code   int
+	body   bytes.Buffer
 }
 
-// TestServeWarmPathZeroAlloc pins the instrumented warm path's
-// zero-allocation contract directly (benchguard enforces it in CI; this
-// fails fast under plain go test). The race detector's instrumentation
-// allocates, so the measurement only runs without it.
+func (w *memResponse) Header() http.Header             { return w.header }
+func (w *memResponse) Write(p []byte) (int, error)     { return w.body.Write(p) }
+func (w *memResponse) WriteHeader(code int)            { w.code = code }
+func (w *memResponse) Flush()                          {}
+func (w *memResponse) SetReadDeadline(time.Time) error { return nil }
+func (w *memResponse) EnableFullDuplex() error         { return nil }
+
+// TestServeWarmPathZeroAlloc pins the zero-allocation contract on the
+// real /v1/stream handler: a guarded, ledgered binary stream driven
+// in-process through Server.Handler. Admission and teardown allocate a
+// fixed amount per stream, so the per-frame cost is the malloc
+// difference between a 2000-frame and a 1000-frame stream. The race
+// detector's instrumentation allocates, so the measurement only runs
+// without it.
 func TestServeWarmPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation measurement is meaningless under -race")
 	}
-	ws := newWarmStream(t, true, true)
-	ctx := context.Background()
-	// Warm every pooled buffer and the slow ring's admission path.
-	for i := 0; i < 64; i++ {
-		if err := ws.step(ctx, i); err != nil {
-			t.Fatal(err)
+	h := newWarmServer(t, true).Handler()
+	target := "/v1/stream?backend=envelope&policy=" + testGuardPolicy().Name
+	stream := func(frames int) uint64 {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, target, bytes.NewReader(warmFrames(t, frames)))
+		req.Header.Set("Content-Type", BinaryContentType)
+		w := &memResponse{header: http.Header{}}
+		w.body.Grow((frames + 1) * (binHeaderSize + binVerdictPayload))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(w, req)
+		runtime.ReadMemStats(&after)
+
+		if w.code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.code, w.body.String())
 		}
+		br := newBinReader(&w.body)
+		defer br.release()
+		for i := 0; ; i++ {
+			rec, err := br.next()
+			if err != nil {
+				t.Fatalf("record %d: %v", i, err)
+			}
+			if rec.Type == BinVerdict {
+				continue
+			}
+			if rec.Type != BinDone || i != frames || rec.Frames != uint64(frames) {
+				t.Fatalf("record %d: %s (frames %d), want done after %d verdicts", i, binTypeName(rec.Type), rec.Frames, frames)
+			}
+			break
+		}
+		return after.Mallocs - before.Mallocs
 	}
-	frame := 64
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := ws.step(ctx, frame); err != nil {
-			t.Fatal(err)
-		}
-		frame++
-	})
-	if allocs != 0 {
-		t.Errorf("instrumented warm path allocates %.1f allocs/frame, want 0", allocs)
+	// Warm every pooled buffer, the stage histograms and the slow ring's
+	// admission path.
+	stream(100)
+	m1000, m2000 := stream(1000), stream(2000)
+	perFrame := (float64(m2000) - float64(m1000)) / 1000
+	t.Logf("%.4f allocs/frame", perFrame)
+	if perFrame >= 0.1 {
+		t.Errorf("/v1/stream handler allocates %.3f allocs/frame (%d mallocs for 1000 frames, %d for 2000), want 0",
+			perFrame, m1000, m2000)
 	}
 }
