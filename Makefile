@@ -9,7 +9,9 @@
 #                      into ./models (serve them: safemond -model-dir ./models)
 #   make lifecycle-smoke - train->save->load->serve smoke test only: safemond
 #                      must answer streams from artifacts with zero Fit calls
-#   make bench       - one-iteration benchmark smoke incl. the serve path (perf trajectory capture)
+#   make bench       - one-iteration smoke of the root benchmark harness (paper
+#                      tables, hot-path and ablation benches; the serving path
+#                      is measured open loop by perfbench/run.sh)
 #   make bench-smoke - with -benchmem: per-backend session-step
 #                      benchmarks (fitted, artifact-loaded and ledgered),
 #                      the guard engine's BenchmarkGuardStep, the event
@@ -17,10 +19,11 @@
 #                      BenchmarkCodecRoundTrip, and BenchmarkServeStreamWarm
 #                      (the production serve pump's per-frame step), gated
 #                      by scripts/benchguard.sh: 0 allocs/op, and the median
-#                      of BENCHCOUNT repeats must stay within the per-
-#                      benchmark ns/op budgets in scripts/bench_baseline.txt
-#                      (scale them on slower machines with
-#                      BENCHGUARD_NSOP_SCALE=<mult>)
+#                      of BENCHCOUNT repeats, each run for BENCHTIME
+#                      (default 100ms, so every row times the steady state),
+#                      must stay within the per-benchmark ns/op budgets in
+#                      scripts/bench_baseline.txt (scale them on slower
+#                      machines with BENCHGUARD_NSOP_SCALE=<mult>)
 #   make mitigate-smoke - tiny closed-loop reaction campaign: the guarded
 #                      context-aware monitor AND the cascade gating it must
 #                      each prevent >=1 block-drop hazard the unguarded
@@ -81,9 +84,10 @@ bench:
 
 # Session-step micro-benchmarks with allocation and latency accounting;
 # fails CI when any backend's warm per-frame path — fitted or
-# artifact-loaded — allocates, or when its median ns/op over BENCHCOUNT
-# repeats exceeds the budget in scripts/bench_baseline.txt (override for
-# slower machines with BENCHGUARD_NSOP_SCALE=<multiplier>).
+# artifact-loaded — allocates, or when its steady-state median ns/op over
+# BENCHCOUNT repeats of BENCHTIME each exceeds the budget in
+# scripts/bench_baseline.txt (override for slower machines with
+# BENCHGUARD_NSOP_SCALE=<multiplier>).
 bench-smoke benchguard:
 	sh scripts/benchguard.sh
 

@@ -12,7 +12,6 @@ package repro
 import (
 	"context"
 	"math/rand"
-	"net/http/httptest"
 	"strconv"
 	"testing"
 
@@ -27,7 +26,6 @@ import (
 	"repro/internal/synth"
 	"repro/internal/vision"
 	"repro/safemon"
-	"repro/safemon/serve"
 )
 
 func benchOpts(seed int64) experiments.Options {
@@ -194,119 +192,6 @@ func BenchmarkRunnerWorkers(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(rep.AUC, "AUC")
-			}
-		})
-	}
-}
-
-// BenchmarkServeStream measures the serve path end to end: per-frame
-// round-trip latency of one NDJSON session through a live safemond server
-// (JSON encode, HTTP transport, shard mailbox, inference, JSON decode).
-func BenchmarkServeStream(b *testing.B) {
-	b.ReportAllocs()
-	det, fold := trainedDetector(b, "context-aware")
-	srv, err := serve.NewServer(serve.Config{
-		Detectors: map[string]safemon.Detector{"context-aware": det},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer func() {
-		ts.Close()
-		srv.Shutdown()
-	}()
-	client := &serve.Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
-	traj := fold.Test[0]
-	st, err := client.Open(context.Background(), "context-aware", traj.Gestures)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := st.Send(&traj.Frames[i%traj.Len()]); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := st.Recv(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServeStreamBinary is BenchmarkServeStream over the compact
-// binary codec (application/x-safemon-frames): same backend, same
-// trajectory, same lockstep send/recv, with the NDJSON marshal/scan layer
-// replaced by fixed-layout records. The delta between the two is the wire
-// codec's share of the per-frame round trip.
-func BenchmarkServeStreamBinary(b *testing.B) {
-	b.ReportAllocs()
-	det, fold := trainedDetector(b, "context-aware")
-	srv, err := serve.NewServer(serve.Config{
-		Detectors: map[string]safemon.Detector{"context-aware": det},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer func() {
-		ts.Close()
-		srv.Shutdown()
-	}()
-	client := &serve.Client{BaseURL: ts.URL, HTTPClient: ts.Client(), Codec: "binary"}
-	traj := fold.Test[0]
-	st, err := client.Open(context.Background(), "context-aware", traj.Gestures)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := st.Send(&traj.Frames[i%traj.Len()]); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := st.Recv(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServeConcurrentSessions measures served throughput at
-// increasing session fan-out via the loadgen (frames/s across all
-// sessions), the scale axis of the serving layer.
-func BenchmarkServeConcurrentSessions(b *testing.B) {
-	b.ReportAllocs()
-	det, fold := trainedDetector(b, "envelope", safemon.WithThreshold(0.2))
-	srv, err := serve.NewServer(serve.Config{
-		Detectors: map[string]safemon.Detector{"envelope": det},
-		Manager:   serve.ManagerConfig{MaxSessions: 256},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer func() {
-		ts.Close()
-		srv.Shutdown()
-	}()
-	client := &serve.Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
-	for _, sessions := range []int{8, 64} {
-		b.Run("s"+strconv.Itoa(sessions), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rep, err := serve.RunLoadGen(context.Background(), serve.LoadGenConfig{
-					Client:       client,
-					Backend:      "envelope",
-					Sessions:     sessions,
-					Trajectories: fold.Test,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Failed > 0 {
-					b.Fatalf("%d sessions failed: %v", rep.Failed, rep.Errors)
-				}
-				b.ReportMetric(rep.ThroughputFPS, "frames/s")
 			}
 		})
 	}

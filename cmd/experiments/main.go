@@ -9,19 +9,19 @@
 // Experiments: fig3, fig5, rubric, table3, table4, table5, table6, table7,
 // table8, table9, fig8, fig9, all.
 //
-// Beyond the paper, -run loadgen drives a safemond monitoring service with
-// concurrent NDJSON streaming clients (see -addr, -sessions, -backend),
-// -run train fits detector backends and saves versioned model artifacts
-// into -model-dir for safemond to serve (see -backend, -model-version),
-// -run mitigate runs the simulator-in-the-loop reaction campaign —
-// the fault-injection suite replayed unguarded vs. guarded (safemon/guard)
-// over identical worlds, reporting prevented / missed / false-stop counts
-// and detection-to-hazard latencies per backend (see -backend, -scale),
-// and -run incidents drives the durable event ledger end to end: guarded
-// streams with injected faults latch safe-stops that become incidents on
-// disk, each replayed byte-identically through its original backend and
-// counterfactually through a second one. All four are excluded from
-// "all".
+// Beyond the paper, -run train fits detector backends and saves
+// versioned model artifacts into -model-dir for safemond to serve (see
+// -backend, -model-version), -run mitigate runs the
+// simulator-in-the-loop reaction campaign — the fault-injection suite
+// replayed unguarded vs. guarded (safemon/guard) over identical worlds,
+// reporting prevented / missed / false-stop counts and
+// detection-to-hazard latencies per backend (see -backend, -scale), and
+// -run incidents drives the durable event ledger end to end: guarded
+// streams with injected faults latch safe-stops that become incidents
+// on disk, each replayed byte-identically through its original backend
+// and counterfactually through a second one. All three are excluded
+// from "all". Serving load is measured by perfbench (bash
+// perfbench/run.sh).
 package main
 
 import (
@@ -52,10 +52,7 @@ func run(args []string) error {
 	scale := fs.String("scale", "quick", "experiment scale: quick or full")
 	seed := fs.Int64("seed", 1, "deterministic seed")
 	verbose := fs.Bool("v", false, "print progress")
-	addr := fs.String("addr", "", "loadgen: safemond host:port (empty = in-process server)")
-	sessions := fs.Int("sessions", 64, "loadgen: concurrent sessions")
-	codec := fs.String("codec", "json", "loadgen: wire codec (json, binary or binary-mux)")
-	backend := fs.String("backend", "envelope", "loadgen/train: backend(s) to use (train accepts a comma list or 'all')")
+	backend := fs.String("backend", "envelope", "train/mitigate/incidents: backend(s) to use (train accepts a comma list or 'all')")
 	modelDir := fs.String("model-dir", "./models", "train: model store directory for saved artifacts")
 	modelVersion := fs.String("model-version", "", "train: artifact version (empty = next sequential)")
 	if err := fs.Parse(args); err != nil {
@@ -90,9 +87,6 @@ func run(args []string) error {
 		"fig8":      func() (renderer, error) { return experiments.RunFig8(opts) },
 		"fig9":      func() (renderer, error) { return experiments.RunFig9(opts) },
 		"extension": func() (renderer, error) { return experiments.RunExtension(opts) },
-		"loadgen": func() (renderer, error) {
-			return runLoadgen(opts, loadgenOptions{addr: *addr, backend: *backend, sessions: *sessions, codec: *codec})
-		},
 		"train": func() (renderer, error) {
 			return runTrain(opts, trainOptions{modelDir: *modelDir, backends: *backend, version: *modelVersion})
 		},
@@ -114,7 +108,7 @@ func run(args []string) error {
 		for name := range runners {
 			// Service drills and the mitigation campaign are not paper
 			// artifacts; run them explicitly.
-			if name == "loadgen" || name == "train" || name == "mitigate" || name == "incidents" {
+			if name == "train" || name == "mitigate" || name == "incidents" {
 				continue
 			}
 			names = append(names, name)

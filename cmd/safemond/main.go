@@ -31,7 +31,7 @@
 // With -policies, the config file ({"policies":[...]}; see safemon/guard)
 // is validated at startup and streams may opt into closed-loop mitigation
 // with ?policy=NAME: guard action records are interleaved into the
-// verdict stream and mitigation counters appear under /stats.
+// verdict stream and the guard counters appear in /metrics.
 //
 // With -ledger-dir, every stream is recorded into a crash-safe on-disk
 // event ledger (safemon/ledger): session lifecycle, per-frame verdicts
@@ -44,9 +44,9 @@
 // Endpoints: POST /v1/stream?backend=NAME[&policy=NAME] (NDJSON duplex),
 // GET /v1/backends, GET /v1/models, POST /v1/models/reload, GET
 // /v1/policies, GET /v1/incidents, GET /v1/incidents/{id}, POST
-// /v1/incidents/{id}/replay, GET /stats, GET /metrics (Prometheus text
-// exposition), GET /v1/debug/slowframes, GET /healthz, GET /readyz
-// (503 while draining). With -ops-addr the metrics/pprof/health surfaces
+// /v1/incidents/{id}/replay, GET /metrics (Prometheus text exposition
+// of every service counter), GET /v1/debug/slowframes, GET /healthz,
+// GET /readyz (503 while draining). With -ops-addr the metrics/pprof/health surfaces
 // are additionally served on a separate listener, keeping scrapes and
 // profiles off the traffic port. Logs go to stderr through log/slog;
 // -log-format selects text or json. See the serve package docs for the
@@ -484,6 +484,6 @@ loop:
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
-	logger.Info("drained", "stats", fmt.Sprintf("%+v", srv.Stats()))
+	logger.Info("drained")
 	return nil
 }

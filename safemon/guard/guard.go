@@ -115,7 +115,8 @@ type Decision struct {
 	Threshold float64
 }
 
-// Counters aggregates an engine's lifetime activity, for /stats.
+// Counters aggregates an engine's lifetime activity; the serve layer
+// feeds its /metrics transition counters from their deltas.
 type Counters struct {
 	// Frames is the number of verdicts stepped through the engine.
 	Frames uint64

@@ -34,8 +34,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Snapshot is the appender's observability counters, embedded in the
-// serve layer's /stats payload.
+// Snapshot is the appender's observability counters; the serve layer
+// exports them as its /metrics ledger families.
 type Snapshot struct {
 	// Queue and QueueCap are the current emit-queue depth and bound.
 	Queue    int `json:"queue"`
@@ -144,7 +144,7 @@ func (a *Appender) run() {
 			batch = a.write(a.drain(batch))
 			if err := a.store.Sync(); err != nil {
 				// Flush is the drain-time durability barrier; a failed
-				// fsync must show up in /stats, not vanish.
+				// fsync must show up in the error count, not vanish.
 				a.errs.Add(1)
 			}
 			close(ack)

@@ -450,7 +450,7 @@ func (s *DiskStore) RecoveredBytes() int64 {
 }
 
 // Segments reports the number of segment files and the active segment's
-// file name (for /stats).
+// file name (for the appender's Snapshot).
 func (s *DiskStore) Segments() (n int, active string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -12,10 +12,10 @@ import (
 // BenchmarkLedgerAppend measures the hot-path enqueue: one stack-built
 // verdict event per iteration through Recorder.Verdict into a live
 // appender. benchguard.sh gates it at 0 allocs/op — a slow disk may drop
-// events, but emitting must never allocate or block.
+// events, but emitting must never allocate or block. The closing drain
+// runs outside the timer: it is teardown, not emit cost.
 func BenchmarkLedgerAppend(b *testing.B) {
 	a := NewAppender(NewMemoryStore(0), Options{Queue: 1 << 16})
-	defer a.Close()
 	rec := NewRecorder(a, "context", "v1", "default")
 	var input kinematics.Frame
 	for i := range input {
@@ -27,6 +27,8 @@ func BenchmarkLedgerAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rec.Verdict(v, &input)
 	}
+	b.StopTimer()
+	a.Close()
 }
 
 // TestEmitZeroAlloc pins the enqueue path at zero allocations per event

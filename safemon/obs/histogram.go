@@ -51,48 +51,6 @@ func (h *Histogram) Counts() [LogBuckets]uint64 {
 // SumNS returns the running sum of observed nanoseconds.
 func (h *Histogram) SumNS() int64 { return h.sumNS.Load() }
 
-// QuantileNS returns the q-th (0..1) quantile of the observed samples
-// in nanoseconds; NaN when empty.
-func (h *Histogram) QuantileNS(q float64) float64 {
-	counts := h.Counts()
-	return LogQuantileNS(counts[:], q)
-}
-
-// LogQuantileNS returns the q-th (0..1) quantile of a log2 bucket-count
-// snapshot (bucket i spanning [2^i, 2^(i+1)) ns) in nanoseconds; NaN
-// when the histogram is empty.
-//
-// The rank is located in its bucket and then interpolated log-linearly
-// within the bucket's span, assuming samples spread evenly across it in
-// log space. Resolving to the bucket's upper bound instead over-reports
-// every quantile by up to 2×: a single sample near 2^i would be
-// reported as 2^(i+1). With the half-sample midpoint convention a lone
-// sample resolves to 2^(i+0.5), the geometric mean of the bucket
-// bounds.
-func LogQuantileNS(counts []uint64, q float64) float64 {
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if cum > rank {
-			pos := float64(rank-(cum-c)) + 0.5
-			frac := pos / float64(c)
-			return math.Exp2(float64(i) + frac)
-		}
-	}
-	return math.NaN()
-}
-
 // floatBits / floatFromBits are the Gauge's float64 <-> atomic bits
 // mapping.
 func floatBits(v float64) uint64     { return math.Float64bits(v) }

@@ -1,56 +1,6 @@
 package obs
 
-import (
-	"math"
-	"testing"
-)
-
-// TestLogQuantileNS is the table-driven contract for the shared
-// interpolating quantile: both the serve /stats quantiles and the
-// /metrics histograms resolve through this one implementation.
-func TestLogQuantileNS(t *testing.T) {
-	set := func(pairs ...uint64) []uint64 {
-		counts := make([]uint64, LogBuckets)
-		for i := 0; i+1 < len(pairs); i += 2 {
-			counts[pairs[i]] = pairs[i+1]
-		}
-		return counts
-	}
-	cases := []struct {
-		name   string
-		counts []uint64
-		q      float64
-		want   float64
-	}{
-		// A lone sample resolves to the bucket's geometric mean
-		// (half-sample midpoint), not its upper bound.
-		{"single-sample-midpoint", set(10, 1), 0.5, math.Exp2(10.5)},
-		{"single-sample-p99", set(10, 1), 0.99, math.Exp2(10.5)},
-		// 100 samples in one bucket: p50 sits halfway through it in log
-		// space, p99 near its top.
-		{"uniform-p50", set(4, 100), 0.50, math.Exp2(4 + 50.5/100)},
-		{"uniform-p99", set(4, 100), 0.99, math.Exp2(4 + 99.5/100)},
-		// 99 fast + 1 slow: p50 in the fast bucket, p99 the slow sample.
-		{"skewed-p50", set(2, 99, 20, 1), 0.50, math.Exp2(2 + 50.5/99)},
-		{"skewed-p99", set(2, 99, 20, 1), 0.99, math.Exp2(20.5)},
-		// Two equal buckets: rank 5 of 10 is the second bucket's first
-		// sample.
-		{"two-buckets-median", set(3, 5, 7, 5), 0.5, math.Exp2(7 + 0.5/5)},
-		// Top-bucket samples stay in the top bucket.
-		{"top-bucket", set(LogBuckets-1, 2), 0.99, math.Exp2(float64(LogBuckets-1) + 1.5/2)},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := LogQuantileNS(tc.counts, tc.q)
-			if math.Abs(got-tc.want) > tc.want*1e-12 {
-				t.Fatalf("LogQuantileNS(q=%v) = %v, want %v", tc.q, got, tc.want)
-			}
-		})
-	}
-	if got := LogQuantileNS(make([]uint64, LogBuckets), 0.5); !math.IsNaN(got) {
-		t.Fatalf("empty histogram quantile = %v, want NaN", got)
-	}
-}
+import "testing"
 
 func TestHistogramObserveBuckets(t *testing.T) {
 	var h Histogram
@@ -64,24 +14,5 @@ func TestHistogramObserveBuckets(t *testing.T) {
 	}
 	if got := h.SumNS(); got != 1+1+1024+(1<<62) {
 		t.Fatalf("sum = %d", got)
-	}
-	if q := h.QuantileNS(0.5); math.IsNaN(q) || q <= 0 {
-		t.Fatalf("quantile = %v", q)
-	}
-}
-
-func TestQuantileMonotonic(t *testing.T) {
-	var h Histogram
-	for ns := int64(1); ns < 1e7; ns *= 3 {
-		h.ObserveNS(ns)
-	}
-	counts := h.Counts()
-	prev := 0.0
-	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0} {
-		v := LogQuantileNS(counts[:], q)
-		if v < prev {
-			t.Fatalf("quantile %v = %v < previous %v", q, v, prev)
-		}
-		prev = v
 	}
 }

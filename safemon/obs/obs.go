@@ -11,8 +11,8 @@
 // Scrapes walk the registry under its mutex, but writers never touch
 // that mutex: registration and observation are fully decoupled.
 //
-// Two registration styles exist so one set of counters can feed both
-// the typed /stats snapshot and /metrics without drifting:
+// Two registration styles exist, so a counter that already lives
+// elsewhere is exported without a second copy to keep in sync:
 //
 //   - Counter/Gauge/Histogram mint a registry-owned instrument and are
 //     idempotent: re-registering the same name+labels returns the same
@@ -20,8 +20,8 @@
 //     every admission and pay only a map lookup after the first.
 //   - CounterFunc/GaugeFunc/GaugeCollector bind a series (or a whole
 //     family) to a read function over counters that live elsewhere —
-//     the server's existing atomics — so /metrics reads the very same
-//     memory /stats reads.
+//     the server's existing atomics — so /metrics reads that memory
+//     directly.
 package obs
 
 import (

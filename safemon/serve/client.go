@@ -159,15 +159,6 @@ func (c *Client) ReplayIncident(ctx context.Context, id, backend, policy string)
 	return &out, nil
 }
 
-// Stats fetches the server's /stats snapshot.
-func (c *Client) Stats(ctx context.Context) (*StatsSnapshot, error) {
-	var out StatsSnapshot
-	if err := c.request(ctx, http.MethodGet, "/stats", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Stream is one open session on either codec. Use Send/Recv in lockstep
 // (one verdict per frame) from a single goroutine, then Close.
 type Stream struct {

@@ -30,7 +30,6 @@ func TestClientRequestErrors(t *testing.T) {
 		{"Incident", func() error { _, err := client.Incident(ctx, "inc-1"); return err }},
 		{"ResolveIncident", func() error { return client.ResolveIncident(ctx, "inc-1") }},
 		{"ReplayIncident", func() error { _, err := client.ReplayIncident(ctx, "inc-1", "envelope", "stop-fast"); return err }},
-		{"Stats", func() error { _, err := client.Stats(ctx); return err }},
 	}
 	for _, c := range calls {
 		var em *ErrorMsg

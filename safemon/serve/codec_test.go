@@ -348,7 +348,7 @@ func TestScannerBufferPooled(t *testing.T) {
 
 // TestBinaryStreamEndToEnd runs a whole trajectory over a binary
 // /v1/stream connection and requires exact verdict agreement with the
-// NDJSON transport, plus correct codec counters in /stats.
+// NDJSON transport, plus exact codec counters in /metrics.
 func TestBinaryStreamEndToEnd(t *testing.T) {
 	det := fittedDetector(t, "envelope")
 	_, client := newTestService(t, map[string]safemon.Detector{"envelope": det}, ManagerConfig{})
@@ -374,12 +374,11 @@ func TestBinaryStreamEndToEnd(t *testing.T) {
 		}
 	}
 
-	snap, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Codec.JSONStreams < 1 || snap.Codec.BinaryStreams < 1 {
-		t.Fatalf("codec counters = %+v, want both stream kinds counted", snap.Codec)
+	scrape := scrapeMetrics(t, client.httpClient(), client.BaseURL+"/metrics")
+	jsonStreams := scrape.get(t, `safemon_streams_total{codec="json"}`)
+	binStreams := scrape.get(t, `safemon_streams_total{codec="binary"}`)
+	if jsonStreams != 1 || binStreams != 1 {
+		t.Fatalf("streams = %v json / %v binary, want 1 / 1", jsonStreams, binStreams)
 	}
 }
 

@@ -9,8 +9,10 @@ import (
 )
 
 // mitigationCounters aggregates guard activity across every stream the
-// service has carried. Stream handlers write live; /stats readers snapshot
-// concurrently.
+// service has carried. Stream handlers write live; /metrics reads
+// concurrently. Alerts counts confirmed unsafe episodes; warns, pauses,
+// safeStops and retracts count upward transitions; releases counts
+// hysteresis releases.
 type mitigationCounters struct {
 	guardedStreams atomic.Uint64
 	alerts         atomic.Uint64
@@ -19,37 +21,6 @@ type mitigationCounters struct {
 	safeStops      atomic.Uint64
 	retracts       atomic.Uint64
 	releases       atomic.Uint64
-}
-
-// MitigationSnapshot is the mitigation section of the /stats payload.
-type MitigationSnapshot struct {
-	// Policies lists the policy names streams can request.
-	Policies []string `json:"policies"`
-	// GuardedStreams counts streams opened with ?policy=.
-	GuardedStreams uint64 `json:"guarded_streams"`
-	// Alerts counts confirmed unsafe episodes across guarded streams.
-	Alerts uint64 `json:"alerts"`
-	// Warns/Pauses/SafeStops/Retracts count upward mitigation
-	// transitions; Releases counts hysteresis releases.
-	Warns     uint64 `json:"warns"`
-	Pauses    uint64 `json:"pauses"`
-	SafeStops uint64 `json:"safe_stops"`
-	Retracts  uint64 `json:"retracts"`
-	Releases  uint64 `json:"releases"`
-}
-
-// snapshot renders the counters.
-func (m *mitigationCounters) snapshot(policies []string) MitigationSnapshot {
-	return MitigationSnapshot{
-		Policies:       policies,
-		GuardedStreams: m.guardedStreams.Load(),
-		Alerts:         m.alerts.Load(),
-		Warns:          m.warns.Load(),
-		Pauses:         m.pauses.Load(),
-		SafeStops:      m.safeStops.Load(),
-		Retracts:       m.retracts.Load(),
-		Releases:       m.releases.Load(),
-	}
 }
 
 // buildPolicies validates and indexes the configured guard policies by

@@ -2,8 +2,8 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -60,9 +60,9 @@ func guardProbeFrames(t testing.TB) (safe, wild safemon.Frame) {
 
 // TestGuardedStreamActions drives a guarded stream end to end: action
 // records must interleave at the policy's deterministic frames, latch at
-// SafeStop, and land in the /stats mitigation counters and /v1/policies.
+// SafeStop, and land in the /metrics guard counters and /v1/policies.
 func TestGuardedStreamActions(t *testing.T) {
-	srv, client := newGuardedService(t, testGuardPolicy())
+	_, client := newGuardedService(t, testGuardPolicy())
 	ctx := context.Background()
 	safe, wild := guardProbeFrames(t)
 
@@ -124,22 +124,11 @@ func TestGuardedStreamActions(t *testing.T) {
 		}
 	}
 
-	// The typed client decodes the new mitigation counters from /stats.
-	snap, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	scrape := scrapeMetrics(t, client.httpClient(), client.BaseURL+"/metrics")
+	if got := scrape.get(t, "safemon_guarded_streams_total"); got != 1 {
+		t.Errorf("guarded streams = %v, want 1", got)
 	}
-	mit := snap.Mitigation
-	if mit.GuardedStreams != 1 || mit.Alerts != 1 || mit.Warns != 1 ||
-		mit.Pauses != 1 || mit.SafeStops != 1 || mit.Retracts != 0 || mit.Releases != 0 {
-		t.Errorf("mitigation counters = %+v", mit)
-	}
-	if len(mit.Policies) != 1 || mit.Policies[0] != "stop-fast" {
-		t.Errorf("stats policies = %v", mit.Policies)
-	}
-	if !reflect.DeepEqual(snap.Mitigation, srv.Stats().Mitigation) {
-		t.Error("client snapshot disagrees with server snapshot")
-	}
+	checkTransitions(t, scrape, map[string]float64{"alert": 1, "warn": 1, "pause": 1, "safe_stop": 1})
 
 	// /v1/policies round-trips the full policy definition.
 	policies, err := client.Policies(ctx)
@@ -153,7 +142,7 @@ func TestGuardedStreamActions(t *testing.T) {
 
 // TestGuardedStreamRelease pins the hysteresis path over the wire: a
 // Pause-capped policy must release after the configured safe run and
-// count the release in /stats.
+// count the release in /metrics.
 func TestGuardedStreamRelease(t *testing.T) {
 	p := testGuardPolicy()
 	p.Name = "pause-only"
@@ -195,12 +184,19 @@ func TestGuardedStreamRelease(t *testing.T) {
 	if last := st.Actions()[2]; last.I != 5 || last.AlertFrame != -1 {
 		t.Errorf("release record = %+v", last)
 	}
-	snap, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Mitigation.Releases != 1 || snap.Mitigation.SafeStops != 0 {
-		t.Errorf("mitigation = %+v", snap.Mitigation)
+	scrape := scrapeMetrics(t, client.httpClient(), client.BaseURL+"/metrics")
+	checkTransitions(t, scrape, map[string]float64{"alert": 1, "warn": 1, "pause": 1, "release": 1})
+}
+
+// checkTransitions requires every safemon_guard_transitions_total
+// series to equal want[action], zero where absent.
+func checkTransitions(t *testing.T, scrape *promScrape, want map[string]float64) {
+	t.Helper()
+	for _, action := range []string{"alert", "warn", "pause", "safe_stop", "retract", "release"} {
+		key := fmt.Sprintf("safemon_guard_transitions_total{action=%q}", action)
+		if got := scrape.get(t, key); got != want[action] {
+			t.Errorf("%s = %v, want %v", key, got, want[action])
+		}
 	}
 }
 
@@ -260,63 +256,4 @@ func TestServerRejectsBadPolicies(t *testing.T) {
 			t.Errorf("%s: NewServer accepted bad policies", name)
 		}
 	}
-}
-
-// TestStatsMitigationDecodingRegression pins the wire shape of the
-// mitigation counters: the typed client must decode exactly what the
-// documented /stats JSON carries.
-func TestStatsMitigationDecodingRegression(t *testing.T) {
-	raw := []byte(`{
-		"uptime_seconds": 1.5,
-		"backends": ["envelope"],
-		"shards": 2,
-		"frames": 10,
-		"sessions_opened": 3,
-		"sessions_active": 1,
-		"queue_full": 0,
-		"throughput_fps": 6.7,
-		"p50_latency_ms": 0.1,
-		"p99_latency_ms": 0.4,
-		"mitigation": {
-			"policies": ["stop-fast"],
-			"guarded_streams": 2,
-			"alerts": 4,
-			"warns": 4,
-			"pauses": 3,
-			"safe_stops": 2,
-			"retracts": 1,
-			"releases": 1
-		},
-		"per_shard": []
-	}`)
-	var snap StatsSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatal(err)
-	}
-	want := MitigationSnapshot{
-		Policies: []string{"stop-fast"}, GuardedStreams: 2, Alerts: 4,
-		Warns: 4, Pauses: 3, SafeStops: 2, Retracts: 1, Releases: 1,
-	}
-	if !reflect.DeepEqual(snap.Mitigation, want) {
-		t.Errorf("decoded mitigation = %+v, want %+v", snap.Mitigation, want)
-	}
-	// And the snapshot marshals back to the same field names.
-	out, err := json.Marshal(snap.Mitigation)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"policies", "guarded_streams", "alerts", "warns", "pauses", "safe_stops", "retracts", "releases"} {
-		if !json.Valid(out) || !containsKey(out, key) {
-			t.Errorf("marshaled mitigation missing %q: %s", key, out)
-		}
-	}
-}
-
-func containsKey(doc []byte, key string) bool {
-	var m map[string]any
-	if err := json.Unmarshal(doc, &m); err != nil {
-		return false
-	}
-	_, ok := m[key]
-	return ok
 }

@@ -290,8 +290,7 @@ func wireEqual(a, b any) bool {
 
 // handleIncidents answers GET /v1/incidents.
 func (s *Server) handleIncidents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
+	if !getOnly(w, r) {
 		return
 	}
 	limit := 0

@@ -437,9 +437,9 @@ func TestShutdownFlushesInFlightStream(t *testing.T) {
 	}
 }
 
-// TestStatsLedgerSection pins the /stats ledger observability contract:
-// a ledgered server reports the appender's counters through the typed
-// client, and a ledger-less server omits the section entirely.
+// TestStatsLedgerSection pins the ledger observability contract on
+// /metrics: a ledgered server exports the appender's counters, and a
+// ledger-less server registers no ledger family at all.
 func TestStatsLedgerSection(t *testing.T) {
 	det := fittedDetector(t, "envelope")
 	srv, client, app := newLedgeredService(t, map[string]safemon.Detector{"envelope": det})
@@ -452,43 +452,41 @@ func TestStatsLedgerSection(t *testing.T) {
 	waitReleased(t, srv)
 	app.Flush()
 
-	snap, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls := snap.Ledger
-	if ls == nil {
-		t.Fatal("ledgered /stats has no ledger section")
-	}
-	if ls.QueueCap <= 0 {
-		t.Errorf("queue cap = %d, want > 0", ls.QueueCap)
+	scrape := scrapeMetrics(t, client.httpClient(), client.BaseURL+"/metrics")
+	if got := scrape.get(t, "safemon_ledger_queue_capacity"); got <= 0 {
+		t.Errorf("queue capacity = %v, want > 0", got)
 	}
 	// One session: start + one verdict per frame + end.
-	wantEvents := uint64(traj.Len()) + 2
-	if ls.Appended < wantEvents {
-		t.Errorf("appended = %d, want >= %d", ls.Appended, wantEvents)
+	wantEvents := float64(traj.Len() + 2)
+	if got := scrape.get(t, "safemon_ledger_appended_total"); got < wantEvents {
+		t.Errorf("appended = %v, want >= %v", got, wantEvents)
 	}
-	if ls.LastSeq < wantEvents {
-		t.Errorf("last seq = %d, want >= %d", ls.LastSeq, wantEvents)
+	if got := scrape.get(t, "safemon_ledger_last_seq_total"); got < wantEvents {
+		t.Errorf("last seq = %v, want >= %v", got, wantEvents)
 	}
-	if ls.Dropped != 0 || ls.Errors != 0 {
-		t.Errorf("dropped = %d errors = %d, want 0 / 0", ls.Dropped, ls.Errors)
+	if dropped, errs := scrape.get(t, "safemon_ledger_dropped_total"), scrape.get(t, "safemon_ledger_errors_total"); dropped != 0 || errs != 0 {
+		t.Errorf("dropped = %v errors = %v, want 0 / 0", dropped, errs)
 	}
-	if ls.Bytes <= 0 {
-		t.Errorf("bytes = %d, want > 0", ls.Bytes)
+	if got := scrape.get(t, "safemon_ledger_bytes"); got <= 0 {
+		t.Errorf("bytes = %v, want > 0", got)
 	}
-	if ls.Batches == 0 {
+	if got := scrape.get(t, "safemon_ledger_batches_total"); got == 0 {
 		t.Errorf("batches = 0, want > 0")
 	}
 
-	// A ledger-less server keeps the pre-ledger payload shape.
+	// A ledger-less server registers none of the ledger families.
 	_, bare := newTestService(t, map[string]safemon.Detector{"envelope": fittedDetector(t, "envelope")}, ManagerConfig{})
-	snap, err = bare.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Ledger != nil {
-		t.Errorf("ledger-less /stats has ledger section %+v", snap.Ledger)
+	bareScrape := scrapeMetrics(t, bare.httpClient(), bare.BaseURL+"/metrics")
+	for _, fam := range []string{
+		"safemon_ledger_queue_depth", "safemon_ledger_queue_capacity",
+		"safemon_ledger_appended_total", "safemon_ledger_batches_total",
+		"safemon_ledger_dropped_total", "safemon_ledger_errors_total",
+		"safemon_ledger_bytes", "safemon_ledger_segments",
+		"safemon_ledger_last_seq_total",
+	} {
+		if _, ok := bareScrape.types[fam]; ok {
+			t.Errorf("ledger-less /metrics registers %s", fam)
+		}
 	}
 
 	// The incident API without a ledger is 501, not a crash.

@@ -1,11 +1,10 @@
 package serve
 
 // Per-stage frame instrumentation and the /metrics surface. Every
-// counter /stats reports is exported through the same obs.Registry —
-// either because the registry owns the instrument (the latency and
-// stage histograms) or because the /metrics series is a read-function
-// over the very atomic /stats snapshots (everything else) — so the two
-// surfaces cannot drift.
+// service counter is exported through one obs.Registry — either the
+// registry owns the instrument (the latency and stage histograms) or
+// the /metrics series is a read-function over the server's own atomics
+// (everything else).
 //
 // The per-frame pipeline decomposes into attributable stages:
 //
@@ -61,7 +60,7 @@ var slowStageNames = func() [obs.SlowStages]string {
 const stageHelp = "Per-frame stage latency by backend, codec and pipeline stage."
 
 // serveMetrics is the server's telemetry hub: the registry every
-// /stats counter is exported through, plus the slow-frame exemplar
+// service counter is exported through, plus the slow-frame exemplar
 // ring behind GET /v1/debug/slowframes.
 type serveMetrics struct {
 	reg  *obs.Registry
@@ -141,7 +140,17 @@ func (tr *streamTrace) observe(frame int, endNS int64) {
 	tr.slow.Offer(total, endNS, int64(frame), &tr.scratch, tr.meta)
 }
 
-// registerMetrics exports every server-level /stats counter through the
+// codecCounters tracks which wire codecs the service's streams have
+// negotiated. Stream handlers increment at admission; /metrics reads
+// concurrently.
+type codecCounters struct {
+	jsonStreams   atomic.Uint64 // NDJSON /v1/stream connections admitted
+	binaryStreams atomic.Uint64 // binary /v1/stream connections admitted
+	muxConns      atomic.Uint64 // /v1/mux connections admitted
+	muxSessions   atomic.Uint64 // logical sessions opened over mux conns
+}
+
+// registerMetrics exports every server-level counter through the
 // registry (the per-shard counters were registered by the manager).
 func (s *Server) registerMetrics() {
 	reg := s.metrics.reg
@@ -285,11 +294,9 @@ func (s *Server) SlowFrames() []SlowFrameInfo {
 }
 
 func (s *Server) handleSlowFrames(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
+	if getOnly(w, r) {
+		writeJSON(w, http.StatusOK, map[string]any{"slow_frames": s.SlowFrames()})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"slow_frames": s.SlowFrames()})
 }
 
 // OpsHandler returns the operational handler safemond serves on its

@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/safemon"
 	"repro/safemon/guard"
@@ -118,6 +117,23 @@ func (p *promScrape) get(t *testing.T, key string) float64 {
 	return v
 }
 
+// sum totals one sample name over all its label sets: a per-shard
+// family summed over shards. An absent name sums to 0.
+func (p *promScrape) sum(name string) float64 {
+	var total float64
+	for key, v := range p.samples {
+		if n, _, _ := strings.Cut(key, "{"); n == name {
+			total += v
+		}
+	}
+	return total
+}
+
+// activeSessions is opened minus closed sessions over every shard.
+func (p *promScrape) activeSessions() float64 {
+	return p.sum("safemon_sessions_opened_total") - p.sum("safemon_sessions_closed_total")
+}
+
 // checkConformance asserts the repo-wide metric contract over a scrape:
 // safemon_ prefix, suffix discipline, and cumulative histograms whose
 // +Inf bucket equals _count.
@@ -218,6 +234,17 @@ func scrapeMetrics(t *testing.T, c *http.Client, url string) *promScrape {
 		t.Fatal(err)
 	}
 	return parseProm(t, string(body))
+}
+
+// serverMetrics renders srv's registry in process and parses it, for
+// callers that hold the server but no listener.
+func serverMetrics(t *testing.T, srv *Server) *promScrape {
+	t.Helper()
+	var b strings.Builder
+	if err := srv.Metrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	return parseProm(t, b.String())
 }
 
 // TestMetricsGolden pins the exposition structure of a fresh ledgered,
@@ -339,103 +366,61 @@ func metricsTestService(t *testing.T) (*Server, *Client) {
 	}
 	st.Close()
 
-	// Quiesce: all sessions released, ledger flushed, so /stats and
-	// /metrics read the same settled counters.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().SessionsActive != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("sessions never quiesced: %+v", srv.Stats())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// Quiesce: all sessions released and the ledger flushed, so scrapes
+	// read settled counters.
+	waitReleased(t, srv)
 	app.Flush()
 	return srv, client
 }
 
-// TestMetricsMatchesStats drives live traffic over every transport and
-// asserts each numeric /stats field equals its /metrics counterpart —
-// the two surfaces render the same storage, so exact equality holds.
-func TestMetricsMatchesStats(t *testing.T) {
-	srv, client := metricsTestService(t)
-	snap, err := client.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestMetricsMatchTraffic pins /metrics to the exact counts implied by
+// the traffic metricsTestService drives: fold.Test[0] (N frames) once
+// over NDJSON, once over binary and once over mux, plus an 8-frame
+// guarded NDJSON stream (2 safe, 6 wild) that latches a safe-stop.
+func TestMetricsMatchTraffic(t *testing.T) {
+	_, client := metricsTestService(t)
+	n := float64(len(testFold(t).Test[0].Frames))
 	scrape := scrapeMetrics(t, client.httpClient(), client.BaseURL+"/metrics")
 	scrape.checkConformance(t)
 
-	sum := func(name, labels string) float64 {
-		t.Helper()
-		var total float64
-		for i := 0; i < snap.Shards; i++ {
-			key := fmt.Sprintf("%s{%sshard=%q}", name, labels, strconv.Itoa(i))
-			total += scrape.get(t, key)
-		}
-		return total
+	type check struct {
+		name      string
+		got, want float64
 	}
-	checks := []struct {
-		name string
-		stat float64
-		got  float64
-	}{
-		{"frames", float64(snap.Frames), sum("safemon_frames_total", "")},
-		{"sessions_opened", float64(snap.SessionsOpened), sum("safemon_sessions_opened_total", "")},
-		{"sessions_active", float64(snap.SessionsActive),
-			sum("safemon_sessions_opened_total", "") - sum("safemon_sessions_closed_total", "")},
-		{"queue_full", float64(snap.QueueFull), sum("safemon_queue_full_total", "")},
-		{"json_streams", float64(snap.Codec.JSONStreams), scrape.get(t, `safemon_streams_total{codec="json"}`)},
-		{"binary_streams", float64(snap.Codec.BinaryStreams), scrape.get(t, `safemon_streams_total{codec="binary"}`)},
-		{"mux_conns", float64(snap.Codec.MuxConns), scrape.get(t, "safemon_mux_connections_total")},
-		{"mux_sessions", float64(snap.Codec.MuxSessions), scrape.get(t, "safemon_mux_sessions_total")},
-		{"guarded_streams", float64(snap.Mitigation.GuardedStreams), scrape.get(t, "safemon_guarded_streams_total")},
-		{"alerts", float64(snap.Mitigation.Alerts), scrape.get(t, `safemon_guard_transitions_total{action="alert"}`)},
-		{"warns", float64(snap.Mitigation.Warns), scrape.get(t, `safemon_guard_transitions_total{action="warn"}`)},
-		{"pauses", float64(snap.Mitigation.Pauses), scrape.get(t, `safemon_guard_transitions_total{action="pause"}`)},
-		{"safe_stops", float64(snap.Mitigation.SafeStops), scrape.get(t, `safemon_guard_transitions_total{action="safe_stop"}`)},
-		{"retracts", float64(snap.Mitigation.Retracts), scrape.get(t, `safemon_guard_transitions_total{action="retract"}`)},
-		{"releases", float64(snap.Mitigation.Releases), scrape.get(t, `safemon_guard_transitions_total{action="release"}`)},
-		{"ledger_appended", float64(snap.Ledger.Appended), scrape.get(t, "safemon_ledger_appended_total")},
-		{"ledger_batches", float64(snap.Ledger.Batches), scrape.get(t, "safemon_ledger_batches_total")},
-		{"ledger_dropped", float64(snap.Ledger.Dropped), scrape.get(t, "safemon_ledger_dropped_total")},
-		{"ledger_errors", float64(snap.Ledger.Errors), scrape.get(t, "safemon_ledger_errors_total")},
-		{"ledger_bytes", float64(snap.Ledger.Bytes), scrape.get(t, "safemon_ledger_bytes")},
-		{"ledger_segments", float64(snap.Ledger.Segments), scrape.get(t, "safemon_ledger_segments")},
-		{"ledger_last_seq", float64(snap.Ledger.LastSeq), scrape.get(t, "safemon_ledger_last_seq_total")},
-		{"ledger_queue_cap", float64(snap.Ledger.QueueCap), scrape.get(t, "safemon_ledger_queue_capacity")},
+	checks := []check{
+		{"frames", scrape.sum("safemon_frames_total"), 3*n + 8},
+		{"latency count", scrape.sum("safemon_frame_latency_seconds_count"), 3*n + 8},
+		{"sessions opened", scrape.sum("safemon_sessions_opened_total"), 4},
+		{"sessions closed", scrape.sum("safemon_sessions_closed_total"), 4},
+		{"queue full", scrape.sum("safemon_queue_full_total"), 0},
+		{"json streams", scrape.get(t, `safemon_streams_total{codec="json"}`), 2},
+		{"binary streams", scrape.get(t, `safemon_streams_total{codec="binary"}`), 1},
+		{"mux connections", scrape.get(t, "safemon_mux_connections_total"), 1},
+		{"mux sessions", scrape.get(t, "safemon_mux_sessions_total"), 1},
+		// Evidence from frame 2: debounce confirms at 3 (alert, warn),
+		// then one rung per frame up to the safe-stop cap, which latches.
+		{"guarded streams", scrape.get(t, "safemon_guarded_streams_total"), 1},
+		{"alerts", scrape.get(t, `safemon_guard_transitions_total{action="alert"}`), 1},
+		{"warns", scrape.get(t, `safemon_guard_transitions_total{action="warn"}`), 1},
+		{"pauses", scrape.get(t, `safemon_guard_transitions_total{action="pause"}`), 1},
+		{"safe stops", scrape.get(t, `safemon_guard_transitions_total{action="safe_stop"}`), 1},
+		{"retracts", scrape.get(t, `safemon_guard_transitions_total{action="retract"}`), 0},
+		{"releases", scrape.get(t, `safemon_guard_transitions_total{action="release"}`), 0},
+		{"ledger dropped", scrape.get(t, "safemon_ledger_dropped_total"), 0},
+		{"ledger errors", scrape.get(t, "safemon_ledger_errors_total"), 0},
+	}
+	// Each codec's infer-stage count is the frames it carried; the
+	// guarded stream rides NDJSON.
+	for _, c := range []struct {
+		codec  string
+		frames float64
+	}{{"json", n + 8}, {"binary", n}, {"binary-mux", n}} {
+		key := fmt.Sprintf(`safemon_frame_stage_seconds_count{backend="envelope",codec=%q,stage="infer"}`, c.codec)
+		checks = append(checks, check{c.codec + " infer stage", scrape.get(t, key), c.frames})
 	}
 	for _, c := range checks {
-		if c.stat != c.got {
-			t.Errorf("%s: /stats %v != /metrics %v", c.name, c.stat, c.got)
-		}
-	}
-
-	// Per-shard quantiles: rebuild each shard's bucket array from the
-	// scraped cumulative histogram and require the identical quantile the
-	// /stats row reports (shared storage, shared interpolation).
-	for _, row := range snap.PerShard {
-		var counts [histBuckets]uint64
-		prev := 0.0
-		for b := 0; b < histBuckets; b++ {
-			le := strconv.FormatFloat(math.Exp2(float64(b+1))/1e9, 'g', -1, 64)
-			cum := scrape.get(t, fmt.Sprintf(`safemon_frame_latency_seconds_bucket{shard=%q,le=%q}`,
-				strconv.Itoa(row.Shard), le))
-			counts[b] = uint64(cum - prev)
-			prev = cum
-		}
-		if p50 := jsonQuantile(counts, 0.50); p50 != row.P50LatencyMS {
-			t.Errorf("shard %d p50: /stats %v != scraped %v", row.Shard, row.P50LatencyMS, p50)
-		}
-		if p99 := jsonQuantile(counts, 0.99); p99 != row.P99LatencyMS {
-			t.Errorf("shard %d p99: /stats %v != scraped %v", row.Shard, row.P99LatencyMS, p99)
-		}
-	}
-
-	// Stage histograms exist for every codec that carried traffic, and
-	// each codec's infer-stage count matches the frames it carried.
-	for _, codec := range []string{"json", "binary", "binary-mux"} {
-		key := fmt.Sprintf(`safemon_frame_stage_seconds_count{backend="envelope",codec=%q,stage="infer"}`, codec)
-		if scrape.get(t, key) <= 0 {
-			t.Errorf("no infer-stage observations for codec %s", codec)
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
 		}
 	}
 	// Uptime must be exported (value is clock-dependent, presence is not).
@@ -445,7 +430,6 @@ func TestMetricsMatchesStats(t *testing.T) {
 	if got := scrape.get(t, `safemon_model_loaded_seconds{backend="envelope",version="unversioned"}`); got <= 0 {
 		t.Errorf("model_loaded_seconds = %v", got)
 	}
-	_ = srv
 }
 
 // TestSlowFrameExemplars requires the debug ring to surface frames from

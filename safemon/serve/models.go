@@ -178,11 +178,9 @@ func (s *Server) Reload(ctx context.Context) ([]ModelInfo, error) {
 
 // handleModels answers GET /v1/models with the served model versions.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
+	if getOnly(w, r) {
+		writeJSON(w, http.StatusOK, map[string]any{"models": s.manager.Models()})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"models": s.manager.Models()})
 }
 
 // handleReload answers POST /v1/models/reload by swapping in the loader's

@@ -69,12 +69,11 @@ func TestMuxEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Codec.MuxConns != 1 || snap.Codec.MuxSessions != sessions {
-		t.Fatalf("codec counters = %+v, want 1 mux conn carrying %d sessions", snap.Codec, sessions)
+	scrape := scrapeMetrics(t, client.httpClient(), client.BaseURL+"/metrics")
+	conns := scrape.get(t, "safemon_mux_connections_total")
+	muxed := scrape.get(t, "safemon_mux_sessions_total")
+	if conns != 1 || muxed != sessions {
+		t.Fatalf("mux = %v connections / %v sessions, want 1 carrying %d", conns, muxed, sessions)
 	}
 }
 

@@ -44,7 +44,8 @@ const frameSize = len(safemon.Frame{})
 // record only) or a frame.
 type ClientMsg struct {
 	// Labels supplies per-frame ground-truth gesture labels for the whole
-	// stream; only meaningful in the first record.
+	// stream. Only the first record may carry them; a later record with
+	// labels ends the stream with a 400.
 	Labels []int `json:"labels,omitempty"`
 	// Frame is one 38-variable kinematics sample.
 	Frame []float64 `json:"frame,omitempty"`

@@ -193,7 +193,7 @@ func (p *pump) step(ctx context.Context, f *safemon.Frame, decNS int64) bool {
 
 // countEdge feeds the service mitigation counters from the deltas of the
 // engine's own guard.Counters — one source of truth for transition
-// classification — live, so /stats reflects in-flight streams. Every
+// classification — live, so /metrics reflects in-flight streams. Every
 // counted event coincides with a level change, so the common unchanged
 // frame touches no shared atomics.
 func (p *pump) countEdge() {

@@ -15,7 +15,7 @@ import (
 	"repro/safemon"
 )
 
-// TestServeConcurrentSessionsRace soaks the shard mailboxes: many
+// TestServeConcurrentSessionsRace soaks the shard mailboxes: 64
 // concurrent NDJSON sessions over one shared trained network, a third of
 // them cancelled mid-stream, then a full drain — run under -race by make
 // ci, with a goroutine-count check for leaks. Every stream that completes
@@ -48,7 +48,7 @@ func TestServeConcurrentSessionsRace(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	client := &Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
 
-	const sessions = 24
+	const sessions = 64
 	var wg sync.WaitGroup
 	errs := make(chan error, sessions)
 	for i := 0; i < sessions; i++ {
@@ -105,8 +105,8 @@ func TestServeConcurrentSessionsRace(t *testing.T) {
 	srv.Shutdown()
 	testutil.WaitGoroutines(t, baseline, 4)
 
-	if snap := srv.Stats(); snap.SessionsActive != 0 {
-		t.Errorf("sessions still active after drain: %+v", snap)
+	if active := serverMetrics(t, srv).activeSessions(); active != 0 {
+		t.Errorf("%v sessions still active after drain", active)
 	}
 }
 

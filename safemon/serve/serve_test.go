@@ -3,9 +3,11 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -101,15 +103,20 @@ func newTestService(t *testing.T, detectors map[string]safemon.Detector, cfg Man
 	return srv, &Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
 }
 
-// waitReleased waits up to 2 s for every stream's handler to release its
-// session slot. A client sees its done record before the handler's
-// deferred cleanup (ledger end record, then release) has run.
+// waitReleased waits up to 5 s for every stream's handler to release its
+// session slot, as /metrics counts them. A client sees its done record
+// before the handler's deferred cleanup (ledger end record, then
+// release) has run.
 func waitReleased(t *testing.T, srv *Server) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.Stats().SessionsActive != 0 {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		active := serverMetrics(t, srv).activeSessions()
+		if active == 0 {
+			return
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("sessions never released: %+v", srv.Stats())
+			t.Fatalf("sessions never released: %v still active", active)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -137,27 +144,54 @@ func TestBackendsAndHealthEndpoints(t *testing.T) {
 		t.Fatalf("healthz = %d", resp.StatusCode)
 	}
 
-	// A served trajectory shows up in /stats.
+	// Read-only listings answer 405 to anything but GET, and the
+	// removed /stats endpoint is not served.
+	for _, c := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodPost, "/v1/backends", http.StatusMethodNotAllowed},
+		{http.MethodPut, "/v1/backends", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/policies", http.StatusMethodNotAllowed},
+		{http.MethodDelete, "/v1/policies", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/stats", http.StatusNotFound},
+	} {
+		req, err := http.NewRequest(c.method, client.BaseURL+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.httpClient().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s %s = %d, want %d", c.method, c.path, resp.StatusCode, c.want)
+		}
+	}
+
+	// A served trajectory shows up in every shard-summed /metrics family.
 	traj := testFold(t).Test[0]
 	if _, err := client.StreamTrajectory(ctx, "envelope", traj); err != nil {
 		t.Fatal(err)
 	}
 	waitReleased(t, srv)
-	snap, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	scrape := scrapeMetrics(t, client.httpClient(), client.BaseURL+"/metrics")
+	if got := scrape.sum("safemon_frames_total"); got != float64(traj.Len()) {
+		t.Errorf("frames = %v, want %d", got, traj.Len())
 	}
-	if snap.Frames != uint64(traj.Len()) {
-		t.Errorf("stats frames = %d, want %d", snap.Frames, traj.Len())
+	if got := scrape.sum("safemon_frame_latency_seconds_count"); got != float64(traj.Len()) {
+		t.Errorf("latency observations = %v, want %d", got, traj.Len())
 	}
-	if snap.SessionsOpened != 1 || snap.SessionsActive != 0 {
-		t.Errorf("stats sessions = %d opened / %d active", snap.SessionsOpened, snap.SessionsActive)
+	if got := scrape.sum("safemon_frame_latency_seconds_sum"); got <= 0 {
+		t.Errorf("latency sum = %v, want > 0", got)
 	}
-	if snap.P99LatencyMS <= 0 {
-		t.Errorf("p99 latency = %v, want > 0", snap.P99LatencyMS)
+	if opened, closed := scrape.sum("safemon_sessions_opened_total"), scrape.sum("safemon_sessions_closed_total"); opened != 1 || closed != 1 {
+		t.Errorf("sessions = %v opened / %v closed, want 1 / 1", opened, closed)
 	}
-	if len(snap.PerShard) != snap.Shards {
-		t.Errorf("%d per-shard rows for %d shards", len(snap.PerShard), snap.Shards)
+	// One series per shard: the default manager runs 8.
+	for i := 0; i < 8; i++ {
+		scrape.get(t, fmt.Sprintf(`safemon_frames_total{shard="%d"}`, i))
 	}
 
 	// Unknown backend is an HTTP 404 before any stream bytes flow.
@@ -275,25 +309,62 @@ func TestStreamRecordSizeCap(t *testing.T) {
 	}
 }
 
-// TestStreamCombinedFirstRecordRejected pins the header contract: labels
-// and a frame in one record is ambiguous and must be a 400, not silently
-// dropped labels.
+// TestStreamCombinedFirstRecordRejected pins the header contract on both
+// codecs: labels ride only in the first record, on their own. A first
+// record with labels and a frame, or any later record with labels, must
+// end the stream with a 400 that says so — not a frame-length error, and
+// not silently dropped labels.
 func TestStreamCombinedFirstRecordRejected(t *testing.T) {
 	det := fittedDetector(t, "envelope")
 	_, client := newTestService(t, map[string]safemon.Detector{"envelope": det}, ManagerConfig{})
-	st, err := client.Open(context.Background(), "envelope", nil)
-	if err != nil {
-		t.Fatal(err)
+	frame := testFold(t).Test[0].Frames[0]
+	labels := []int{1, 2}
+	jsonRecord := func(msg ClientMsg) func(*Stream) error {
+		return func(st *Stream) error { return st.enc.Encode(msg) }
 	}
-	defer st.Close()
-	frame := make([]float64, frameSize)
-	if err := st.enc.Encode(ClientMsg{Labels: []int{1, 2}, Frame: frame}); err != nil {
-		t.Fatal(err)
+	binLabels := func(st *Stream) error { return st.bw.emit(&BinaryRecord{Type: BinLabels, Labels: labels}) }
+	const late = "labels after the first record"
+	cases := []struct {
+		name   string
+		codec  string
+		header []int               // labels sent at Open
+		frames int                 // frames served before the bad record
+		send   func(*Stream) error // writes the bad record
+		want   string              // in the 400 message
+	}{
+		{"json/first-labels-and-frame", "", nil, 0, jsonRecord(ClientMsg{Labels: labels, Frame: frame[:]}), "labels and frame in one record"},
+		{"json/second-header", "", labels, 0, jsonRecord(ClientMsg{Labels: labels}), late},
+		{"json/mid-stream-labels", "", nil, 2, jsonRecord(ClientMsg{Labels: labels}), late},
+		{"json/mid-stream-labels-and-frame", "", nil, 2, jsonRecord(ClientMsg{Labels: labels, Frame: frame[:]}), late},
+		{"binary/second-header", "binary", labels, 0, binLabels, late},
+		{"binary/mid-stream-labels", "binary", nil, 2, binLabels, late},
 	}
-	_, err = st.Recv()
-	var em *ErrorMsg
-	if !errors.As(err, &em) || em.Code != http.StatusBadRequest {
-		t.Fatalf("combined record error = %v, want code 400", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := *client
+			c.Codec = tc.codec
+			st, err := c.Open(context.Background(), "envelope", tc.header)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			for i := 0; i < tc.frames; i++ {
+				if err := st.Send(&frame); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := st.Recv(); err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+			}
+			if err := tc.send(st); err != nil {
+				t.Fatal(err)
+			}
+			_, err = st.Recv()
+			var em *ErrorMsg
+			if !errors.As(err, &em) || em.Code != http.StatusBadRequest || !strings.Contains(em.Message, tc.want) {
+				t.Fatalf("bad record answered %v, want a 400 saying %q", err, tc.want)
+			}
+		})
 	}
 }
 

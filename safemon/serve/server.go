@@ -34,7 +34,7 @@ type Config struct {
 	Loader func(ctx context.Context) (map[string]Model, error)
 	// Policies are the guard mitigation policies streams may request
 	// with ?policy=NAME; action records are then interleaved into the
-	// verdict stream and mitigation counters appear in /stats. Every
+	// verdict stream and the guard families appear in /metrics. Every
 	// policy is validated at construction. Empty disables guarded
 	// streams.
 	Policies []guard.Policy
@@ -62,9 +62,9 @@ type Config struct {
 	// the caller: Server.Shutdown flushes it but does not close it. Nil
 	// disables recording and the incident API.
 	Ledger *ledger.Appender
-	// Metrics is the registry GET /metrics renders; every /stats counter
-	// is exported through it. Nil mints a private registry (the common
-	// case). A registry must not be shared between servers: series
+	// Metrics is the registry GET /metrics renders; every service
+	// counter is exported through it. Nil mints a private registry (the
+	// common case). A registry must not be shared between servers: series
 	// names would collide.
 	Metrics *obs.Registry
 	// Logger receives service log lines with keyed fields; nil discards
@@ -87,10 +87,10 @@ type Config struct {
 //	GET  /v1/models               served model versions
 //	POST /v1/models/reload        hot-swap to the loader's current models
 //	GET  /v1/policies             configured guard mitigation policies
-//	GET  /stats                   per-shard throughput + latency quantiles
-//	                              + mitigation counters
-//	GET  /metrics                 Prometheus text exposition of the same
-//	                              counters + per-stage latency histograms
+//	GET  /metrics                 Prometheus text exposition: per-shard
+//	                              frame, session and latency series,
+//	                              codec, guard and ledger counters, and
+//	                              per-stage latency histograms
 //	GET  /v1/debug/slowframes     slowest recent frames with their stage
 //	                              breakdown
 //	GET  /healthz                 ok / draining (liveness)
@@ -162,7 +162,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/incidents", s.handleIncidents)
 	s.mux.HandleFunc("/v1/incidents/", s.handleIncident)
 	s.mux.HandleFunc("/v1/debug/slowframes", s.handleSlowFrames)
-	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.Handle("/metrics", cfg.Metrics.Handler())
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
@@ -176,18 +175,6 @@ func (s *Server) Models() []ModelInfo { return s.manager.Models() }
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Stats returns the current service counters (the /stats payload).
-func (s *Server) Stats() StatsSnapshot {
-	snap := s.manager.snapshot(s.manager.backendNames(), time.Since(s.start))
-	snap.Mitigation = s.mitigation.snapshot(s.policyNames)
-	snap.Codec = s.codec.snapshot()
-	if s.cfg.Ledger != nil {
-		ls := s.cfg.Ledger.Stats()
-		snap.Ledger = &ls
-	}
-	return snap
-}
-
 // Policies returns the guard policies streams may request, sorted by name
 // (the /v1/policies payload).
 func (s *Server) Policies() []guard.Policy {
@@ -199,7 +186,9 @@ func (s *Server) Policies() []guard.Policy {
 }
 
 func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"policies": s.Policies()})
+	if getOnly(w, r) {
+		writeJSON(w, http.StatusOK, map[string]any{"policies": s.Policies()})
+	}
 }
 
 // BeginDrain flips the service into draining mode without touching
@@ -257,11 +246,9 @@ func (s *Server) isDraining() bool {
 }
 
 func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"backends": s.manager.backendNames()})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	if getOnly(w, r) {
+		writeJSON(w, http.StatusOK, map[string]any{"backends": s.manager.backendNames()})
+	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -374,6 +361,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				p.end("error: bad record", p.frames > 0 && errors.Is(err, io.ErrUnexpectedEOF))
 				conn.fail(&ErrorMsg{Code: http.StatusBadRequest, Message: "bad record: " + err.Error()})
 				return
+			case msg.Labels != nil:
+				// The session was bound to the first record's labels;
+				// later ones would be silently ignored.
+				p.end("error: late labels", false)
+				conn.fail(&ErrorMsg{Code: http.StatusBadRequest,
+					Message: "labels after the first record; send them once, as the stream's first record"})
+				return
 			}
 		}
 		pending = false
@@ -387,6 +381,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// getOnly answers 405 to any method but GET on a read-only listing and
+// reports whether the handler may go on.
+func getOnly(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method == http.MethodGet {
+		return true
+	}
+	http.Error(w, "GET only", http.StatusMethodNotAllowed)
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

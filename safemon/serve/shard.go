@@ -53,6 +53,18 @@ type pushResult struct {
 	err     error
 }
 
+// shardStats aggregates one shard's counters. All fields are atomics: the
+// shard goroutine and stream handlers write, /metrics reads.
+type shardStats struct {
+	frames         atomic.Uint64 // frames pushed through sessions
+	sessionsOpened atomic.Uint64 // streams admitted to this shard
+	sessionsClosed atomic.Uint64 // streams released (opened - closed = active)
+	queueFull      atomic.Uint64 // submits rejected by backpressure
+	// latency is the submit-to-verdict histogram (queue + push),
+	// registry-owned so /metrics renders its bucket array directly.
+	latency *obs.Histogram
+}
+
 // shard is one owning goroutine with a bounded mailbox. Every stream is
 // pinned to a single shard for its lifetime, so per-session frame order is
 // the mailbox FIFO order, while distinct shards run in parallel.
@@ -208,8 +220,7 @@ func NewManagerModels(models map[string]Model, cfg ManagerConfig) (*Manager, err
 }
 
 // registerShardMetrics binds one shard's counters into the registry:
-// the latency histogram is registry-owned (so /metrics renders the very
-// bucket array /stats quantiles read), the counters are exported as
+// the latency histogram is registry-owned, the counters are exported as
 // read-functions over the shard's existing atomics.
 func registerShardMetrics(reg *obs.Registry, st *shardStats, i int) {
 	shard := obs.Label{Key: "shard", Value: strconv.Itoa(i)}
@@ -303,7 +314,6 @@ func (m *Manager) Open(backend string, groundTruth []int) (*Session, error) {
 		}
 		sh := m.shards[m.next.Add(1)%uint64(len(m.shards))]
 		sh.stats.sessionsOpened.Add(1)
-		sh.stats.sessionsActive.Add(1)
 		return &Session{
 			m:       m,
 			sess:    sess,
@@ -368,7 +378,6 @@ func (s *Session) Release(healthy bool) {
 		return
 	}
 	s.done = true
-	s.shard.stats.sessionsActive.Add(-1)
 	s.shard.stats.sessionsClosed.Add(1)
 	s.m.active.Add(-1)
 	if healthy {

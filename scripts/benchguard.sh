@@ -23,8 +23,14 @@
 #      benchmark is repeated BENCHCOUNT times (-count, default 5) and
 #      gated on the median, not a lone sample.
 #
+# Each repeat runs for a duration, not a fixed iteration count: at a
+# handful of iterations a sub-microsecond row times timer start-up and
+# cold caches, which hides a 10x steady-state regression under start-up
+# noise. The budgets are derived from steady-state medians.
+#
 # Knobs:
-#   BENCHTIME   per-repeat iteration count (default 10x)
+#   BENCHTIME   per-repeat benchtime (default 100ms; a duration keeps
+#               every row in steady state)
 #   BENCHCOUNT  number of repeats the median is taken over (default 5)
 #   BENCHGUARD_NSOP_SCALE
 #               multiplier applied to every ns/op budget — set it above 1
@@ -37,7 +43,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 GO="${GO:-go}"
-BENCHTIME="${BENCHTIME:-10x}"
+BENCHTIME="${BENCHTIME:-100ms}"
 BENCHCOUNT="${BENCHCOUNT:-5}"
 BENCHGUARD_NSOP_SCALE="${BENCHGUARD_NSOP_SCALE:-1}"
 baseline="scripts/bench_baseline.txt"
