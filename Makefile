@@ -73,9 +73,9 @@ build:
 test:
 	$(GO) test ./...
 
-# The safemon façade and the safemond serving layer (shard mailboxes,
-# session pools, Watch) carry the concurrency; they get a dedicated
-# race-detector pass.
+# The safemon façade and the safemond serving layer (session pools and
+# hot-swap, the in-flight drain, mux session goroutines, Watch) carry
+# the concurrency; they get a dedicated race-detector pass.
 race:
 	$(GO) test -race ./safemon/...
 

@@ -2,9 +2,9 @@
 // serves concurrent kinematics streams over HTTP — NDJSON by default,
 // or the compact binary codec (application/x-safemon-frames, including
 // multiplexed /v1/mux connections) — emitting verdicts frame by frame
-// through a sharded session manager with bounded mailboxes and explicit
-// backpressure. Verdict values are identical across codecs; -binary=false
-// serves NDJSON only.
+// from warm pooled sessions, each scored on the goroutine that owns its
+// stream, with explicit backpressure. Verdict values are identical across
+// codecs; -binary=false serves NDJSON only.
 //
 // Models come from one of two places:
 //
@@ -213,10 +213,8 @@ func run(args []string) error {
 	ledgerMaxAge := fs.Duration("ledger-max-age", 0, "additionally compact ledger segments older than this (0 = keep until -ledger-max-bytes)")
 	trainOnly := fs.Bool("train-only", false, "fit the backends, save artifacts into -model-dir, and exit")
 	modelVersion := fs.String("model-version", "", "version for -train-only artifacts (empty = next sequential)")
-	shards := fs.Int("shards", 0, "session-manager shards (0 = serve default)")
-	mailbox := fs.Int("mailbox", 0, "per-shard mailbox depth (0 = serve default)")
 	maxSessions := fs.Int("max-sessions", 0, "concurrent stream cap (0 = serve default)")
-	enqueueTimeout := fs.Duration("enqueue-timeout", 0, "backpressure wait on a full mailbox (0 = serve default)")
+	enqueueTimeout := fs.Duration("enqueue-timeout", 0, "backpressure wait on a /v1/mux session's full frame queue before its 429 (0 = serve default)")
 	binaryCodec := fs.Bool("binary", true, "offer the binary wire codec (application/x-safemon-frames) and /v1/mux; false serves NDJSON only")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 	threshold := fs.Float64("threshold", 0.5, "unsafe-score alert threshold (training paths)")
@@ -389,8 +387,6 @@ func run(args []string) error {
 	cfg.Policies = policies
 	cfg.DisableBinary = !*binaryCodec
 	cfg.Manager = serve.ManagerConfig{
-		Shards:         *shards,
-		MailboxDepth:   *mailbox,
 		MaxSessions:    *maxSessions,
 		EnqueueTimeout: *enqueueTimeout,
 	}
@@ -461,7 +457,7 @@ loop:
 
 	// Drain in three steps: refuse new streams (503 / draining healthz)
 	// while in-flight ones keep running, wait for them up to the budget,
-	// then stop the shard manager (terminating any stragglers).
+	// then stop the session manager (terminating any stragglers).
 	srv.BeginDrain()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()

@@ -66,7 +66,7 @@ func TestFaultInjectionCampaignOverServe(t *testing.T) {
 
 	// Served aggregation: every perturbed trajectory through a live
 	// safemond stream, rebuilt into traces, aggregated the same way.
-	_, client := newTestService(t, map[string]safemon.Detector{"envelope": det}, ManagerConfig{Shards: 2})
+	_, client := newTestService(t, map[string]safemon.Detector{"envelope": det}, ManagerConfig{})
 	traces := make([]*core.Trace, len(perturbed))
 	for i, traj := range perturbed {
 		verdicts, err := client.StreamTrajectory(ctx, "envelope", traj)

@@ -2,15 +2,14 @@ package serve
 
 // Per-stage frame instrumentation and the /metrics surface. Every
 // service counter is exported through one obs.Registry — either the
-// registry owns the instrument (the latency and stage histograms) or
-// the /metrics series is a read-function over the server's own atomics
-// (everything else).
+// registry owns the instrument (the stage histograms) or the /metrics
+// series is a read-function over the server's own atomics (everything
+// else).
 //
 // The per-frame pipeline decomposes into attributable stages:
 //
 //	decode  parse of the request record (excluding network wait)
-//	queue   submit → shard mailbox dequeue
-//	infer   dequeue → verdict (the model forward)
+//	infer   the session's Push (the model forward)
 //	guard   mitigation policy engine step and its ledger action edge
 //	        (guarded streams only)
 //	ledger  event-ledger verdict emit (ledgered servers only)
@@ -35,7 +34,6 @@ import (
 // Stage indices of the per-frame trace.
 const (
 	stageDecode = iota
-	stageQueue
 	stageInfer
 	stageGuard
 	stageLedger
@@ -46,7 +44,7 @@ const (
 // stageNames are the stage label values of safemon_frame_stage_seconds,
 // in pipeline order.
 var stageNames = [numStages]string{
-	"decode", "queue", "infer", "guard", "ledger", "encode",
+	"decode", "infer", "guard", "ledger", "encode",
 }
 
 // slowStageNames names the slow-frame ring's stage slots (the trace's
@@ -141,17 +139,19 @@ func (tr *streamTrace) observe(frame int, endNS int64) {
 }
 
 // codecCounters tracks which wire codecs the service's streams have
-// negotiated. Stream handlers increment at admission; /metrics reads
-// concurrently.
+// negotiated, and how many mux frames backpressure refused. Stream
+// handlers increment; /metrics reads concurrently.
 type codecCounters struct {
 	jsonStreams   atomic.Uint64 // NDJSON /v1/stream connections admitted
 	binaryStreams atomic.Uint64 // binary /v1/stream connections admitted
 	muxConns      atomic.Uint64 // /v1/mux connections admitted
 	muxSessions   atomic.Uint64 // logical sessions opened over mux conns
+	muxQueueFull  atomic.Uint64 // mux frames refused with a per-sid 429
 }
 
 // registerMetrics exports every server-level counter through the
-// registry (the per-shard counters were registered by the manager).
+// registry (the frame, session and panic counters were registered by the
+// manager).
 func (s *Server) registerMetrics() {
 	reg := s.metrics.reg
 	reg.GaugeFunc("safemon_uptime_seconds",
@@ -167,6 +167,9 @@ func (s *Server) registerMetrics() {
 		"Multiplexed /v1/mux connections admitted.", s.codec.muxConns.Load)
 	reg.CounterFunc("safemon_mux_sessions_total",
 		"Logical sessions opened over mux connections.", s.codec.muxSessions.Load)
+	reg.CounterFunc("safemon_queue_full_total",
+		"Frames refused by per-session backpressure (a 429), by codec.",
+		s.codec.muxQueueFull.Load, obs.Label{Key: "codec", Value: "binary-mux"})
 	reg.CounterFunc("safemon_guarded_streams_total",
 		"Streams opened with a mitigation policy.", s.mitigation.guardedStreams.Load)
 	for _, gc := range []struct {

@@ -228,7 +228,7 @@ func TestSwapSameVersionKeepsPool(t *testing.T) {
 	detA := fittedDetector(t, "envelope")
 	detB := altModel(t)
 
-	m, err := NewManagerModels(map[string]Model{"envelope": {Detector: detA, Version: "v1"}}, ManagerConfig{Shards: 1})
+	m, err := NewManagerModels(map[string]Model{"envelope": {Detector: detA, Version: "v1"}}, ManagerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestSwapSameVersionKeepsPool(t *testing.T) {
 // TestSwapWhileDraining pins Swap's shutdown interaction.
 func TestSwapWhileDraining(t *testing.T) {
 	det := fittedDetector(t, "envelope")
-	m, err := NewManagerModels(map[string]Model{"envelope": {Detector: det, Version: "v1"}}, ManagerConfig{Shards: 1})
+	m, err := NewManagerModels(map[string]Model{"envelope": {Detector: det, Version: "v1"}}, ManagerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -250,6 +250,7 @@ func (s *Server) handleMux(w http.ResponseWriter, r *http.Request) {
 				continue // unknown or already-failed sid: drop
 			}
 			if !ms.offer(&rec.Frame, dec.decNS, s.manager.cfg.EnqueueTimeout) {
+				s.codec.muxQueueFull.Add(1)
 				mw.error(rec.SID, &ErrorMsg{Code: http.StatusTooManyRequests, Message: ErrQueueFull.Error()})
 				ms.kill("error: queue full")
 				delete(sessions, rec.SID)

@@ -191,11 +191,12 @@ func TestMuxFramingErrorKillsConnection(t *testing.T) {
 
 // TestMuxPerSessionBackpressure floods one logical session faster than
 // its slow backend drains and requires a per-sid 429 record — never an
-// HTTP status or a connection teardown — while the connection survives.
+// HTTP status or a connection teardown — counted once in
+// safemon_queue_full_total, while the connection survives.
 func TestMuxPerSessionBackpressure(t *testing.T) {
 	srv, err := NewServer(Config{
 		Detectors: map[string]safemon.Detector{"stub": &stubDetector{delay: 50 * time.Millisecond}},
-		Manager:   ManagerConfig{Shards: 1, MailboxDepth: 1, EnqueueTimeout: 5 * time.Millisecond},
+		Manager:   ManagerConfig{EnqueueTimeout: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -241,6 +242,9 @@ func TestMuxPerSessionBackpressure(t *testing.T) {
 			t.Fatalf("flooded session: %v, want per-sid 429", rerr)
 		}
 		break
+	}
+	if got := serverMetrics(t, srv).get(t, `safemon_queue_full_total{codec="binary-mux"}`); got != 1 {
+		t.Errorf("queue-full counter = %v after one per-sid 429, want 1", got)
 	}
 
 	// The connection survived: a fresh session on it still works.

@@ -1,12 +1,13 @@
 // Package serve turns the safemon façade into a long-lived real-time
 // monitoring service: an HTTP server that accepts many concurrent NDJSON
-// kinematics streams, routes each one through a sharded session manager
-// (one owning goroutine per shard, bounded mailboxes), and emits verdicts
-// frame by frame with bounded latency. Backends are selected per request
-// from the safemon registry names the server was configured with; sessions
-// come from warm safemon.SessionPools; shutdown drains in-flight streams;
+// kinematics streams, scores each frame through a warm session on the
+// goroutine that serves its stream, and emits verdicts frame by frame
+// with bounded latency. Backends are selected per request from the
+// safemon registry names the server was configured with; sessions come
+// from warm safemon.SessionPools; shutdown drains in-flight streams;
 // overload answers with explicit backpressure (HTTP 429 at admission,
-// queue-full records mid-stream) instead of unbounded buffering.
+// per-sid 429 records on a flooded /v1/mux session) instead of unbounded
+// buffering.
 //
 // Wire protocol (POST /v1/stream?backend=NAME, one JSON object per line):
 //
@@ -14,7 +15,7 @@
 //	→ {"frame":[38 floats]}    one kinematics frame
 //	← {"verdict":{"i":0,"g":2,"score":0.13,"unsafe":false}}
 //	← {"done":{"frames":812}}  stream end (client closed its side)
-//	← {"error":{"code":429,"message":"queue full"}}  terminal error
+//	← {"error":{"code":400,"message":"bad record: ..."}}  terminal error
 //
 // NDJSON is the default codec. A request whose Content-Type (or Accept)
 // is application/x-safemon-frames switches the whole stream to the

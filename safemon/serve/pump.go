@@ -4,9 +4,9 @@ package serve
 // step that /v1/stream connections and /v1/mux sessions share. A
 // transport keeps only its record loop — reading records off its wire
 // and deciding when the stream ends — and hands each decoded frame to
-// step, which pushes it through the session's shard, records it in the
-// ledger, steps the guard engine and writes the action and verdict
-// through the transport's sink.
+// step, which scores it through the session on the transport's own
+// goroutine, records it in the ledger, steps the guard engine and writes
+// the action and verdict through the transport's sink.
 
 import (
 	"context"
@@ -51,11 +51,11 @@ type pump struct {
 	healthy bool   // the session may go back to its pool
 	reason  string // the ledger end reason
 
-	// Reused across frames: frame's pointer rides the shard mailbox, and
-	// wire and act go out through the sink interface, so per-frame
-	// variables would escape and cost an allocation each. Push blocks
-	// until the shard replied, so the previous frame is never still in
-	// use when the next one overwrites it.
+	// Reused across frames: frame's pointer goes through the backend
+	// session's Push interface call, and wire and act go out through the
+	// sink interface, so per-frame variables would escape and cost an
+	// allocation each. Push returns before the next frame overwrites
+	// frame.
 	frame safemon.Frame
 	wire  VerdictMsg
 	act   ActionMsg
@@ -145,31 +145,30 @@ func (p *pump) close() {
 }
 
 // step carries one decoded frame (decNS is its record-decode time):
-// shard push, ledger verdict, guard step with its ledger action edge,
+// session push, ledger verdict, guard step with its ledger action edge,
 // then the action and verdict out through the sink, with every stage fed
-// to the trace. A failed push ends the stream with an error record and
-// returns false.
+// to the trace. A failed push — a recovered backend panic included —
+// ends the stream with an error record and returns false, and the
+// session is closed instead of pooled.
 func (p *pump) step(ctx context.Context, f *safemon.Frame, decNS int64) bool {
 	p.frame = *f
 	p.tr.setStage(stageDecode, decNS)
+	t0 := time.Now()
 	v, err := p.sess.Push(ctx, &p.frame)
 	if err != nil {
 		p.end("error: push", false)
 		p.out.fail(pushError(err))
 		return false
 	}
-	// The shard wrote the queue/infer split before replying.
-	p.tr.setStage(stageQueue, p.sess.trace.queueNS)
-	p.tr.setStage(stageInfer, p.sess.trace.inferNS)
+	t1 := time.Now()
 	p.frames++
 	p.wire = WireVerdict(v)
-	t0 := time.Now()
 	p.rec.Verdict(v, &p.frame)
-	t1 := time.Now()
+	t2 := time.Now()
 	// Guard covers the engine step and its ledger edge; encode covers the
 	// action and verdict writes, which the sink flushes once, so an edge
 	// frame's pair lands in encode together.
-	t2 := t1
+	t3 := t2
 	var act *ActionMsg
 	if p.eng != nil {
 		// An edge goes out immediately before its verdict, so a lockstep
@@ -180,13 +179,14 @@ func (p *pump) step(ctx context.Context, f *safemon.Frame, decNS int64) bool {
 			p.act = actionMsg(d, p.policy.Name)
 			act = &p.act
 		}
-		t2 = time.Now()
+		t3 = time.Now()
 	}
 	p.out.verdict(act, &p.wire)
 	end := time.Now()
-	p.tr.setStage(stageLedger, t1.Sub(t0).Nanoseconds())
-	p.tr.setStage(stageGuard, t2.Sub(t1).Nanoseconds())
-	p.tr.setStage(stageEncode, end.Sub(t2).Nanoseconds())
+	p.tr.setStage(stageInfer, t1.Sub(t0).Nanoseconds())
+	p.tr.setStage(stageLedger, t2.Sub(t1).Nanoseconds())
+	p.tr.setStage(stageGuard, t3.Sub(t2).Nanoseconds())
+	p.tr.setStage(stageEncode, end.Sub(t3).Nanoseconds())
 	p.tr.observe(p.frames-1, end.UnixNano())
 	return true
 }
@@ -230,8 +230,6 @@ func openError(err error) *ErrorMsg {
 // pushError maps mid-stream push failures onto wire records.
 func pushError(err error) *ErrorMsg {
 	switch {
-	case errors.Is(err, ErrQueueFull):
-		return &ErrorMsg{Code: http.StatusTooManyRequests, Message: err.Error()}
 	case errors.Is(err, ErrDraining):
 		return &ErrorMsg{Code: http.StatusServiceUnavailable, Message: err.Error()}
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):

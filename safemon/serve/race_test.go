@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"net/http/httptest"
 	"runtime"
@@ -15,7 +14,7 @@ import (
 	"repro/safemon"
 )
 
-// TestServeConcurrentSessionsRace soaks the shard mailboxes: 64
+// TestServeConcurrentSessionsRace soaks the session manager: 64
 // concurrent NDJSON sessions over one shared trained network, a third of
 // them cancelled mid-stream, then a full drain — run under -race by make
 // ci, with a goroutine-count check for leaks. Every stream that completes
@@ -40,7 +39,6 @@ func TestServeConcurrentSessionsRace(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	srv, err := NewServer(Config{
 		Detectors: map[string]safemon.Detector{"context-aware": det, "envelope": env},
-		Manager:   ManagerConfig{Shards: 4, MailboxDepth: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,8 +114,7 @@ func TestServeConcurrentSessionsRace(t *testing.T) {
 func TestServedVerdictsUnderContention(t *testing.T) {
 	fold := testFold(t)
 	det := fittedDetector(t, "context-aware")
-	_, client := newTestService(t, map[string]safemon.Detector{"context-aware": det},
-		ManagerConfig{Shards: 4, MailboxDepth: 4})
+	_, client := newTestService(t, map[string]safemon.Detector{"context-aware": det}, ManagerConfig{})
 	traj := fold.Test[0]
 	ref, err := det.Run(context.Background(), traj)
 	if err != nil {
@@ -145,10 +142,6 @@ func TestServedVerdictsUnderContention(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		var em *ErrorMsg
-		if errors.As(err, &em) && em.Code == 429 {
-			continue // backpressure under contention is legal, divergence is not
-		}
 		t.Error(err)
 	}
 }

@@ -3,12 +3,12 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,28 +170,26 @@ func TestBackendsAndHealthEndpoints(t *testing.T) {
 		}
 	}
 
-	// A served trajectory shows up in every shard-summed /metrics family.
+	// A served trajectory shows up in the frame, session and infer-stage
+	// families.
 	traj := testFold(t).Test[0]
 	if _, err := client.StreamTrajectory(ctx, "envelope", traj); err != nil {
 		t.Fatal(err)
 	}
 	waitReleased(t, srv)
 	scrape := scrapeMetrics(t, client.httpClient(), client.BaseURL+"/metrics")
-	if got := scrape.sum("safemon_frames_total"); got != float64(traj.Len()) {
+	if got := scrape.get(t, "safemon_frames_total"); got != float64(traj.Len()) {
 		t.Errorf("frames = %v, want %d", got, traj.Len())
 	}
-	if got := scrape.sum("safemon_frame_latency_seconds_count"); got != float64(traj.Len()) {
-		t.Errorf("latency observations = %v, want %d", got, traj.Len())
+	const infer = `{backend="envelope",codec="json",stage="infer"}`
+	if got := scrape.get(t, "safemon_frame_stage_seconds_count"+infer); got != float64(traj.Len()) {
+		t.Errorf("infer-stage observations = %v, want %d", got, traj.Len())
 	}
-	if got := scrape.sum("safemon_frame_latency_seconds_sum"); got <= 0 {
-		t.Errorf("latency sum = %v, want > 0", got)
+	if got := scrape.get(t, "safemon_frame_stage_seconds_sum"+infer); got <= 0 {
+		t.Errorf("infer-stage sum = %v, want > 0", got)
 	}
-	if opened, closed := scrape.sum("safemon_sessions_opened_total"), scrape.sum("safemon_sessions_closed_total"); opened != 1 || closed != 1 {
+	if opened, closed := scrape.get(t, "safemon_sessions_opened_total"), scrape.get(t, "safemon_sessions_closed_total"); opened != 1 || closed != 1 {
 		t.Errorf("sessions = %v opened / %v closed, want 1 / 1", opened, closed)
-	}
-	// One series per shard: the default manager runs 8.
-	for i := 0; i < 8; i++ {
-		scrape.get(t, fmt.Sprintf(`safemon_frames_total{shard="%d"}`, i))
 	}
 
 	// Unknown backend is an HTTP 404 before any stream bytes flow.
@@ -499,71 +497,11 @@ func (s *stubSession) Push(*safemon.Frame) (safemon.FrameVerdict, error) {
 func (s *stubSession) Reset([]int) error { s.idx = 0; return nil }
 func (s *stubSession) Close() error      { return nil }
 
-// TestMailboxBackpressure pins the explicit queue-full contract: with one
-// shard, a single-slot mailbox and a slow session, a third concurrent push
-// cannot fit (one processing + one queued) and must fail with ErrQueueFull
-// within the enqueue timeout instead of buffering.
-func TestMailboxBackpressure(t *testing.T) {
-	m, err := NewManager(map[string]safemon.Detector{"stub": &stubDetector{delay: 200 * time.Millisecond}},
-		ManagerConfig{Shards: 1, MailboxDepth: 1, EnqueueTimeout: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-
-	sessions := make([]*Session, 3)
-	for i := range sessions {
-		if err := m.Reserve(); err != nil {
-			t.Fatal(err)
-		}
-		s, err := m.Open("stub", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sessions[i] = s
-		defer s.Release(true)
-	}
-
-	var frame safemon.Frame
-	errs := make(chan error, len(sessions))
-	var wg sync.WaitGroup
-	for _, s := range sessions {
-		wg.Add(1)
-		go func(s *Session) {
-			defer wg.Done()
-			_, err := s.Push(context.Background(), &frame)
-			errs <- err
-		}(s)
-	}
-	wg.Wait()
-	close(errs)
-	full, ok := 0, 0
-	for err := range errs {
-		switch {
-		case err == nil:
-			ok++
-		case errors.Is(err, ErrQueueFull):
-			full++
-		default:
-			t.Fatalf("unexpected push error: %v", err)
-		}
-	}
-	if full == 0 {
-		t.Fatalf("no push hit backpressure (ok=%d)", ok)
-	}
-	if ok == 0 {
-		t.Fatal("every push failed; expected the committed ones to complete")
-	}
-	if got := m.shards[0].stats.queueFull.Load(); got != uint64(full) {
-		t.Errorf("queueFull stat = %d, want %d", got, full)
-	}
-}
-
 // TestManagerDrain pins the shutdown contract: Close waits for in-flight
 // pushes, and later pushes and opens fail with ErrDraining.
 func TestManagerDrain(t *testing.T) {
 	m, err := NewManager(map[string]safemon.Detector{"stub": &stubDetector{delay: 50 * time.Millisecond}},
-		ManagerConfig{Shards: 2})
+		ManagerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,6 +530,93 @@ func TestManagerDrain(t *testing.T) {
 	s.Release(true)
 	if err := m.Reserve(); !errors.Is(err, ErrDraining) {
 		t.Errorf("reserve after drain = %v, want ErrDraining", err)
+	}
+}
+
+// panicDetector is a stub backend whose sessions panic on any frame whose
+// first value is panicTrigger, standing in for a model whose arithmetic
+// or state broke; it counts the sessions closed on it.
+type panicDetector struct {
+	stubDetector
+	closed atomic.Int32
+}
+
+const panicTrigger = 13
+
+func (d *panicDetector) NewSession(...safemon.SessionOption) (safemon.Session, error) {
+	return &panicSession{d: d}, nil
+}
+
+type panicSession struct {
+	stubSession
+	d *panicDetector
+}
+
+func (s *panicSession) Push(f *safemon.Frame) (safemon.FrameVerdict, error) {
+	if f[0] == panicTrigger {
+		panic("stub: broken model state")
+	}
+	return s.stubSession.Push(f)
+}
+
+func (s *panicSession) Close() error { s.d.closed.Add(1); return nil }
+
+// TestSessionPanicIsolated drives a backend that panics mid-stream over
+// NDJSON, binary and mux: each stream must end with a 500 record, its
+// session must be closed (never pooled) and counted, and the server must
+// go on serving healthy streams on every transport.
+func TestSessionPanicIsolated(t *testing.T) {
+	det := &panicDetector{}
+	srv, err := NewServer(Config{Detectors: map[string]safemon.Detector{"stub": det}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newHTTPTestServer(t, srv)
+	ctx := context.Background()
+	jc := &Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
+	bc := &Client{BaseURL: ts.URL, HTTPClient: ts.Client(), Codec: "binary"}
+	mc, err := bc.OpenMux(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	open := map[string]func() (lockstepStream, error){
+		"json":       func() (lockstepStream, error) { return jc.Open(ctx, "stub", nil) },
+		"binary":     func() (lockstepStream, error) { return bc.Open(ctx, "stub", nil) },
+		"binary-mux": func() (lockstepStream, error) { return mc.Open(ctx, "stub", "", nil) },
+	}
+	var good, bad safemon.Frame
+	bad[0] = panicTrigger
+	for _, healthy := range []bool{false, true} {
+		frames := []safemon.Frame{good, bad}
+		if healthy {
+			frames[1] = good
+		}
+		for codec, openStream := range open {
+			st, err := openStream()
+			if err != nil {
+				t.Fatalf("%s: open: %v", codec, err)
+			}
+			_, err = lockstep(st, frames)
+			if err != nil {
+				st.CloseSend() // lockstep half-closes only on success
+			}
+			var em *ErrorMsg
+			switch {
+			case healthy && err != nil:
+				t.Errorf("%s: healthy stream after the panics: %v", codec, err)
+			case !healthy && (!errors.As(err, &em) || em.Code != http.StatusInternalServerError ||
+				!strings.HasPrefix(em.Message, ErrSessionPanic.Error())):
+				t.Errorf("%s: panicking stream = %v, want a 500 %q record", codec, err, ErrSessionPanic)
+			}
+		}
+		waitReleased(t, srv)
+		if got := det.closed.Load(); got != 3 {
+			t.Errorf("sessions closed = %d, want 3 (one per panicked stream; healthy ones pool)", got)
+		}
+		if got := serverMetrics(t, srv).get(t, "safemon_session_panics_total"); got != 3 {
+			t.Errorf("safemon_session_panics_total = %v, want 3", got)
+		}
 	}
 }
 

@@ -38,7 +38,7 @@ type Config struct {
 	// policy is validated at construction. Empty disables guarded
 	// streams.
 	Policies []guard.Policy
-	// Manager tunes sharding, mailbox depth, session caps and
+	// Manager tunes the session cap, the warm pools and /v1/mux
 	// backpressure.
 	Manager ManagerConfig
 	// DefaultBackend is used when a stream request names none; empty
@@ -87,10 +87,11 @@ type Config struct {
 //	GET  /v1/models               served model versions
 //	POST /v1/models/reload        hot-swap to the loader's current models
 //	GET  /v1/policies             configured guard mitigation policies
-//	GET  /metrics                 Prometheus text exposition: per-shard
-//	                              frame, session and latency series,
-//	                              codec, guard and ledger counters, and
-//	                              per-stage latency histograms
+//	GET  /metrics                 Prometheus text exposition: frame,
+//	                              session, panic and queue-full
+//	                              counters, codec, guard and ledger
+//	                              counters, and per-stage latency
+//	                              histograms
 //	GET  /v1/debug/slowframes     slowest recent frames with their stage
 //	                              breakdown
 //	GET  /healthz                 ok / draining (liveness)
@@ -117,8 +118,9 @@ type Server struct {
 	draining bool
 }
 
-// NewServer builds the service over fitted detectors (or versioned models)
-// and starts its shards.
+// NewServer builds the service over fitted detectors (or versioned
+// models). It starts no goroutines: each stream is scored on the
+// goroutine that serves it.
 func NewServer(cfg Config) (*Server, error) {
 	models := cfg.Models
 	if models == nil {
@@ -128,8 +130,8 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 	}
 	// One registry backs the whole server: the manager registers its
-	// per-shard series into it, the server everything else, and GET
-	// /metrics renders it.
+	// frame, session and panic counters into it, the server everything
+	// else, and GET /metrics renders it.
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
@@ -196,7 +198,7 @@ func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
 // /healthz reports draining, while already-attached sessions keep pushing
 // frames. The graceful shutdown sequence is BeginDrain, then
 // http.Server.Shutdown (which waits for the stream handlers up to the
-// drain budget), then Shutdown to stop the shard manager.
+// drain budget), then Shutdown to stop the session manager.
 func (s *Server) BeginDrain() {
 	s.mu.Lock()
 	s.draining = true
@@ -207,7 +209,7 @@ func (s *Server) BeginDrain() {
 }
 
 // Shutdown completes the drain: after BeginDrain (called implicitly) the
-// shard manager waits for in-flight pushes and stops, then the ledger
+// session manager waits for in-flight pushes and stops, then the ledger
 // appender is flushed and its store synced so no tail event is lost.
 // Closing the appender (which seals the active segment) remains the
 // owner's job — the server only borrows it. Any stream still attached —
@@ -310,8 +312,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// Records are read under a hard per-record size cap in both codecs:
 	// the stream as a whole is unbounded, but no single record may
 	// buffer without bound (the same no-unbounded-buffering contract the
-	// shard mailboxes enforce). The idle deadline is re-armed before each
-	// record so a silent client cannot pin its session slot forever.
+	// mux session queues enforce). The idle deadline is re-armed before
+	// each record so a silent client cannot pin its session slot forever.
 	var conn streamConn
 	codecName := "json"
 	if binary {

@@ -1,14 +1,15 @@
 package serve
 
 // Warm-path gates for the production frame path. BenchmarkServeStreamWarm
-// times the pump's step — shard push, ledger emit, guard step, verdict
+// times the pump's step — session push, ledger emit, guard step, verdict
 // encode and the stage-histogram and slow-ring telemetry — behind a
 // binary record decode, with the HTTP transport replaced by in-memory
 // readers so the measurement is the server's own work. It stays at pump
-// level because scripts/benchguard.sh runs it at -benchtime=10x, where
-// per-stream admission would dominate; benchguard holds it to 0
-// allocs/op. TestServeWarmPathZeroAlloc pins the same contract on the
-// whole /v1/stream handler, admission to done record.
+// level, one admitted stream fed forever, so every op is a warm frame
+// and none pays per-stream admission. scripts/benchguard.sh runs each
+// repeat for 100ms and holds it to 0 allocs/op and a median ns/op
+// budget. TestServeWarmPathZeroAlloc pins the zero-allocation contract
+// on the whole /v1/stream handler, admission to done record.
 
 import (
 	"bytes"

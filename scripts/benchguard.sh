@@ -76,7 +76,7 @@ codecout="$("$GO" test -run='^$' -bench='^BenchmarkCodecRoundTrip$/^binary' \
 	exit 1
 }
 # The instrumented serve warm path (PR 10): the full per-frame handler
-# loop — decode, shard push, ledger emit, guard step, encode — with the
+# loop — decode, session push, ledger emit, guard step, encode — with the
 # stage-histogram and slow-ring telemetry enabled must stay 0 allocs/op.
 warmout="$("$GO" test -run='^$' -bench='^BenchmarkServeStreamWarm$' \
 	-benchtime="$BENCHTIME" -count="$BENCHCOUNT" -benchmem ./safemon/serve/)" || {
