@@ -4,7 +4,8 @@
 #                      build, tests (incl. the train->save->load->serve
 #                      lifecycle smoke), -race on safemon+serve, fuzz-corpus
 #                      replay, allocation benchguard, closed-loop
-#                      mitigation smoke (tier-1 gate)
+#                      mitigation smoke, perfbench fidelity smoke (tier-1
+#                      gate)
 #   make train       - fit every backend and write versioned model artifacts
 #                      into ./models (serve them: safemond -model-dir ./models)
 #   make lifecycle-smoke - train->save->load->serve smoke test only: safemond
@@ -33,6 +34,12 @@
 #                      streams with injected faults latch incidents into an
 #                      on-disk event ledger, and every incident must replay
 #                      byte-identically through its original backend
+#   make perfbench-smoke - a 2 s traced perfbench run (edge-ndjson: cascade
+#                      over NDJSON, every verdict == the offline Runner)
+#                      whose fidelity probes must pass: core.Stream.Push
+#                      equals the served session, the per-layer chain
+#                      equals core.Stream.Push, and the saved context
+#                      payload decodes into the served monitor
 #   make metriclint  - /metrics namespace lint: naming discipline and no
 #                      unregistered metric names in code or docs
 #   make bench-coldstart - per-backend fit-vs-load time-to-ready benchmarks
@@ -49,9 +56,9 @@ TRAIN_FLAGS ?= -demos 16 -scale 0.5 -epochs 4 -stride 3
 
 .PHONY: ci fmt fmtcheck vet build test race bench bench-smoke benchguard \
 	bench-coldstart fuzz fuzz-replay train lifecycle-smoke mitigate-smoke \
-	incidents-smoke metriclint
+	incidents-smoke metriclint perfbench-smoke
 
-ci: fmtcheck vet build test race fuzz-replay bench-smoke mitigate-smoke incidents-smoke metriclint
+ci: fmtcheck vet build test race fuzz-replay bench-smoke mitigate-smoke incidents-smoke metriclint perfbench-smoke
 
 fmt:
 	gofmt -w .
@@ -123,6 +130,14 @@ mitigate-smoke:
 # backend and policy.
 incidents-smoke:
 	$(GO) run ./cmd/experiments -run incidents
+
+# perfbench's traced fidelity probes, which no other CI step runs. The
+# edge-ndjson workload is a closed loop, so the open-loop lag rule cannot
+# invalidate the run; it serves cascade over NDJSON, checks every verdict
+# == against the offline Runner, and probes a context-aware twin. The
+# build stays under .bench_build.
+perfbench-smoke:
+	bash perfbench/run.sh --workload edge-ndjson --seed 1 --seconds 2 --trace 1
 
 # The /metrics namespace lint: registered families are safemon_-prefixed
 # with type-aware suffixes (counters _total, gauges never _total,

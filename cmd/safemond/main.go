@@ -4,7 +4,7 @@
 // multiplexed /v1/mux connections) — emitting verdicts frame by frame
 // from warm pooled sessions, each scored on the goroutine that owns its
 // stream, with explicit backpressure. Verdict values are identical across
-// codecs; -binary=false serves NDJSON only.
+// codecs.
 //
 // Models come from one of two places:
 //
@@ -215,7 +215,6 @@ func run(args []string) error {
 	modelVersion := fs.String("model-version", "", "version for -train-only artifacts (empty = next sequential)")
 	maxSessions := fs.Int("max-sessions", 0, "concurrent stream cap (0 = serve default)")
 	enqueueTimeout := fs.Duration("enqueue-timeout", 0, "backpressure wait on a /v1/mux session's full frame queue before its 429 (0 = serve default)")
-	binaryCodec := fs.Bool("binary", true, "offer the binary wire codec (application/x-safemon-frames) and /v1/mux; false serves NDJSON only")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 	threshold := fs.Float64("threshold", 0.5, "unsafe-score alert threshold (training paths)")
 	demos := fs.Int("demos", 24, "synthetic training demonstrations")
@@ -385,7 +384,6 @@ func run(args []string) error {
 	}
 
 	cfg.Policies = policies
-	cfg.DisableBinary = !*binaryCodec
 	cfg.Manager = serve.ManagerConfig{
 		MaxSessions:    *maxSessions,
 		EnqueueTimeout: *enqueueTimeout,

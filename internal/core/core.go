@@ -12,8 +12,9 @@
 //     heads, one per gesture class).
 //
 // Monitor couples the two stages into an online detector that consumes one
-// kinematics frame at a time and raises alerts; Evaluate measures the
-// accuracy (F1, AUC) and timeliness (jitter, reaction time, early-detection
-// rate, computation time) of the whole pipeline, reproducing Tables
-// IV-IX of the paper.
+// kinematics frame at a time and raises alerts (Monitor.Lookahead adds the
+// §VI boundary-lookahead extension to both Run and Stream); Evaluate
+// measures the accuracy (F1, AUC) and timeliness (jitter, reaction time,
+// early-detection rate, computation time) of the whole pipeline,
+// reproducing Tables IV-IX of the paper.
 package core

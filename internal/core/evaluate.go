@@ -104,13 +104,9 @@ func ratio(a, b int) float64 {
 // the full pipeline report. truths supplies per-trajectory error ground
 // truth; pass nil to derive it from the labels.
 func (m *Monitor) Evaluate(trajs []*kinematics.Trajectory, truths [][]ErrorTruth) (*PipelineReport, error) {
-	run := m.Run
-	if m.runOverride != nil {
-		run = m.runOverride
-	}
 	traces := make([]*Trace, len(trajs))
 	for ti, traj := range trajs {
-		trace, err := run(traj)
+		trace, err := m.Run(traj)
 		if err != nil {
 			return nil, fmt.Errorf("core: evaluate trajectory %d: %w", ti, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/gesture"
+	"repro/internal/nn"
 	"repro/internal/stats"
 )
 
@@ -25,7 +26,8 @@ func TestLookaheadImprovesOrMatchesReaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	la := NewLookaheadMonitor(mon, chain)
+	la := *mon
+	la.Lookahead = chain
 
 	baseRep, err := mon.Evaluate(trajs[4:], nil)
 	if err != nil {
@@ -54,25 +56,34 @@ func TestLookaheadImprovesOrMatchesReaction(t *testing.T) {
 	}
 }
 
+// TestLookaheadNextGesture pins Monitor.lookahead: the most probable
+// successor under the grammar, only when it has a trained head, with the
+// blend defaulting to 0.8.
 func TestLookaheadNextGesture(t *testing.T) {
 	chain, err := gesture.FitMarkovChain([][]int{{2, 12, 6, 5, 11}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm := &LookaheadMonitor{Chain: chain}
-	if next := lm.nextGesture(2); next != 12 {
-		t.Errorf("next(G2) = %d, want 12", next)
+	head := &nn.Network{}
+	lib := &ErrorLibrary{GestureSpecific: true, PerGesture: map[int]*nn.Network{12: head, 6: nil}}
+	m := &Monitor{Errors: lib, Lookahead: chain}
+	check := func(g, wantNext int, wantBlend float64) {
+		t.Helper()
+		if next, blend := m.lookahead(g); next != wantNext || blend != wantBlend {
+			t.Errorf("lookahead(G%d) = (%d, %v), want (%d, %v)", g, next, blend, wantNext, wantBlend)
+		}
 	}
-	if next := lm.nextGesture(11); next != 0 {
-		t.Errorf("next(G11) = %d, want 0 (terminal)", next)
-	}
-	if next := lm.nextGesture(0); next != 0 {
-		t.Errorf("next(invalid) = %d", next)
-	}
-	lm.Chain = nil
-	if next := lm.nextGesture(2); next != 0 {
-		t.Errorf("nil chain next = %d", next)
-	}
+	check(2, 12, 0.8)
+	check(12, 0, 0) // successor G6 has no trained head
+	check(11, 0, 0) // terminal
+	check(0, 0, 0)  // invalid context
+	m.LookaheadBlend = 0.5
+	check(2, 12, 0.5)
+	lib.GestureSpecific = false
+	check(2, 0, 0)
+	lib.GestureSpecific = true
+	m.Lookahead = nil
+	check(2, 0, 0)
 }
 
 func TestLookaheadNonSpecificPassthrough(t *testing.T) {
@@ -87,7 +98,8 @@ func TestLookaheadNonSpecificPassthrough(t *testing.T) {
 	}
 	mon := NewMonitor(nil, mono)
 	chain, _ := gesture.FitMarkovChain([][]int{{2, 12, 6, 5, 11}})
-	la := NewLookaheadMonitor(mon, chain)
+	la := *mon
+	la.Lookahead = chain
 	base, err := mon.Run(trajs[2])
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"time"
 
+	"repro/internal/gesture"
 	"repro/internal/kinematics"
 	"repro/internal/nn"
 )
@@ -30,10 +31,20 @@ type Monitor struct {
 	// "perfect gesture boundaries" mode, where the operational context
 	// comes from annotations instead of the classifier.
 	UseGroundTruthGestures bool
-
-	// runOverride, when set, replaces Run during evaluation; it lets
-	// pipeline variants (e.g. LookaheadMonitor) reuse the evaluator.
-	runOverride func(*kinematics.Trajectory) (*Trace, error)
+	// Lookahead, when non-nil, implements the paper's future-work
+	// suggestion that "predicting the gesture boundary ahead of time could
+	// result in better reaction time" (§VI): alongside the current
+	// context's head, the monitor pre-activates the error head of the most
+	// likely next gesture under this task grammar and reports the larger
+	// of the two scores. Early in a gesture the classifier often still
+	// reports the previous context (negative jitter); the lookahead head
+	// covers that gap, trading false-positive rate for earlier detection.
+	// It applies to gesture-specific libraries only.
+	Lookahead *gesture.MarkovChain
+	// LookaheadBlend scales the lookahead head's score before the max
+	// (0..1]; lower values make pre-activation more conservative. Zero
+	// selects 0.8.
+	LookaheadBlend float64
 }
 
 // NewMonitor builds a monitor from trained stages with the default 0.5
@@ -130,6 +141,11 @@ func (m *Monitor) Run(traj *kinematics.Trajectory) (*Trace, error) {
 			g = -1
 		}
 		score := m.Errors.Score(g, feat[lo:end+1])
+		if next, blend := m.lookahead(g); next != 0 {
+			if s := blend * m.Errors.Score(next, feat[lo:end+1]); s > score {
+				score = s
+			}
+		}
 		v := FrameVerdict{
 			FrameIndex: end,
 			Gesture:    gestures[end],
@@ -143,6 +159,30 @@ func (m *Monitor) Run(traj *kinematics.Trajectory) (*Trace, error) {
 	}
 	trace.ErrorComputeNS = float64(time.Since(start).Nanoseconds()) / float64(len(traj.Frames))
 	return trace, nil
+}
+
+// lookahead returns the error head to pre-activate after context g — the
+// most probable successor of g under m.Lookahead — and the blend to scale
+// its score by. next is 0 when lookahead is off, the library is gesture-
+// agnostic, or the successor has no trained head.
+func (m *Monitor) lookahead(g int) (next int, blend float64) {
+	if m.Lookahead == nil || !m.Errors.GestureSpecific || g <= 0 || g > gesture.MaxGesture {
+		return 0, 0
+	}
+	bestP := 0.0
+	for succ, p := range m.Lookahead.Row(g) {
+		if succ != gesture.StateEnd && succ != gesture.StateStart && p > bestP {
+			next, bestP = succ, p
+		}
+	}
+	if next == 0 || m.Errors.PerGesture[next] == nil {
+		return 0, 0
+	}
+	blend = m.LookaheadBlend
+	if blend <= 0 {
+		blend = 0.8
+	}
+	return next, blend
 }
 
 // slidingWindow is a fixed-capacity sliding window of feature rows with
@@ -350,6 +390,11 @@ func (s *Stream) Push(f *kinematics.Frame) FrameVerdict {
 		lookup = -1
 	}
 	score := s.errHeads.score(lookup, s.errorWin.rows)
+	if next, blend := m.lookahead(g); next != 0 {
+		if la := blend * s.errHeads.score(next, s.errorWin.rows); la > score {
+			score = la
+		}
+	}
 	return FrameVerdict{
 		FrameIndex: idx,
 		Gesture:    g,

@@ -34,6 +34,35 @@ func streamFixtures(t *testing.T) (*ErrorLibrary, *ErrorLibrary, dataset.LOSOSpl
 	return lib, mono, fold
 }
 
+type streamCase struct {
+	name string
+	mon  *Monitor
+}
+
+// streamCases returns the monitors the stream tests cover: perfect
+// boundaries, the same with boundary lookahead (its grammar fitted on the
+// training gestures), and a gesture-agnostic library.
+func streamCases(t *testing.T, lib, mono *ErrorLibrary, fold dataset.LOSOSplit) []streamCase {
+	t.Helper()
+	perfect := NewMonitor(nil, lib)
+	perfect.UseGroundTruthGestures = true
+	seqs := make([][]int, len(fold.Train))
+	for i, tr := range fold.Train {
+		seqs[i] = tr.GestureSequence()
+	}
+	chain, err := gesture.FitMarkovChain(seqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookahead := *perfect
+	lookahead.Lookahead = chain
+	return []streamCase{
+		{"perfect-boundaries", perfect},
+		{"perfect-boundaries+lookahead", &lookahead},
+		{"gesture-agnostic", NewMonitor(nil, mono)},
+	}
+}
+
 // TestNewStreamGuard characterizes the perfect-boundary guard in
 // Monitor.NewStream. The previous tangled condition
 // (UseGroundTruthGestures || !GestureSpecific) && GestureSpecific && gt == nil
@@ -72,22 +101,41 @@ func TestNewStreamGuard(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesRun checks both streaming modes against the offline
-// path: with ground-truth context the verdicts must match Run exactly, and
-// the gesture-agnostic mode must match its Run everywhere too.
+// TestStreamMatchesRun checks each streaming mode against the offline
+// path: with ground-truth context, with boundary lookahead on top, and
+// gesture-agnostic, the stream's verdicts must equal Run's frame by frame,
+// also after Reset.
 func TestStreamMatchesRun(t *testing.T) {
 	lib, mono, fold := streamFixtures(t)
-	cases := []struct {
-		name string
-		mon  *Monitor
-	}{
-		{"perfect-boundaries", func() *Monitor {
-			m := NewMonitor(nil, lib)
-			m.UseGroundTruthGestures = true
-			return m
-		}()},
-		{"gesture-agnostic", NewMonitor(nil, mono)},
+	cases := streamCases(t, lib, mono, fold)
+
+	// Lookahead only ever raises a score. Require that it raises some on
+	// this trajectory, so the lookahead case cannot pass vacuously.
+	base, err := cases[0].mon.Run(fold.Test[0])
+	if err != nil {
+		t.Fatal(err)
 	}
+	la, err := cases[1].mon.Run(fold.Test[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raised, flipped := 0, 0
+	for i, v := range la.Verdicts {
+		switch b := base.Verdicts[i]; {
+		case v.Score < b.Score:
+			t.Fatalf("frame %d: lookahead lowered the score %v to %v", i, b.Score, v.Score)
+		case v.Score > b.Score:
+			raised++
+		}
+		if v.Unsafe != base.Verdicts[i].Unsafe {
+			flipped++
+		}
+	}
+	t.Logf("lookahead raised %d of %d scores and flipped %d verdicts", raised, len(la.Verdicts), flipped)
+	if raised == 0 {
+		t.Fatal("lookahead changed no score; the lookahead case would be vacuous")
+	}
+
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			traj := fold.Test[0]
@@ -112,8 +160,8 @@ func TestStreamMatchesRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range traj.Frames {
-				if v := stream.Push(&traj.Frames[i]); v.Score != trace.Verdicts[i].Score {
-					t.Fatalf("after reset, frame %d diverges", i)
+				if v, want := stream.Push(&traj.Frames[i]), trace.Verdicts[i]; v != want {
+					t.Fatalf("after reset, frame %d: stream %+v vs run %+v", i, v, want)
 				}
 			}
 		})
@@ -130,17 +178,7 @@ func TestStreamResetPoolSafety(t *testing.T) {
 	if len(fold.Test) < 2 {
 		t.Skip("need two test trajectories")
 	}
-	cases := []struct {
-		name string
-		mon  *Monitor
-	}{
-		{"perfect-boundaries", func() *Monitor {
-			m := NewMonitor(nil, lib)
-			m.UseGroundTruthGestures = true
-			return m
-		}()},
-		{"gesture-agnostic", NewMonitor(nil, mono)},
-	}
+	cases := streamCases(t, lib, mono, fold)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pooled, err := tc.mon.NewStream(fold.Test[0].Gestures)

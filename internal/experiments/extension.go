@@ -57,7 +57,8 @@ func RunExtension(o Options) (*ExtensionResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	lookahead := core.NewLookaheadMonitor(mon, chain)
+	lookahead := *mon
+	lookahead.Lookahead, lookahead.LookaheadBlend = chain, 0.8
 
 	res := &ExtensionResult{}
 	baseRep, err := mon.Evaluate(fold.Test, foldTruths)

@@ -104,55 +104,3 @@ func TestPredictorZeroAlloc(t *testing.T) {
 		})
 	}
 }
-
-// TestLSTMStepZeroAlloc pins the stateful step path: after ResetStream,
-// Step must not allocate.
-func TestLSTMStepZeroAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	l := NewLSTM(rng, 38, 32)
-	x := make([]float64, 38)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	l.ResetStream()
-	l.Step(x) // warm
-	allocs := testing.AllocsPerRun(200, func() {
-		l.Step(x)
-	})
-	if allocs != 0 {
-		t.Errorf("warm LSTM.Step allocates %.1f objects/call, want 0", allocs)
-	}
-}
-
-// TestLSTMResetStreamZeroesState is the pooled-reuse regression test: a
-// layer that streamed arbitrary frames and was then ResetStream must
-// produce exactly the same step outputs as a never-used stream — no
-// hidden, cell or scratch state may survive the reset.
-func TestLSTMResetStreamZeroesState(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	l := NewLSTM(rng, 3, 4)
-	seqA := randSeq(rng, 9, 3)
-	seqB := randSeq(rng, 6, 3)
-
-	// Fresh reference outputs for seqB.
-	l.ResetStream()
-	want := make([][]float64, len(seqB))
-	for i := range seqB {
-		want[i] = append([]float64(nil), l.Step(seqB[i])...)
-	}
-
-	// Pollute the stream state with seqA, reset, replay seqB.
-	l.ResetStream()
-	for i := range seqA {
-		l.Step(seqA[i])
-	}
-	l.ResetStream()
-	for i := range seqB {
-		got := l.Step(seqB[i])
-		for j := range got {
-			if got[j] != want[i][j] {
-				t.Fatalf("step %d unit %d after reset: %v, fresh stream %v", i, j, got[j], want[i][j])
-			}
-		}
-	}
-}

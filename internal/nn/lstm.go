@@ -8,11 +8,9 @@ import (
 // LSTM is a single long short-term memory layer processing a sequence
 // [T][In] into hidden states [T][Hidden], with full backpropagation through
 // time over the window. Gate layout in the packed weight matrices is
-// (input, forget, cell, output).
-//
-// The layer also supports stateful streaming via Step, which the online
-// monitor uses to process one kinematics sample at a time without
-// re-running the whole window.
+// (input, forget, cell, output). Online inference runs through a
+// Predictor's scratch buffers (infer.go), so a trained layer is read-only
+// outside training.
 type LSTM struct {
 	In, Hidden int
 
@@ -24,11 +22,6 @@ type LSTM struct {
 	xs              [][]float64
 	hs, cs          [][]float64 // hidden and cell states, length T+1 (index 0 = initial)
 	gi, gf, gg, g_o [][]float64 // gate activations per timestep
-
-	// streaming state and scratch, allocated by ResetStream and reused by
-	// every Step so the steady-state step path never touches the heap
-	streamH, streamC     []float64
-	streamPre, streamOut []float64
 }
 
 var _ Layer = (*LSTM)(nil)
@@ -167,43 +160,3 @@ func (l *LSTM) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
 
 // OutDim implements Layer.
 func (l *LSTM) OutDim(int) int { return l.Hidden }
-
-// ResetStream initializes (first call) or zeroes (subsequent calls) the
-// streaming hidden/cell state and scratch used by Step. It must be called
-// before the first Step of every stream; after it, a reused layer is
-// indistinguishable from a fresh one and Step allocates nothing.
-func (l *LSTM) ResetStream() {
-	H := l.Hidden
-	if len(l.streamH) != H {
-		l.streamH = make([]float64, H)
-		l.streamC = make([]float64, H)
-		l.streamPre = make([]float64, 4*H)
-		l.streamOut = make([]float64, H)
-		return
-	}
-	for j := 0; j < H; j++ {
-		l.streamH[j], l.streamC[j] = 0, 0
-	}
-}
-
-// Step processes one timestep statefully (inference only), returning the
-// new hidden state. It backs the online monitor's constant-latency path.
-// ResetStream must be called once before the first Step; Step itself never
-// allocates, and the returned slice is reused by the next Step.
-func (l *LSTM) Step(x []float64) []float64 {
-	H := l.Hidden
-	pre, out := l.streamPre, l.streamOut
-	l.gates(x, l.streamH, pre)
-	for j := 0; j < H; j++ {
-		i := sigmoid(pre[j])
-		f := sigmoid(pre[H+j])
-		g := math.Tanh(pre[2*H+j])
-		o := sigmoid(pre[3*H+j])
-		c := f*l.streamC[j] + i*g
-		h := o * math.Tanh(c)
-		l.streamC[j] = c
-		l.streamH[j] = h
-		out[j] = h
-	}
-	return out
-}

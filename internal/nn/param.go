@@ -57,18 +57,6 @@ func seq(t, d int) [][]float64 {
 	return out
 }
 
-// cloneSeq deep-copies a sequence.
-func cloneSeq(x [][]float64) [][]float64 {
-	if len(x) == 0 {
-		return nil
-	}
-	out := seq(len(x), len(x[0]))
-	for i := range x {
-		copy(out[i], x[i])
-	}
-	return out
-}
-
 // Layer is one differentiable stage of a network. Forward consumes a
 // [T][Din] sequence and produces a [T'][Dout] sequence; Backward consumes
 // the gradient of the loss with respect to the layer output and returns the

@@ -218,6 +218,25 @@ func guardLoad(backend string, fn func() error) (err error) {
 	return nil
 }
 
+// decodePayload gob-decodes a backend payload into p and restores the
+// configuration it embeds (pc points at p's Config field) over base.
+func decodePayload(name string, data []byte, base Config, p any, pc *persistedConfig) (Config, error) {
+	if err := decodeGob(name, data, p); err != nil {
+		return Config{}, err
+	}
+	cfg, err := pc.restore(base)
+	if err != nil {
+		return Config{}, artifactErr("validate", name, err)
+	}
+	return cfg, nil
+}
+
+// corruptErr reports a payload that decoded but failed op ("decode" or
+// "validate") for the given reason.
+func corruptErr(op, name string, reason error) error {
+	return artifactErr(op, name, fmt.Errorf("%w: %v", ErrCorruptPayload, reason))
+}
+
 // checkBackendName verifies the artifact header names this detector's
 // backend.
 func checkBackendName(got, want string) error {
@@ -349,21 +368,17 @@ func restoreFeatureSet(ints []int) (FeatureSet, error) {
 	return fs, nil
 }
 
-// configured is implemented by every built-in detector to expose its
-// resolved configuration for fingerprinting.
-type configured interface{ config() Config }
-
 // ConfigHash returns a stable hex fingerprint of a detector's training
 // configuration (threshold, feature subsets, window, architecture, seed,
 // ...). Two detectors trained with the same configuration on the same data
 // produce the same hash; model stores record it in artifact manifests so a
 // served model can be traced back to its training setup.
 func ConfigHash(d Detector) (string, error) {
-	c, ok := d.(configured)
+	sd, ok := d.(*detector)
 	if !ok {
 		return "", fmt.Errorf("safemon: %s detector does not expose its configuration", d.Info().Name)
 	}
-	data, err := encodeGob(d.Info().Name, persistConfig(c.config()))
+	data, err := encodeGob(sd.name, persistConfig(sd.cfg))
 	if err != nil {
 		return "", err
 	}
@@ -371,17 +386,10 @@ func ConfigHash(d Detector) (string, error) {
 	return hex.EncodeToString(sum[:12]), nil
 }
 
-// payloadLoader is implemented by the built-in detectors so LoadDetector
-// can hand them the already-parsed payload instead of re-reading and
-// re-checksumming the whole artifact through Load.
-type payloadLoader interface {
-	loadPayload(backend string, payload []byte) error
-}
-
 // LoadDetector reconstructs a ready-to-serve detector from an artifact
 // written by Detector.Save: the artifact header selects the backend through
-// the registry, and the payload restores the full fitted state — no Fit
-// call, no training data. The loaded detector honors the exact
+// the registry, and that detector's Load restores the full fitted state
+// from the payload — no Fit call, no training data. The loaded detector honors the exact
 // configuration it was trained with and satisfies the same zero-allocation
 // session invariants as a freshly fitted one.
 func LoadDetector(r io.Reader) (Detector, error) {
@@ -389,7 +397,7 @@ func LoadDetector(r io.Reader) (Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	backend, payload, err := parseArtifact(data)
+	backend, _, err := parseArtifact(data)
 	if err != nil {
 		return nil, err
 	}
@@ -397,13 +405,7 @@ func LoadDetector(r io.Reader) (Detector, error) {
 	if err != nil {
 		return nil, artifactErr("open", backend, err)
 	}
-	if pl, ok := det.(payloadLoader); ok {
-		err = pl.loadPayload(backend, payload)
-	} else {
-		// Externally registered backends only implement the public Load.
-		err = det.Load(bytes.NewReader(data))
-	}
-	if err != nil {
+	if err := det.Load(bytes.NewReader(data)); err != nil {
 		return nil, err
 	}
 	return det, nil

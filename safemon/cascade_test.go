@@ -28,6 +28,17 @@ func (s *scriptedFront) Reset(groundTruth []int) error {
 
 func (s *scriptedFront) Close() error { return nil }
 
+// scriptedInner fakes the cascade's inner stream, counting inference and
+// observe-only frames; every inference verdict is unsafe in context 3.
+type scriptedInner struct{ pushes, observes int }
+
+func (s *scriptedInner) Push(*Frame) FrameVerdict {
+	s.pushes++
+	return FrameVerdict{Gesture: 3, Score: 0.9, Unsafe: true}
+}
+func (s *scriptedInner) Observe(*Frame)    { s.observes++ }
+func (s *scriptedInner) Reset([]int) error { return nil }
+
 // TestCascadeArmHoldoff pins the gating semantics: a front score at or
 // above the arm threshold runs the inner detector for holdoff frames,
 // further suspicious frames refresh the counter, disarmed frames only
@@ -35,17 +46,10 @@ func (s *scriptedFront) Close() error { return nil }
 func TestCascadeArmHoldoff(t *testing.T) {
 	scores := []float64{0.1, 0.6, 0.1, 0.1, 0.1, 0.1, 0.7, 0.8, 0.1, 0.1, 0.1, 0.1}
 	front := &scriptedFront{scores: scores}
-	var pushes, observes int
+	inner := &scriptedInner{}
 	s := &cascadeSession{
-		front: front,
-		inner: &gatedStream{
-			push: func(f *Frame) FrameVerdict {
-				pushes++
-				return FrameVerdict{Gesture: 3, Score: 0.9, Unsafe: true}
-			},
-			observe: func(f *Frame) { observes++ },
-			reset:   func([]int) error { return nil },
-		},
+		front:   front,
+		inner:   inner,
 		arm:     0.5,
 		holdoff: 3,
 	}
@@ -72,11 +76,11 @@ func TestCascadeArmHoldoff(t *testing.T) {
 			}
 		}
 	}
-	if wantPushes := 7; pushes != wantPushes {
-		t.Errorf("inner ran %d frames, want %d", pushes, wantPushes)
+	if wantPushes := 7; inner.pushes != wantPushes {
+		t.Errorf("inner ran %d frames, want %d", inner.pushes, wantPushes)
 	}
-	if wantObs := len(scores) - 7; observes != wantObs {
-		t.Errorf("inner observed %d frames, want %d", observes, wantObs)
+	if wantObs := len(scores) - 7; inner.observes != wantObs {
+		t.Errorf("inner observed %d frames, want %d", inner.observes, wantObs)
 	}
 
 	// Arm on the last scripted frame, then Reset: the armed state must not
@@ -97,10 +101,10 @@ func TestCascadeArmHoldoff(t *testing.T) {
 	if front.resets != 1 {
 		t.Errorf("front saw %d resets, want 1", front.resets)
 	}
-	pushesBefore := pushes
-	if v, err := s.Push(&Frame{}); err != nil || v.Unsafe || pushes != pushesBefore {
+	pushesBefore := inner.pushes
+	if v, err := s.Push(&Frame{}); err != nil || v.Unsafe || inner.pushes != pushesBefore {
 		t.Errorf("first post-Reset quiet frame should be disarmed, got %+v (err %v, inner pushes %d->%d)",
-			v, err, pushesBefore, pushes)
+			v, err, pushesBefore, inner.pushes)
 	}
 }
 

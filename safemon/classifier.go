@@ -4,68 +4,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 
 	"repro/internal/baseline"
 	"repro/internal/kinematics"
 )
 
-// classifierBackend selects which Table IV gesture-classifier baseline
-// provides the operational context.
-type classifierBackend int
+// The skipchain and sdsdl backends compose a Table IV baseline gesture
+// classifier (the context stage) with a per-gesture static envelope (the
+// error stage): the classifier infers the current gesture online and the
+// envelope validates the kinematics within that context. They demonstrate
+// that the unified Detector interface accommodates backends whose two
+// stages come from entirely different model families than the paper's
+// neural pipeline.
 
-const (
-	backendSkipChain classifierBackend = iota
-	backendSDSDL
-)
-
-// classifierDetector composes a baseline gesture classifier (the context
-// stage) with a per-gesture static envelope (the error stage): the
-// classifier infers the current gesture online and the envelope validates
-// the kinematics within that context. It demonstrates that the unified
-// Detector interface accommodates backends whose two stages come from
-// entirely different model families than the paper's neural pipeline.
-type classifierDetector struct {
-	cfg     Config
-	backend classifierBackend
-
-	features FeatureSet
-	sc       *baseline.SkipChain
-	sd       *baseline.SDSDL
-	env      *baseline.StaticEnvelope
-	// loadErr records a failed Load so sessions can report why the
-	// detector is unusable instead of a generic not-fitted error.
-	loadErr error
-}
-
-func newClassifierDetector(cfg Config, backend classifierBackend) *classifierDetector {
-	return &classifierDetector{cfg: cfg, backend: backend}
-}
-
-func (d *classifierDetector) config() Config { return d.cfg }
-
-func (d *classifierDetector) name() string {
-	if d.backend == backendSDSDL {
-		return "sdsdl"
-	}
-	return "skipchain"
-}
-
-func (d *classifierDetector) Info() Info {
-	return Info{
-		Name:            d.name(),
-		Threshold:       d.cfg.Threshold,
-		PredictsContext: true,
-		Timing:          d.cfg.Timing,
-	}
-}
-
-func (d *classifierDetector) Fit(ctx context.Context, trajs []*Trajectory) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	features := d.cfg.GestureFeatures
+func fitClassifier(_ context.Context, name string, cfg Config, trajs []*Trajectory) (model, error) {
+	features := cfg.GestureFeatures
 	if features == nil {
 		features = AllFeatures()
 	}
@@ -73,170 +27,34 @@ func (d *classifierDetector) Fit(ctx context.Context, trajs []*Trajectory) error
 	ys := make([][]int, 0, len(trajs))
 	for _, tr := range trajs {
 		if len(tr.Gestures) != len(tr.Frames) {
-			return errors.New("safemon: classifier backends need gesture-labeled training trajectories")
+			return nil, errors.New("safemon: classifier backends need gesture-labeled training trajectories")
 		}
 		xs = append(xs, features.Matrix(tr))
 		ys = append(ys, tr.Gestures)
 	}
 
-	switch d.backend {
-	case backendSDSDL:
-		stride := d.cfg.TrainStride
+	m := classifierModel{features: features}
+	if name == "sdsdl" {
+		stride := cfg.TrainStride
 		if stride <= 0 {
 			stride = 4 // keeps k-means tractable on full-rate data
 		}
 		frames, labels := flattenSequences(xs, ys, stride)
-		sd := baseline.NewSDSDL(d.cfg.Atoms)
-		rng := rand.New(rand.NewSource(d.cfg.Seed))
-		if err := sd.Fit(rng, frames, labels); err != nil {
-			return fmt.Errorf("safemon: fit sdsdl context stage: %w", err)
+		m.sd = baseline.NewSDSDL(cfg.Atoms)
+		if err := m.sd.Fit(rand.New(rand.NewSource(cfg.Seed)), frames, labels); err != nil {
+			return nil, fmt.Errorf("safemon: fit sdsdl context stage: %w", err)
 		}
-		d.sd = sd
-	default:
-		sc := baseline.NewSkipChain(d.cfg.SkipLag)
-		if err := sc.Fit(xs, ys); err != nil {
-			return fmt.Errorf("safemon: fit skipchain context stage: %w", err)
+	} else {
+		m.sc = baseline.NewSkipChain(cfg.SkipLag)
+		if err := m.sc.Fit(xs, ys); err != nil {
+			return nil, fmt.Errorf("safemon: fit skipchain context stage: %w", err)
 		}
-		d.sc = sc
-	}
-
-	errFeatures := d.cfg.ErrorFeatures
-	if errFeatures == nil {
-		errFeatures = CRG()
-	}
-	env := baseline.NewStaticEnvelope(errFeatures, true)
-	if d.cfg.EnvelopeMargin > 0 {
-		env.Margin = d.cfg.EnvelopeMargin
-	}
-	if err := env.Fit(trajs); err != nil {
-		return fmt.Errorf("safemon: fit %s error stage: %w", d.name(), err)
-	}
-	d.features = features
-	d.env = env
-	d.loadErr = nil
-	return nil
-}
-
-// classifierPayload is the artifact payload of the skipchain and sdsdl
-// backends: the context-stage classifier, the per-gesture envelope error
-// stage, and the resolved context-feature projection.
-type classifierPayload struct {
-	Config    persistedConfig
-	Features  []int
-	SkipChain []byte
-	SDSDL     []byte
-	Envelope  []byte
-}
-
-// Save writes the fitted detector as a self-describing artifact.
-func (d *classifierDetector) Save(w io.Writer) error {
-	if d.env == nil {
-		return ErrNotFitted
-	}
-	p := classifierPayload{
-		Config:   persistConfig(d.cfg),
-		Features: featureInts(d.features),
 	}
 	var err error
-	if p.Envelope, err = d.env.MarshalBinary(); err != nil {
-		return artifactErr("encode", d.name(), err)
+	if m.env, err = fitStaticEnvelope(cfg, true, trajs); err != nil {
+		return nil, fmt.Errorf("safemon: fit %s error stage: %w", name, err)
 	}
-	if d.sc != nil {
-		if p.SkipChain, err = d.sc.MarshalBinary(); err != nil {
-			return artifactErr("encode", d.name(), err)
-		}
-	}
-	if d.sd != nil {
-		if p.SDSDL, err = d.sd.MarshalBinary(); err != nil {
-			return artifactErr("encode", d.name(), err)
-		}
-	}
-	payload, err := encodeGob(d.name(), p)
-	if err != nil {
-		return err
-	}
-	return writeArtifact(w, d.name(), payload)
-}
-
-// Load restores fitted state from a Save artifact of the same backend.
-func (d *classifierDetector) Load(r io.Reader) error {
-	if d.env != nil {
-		return ErrAlreadyFitted
-	}
-	backend, payload, err := readArtifact(r)
-	if err != nil {
-		d.loadErr = err
-		return err
-	}
-	return d.loadPayload(backend, payload)
-}
-
-// loadPayload restores fitted state from an already-parsed artifact
-// (LoadDetector's single-parse path).
-func (d *classifierDetector) loadPayload(backend string, payload []byte) error {
-	if d.env != nil {
-		return ErrAlreadyFitted
-	}
-	err := guardLoad(d.name(), func() error {
-		if err := checkBackendName(backend, d.name()); err != nil {
-			return err
-		}
-		var p classifierPayload
-		if err := decodeGob(d.name(), payload, &p); err != nil {
-			return err
-		}
-		cfg, err := p.Config.restore(d.cfg)
-		if err != nil {
-			return artifactErr("validate", d.name(), err)
-		}
-		features, err := restoreFeatureSet(p.Features)
-		if err != nil || features == nil {
-			return artifactErr("validate", d.name(), fmt.Errorf("%w: bad context feature set (%v)", ErrCorruptPayload, err))
-		}
-		var sc *baseline.SkipChain
-		var sd *baseline.SDSDL
-		switch d.backend {
-		case backendSDSDL:
-			if len(p.SDSDL) == 0 {
-				return artifactErr("validate", d.name(), fmt.Errorf("%w: sdsdl artifact without a classifier", ErrCorruptPayload))
-			}
-			sd = &baseline.SDSDL{}
-			if err := sd.UnmarshalBinary(p.SDSDL); err != nil {
-				return artifactErr("decode", d.name(), fmt.Errorf("%w: %v", ErrCorruptPayload, err))
-			}
-			if sd.Dim() != features.Dim() {
-				return artifactErr("validate", d.name(), fmt.Errorf("%w: classifier dimension %d disagrees with %d features", ErrCorruptPayload, sd.Dim(), features.Dim()))
-			}
-		default:
-			if len(p.SkipChain) == 0 {
-				return artifactErr("validate", d.name(), fmt.Errorf("%w: skipchain artifact without a classifier", ErrCorruptPayload))
-			}
-			sc = &baseline.SkipChain{}
-			if err := sc.UnmarshalBinary(p.SkipChain); err != nil {
-				return artifactErr("decode", d.name(), fmt.Errorf("%w: %v", ErrCorruptPayload, err))
-			}
-			if sc.Dim() != features.Dim() {
-				return artifactErr("validate", d.name(), fmt.Errorf("%w: classifier dimension %d disagrees with %d features", ErrCorruptPayload, sc.Dim(), features.Dim()))
-			}
-		}
-		env := &baseline.StaticEnvelope{}
-		if err := env.UnmarshalBinary(p.Envelope); err != nil {
-			return artifactErr("decode", d.name(), fmt.Errorf("%w: %v", ErrCorruptPayload, err))
-		}
-		d.cfg = cfg
-		d.features = features
-		d.sc = sc
-		d.sd = sd
-		d.env = env
-		return nil
-	})
-	if err != nil {
-		d.features, d.sc, d.sd, d.env = nil, nil, nil, nil
-		d.loadErr = err
-		return err
-	}
-	d.loadErr = nil
-	return nil
+	return m, nil
 }
 
 // flattenSequences subsamples per-frame sequences into flat training pairs
@@ -253,52 +71,111 @@ func flattenSequences(xs [][][]float64, ys [][]int, stride int) ([][]float64, []
 	return frames, labels
 }
 
-func (d *classifierDetector) Run(ctx context.Context, traj *Trajectory) (*Trace, error) {
-	return runViaSession(ctx, d, traj, d.cfg.Timing)
+// classifierPayload is the artifact payload of the skipchain and sdsdl
+// backends: the context-stage classifier, the per-gesture envelope error
+// stage, and the resolved context-feature projection.
+type classifierPayload struct {
+	Config    persistedConfig
+	Features  []int
+	SkipChain []byte
+	SDSDL     []byte
+	Envelope  []byte
 }
 
-func (d *classifierDetector) NewSession(opts ...SessionOption) (Session, error) {
-	if d.env == nil {
-		return nil, notReadyErr(d.name(), d.loadErr)
+func decodeClassifier(name string, base Config, data []byte) (Config, model, error) {
+	var p classifierPayload
+	cfg, err := decodePayload(name, data, base, &p, &p.Config)
+	if err != nil {
+		return cfg, nil, err
 	}
-	sc := applySessionOptions(opts)
+	features, err := restoreFeatureSet(p.Features)
+	if err != nil || features == nil {
+		return cfg, nil, corruptErr("validate", name, fmt.Errorf("bad context feature set (%v)", err))
+	}
+	// The context stage is the classifier the backend names.
+	m := classifierModel{features: features, env: &baseline.StaticEnvelope{}}
+	var stage interface {
+		UnmarshalBinary([]byte) error
+		Dim() int
+	}
+	stageData := p.SkipChain
+	if name == "sdsdl" {
+		m.sd, stageData = &baseline.SDSDL{}, p.SDSDL
+		stage = m.sd
+	} else {
+		m.sc = &baseline.SkipChain{}
+		stage = m.sc
+	}
+	if len(stageData) == 0 {
+		return cfg, nil, corruptErr("validate", name, fmt.Errorf("%s artifact without a classifier", name))
+	}
+	if err := stage.UnmarshalBinary(stageData); err != nil {
+		return cfg, nil, corruptErr("decode", name, err)
+	}
+	if stage.Dim() != features.Dim() {
+		return cfg, nil, corruptErr("validate", name, fmt.Errorf("classifier dimension %d disagrees with %d features", stage.Dim(), features.Dim()))
+	}
+	if err := m.env.UnmarshalBinary(p.Envelope); err != nil {
+		return cfg, nil, corruptErr("decode", name, err)
+	}
+	return cfg, m, nil
+}
+
+// classifierModel is the fitted state of a skipchain or sdsdl detector:
+// exactly one of sc and sd is set.
+type classifierModel struct {
+	features FeatureSet
+	sc       *baseline.SkipChain
+	sd       *baseline.SDSDL
+	env      *baseline.StaticEnvelope
+}
+
+func (m classifierModel) payload(cfg persistedConfig) (any, error) {
+	p := classifierPayload{Config: cfg, Features: featureInts(m.features)}
+	var err error
+	if p.Envelope, err = m.env.MarshalBinary(); err != nil {
+		return nil, err
+	}
+	if m.sc != nil {
+		p.SkipChain, err = m.sc.MarshalBinary()
+	} else {
+		p.SDSDL, err = m.sd.MarshalBinary()
+	}
+	return p, err
+}
+
+func (m classifierModel) session(cfg Config, _ []int) (Session, error) {
 	// All per-frame scratch — the feature projection, the classifier's
 	// decode state and the envelope scorer's row — is allocated here, so
 	// a warm Push is allocation-free.
-	env, err := d.env.NewScorer()
+	env, err := m.env.NewScorer()
 	if err != nil {
 		return nil, err
 	}
-	ext := d.features.NewExtractor()
-	s := &classifierSession{d: d, env: env, ext: ext, row: make([]float64, ext.Dim())}
-	if d.sc != nil {
-		dec, err := d.sc.NewOnlineDecoder()
-		if err != nil {
-			return nil, err
-		}
-		s.dec = dec
+	ext := m.features.NewExtractor()
+	s := &classifierSession{threshold: cfg.Threshold, env: env, ext: ext, row: make([]float64, ext.Dim())}
+	if m.sc != nil {
+		s.dec, err = m.sc.NewOnlineDecoder()
 	} else {
-		sp, err := d.sd.NewStreamPredictor()
-		if err != nil {
-			return nil, err
-		}
-		s.sd = sp
+		s.sd, err = m.sd.NewStreamPredictor()
 	}
-	return wrapGuard(s, sc)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 type classifierSession struct {
-	d   *classifierDetector
-	dec *baseline.OnlineDecoder
-	sd  *baseline.StreamPredictor
-	env *baseline.EnvelopeScorer
-	ext *kinematics.Extractor
-	row []float64
-	idx int
+	threshold float64
+	dec       *baseline.OnlineDecoder
+	sd        *baseline.StreamPredictor
+	env       *baseline.EnvelopeScorer
+	ext       *kinematics.Extractor
+	row       []float64
+	idx       int
 }
 
 func (s *classifierSession) Push(f *Frame) (FrameVerdict, error) {
-	d := s.d
 	row := s.ext.ExtractInto(f, s.row)
 	var g int
 	if s.dec != nil {
@@ -311,7 +188,7 @@ func (s *classifierSession) Push(f *Frame) (FrameVerdict, error) {
 		FrameIndex: s.idx,
 		Gesture:    g,
 		Score:      score,
-		Unsafe:     score >= d.cfg.Threshold,
+		Unsafe:     score >= s.threshold,
 	}
 	s.idx++
 	return v, nil

@@ -4,53 +4,37 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/baseline"
 )
 
-// envelopeDetector adapts baseline.StaticEnvelope: per-feature safe ranges
-// learned from safe training frames, flagging frames that leave the
+// The envelope backend serves baseline.StaticEnvelope: per-feature safe
+// ranges learned from safe training frames, flagging frames that leave the
 // envelope. Scores are violation magnitudes (0 = inside), so thresholds
 // near zero are typical. WithGroundTruthContext selects one envelope per
 // gesture (sessions then need WithSessionLabels); otherwise one global
 // envelope covers every context.
-type envelopeDetector struct {
-	cfg Config
-	env *baseline.StaticEnvelope
-	// loadErr records a failed Load so sessions can report why the
-	// detector is unusable instead of a generic not-fitted error.
-	loadErr error
-}
 
-func newEnvelopeDetector(cfg Config) *envelopeDetector {
-	return &envelopeDetector{cfg: cfg}
-}
-
-func (d *envelopeDetector) config() Config { return d.cfg }
-
-func (d *envelopeDetector) Info() Info {
-	return Info{Name: "envelope", Threshold: d.cfg.Threshold, Timing: d.cfg.Timing}
-}
-
-func (d *envelopeDetector) Fit(ctx context.Context, trajs []*Trajectory) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	features := d.cfg.ErrorFeatures
+// fitStaticEnvelope fits a static envelope over cfg's error features (CRG
+// by default), widened by cfg's margin.
+func fitStaticEnvelope(cfg Config, perGesture bool, trajs []*Trajectory) (*baseline.StaticEnvelope, error) {
+	features := cfg.ErrorFeatures
 	if features == nil {
 		features = CRG()
 	}
-	env := baseline.NewStaticEnvelope(features, d.cfg.GroundTruthContext)
-	if d.cfg.EnvelopeMargin > 0 {
-		env.Margin = d.cfg.EnvelopeMargin
+	env := baseline.NewStaticEnvelope(features, perGesture)
+	if cfg.EnvelopeMargin > 0 {
+		env.Margin = cfg.EnvelopeMargin
 	}
-	if err := env.Fit(trajs); err != nil {
-		return fmt.Errorf("safemon: fit envelope: %w", err)
+	return env, env.Fit(trajs)
+}
+
+func fitEnvelope(_ context.Context, _ string, cfg Config, trajs []*Trajectory) (model, error) {
+	env, err := fitStaticEnvelope(cfg, cfg.GroundTruthContext, trajs)
+	if err != nil {
+		return nil, fmt.Errorf("safemon: fit envelope: %w", err)
 	}
-	d.env = env
-	d.loadErr = nil
-	return nil
+	return envelopeModel{env}, nil
 }
 
 // envelopePayload is the artifact payload of the static-envelope baseline.
@@ -59,97 +43,52 @@ type envelopePayload struct {
 	Envelope []byte
 }
 
-// Save writes the fitted detector as a self-describing artifact.
-func (d *envelopeDetector) Save(w io.Writer) error {
-	if d.env == nil {
-		return ErrNotFitted
-	}
-	env, err := d.env.MarshalBinary()
+func decodeEnvelope(name string, base Config, data []byte) (Config, model, error) {
+	var p envelopePayload
+	cfg, err := decodePayload(name, data, base, &p, &p.Config)
 	if err != nil {
-		return artifactErr("encode", "envelope", err)
+		return cfg, nil, err
 	}
-	payload, err := encodeGob("envelope", envelopePayload{Config: persistConfig(d.cfg), Envelope: env})
-	if err != nil {
-		return err
+	env := &baseline.StaticEnvelope{}
+	if err := env.UnmarshalBinary(p.Envelope); err != nil {
+		return cfg, nil, corruptErr("decode", name, err)
 	}
-	return writeArtifact(w, "envelope", payload)
+	if env.PerGesture != cfg.GroundTruthContext {
+		return cfg, nil, corruptErr("validate", name, errors.New("per-gesture flag disagrees with config"))
+	}
+	return cfg, envelopeModel{env}, nil
 }
 
-// Load restores fitted state from a Save artifact of the same backend.
-func (d *envelopeDetector) Load(r io.Reader) error {
-	if d.env != nil {
-		return ErrAlreadyFitted
-	}
-	backend, payload, err := readArtifact(r)
-	if err != nil {
-		d.loadErr = err
-		return err
-	}
-	return d.loadPayload(backend, payload)
+// envelopeModel is the fitted state of an envelope detector.
+type envelopeModel struct{ env *baseline.StaticEnvelope }
+
+func (m envelopeModel) payload(cfg persistedConfig) (any, error) {
+	env, err := m.env.MarshalBinary()
+	return envelopePayload{Config: cfg, Envelope: env}, err
 }
 
-// loadPayload restores fitted state from an already-parsed artifact
-// (LoadDetector's single-parse path).
-func (d *envelopeDetector) loadPayload(backend string, payload []byte) error {
-	if d.env != nil {
-		return ErrAlreadyFitted
-	}
-	err := guardLoad("envelope", func() error {
-		if err := checkBackendName(backend, "envelope"); err != nil {
-			return err
-		}
-		var p envelopePayload
-		if err := decodeGob("envelope", payload, &p); err != nil {
-			return err
-		}
-		cfg, err := p.Config.restore(d.cfg)
-		if err != nil {
-			return artifactErr("validate", "envelope", err)
-		}
-		env := &baseline.StaticEnvelope{}
-		if err := env.UnmarshalBinary(p.Envelope); err != nil {
-			return artifactErr("decode", "envelope", fmt.Errorf("%w: %v", ErrCorruptPayload, err))
-		}
-		if env.PerGesture != cfg.GroundTruthContext {
-			return artifactErr("validate", "envelope", fmt.Errorf("%w: per-gesture flag disagrees with config", ErrCorruptPayload))
-		}
-		d.cfg = cfg
-		d.env = env
-		return nil
-	})
-	if err != nil {
-		d.env = nil
-		d.loadErr = err
-		return err
-	}
-	d.loadErr = nil
-	return nil
-}
-
-func (d *envelopeDetector) Run(ctx context.Context, traj *Trajectory) (*Trace, error) {
-	return runViaSession(ctx, d, traj, d.cfg.Timing)
-}
-
-func (d *envelopeDetector) NewSession(opts ...SessionOption) (Session, error) {
-	if d.env == nil {
-		return nil, notReadyErr("envelope", d.loadErr)
-	}
-	sc := applySessionOptions(opts)
-	if d.cfg.GroundTruthContext && sc.groundTruth == nil {
+func (m envelopeModel) session(cfg Config, labels []int) (Session, error) {
+	if cfg.GroundTruthContext && labels == nil {
 		return nil, errors.New("safemon: per-gesture envelope session needs WithSessionLabels")
 	}
-	scorer, err := d.env.NewScorer()
+	scorer, err := m.env.NewScorer()
 	if err != nil {
 		return nil, err
 	}
-	return wrapGuard(&envelopeSession{d: d, scorer: scorer, labels: sc.groundTruth}, sc)
+	return &envelopeSession{
+		scorer:     scorer,
+		threshold:  cfg.Threshold,
+		needLabels: cfg.GroundTruthContext,
+		labels:     labels,
+	}, nil
 }
 
 type envelopeSession struct {
-	d      *envelopeDetector
-	scorer *baseline.EnvelopeScorer
-	labels []int
-	idx    int
+	scorer     *baseline.EnvelopeScorer
+	threshold  float64
+	needLabels bool
+	labels     []int
+	idx        int
 }
 
 func (s *envelopeSession) Push(f *Frame) (FrameVerdict, error) {
@@ -162,14 +101,14 @@ func (s *envelopeSession) Push(f *Frame) (FrameVerdict, error) {
 		FrameIndex: s.idx,
 		Gesture:    g,
 		Score:      score,
-		Unsafe:     score >= s.d.cfg.Threshold,
+		Unsafe:     score >= s.threshold,
 	}
 	s.idx++
 	return v, nil
 }
 
 func (s *envelopeSession) Reset(groundTruth []int) error {
-	if s.d.cfg.GroundTruthContext && groundTruth == nil {
+	if s.needLabels && groundTruth == nil {
 		return errors.New("safemon: per-gesture envelope session needs ground-truth labels")
 	}
 	s.labels = groundTruth

@@ -44,13 +44,7 @@ func Backends() []string {
 // Open constructs an unfitted detector by registry name, e.g.
 // Open("context-aware", WithThreshold(0.6)).
 func Open(name string, opts ...Option) (Detector, error) {
-	registry.RLock()
-	f := registry.m[name]
-	registry.RUnlock()
-	if f == nil {
-		return nil, fmt.Errorf("safemon: unknown backend %q (have %s)", name, strings.Join(Backends(), ", "))
-	}
-	return f(newConfig(opts)), nil
+	return openWith(name, newConfig(opts))
 }
 
 // openWith constructs an unfitted detector from an already-resolved Config
@@ -71,9 +65,12 @@ func init() {
 		cfg.Lookahead = true
 		return newContextDetector(cfg)
 	})
-	Register("monolithic", func(cfg Config) Detector { return newMonolithicDetector(cfg) })
-	Register("envelope", func(cfg Config) Detector { return newEnvelopeDetector(cfg) })
-	Register("skipchain", func(cfg Config) Detector { return newClassifierDetector(cfg, backendSkipChain) })
-	Register("sdsdl", func(cfg Config) Detector { return newClassifierDetector(cfg, backendSDSDL) })
-	Register("cascade", func(cfg Config) Detector { return newCascadeDetector(cfg) })
+	Register("monolithic", func(cfg Config) Detector {
+		cfg.Lookahead = false
+		return newDetector("monolithic", cfg, fitContext, decodeContext)
+	})
+	Register("envelope", func(cfg Config) Detector { return newDetector("envelope", cfg, fitEnvelope, decodeEnvelope) })
+	Register("skipchain", func(cfg Config) Detector { return newDetector("skipchain", cfg, fitClassifier, decodeClassifier) })
+	Register("sdsdl", func(cfg Config) Detector { return newDetector("sdsdl", cfg, fitClassifier, decodeClassifier) })
+	Register("cascade", func(cfg Config) Detector { return newDetector("cascade", cfg, fitCascade, decodeCascade) })
 }

@@ -5,8 +5,14 @@
 //   - Detector: one interface for every detection backend — the paper's
 //     two-stage context-aware monitor, its boundary-lookahead extension,
 //     the non-context-specific (monolithic) baseline, the static safety
-//     envelope, and the SkipChain / SDSDL classifier baselines. Backends
-//     are selected by name through a registry (Open, Register, Backends).
+//     envelope, and the SkipChain / SDSDL classifier baselines, plus the
+//     cascade that gates an nn-backed detector behind a cheap filter.
+//     Backends are selected by name through a registry (Open, Register,
+//     Backends). One shell implements the interface for every built-in
+//     backend — fit and load state, artifacts, session options — so each
+//     backend contributes only its training, artifact payload and bare
+//     session; LoadDetector restores any of them through that shell's
+//     Load.
 //   - Functional options: New(WithThreshold(0.7), WithGroundTruthContext(),
 //     ...) builds a configured detector without struct-field poking.
 //   - Session: the constant-latency streaming interface — push one
@@ -183,6 +189,5 @@ func applySessionOptions(opts []SessionOption) sessionConfig {
 // the default, recommended backend. Passing WithLookahead upgrades it to
 // the boundary-lookahead variant. Use Open to select other backends.
 func New(opts ...Option) Detector {
-	cfg := newConfig(opts)
-	return newContextDetector(cfg)
+	return newContextDetector(newConfig(opts))
 }

@@ -105,7 +105,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 
 	// Registering a custom backend makes it openable; duplicates panic.
-	Register("custom-test", func(cfg Config) Detector { return newEnvelopeDetector(cfg) })
+	Register("custom-test", func(cfg Config) Detector { return newDetector("envelope", cfg, fitEnvelope, decodeEnvelope) })
 	if det, err := Open("custom-test", WithThreshold(0.9)); err != nil {
 		t.Fatalf("Open custom backend: %v", err)
 	} else if det.Info().Threshold != 0.9 {
@@ -117,7 +117,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 				t.Error("duplicate Register should panic")
 			}
 		}()
-		Register("custom-test", func(cfg Config) Detector { return newEnvelopeDetector(cfg) })
+		Register("custom-test", func(cfg Config) Detector { return newDetector("envelope", cfg, fitEnvelope, decodeEnvelope) })
 	}()
 }
 

@@ -15,9 +15,10 @@ import (
 	"repro/safemon/ledger"
 )
 
-// Client is a minimal safemond client, used by the loadgen, the golden
-// tests and cmd/experiments. Streams are full duplex: the request body
-// is fed through a pipe while verdicts are read off the response.
+// Client is a minimal safemond client, used by the perfbench harness,
+// the golden tests and cmd/experiments. Streams are full duplex: the
+// request body is fed through a pipe while verdicts are read off the
+// response.
 type Client struct {
 	// BaseURL is the service root, e.g. "http://127.0.0.1:8080".
 	BaseURL string

@@ -382,32 +382,6 @@ func TestBinaryStreamEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBinaryStreamDisabled pins the opt-out: with DisableBinary set, a
-// binary negotiation answers 415 and NDJSON still works.
-func TestBinaryStreamDisabled(t *testing.T) {
-	det := fittedDetector(t, "envelope")
-	srv, err := NewServer(Config{
-		Detectors:     map[string]safemon.Detector{"envelope": det},
-		DisableBinary: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := newHTTPTestServer(t, srv)
-	client := &Client{BaseURL: ts.URL, HTTPClient: ts.Client(), Codec: "binary"}
-	if _, err := client.Open(context.Background(), "envelope", nil); !isHTTPError(err, http.StatusUnsupportedMediaType) {
-		t.Fatalf("binary open with binary disabled: %v, want 415", err)
-	}
-	if _, err := client.OpenMux(context.Background()); !isHTTPError(err, http.StatusUnsupportedMediaType) {
-		t.Fatalf("mux open with binary disabled: %v, want 415", err)
-	}
-	client.Codec = ""
-	traj := testFold(t).Test[0]
-	if _, err := client.StreamTrajectory(context.Background(), "envelope", traj); err != nil {
-		t.Fatalf("NDJSON with binary disabled: %v", err)
-	}
-}
-
 // TestGuardedBinaryStream pins action records across codecs: a guarded
 // binary stream must deliver the same action sequence as its NDJSON
 // twin.

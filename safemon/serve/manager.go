@@ -40,17 +40,14 @@ type managerStats struct {
 
 // ManagerConfig tunes the session manager.
 type ManagerConfig struct {
-	// MaxSessions caps concurrently attached streams; <= 0 means 1024.
-	// Each stream has at most one push in flight, so it also bounds
-	// concurrent inference.
+	// MaxSessions caps concurrently attached streams and each backend's
+	// warm session pool; <= 0 means 1024. Each stream has at most one
+	// push in flight, so it also bounds concurrent inference.
 	MaxSessions int
 	// EnqueueTimeout bounds how long a /v1/mux connection reader waits
 	// on a session's full frame channel before answering that sid with
 	// ErrQueueFull (429); <= 0 means 100ms.
 	EnqueueTimeout time.Duration
-	// MaxIdlePerBackend caps each backend's warm session pool; <= 0
-	// means the session cap.
-	MaxIdlePerBackend int
 	// Metrics receives the manager's frame, session and panic counters
 	// (and, under a Server, everything else the service exports at
 	// /metrics). Nil mints a private registry. A registry must not be
@@ -64,9 +61,6 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	}
 	if c.EnqueueTimeout <= 0 {
 		c.EnqueueTimeout = 100 * time.Millisecond
-	}
-	if c.MaxIdlePerBackend <= 0 {
-		c.MaxIdlePerBackend = c.MaxSessions
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
@@ -117,7 +111,7 @@ func NewManagerModels(models map[string]Model, cfg ManagerConfig) (*Manager, err
 			det:      mod.Detector,
 			version:  mod.Version,
 			loadedAt: now,
-			pool:     safemon.NewSessionPool(mod.Detector, cfg.MaxIdlePerBackend),
+			pool:     safemon.NewSessionPool(mod.Detector, cfg.MaxSessions),
 		}
 	}
 	reg := cfg.Metrics

@@ -86,7 +86,7 @@ func (m *Manager) Swap(models map[string]Model) error {
 			det:      mod.Detector,
 			version:  mod.Version,
 			loadedAt: now,
-			pool:     safemon.NewSessionPool(mod.Detector, m.cfg.MaxIdlePerBackend),
+			pool:     safemon.NewSessionPool(mod.Detector, m.cfg.MaxSessions),
 		}
 	}
 	m.models = next

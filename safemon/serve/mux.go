@@ -161,10 +161,6 @@ func (s *Server) handleMux(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if s.cfg.DisableBinary {
-		http.Error(w, "binary codec disabled", http.StatusUnsupportedMediaType)
-		return
-	}
 	if !hasMediaType(r.Header.Get("Content-Type"), BinaryContentType) {
 		http.Error(w, "mux requires Content-Type: "+BinaryContentType, http.StatusUnsupportedMediaType)
 		return

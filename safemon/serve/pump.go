@@ -61,15 +61,12 @@ type pump struct {
 	act   ActionMsg
 }
 
-// admit runs a session's admission checks in order: the default backend,
-// 404 for an unknown backend or policy, 503 while draining, then a
-// session slot (429 at the cap, 503 once the manager drains). On success
-// the pump holds the slot until close. /v1/stream answers the *ErrorMsg
-// as an HTTP status, /v1/mux as a per-sid record.
+// admit runs a session's admission checks in order: the sole backend when
+// the request names none, 404 for an unknown backend or policy, 503 while
+// draining, then a session slot (429 at the cap, 503 once the manager
+// drains). On success the pump holds the slot until close. /v1/stream
+// answers the *ErrorMsg as an HTTP status, /v1/mux as a per-sid record.
 func (s *Server) admit(backend, policy string) (*pump, *ErrorMsg) {
-	if backend == "" {
-		backend = s.cfg.DefaultBackend
-	}
 	if backend == "" {
 		backend = s.manager.soleBackend()
 	}

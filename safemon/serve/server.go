@@ -41,19 +41,11 @@ type Config struct {
 	// Manager tunes the session cap, the warm pools and /v1/mux
 	// backpressure.
 	Manager ManagerConfig
-	// DefaultBackend is used when a stream request names none; empty
-	// defaults to the only detector when exactly one is configured.
-	DefaultBackend string
 	// StreamIdleTimeout bounds the wait for each request record: a client
 	// that goes silent past it loses its stream (and session slot) instead
 	// of pinning them forever. <= 0 means 2 minutes; generous next to the
 	// 30 Hz kinematics rate the monitor is built for.
 	StreamIdleTimeout time.Duration
-	// DisableBinary turns off the binary wire codec: requests negotiating
-	// application/x-safemon-frames get HTTP 415 and /v1/mux is refused,
-	// leaving NDJSON as the only transport. For fleets that want the
-	// edge pinned to the always-works default.
-	DisableBinary bool
 	// Ledger, when set, records every stream into the durable event
 	// ledger — session lifecycle, per-frame verdicts (with their input
 	// frames), guard action edges, and model swaps — and enables the
@@ -279,10 +271,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	binary := wantsBinary(r)
-	if binary && s.cfg.DisableBinary {
-		http.Error(w, "binary codec disabled; send NDJSON", http.StatusUnsupportedMediaType)
-		return
-	}
 	// Admission claims a session slot before committing the response
 	// status: at the session cap the client gets a real HTTP 429, not a
 	// broken stream.
