@@ -1,10 +1,10 @@
 // Command safemond is the long-lived real-time monitoring service: it
-// serves concurrent kinematics streams over HTTP — NDJSON by default,
-// or the compact binary codec (application/x-safemon-frames, including
-// multiplexed /v1/mux connections) — emitting verdicts frame by frame
-// from warm pooled sessions, each scored on the goroutine that owns its
-// stream, with explicit backpressure. Verdict values are identical across
-// codecs.
+// serves concurrent kinematics streams over HTTP — NDJSON on /v1/stream,
+// or the compact binary codec (application/x-safemon-frames) on
+// multiplexed /v1/mux connections, one sid per robot — emitting verdicts
+// frame by frame from warm pooled sessions, each scored on the goroutine
+// that owns its stream, with explicit backpressure. Verdict values are
+// identical across both transports.
 //
 // Models come from one of two places:
 //
@@ -41,8 +41,9 @@
 // incident endpoints. The drain sequence flushes and seals the ledger, so
 // a SIGTERM loses no recorded tail.
 //
-// Endpoints: POST /v1/stream?backend=NAME[&policy=NAME] (NDJSON duplex),
-// GET /v1/backends, GET /v1/models, POST /v1/models/reload, GET
+// Endpoints: POST /v1/stream?backend=NAME[&policy=NAME] (NDJSON duplex;
+// a binary Content-Type gets 415), POST /v1/mux (binary, many sessions
+// per connection), GET /v1/backends, GET /v1/models, POST /v1/models/reload, GET
 // /v1/policies, GET /v1/incidents, GET /v1/incidents/{id}, POST
 // /v1/incidents/{id}/replay, GET /metrics (Prometheus text exposition
 // of every service counter), GET /v1/debug/slowframes, GET /healthz,

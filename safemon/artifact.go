@@ -371,18 +371,18 @@ func restoreFeatureSet(ints []int) (FeatureSet, error) {
 // ConfigHash returns a stable hex fingerprint of a detector's training
 // configuration (threshold, feature subsets, window, architecture, seed,
 // ...). Two detectors trained with the same configuration on the same data
-// produce the same hash; model stores record it in artifact manifests so a
-// served model can be traced back to its training setup.
+// produce the same hash, in any process; model stores record it in
+// artifact manifests so a served model can be traced back to its training
+// setup. It hashes the persisted config printed with %+v: fields in
+// declaration order and each float in its shortest exact form. A gob
+// encoding would not do, since gob numbers types in the order a process
+// first encodes them.
 func ConfigHash(d Detector) (string, error) {
 	sd, ok := d.(*detector)
 	if !ok {
 		return "", fmt.Errorf("safemon: %s detector does not expose its configuration", d.Info().Name)
 	}
-	data, err := encodeGob(sd.name, persistConfig(sd.cfg))
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
+	sum := sha256.Sum256(fmt.Appendf(nil, "%+v", persistConfig(sd.cfg)))
 	return hex.EncodeToString(sum[:12]), nil
 }
 

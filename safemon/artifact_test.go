@@ -5,6 +5,9 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"os"
+	"os/exec"
 	"reflect"
 	"strings"
 	"testing"
@@ -308,5 +311,49 @@ func TestConfigHash(t *testing.T) {
 	}
 	if h4, _ := ConfigHash(other); h4 == h1 {
 		t.Error("different configs share a hash")
+	}
+}
+
+// configHashChildEnv puts TestConfigHashAcrossProcesses in child mode:
+// "hash" hashes a config first, "save" saves a fitted detector first.
+const configHashChildEnv = "SAFEMON_CONFIGHASH_CHILD"
+
+// TestConfigHashAcrossProcesses pins ConfigHash against process history:
+// the test binary re-executes itself twice, once hashing a config as its
+// first act and once hashing it right after a Save, and both processes
+// must print one value. A Save before the first hash is what changed a
+// gob-encoded hash, because gob numbers types in first-use order.
+func TestConfigHashAcrossProcesses(t *testing.T) {
+	if mode := os.Getenv(configHashChildEnv); mode != "" {
+		if mode == "save" {
+			saveArtifact(t, fittedDetector(t, "envelope"))
+		}
+		det, err := Open("envelope", WithThreshold(0.7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := ConfigHash(det)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Printf("confighash=%s\n", h)
+		return
+	}
+	hashes := map[string]string{}
+	for _, mode := range []string{"hash", "save"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestConfigHashAcrossProcesses$", "-test.count=1")
+		cmd.Env = append(os.Environ(), configHashChildEnv+"="+mode)
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s-first process: %v\n%s", mode, err, out)
+		}
+		_, after, ok := strings.Cut(string(out), "confighash=")
+		if !ok {
+			t.Fatalf("%s-first process printed no hash:\n%s", mode, out)
+		}
+		hashes[mode], _, _ = strings.Cut(after, "\n")
+	}
+	if hashes["hash"] != hashes["save"] {
+		t.Errorf("one config hashed %s in a hash-first process and %s in a save-first one", hashes["hash"], hashes["save"])
 	}
 }

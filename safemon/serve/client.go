@@ -25,13 +25,7 @@ type Client struct {
 	// HTTPClient overrides http.DefaultClient (httptest servers pass
 	// their own).
 	HTTPClient *http.Client
-	// Codec selects the wire codec for Open/OpenGuarded streams: ""
-	// or "json" for NDJSON (the default), "binary" for the compact
-	// record format. OpenMux is always binary.
-	Codec string
 }
-
-func (c *Client) binary() bool { return c.Codec == "binary" }
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
@@ -160,17 +154,14 @@ func (c *Client) ReplayIncident(ctx context.Context, id, backend, policy string)
 	return &out, nil
 }
 
-// Stream is one open session on either codec. Use Send/Recv in lockstep
-// (one verdict per frame) from a single goroutine, then Close.
+// Stream is one open NDJSON session on /v1/stream. Use Send/Recv in
+// lockstep (one verdict per frame) from a single goroutine, then Close.
+// Binary clients open a MuxStream on a MuxConn instead.
 type Stream struct {
-	body io.WriteCloser // request-body pipe
-	resp *http.Response
-	// NDJSON codec (nil on binary streams).
-	enc *json.Encoder
-	dec *json.Decoder
-	// Binary codec (nil on NDJSON streams).
-	bw      *binWriter
-	br      *binReader
+	body    io.WriteCloser // request-body pipe
+	resp    *http.Response
+	enc     *json.Encoder
+	dec     *json.Decoder
 	actions []ActionMsg
 }
 
@@ -203,12 +194,7 @@ func (c *Client) OpenGuarded(ctx context.Context, backend, policy string, ground
 		pw.Close()
 		return nil, err
 	}
-	if c.binary() {
-		req.Header.Set("Content-Type", BinaryContentType)
-		req.Header.Set("Accept", BinaryContentType)
-	} else {
-		req.Header.Set("Content-Type", "application/x-ndjson")
-	}
+	req.Header.Set("Content-Type", "application/x-ndjson")
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		pw.Close()
@@ -220,20 +206,7 @@ func (c *Client) OpenGuarded(ctx context.Context, backend, policy string, ground
 		pw.Close()
 		return nil, err
 	}
-	st := &Stream{body: pw, resp: resp}
-	if c.binary() {
-		st.bw = newBinWriter(pw)
-		st.br = newBinReader(resp.Body)
-		if groundTruth != nil {
-			if err := st.bw.emit(&BinaryRecord{Type: BinLabels, Labels: groundTruth}); err != nil {
-				st.Close()
-				return nil, err
-			}
-		}
-		return st, nil
-	}
-	st.enc = json.NewEncoder(pw)
-	st.dec = json.NewDecoder(bufio.NewReader(resp.Body))
+	st := &Stream{body: pw, resp: resp, enc: json.NewEncoder(pw), dec: json.NewDecoder(bufio.NewReader(resp.Body))}
 	if groundTruth != nil {
 		if err := st.enc.Encode(ClientMsg{Labels: groundTruth}); err != nil {
 			st.Close()
@@ -243,12 +216,8 @@ func (c *Client) OpenGuarded(ctx context.Context, backend, policy string, ground
 	return st, nil
 }
 
-// Send writes one frame record. On a warm binary stream this is a
-// single buffered write with zero allocations.
+// Send writes one frame record.
 func (s *Stream) Send(frame *safemon.Frame) error {
-	if s.bw != nil {
-		return s.bw.writeFrame(0, frame)
-	}
 	return s.enc.Encode(ClientMsg{Frame: frame[:]})
 }
 
@@ -257,9 +226,6 @@ func (s *Stream) Send(frame *safemon.Frame) error {
 // surface as errors: io.EOF for a done record, *ErrorMsg for a server
 // error.
 func (s *Stream) Recv() (safemon.FrameVerdict, error) {
-	if s.br != nil {
-		return s.recvBinary()
-	}
 	for {
 		var msg ServerMsg
 		if err := s.dec.Decode(&msg); err != nil {
@@ -280,27 +246,6 @@ func (s *Stream) Recv() (safemon.FrameVerdict, error) {
 	}
 }
 
-func (s *Stream) recvBinary() (safemon.FrameVerdict, error) {
-	for {
-		rec, err := s.br.next()
-		if err != nil {
-			return safemon.FrameVerdict{}, err
-		}
-		switch rec.Type {
-		case BinVerdict:
-			return rec.Verdict.Verdict(), nil
-		case BinAction:
-			s.actions = append(s.actions, rec.Action)
-		case BinError:
-			return safemon.FrameVerdict{}, &ErrorMsg{Code: int(rec.Code), Message: rec.Message}
-		case BinDone:
-			return safemon.FrameVerdict{}, io.EOF
-		default:
-			return safemon.FrameVerdict{}, fmt.Errorf("serve: unexpected %s record from server", binTypeName(rec.Type))
-		}
-	}
-}
-
 // Actions returns the guard action records received so far, in stream
 // order. The server emits an action immediately before the verdict of the
 // frame that produced it, so after Recv returns frame i's verdict, every
@@ -314,12 +259,7 @@ func (s *Stream) CloseSend() error { return s.body.Close() }
 // Close tears the stream down.
 func (s *Stream) Close() error {
 	s.body.Close()
-	err := s.resp.Body.Close()
-	if s.br != nil {
-		s.br.release()
-		s.br = nil
-	}
-	return err
+	return s.resp.Body.Close()
 }
 
 // StreamTrajectory replays one trajectory through a fresh stream and

@@ -60,7 +60,7 @@ type MuxConn struct {
 }
 
 // OpenMux dials a multiplexed binary connection. A non-200 admission
-// answer (415 binary disabled, 503 draining) is returned as *ErrorMsg.
+// answer (503 draining) is returned as *ErrorMsg.
 func (c *Client) OpenMux(ctx context.Context) (*MuxConn, error) {
 	pr, pw := io.Pipe()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/mux", pr)
@@ -195,11 +195,11 @@ func (m *MuxConn) Open(ctx context.Context, backend, policy string, groundTruth 
 			e := ev.errMsg
 			return nil, &e
 		default:
-			st.forget()
+			st.abandon()
 			return nil, fmt.Errorf("serve: unexpected record answering open")
 		}
 	case <-ctx.Done():
-		st.forget()
+		st.abandon()
 		return nil, ctx.Err()
 	}
 }
@@ -280,6 +280,15 @@ func (st *MuxStream) forget() {
 	st.conn.mu.Lock()
 	delete(st.conn.streams, st.sid)
 	st.conn.mu.Unlock()
+}
+
+// abandon gives up on a stream whose open record already went out: it
+// stops routing the sid's records and half-closes it, so a session the
+// server admitted ends and frees its slot instead of living until the
+// connection does.
+func (st *MuxStream) abandon() {
+	st.forget()
+	st.CloseSend()
 }
 
 // StreamTrajectory replays one trajectory through a fresh logical

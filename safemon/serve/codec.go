@@ -1,36 +1,35 @@
 package serve
 
-// Binary wire codec: a compact length-prefixed record format negotiated
-// per request via the Content-Type / Accept header value
-// application/x-safemon-frames. NDJSON stays the always-works default;
-// the binary codec exists because per-frame JSON encode/decode had come
-// to cost more than many backends' inference.
+// Binary wire codec: the compact length-prefixed record format that POST
+// /v1/mux speaks (media type application/x-safemon-frames). NDJSON on
+// /v1/stream stays the always-works default; the binary codec exists
+// because per-frame JSON encode/decode had come to cost more than many
+// backends' inference.
 //
 // Every record is little-endian with a fixed 9-byte header:
 //
 //	off size field
 //	0   1    type  (Bin* constant)
-//	1   4    sid   u32 logical session id; 0 on single-session streams
+//	1   4    sid   u32 logical session id
 //	5   4    len   u32 payload length in bytes (<= 1 MiB)
 //	9   len  payload
 //
-// Payloads by type:
+// Payloads by type (type 2 is reserved and decodes as unknown):
 //
-//	BinFrame   304B  38 x float64 kinematics values
-//	BinLabels  4nB   n x int32 ground-truth gesture labels
+//	BinFrame   304B  38 x float64 kinematics values         (c->s)
 //	BinVerdict 21B   i int64 @0 | g int32 @8 | score float64 @12 | unsafe u8 @20
 //	BinAction  26+B  i int64 @0 | alert_frame int64 @8 | score float64 @16 |
 //	                 level u8 @24 | policy_len u8 @25 | policy bytes @26
 //	BinDone    8B    frames uint64
 //	BinError   4+B   code uint32 @0 | message bytes @4
 //	BinOpen    4+B   backend_len u16 @0 | backend | policy_len u16 | policy |
-//	                 n x int32 labels (rest of payload)     (mux only, c->s)
-//	BinOpened  0+B   model version bytes                    (mux only, s->c)
-//	BinClose   0B    half-close: no more frames for the sid (mux only, c->s)
+//	                 n x int32 labels (rest of payload)     (c->s)
+//	BinOpened  0+B   model version bytes                    (s->c)
+//	BinClose   0B    half-close: no more frames for the sid (c->s)
 //
 // The codec is allocation-free for the hot records (frame, verdict) in
 // both directions once a connection's buffers are warm; the cold records
-// (labels, open, error, action) may allocate for their variable parts.
+// (open, error, action) may allocate for their variable parts.
 // DecodeBinaryRecord never panics on malformed input — the property
 // FuzzDecodeBinaryRecord pins — and distinguishes framing errors (the
 // stream cannot continue) from payload errors (the record is framed
@@ -50,18 +49,18 @@ import (
 	"repro/safemon"
 )
 
-// BinaryContentType is the media type that negotiates the binary codec:
-// send it as Content-Type (and/or Accept) on POST /v1/stream, and
-// mandatorily on POST /v1/mux.
+// BinaryContentType is the media type of the binary codec: POST /v1/mux
+// requires it as the Content-Type, and POST /v1/stream refuses it with a
+// 415 that points at /v1/mux.
 const BinaryContentType = "application/x-safemon-frames"
 
 // Binary record types (the u8 type field of every record header).
 const (
 	// BinFrame carries one 38-variable kinematics frame (client->server).
 	BinFrame byte = iota + 1
-	// BinLabels carries the stream's ground-truth gesture labels
-	// (client->server, at most once, before the first frame).
-	BinLabels
+	// binReserved (2) is reserved: no record uses it, so the later types
+	// keep their wire numbers. It decodes as an unknown type.
+	binReserved
 	// BinVerdict carries one frame verdict (server->client).
 	BinVerdict
 	// BinAction carries one guard mitigation edge (server->client,
@@ -123,7 +122,7 @@ func levelByte(name string) (byte, bool) {
 // decode without allocating.
 type BinaryRecord struct {
 	Type byte
-	// SID is the logical session id; 0 on single-session streams.
+	// SID is the logical session id.
 	SID uint32
 
 	// Frame is the kinematics sample of a BinFrame record.
@@ -132,7 +131,7 @@ type BinaryRecord struct {
 	Verdict VerdictMsg
 	// Action is the mitigation edge of a BinAction record.
 	Action ActionMsg
-	// Labels are the ground-truth labels of a BinLabels record (the
+	// Labels are the ground-truth labels of a BinOpen record (the
 	// backing array is reused across decodes into the same record).
 	Labels []int
 	// Frames is the verdict count of a BinDone record.
@@ -140,12 +139,34 @@ type BinaryRecord struct {
 	// Code and Message form a BinError record.
 	Code    uint32
 	Message string
-	// Backend and Policy name the session of a BinOpen record (its
-	// labels ride in Labels).
+	// Backend and Policy name the session of a BinOpen record.
 	Backend string
 	Policy  string
 	// Version is the bound model version of a BinOpened record.
 	Version string
+}
+
+// binTypeName names a record type for error messages.
+func binTypeName(typ byte) string {
+	switch typ {
+	case BinFrame:
+		return "frame"
+	case BinVerdict:
+		return "verdict"
+	case BinAction:
+		return "action"
+	case BinDone:
+		return "done"
+	case BinError:
+		return "error"
+	case BinOpen:
+		return "open"
+	case BinOpened:
+		return "opened"
+	case BinClose:
+		return "close"
+	}
+	return fmt.Sprintf("type-%d", typ)
 }
 
 func appendBinHeader(dst []byte, typ byte, sid uint32, payloadLen int) []byte {
@@ -163,15 +184,6 @@ func AppendBinaryRecord(dst []byte, rec *BinaryRecord) ([]byte, error) {
 		dst = appendBinHeader(dst, BinFrame, rec.SID, binFramePayload)
 		for _, v := range rec.Frame {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
-	case BinLabels:
-		n := 4 * len(rec.Labels)
-		if n > maxRecordBytes {
-			return dst, errRecordTooLarge
-		}
-		dst = appendBinHeader(dst, BinLabels, rec.SID, n)
-		for _, l := range rec.Labels {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(l)))
 		}
 	case BinVerdict:
 		dst = appendBinHeader(dst, BinVerdict, rec.SID, binVerdictPayload)
@@ -256,7 +268,7 @@ func DecodeBinaryRecord(b []byte, rec *BinaryRecord) (int, error) {
 	if len(b) < binHeaderSize+int(plen) {
 		return 0, errShortRecord
 	}
-	if typ == 0 || typ > binMaxType {
+	if typ == 0 || typ == binReserved || typ > binMaxType {
 		return 0, fmt.Errorf("serve: unknown binary record type %d", typ)
 	}
 	rec.Type, rec.SID = typ, sid
@@ -273,13 +285,6 @@ func DecodeBinaryRecord(b []byte, rec *BinaryRecord) (int, error) {
 				return n, errNonFiniteFrame
 			}
 			rec.Frame[i] = v
-		}
-	case BinLabels:
-		if len(p)%4 != 0 {
-			return n, fmt.Errorf("%w: labels payload %d bytes, want a multiple of 4", errBadPayload, len(p))
-		}
-		for i := 0; i < len(p); i += 4 {
-			rec.Labels = append(rec.Labels, int(int32(binary.LittleEndian.Uint32(p[i:]))))
 		}
 	case BinVerdict:
 		if len(p) != binVerdictPayload {

@@ -32,7 +32,8 @@ func FuzzDecodeBinaryRecord(f *testing.F) {
 		frame[i] = 0.25 * float64(i)
 	}
 	f.Add(fuzzSeedRecord(BinaryRecord{Type: BinFrame, SID: 1, Frame: frame}))
-	f.Add(fuzzSeedRecord(BinaryRecord{Type: BinLabels, Labels: []int{1, 2, 2, 3, -1}}))
+	// The reserved type 2: framed intact, refused as an unknown type.
+	f.Add(encodeRaw(binReserved, 0, []byte{1, 0, 0, 0, 2, 0, 0, 0}))
 	f.Add(fuzzSeedRecord(BinaryRecord{Type: BinVerdict, SID: 9, Verdict: VerdictMsg{I: 12, G: 3, Score: 0.75, Unsafe: true}}))
 	f.Add(fuzzSeedRecord(BinaryRecord{Type: BinAction, SID: 2, Action: ActionMsg{I: 8, AlertFrame: 6, Score: 2.5, Level: "safe-stop", Policy: "stop-fast"}}))
 	f.Add(fuzzSeedRecord(BinaryRecord{Type: BinDone, Frames: 812}))

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -46,20 +45,23 @@ func randomBinaryRecord(r *rand.Rand) BinaryRecord {
 		}
 		return string(b)
 	}
-	rec := BinaryRecord{Type: byte(1 + r.Intn(int(binMaxType))), SID: r.Uint32()}
+	// Every type in use; the reserved type 2 is skipped.
+	typ := byte(1 + r.Intn(int(binMaxType)-1))
+	if typ >= binReserved {
+		typ++
+	}
+	rec := BinaryRecord{Type: typ, SID: r.Uint32()}
 	switch rec.Type {
 	case BinFrame:
 		for i := range rec.Frame {
 			rec.Frame[i] = r.NormFloat64() * 100
 		}
-	case BinLabels, BinOpen:
+	case BinOpen:
 		for i := 0; i < r.Intn(40); i++ {
 			rec.Labels = append(rec.Labels, r.Intn(16)-1)
 		}
-		if rec.Type == BinOpen {
-			rec.Backend = randString(12)
-			rec.Policy = randString(12)
-		}
+		rec.Backend = randString(12)
+		rec.Policy = randString(12)
 	case BinVerdict:
 		rec.Verdict = VerdictMsg{I: r.Intn(1 << 20), G: r.Intn(15) - 1, Score: r.NormFloat64(), Unsafe: r.Intn(2) == 1}
 	case BinAction:
@@ -163,9 +165,9 @@ func encodeRaw(typ byte, sid uint32, payload []byte) []byte {
 }
 
 // TestDecodeBinaryRecordMalformed pins the decoder's rejection behavior:
-// short buffers and oversized lengths are framing errors, ragged payloads
-// are errBadPayload (recoverable per sid, with Type and SID preserved),
-// and nothing panics.
+// short buffers, oversized lengths and unknown types (the reserved type
+// 2 included) are framing errors, ragged payloads are errBadPayload
+// (recoverable per sid, with Type and SID preserved), and nothing panics.
 func TestDecodeBinaryRecordMalformed(t *testing.T) {
 	frame := make([]byte, binFramePayload)
 	cases := []struct {
@@ -181,7 +183,7 @@ func TestDecodeBinaryRecordMalformed(t *testing.T) {
 		{"type unknown", encodeRaw(binMaxType+1, 1, nil), false},
 		{"frame short", encodeRaw(BinFrame, 7, frame[:binFramePayload-8]), true},
 		{"frame long", encodeRaw(BinFrame, 7, append(append([]byte{}, frame...), 0, 0, 0, 0, 0, 0, 0, 0)), true},
-		{"labels ragged", encodeRaw(BinLabels, 7, []byte{1, 2, 3}), true},
+		{"type 2 rejected", encodeRaw(binReserved, 7, []byte{1, 0, 0, 0}), false},
 		{"verdict short", encodeRaw(BinVerdict, 7, make([]byte, binVerdictPayload-1)), true},
 		{"verdict bad bool", encodeRaw(BinVerdict, 7, append(make([]byte, binVerdictPayload-1), 7)), true},
 		{"action short", encodeRaw(BinAction, 7, make([]byte, binActionMin-1)), true},
@@ -263,8 +265,8 @@ func TestJSONDecodeRejectsNonFinite(t *testing.T) {
 }
 
 // TestStreamRejectsNonFiniteFrames drives the rejection end to end on
-// both codecs: a non-finite frame answers a 400 error record and ends
-// the stream.
+// both transports: a non-finite frame answers a 400 error record and
+// ends the stream (on /v1/mux, just its sid).
 func TestStreamRejectsNonFiniteFrames(t *testing.T) {
 	det := fittedDetector(t, "envelope")
 	_, client := newTestService(t, map[string]safemon.Detector{"envelope": det}, ManagerConfig{})
@@ -292,14 +294,17 @@ func TestStreamRejectsNonFiniteFrames(t *testing.T) {
 		}
 	})
 
-	t.Run("binary", func(t *testing.T) {
-		bc := *client
-		bc.Codec = "binary"
-		st, err := bc.Open(context.Background(), "envelope", nil)
+	t.Run("binary-mux", func(t *testing.T) {
+		ctx := context.Background()
+		m, err := client.OpenMux(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer st.Close()
+		defer m.Close()
+		st, err := m.Open(ctx, "envelope", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var frame safemon.Frame
 		frame[5] = math.Inf(1)
 		if err := st.Send(&frame); err != nil {
@@ -343,94 +348,5 @@ func TestScannerBufferPooled(t *testing.T) {
 	})
 	if per := res.AllocedBytesPerOp(); per > 16<<10 {
 		t.Fatalf("record reader allocates %d B per connection; the 64 KiB scan buffer is not pooled", per)
-	}
-}
-
-// TestBinaryStreamEndToEnd runs a whole trajectory over a binary
-// /v1/stream connection and requires exact verdict agreement with the
-// NDJSON transport, plus exact codec counters in /metrics.
-func TestBinaryStreamEndToEnd(t *testing.T) {
-	det := fittedDetector(t, "envelope")
-	_, client := newTestService(t, map[string]safemon.Detector{"envelope": det}, ManagerConfig{})
-	traj := testFold(t).Test[0]
-	ctx := context.Background()
-
-	jsonVerdicts, err := client.StreamTrajectory(ctx, "envelope", traj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bc := *client
-	bc.Codec = "binary"
-	binVerdicts, err := bc.StreamTrajectory(ctx, "envelope", traj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jsonVerdicts) != len(binVerdicts) {
-		t.Fatalf("json %d verdicts, binary %d", len(jsonVerdicts), len(binVerdicts))
-	}
-	for i := range jsonVerdicts {
-		if jsonVerdicts[i] != binVerdicts[i] {
-			t.Fatalf("verdict %d: json %+v binary %+v", i, jsonVerdicts[i], binVerdicts[i])
-		}
-	}
-
-	scrape := scrapeMetrics(t, client.httpClient(), client.BaseURL+"/metrics")
-	jsonStreams := scrape.get(t, `safemon_streams_total{codec="json"}`)
-	binStreams := scrape.get(t, `safemon_streams_total{codec="binary"}`)
-	if jsonStreams != 1 || binStreams != 1 {
-		t.Fatalf("streams = %v json / %v binary, want 1 / 1", jsonStreams, binStreams)
-	}
-}
-
-// TestGuardedBinaryStream pins action records across codecs: a guarded
-// binary stream must deliver the same action sequence as its NDJSON
-// twin.
-func TestGuardedBinaryStream(t *testing.T) {
-	_, client := newGuardedService(t, testGuardPolicy())
-	safe, wild := guardProbeFrames(t)
-	frames := make([]safemon.Frame, 0, 14)
-	for i := 0; i < 5; i++ {
-		frames = append(frames, safe)
-	}
-	for i := 0; i < 4; i++ {
-		frames = append(frames, wild)
-	}
-	for i := 0; i < 5; i++ {
-		frames = append(frames, safe)
-	}
-
-	run := func(codec string) []ActionMsg {
-		t.Helper()
-		c := *client
-		c.Codec = codec
-		st, err := c.OpenGuarded(context.Background(), "envelope", "stop-fast", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st.Close()
-		for i := range frames {
-			if err := st.Send(&frames[i]); err != nil {
-				t.Fatalf("send %d: %v", i, err)
-			}
-			if _, err := st.Recv(); err != nil {
-				t.Fatalf("recv %d: %v", i, err)
-			}
-		}
-		if err := st.CloseSend(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := st.Recv(); err != io.EOF {
-			t.Fatalf("want done, got %v", err)
-		}
-		return st.Actions()
-	}
-
-	jsonActions := run("")
-	binActions := run("binary")
-	if len(jsonActions) == 0 {
-		t.Fatal("guarded stream produced no actions")
-	}
-	if fmt.Sprintf("%+v", jsonActions) != fmt.Sprintf("%+v", binActions) {
-		t.Fatalf("actions differ:\n json  %+v\n binary %+v", jsonActions, binActions)
 	}
 }

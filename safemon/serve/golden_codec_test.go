@@ -12,10 +12,10 @@ import (
 
 // TestGoldenVerdictsAcrossCodecs is the cross-codec leg of the golden
 // suite: for every registered backend, one fixed trajectory must yield
-// verdicts exactly == across the offline Runner, the NDJSON stream, the
-// binary stream and a multiplexed binary session. The binary codec
-// carries float64 bits verbatim, so equality is exact, not approximate —
-// any divergence is a codec bug, never rounding.
+// verdicts exactly == across the offline Runner, the NDJSON stream and a
+// multiplexed binary session. The binary codec carries float64 bits
+// verbatim, so equality is exact, not approximate — any divergence is a
+// codec bug, never rounding.
 func TestGoldenVerdictsAcrossCodecs(t *testing.T) {
 	fold := testFold(t)
 	traj := fold.Test[0]
@@ -38,14 +38,6 @@ func TestGoldenVerdictsAcrossCodecs(t *testing.T) {
 				t.Fatal(err)
 			}
 			runs["ndjson"] = jsonVerdicts
-
-			bc := *client
-			bc.Codec = "binary"
-			binVerdicts, err := bc.StreamTrajectory(ctx, backend, traj)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runs["binary"] = binVerdicts
 
 			m, err := client.OpenMux(ctx)
 			if err != nil {
@@ -82,7 +74,7 @@ func TestGoldenVerdictsAcrossCodecs(t *testing.T) {
 
 // TestGoldenGuardedAcrossCodecs extends the cross-codec contract to
 // guarded streams: verdicts and guard action records must agree exactly
-// across NDJSON, binary and multiplexed transports running the same
+// across the NDJSON and multiplexed binary transports running the same
 // policy over the same frames.
 func TestGoldenGuardedAcrossCodecs(t *testing.T) {
 	_, client := newGuardedService(t, testGuardPolicy())
@@ -127,22 +119,16 @@ func TestGoldenGuardedAcrossCodecs(t *testing.T) {
 	}
 
 	runs := map[string]run{}
-	for _, codec := range []string{"json", "binary"} {
-		c := *client
-		if codec == "binary" {
-			c.Codec = "binary"
-		}
-		st, err := c.OpenGuarded(ctx, "envelope", "stop-fast", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := drive(st.Send, st.Recv, st.CloseSend, st.Actions)
-		st.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", codec, err)
-		}
-		runs[codec] = out
+	js, err := client.OpenGuarded(ctx, "envelope", "stop-fast", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	out, err := drive(js.Send, js.Recv, js.CloseSend, js.Actions)
+	js.Close()
+	if err != nil {
+		t.Fatalf("json: %v", err)
+	}
+	runs["json"] = out
 	m, err := client.OpenMux(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +138,7 @@ func TestGoldenGuardedAcrossCodecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := drive(st.Send, st.Recv, st.CloseSend, st.Actions)
+	out, err = drive(st.Send, st.Recv, st.CloseSend, st.Actions)
 	if err != nil {
 		t.Fatalf("binary-mux: %v", err)
 	}

@@ -48,9 +48,9 @@ func driveIncident(t *testing.T, client *Client, backend, policy string, frames 
 	return driveIncidentOver(t, client, "json", backend, policy, frames)
 }
 
-// driveIncidentOver is driveIncident over a chosen transport: "json" or
-// "binary" for a /v1/stream codec, "binary-mux" for one logical session
-// on a /v1/mux connection.
+// driveIncidentOver is driveIncident over a chosen transport: "json" for
+// an NDJSON /v1/stream, "binary-mux" for one logical session on a /v1/mux
+// connection.
 func driveIncidentOver(t *testing.T, client *Client, codec, backend, policy string, frames []*safemon.Frame) ([]safemon.FrameVerdict, []ActionMsg) {
 	t.Helper()
 	ctx := context.Background()
@@ -70,9 +70,7 @@ func driveIncidentOver(t *testing.T, client *Client, codec, backend, policy stri
 			t.Fatal(err)
 		}
 	} else {
-		c := *client
-		c.Codec = codec
-		s, err := c.OpenGuarded(ctx, backend, policy, nil)
+		s, err := client.OpenGuarded(ctx, backend, policy, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +156,7 @@ func wireMsgLines(t *testing.T, verdicts []VerdictMsg) []byte {
 // replay reproduces that trail byte-identically. The binary-mux case is
 // the path perfbench's guarded-incidents workload drives.
 func TestIncidentRoundTripOverServe(t *testing.T) {
-	for _, codec := range []string{"json", "binary", "binary-mux"} {
+	for _, codec := range []string{"json", "binary-mux"} {
 		t.Run(codec, func(t *testing.T) {
 			det := fittedDetector(t, "envelope")
 			_, client, _ := newLedgeredService(t, map[string]safemon.Detector{"envelope": det}, testGuardPolicy())

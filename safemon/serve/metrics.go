@@ -138,15 +138,14 @@ func (tr *streamTrace) observe(frame int, endNS int64) {
 	tr.slow.Offer(total, endNS, int64(frame), &tr.scratch, tr.meta)
 }
 
-// codecCounters tracks which wire codecs the service's streams have
-// negotiated, and how many mux frames backpressure refused. Stream
-// handlers increment; /metrics reads concurrently.
+// codecCounters tracks the service's connections per transport, and how
+// many mux frames backpressure refused. Stream handlers increment;
+// /metrics reads concurrently.
 type codecCounters struct {
-	jsonStreams   atomic.Uint64 // NDJSON /v1/stream connections admitted
-	binaryStreams atomic.Uint64 // binary /v1/stream connections admitted
-	muxConns      atomic.Uint64 // /v1/mux connections admitted
-	muxSessions   atomic.Uint64 // logical sessions opened over mux conns
-	muxQueueFull  atomic.Uint64 // mux frames refused with a per-sid 429
+	jsonStreams  atomic.Uint64 // NDJSON /v1/stream connections admitted
+	muxConns     atomic.Uint64 // /v1/mux connections admitted
+	muxSessions  atomic.Uint64 // logical sessions opened over mux conns
+	muxQueueFull atomic.Uint64 // mux frames refused with a per-sid 429
 }
 
 // registerMetrics exports every server-level counter through the
@@ -160,9 +159,6 @@ func (s *Server) registerMetrics() {
 	reg.CounterFunc("safemon_streams_total",
 		"Single-session /v1/stream connections admitted, by codec.",
 		s.codec.jsonStreams.Load, obs.Label{Key: "codec", Value: "json"})
-	reg.CounterFunc("safemon_streams_total",
-		"Single-session /v1/stream connections admitted, by codec.",
-		s.codec.binaryStreams.Load, obs.Label{Key: "codec", Value: "binary"})
 	reg.CounterFunc("safemon_mux_connections_total",
 		"Multiplexed /v1/mux connections admitted.", s.codec.muxConns.Load)
 	reg.CounterFunc("safemon_mux_sessions_total",

@@ -304,8 +304,8 @@ func TestMetricsGolden(t *testing.T) {
 }
 
 // metricsTestService stands up the full pipeline — session manager, guard
-// policy, ledger, both codecs — and drives traffic over every transport
-// so each instrumented path has run at least once.
+// policy, ledger, both transports — and drives traffic over each so every
+// instrumented path has run at least once.
 func metricsTestService(t *testing.T) (*Server, *Client) {
 	t.Helper()
 	det := fittedDetector(t, "envelope")
@@ -328,16 +328,12 @@ func metricsTestService(t *testing.T) (*Server, *Client) {
 	ctx := context.Background()
 	fold := testFold(t)
 
-	// NDJSON and binary single-session streams.
+	// One NDJSON stream.
 	if _, err := client.StreamTrajectory(ctx, "envelope", fold.Test[0]); err != nil {
 		t.Fatal(err)
 	}
-	bc := &Client{BaseURL: ts.URL, HTTPClient: ts.Client(), Codec: "binary"}
-	if _, err := bc.StreamTrajectory(ctx, "envelope", fold.Test[0]); err != nil {
-		t.Fatal(err)
-	}
 	// One multiplexed logical session.
-	m, err := bc.OpenMux(ctx)
+	m, err := client.OpenMux(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,8 +370,8 @@ func metricsTestService(t *testing.T) (*Server, *Client) {
 
 // TestMetricsMatchTraffic pins /metrics to the exact counts implied by
 // the traffic metricsTestService drives: fold.Test[0] (N frames) once
-// over NDJSON, once over binary and once over mux, plus an 8-frame
-// guarded NDJSON stream (2 safe, 6 wild) that latches a safe-stop.
+// over NDJSON and once over mux, plus an 8-frame guarded NDJSON stream
+// (2 safe, 6 wild) that latches a safe-stop.
 func TestMetricsMatchTraffic(t *testing.T) {
 	_, client := metricsTestService(t)
 	n := float64(len(testFold(t).Test[0].Frames))
@@ -387,13 +383,12 @@ func TestMetricsMatchTraffic(t *testing.T) {
 		got, want float64
 	}
 	checks := []check{
-		{"frames", scrape.sum("safemon_frames_total"), 3*n + 8},
-		{"sessions opened", scrape.sum("safemon_sessions_opened_total"), 4},
-		{"sessions closed", scrape.sum("safemon_sessions_closed_total"), 4},
+		{"frames", scrape.sum("safemon_frames_total"), 2*n + 8},
+		{"sessions opened", scrape.sum("safemon_sessions_opened_total"), 3},
+		{"sessions closed", scrape.sum("safemon_sessions_closed_total"), 3},
 		{"queue full", scrape.sum("safemon_queue_full_total"), 0},
 		{"session panics", scrape.get(t, "safemon_session_panics_total"), 0},
 		{"json streams", scrape.get(t, `safemon_streams_total{codec="json"}`), 2},
-		{"binary streams", scrape.get(t, `safemon_streams_total{codec="binary"}`), 1},
 		{"mux connections", scrape.get(t, "safemon_mux_connections_total"), 1},
 		{"mux sessions", scrape.get(t, "safemon_mux_sessions_total"), 1},
 		// Evidence from frame 2: debounce confirms at 3 (alert, warn),
@@ -413,7 +408,7 @@ func TestMetricsMatchTraffic(t *testing.T) {
 	for _, c := range []struct {
 		codec  string
 		frames float64
-	}{{"json", n + 8}, {"binary", n}, {"binary-mux", n}} {
+	}{{"json", n + 8}, {"binary-mux", n}} {
 		key := fmt.Sprintf(`safemon_frame_stage_seconds_count{backend="envelope",codec=%q,stage="infer"}`, c.codec)
 		checks = append(checks, check{c.codec + " infer stage", scrape.get(t, key), c.frames})
 	}
@@ -462,7 +457,7 @@ func TestSlowFrameExemplars(t *testing.T) {
 			t.Errorf("exemplar %d context = %+v", i, f)
 		}
 		switch f.Codec {
-		case "json", "binary", "binary-mux":
+		case "json", "binary-mux":
 		default:
 			t.Errorf("exemplar %d codec = %q", i, f.Codec)
 		}

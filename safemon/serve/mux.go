@@ -1,16 +1,16 @@
 package serve
 
-// Multiplexed streaming: POST /v1/mux carries many logical sessions over
-// one binary-codec connection, collapsing the per-stream HTTP and
-// goroutine overhead of /v1/stream into per-record sid routing. Every
+// Multiplexed streaming: POST /v1/mux is the one binary transport. It
+// carries many logical sessions over one binary-codec connection,
+// collapsing the per-stream HTTP overhead of /v1/stream into per-record
+// sid routing; a binary client with one robot opens one sid. Every
 // record carries a u32 sid; clients open sessions with BinOpen (backend,
 // optional policy, optional labels), push BinFrame records, and
 // half-close with BinClose, to which the server answers that session's
 // BinDone. Failures are per-sid BinError records — backpressure answers
 // 429 for the offending session only, never an HTTP status for the whole
 // connection — so one connection can cheaply fan a node's worth of
-// streams into a safemond, the transport ROADMAP item 1's gateway tier
-// needs.
+// robots into a safemond.
 
 import (
 	"context"
@@ -33,8 +33,7 @@ const muxInDepth = 64
 // muxWriter serializes binary record writes from the per-session
 // goroutines onto the shared response. Per-sid record order is preserved
 // because each session writes its own records from one goroutine; the
-// mutex only interleaves records of different sessions. A binary
-// /v1/stream connection is its single sid-0 user.
+// mutex only interleaves records of different sessions.
 type muxWriter struct {
 	mu    sync.Mutex
 	w     *binWriter

@@ -259,3 +259,39 @@ func TestMuxPerSessionBackpressure(t *testing.T) {
 		t.Fatalf("fresh session after 429: %v", err)
 	}
 }
+
+// TestMuxAbandonedOpenReleasesSlot pins that an Open given up on after
+// its open record went out closes its sid: the server ends the session
+// and frees its MaxSessions slot, so the next Open on the same
+// connection is admitted instead of answered 429 until the connection
+// ends.
+func TestMuxAbandonedOpenReleasesSlot(t *testing.T) {
+	det := fittedDetector(t, "envelope")
+	srv, client := newTestService(t, map[string]safemon.Detector{"envelope": det}, ManagerConfig{MaxSessions: 1})
+	ctx := context.Background()
+	m, err := client.OpenMux(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := m.Open(cancelled, "envelope", "", nil); err == nil {
+		t.Fatal("Open with a cancelled context succeeded")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for serverMetrics(t, srv).sum("safemon_sessions_closed_total") < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("abandoned session never released")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	verdicts, _, err := m.StreamTrajectory(ctx, "envelope", "", testFold(t).Test[0])
+	if err != nil {
+		t.Fatalf("open after the abandoned one: %v", err)
+	}
+	if len(verdicts) != testFold(t).Test[0].Len() {
+		t.Fatalf("%d verdicts, want %d", len(verdicts), testFold(t).Test[0].Len())
+	}
+}

@@ -1,5 +1,5 @@
 // Package serve turns the safemon façade into a long-lived real-time
-// monitoring service: an HTTP server that accepts many concurrent NDJSON
+// monitoring service: an HTTP server that accepts many concurrent
 // kinematics streams, scores each frame through a warm session on the
 // goroutine that serves its stream, and emits verdicts frame by frame
 // with bounded latency. Backends are selected per request from the
@@ -17,11 +17,11 @@
 //	← {"done":{"frames":812}}  stream end (client closed its side)
 //	← {"error":{"code":400,"message":"bad record: ..."}}  terminal error
 //
-// NDJSON is the default codec. A request whose Content-Type (or Accept)
-// is application/x-safemon-frames switches the whole stream to the
-// compact binary record format documented in codec.go, and POST /v1/mux
-// multiplexes many logical sessions over one binary connection; verdict
-// values are exactly equal across all transports.
+// /v1/stream speaks NDJSON only; a request whose Content-Type is
+// application/x-safemon-frames gets a 415 pointing at POST /v1/mux, the
+// one binary transport, which carries many logical sessions over one
+// connection in the compact record format documented in codec.go.
+// Verdict values are exactly equal across both transports.
 package serve
 
 import (
@@ -213,6 +213,36 @@ func (d *recordReader) next(msg *ClientMsg) error {
 	}
 	return io.EOF
 }
+
+// jsonStream is one admitted /v1/stream connection: NDJSON records in
+// through the embedded reader, server records out through the encoder.
+// It is the connection's pump sink.
+type jsonStream struct {
+	*recordReader
+	enc   *json.Encoder
+	flush func()
+}
+
+func newJSONStream(r io.Reader, w io.Writer, flush func()) *jsonStream {
+	return &jsonStream{recordReader: newRecordReader(r), enc: json.NewEncoder(w), flush: flush}
+}
+
+func (c *jsonStream) emit(m ServerMsg) {
+	if err := c.enc.Encode(m); err != nil {
+		return
+	}
+	c.flush()
+}
+
+func (c *jsonStream) verdict(a *ActionMsg, v *VerdictMsg) {
+	if a != nil && c.enc.Encode(ServerMsg{Action: a}) != nil {
+		return
+	}
+	c.emit(ServerMsg{Verdict: v})
+}
+
+func (c *jsonStream) done(frames int)  { c.emit(ServerMsg{Done: &DoneMsg{Frames: frames}}) }
+func (c *jsonStream) fail(e *ErrorMsg) { c.emit(ServerMsg{Error: e}) }
 
 // TraceFromVerdicts rebuilds an offline-shaped trace from streamed
 // verdicts, with Alerts derived exactly as the session replay derives them

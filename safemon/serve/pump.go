@@ -20,9 +20,9 @@ import (
 	"repro/safemon/ledger"
 )
 
-// sink receives one pumped session's server records. The NDJSON and
-// binary /v1/stream conns and each /v1/mux session implement it. Write
-// methods do not return errors — a failed write means the client is
+// sink receives one pumped session's server records. The NDJSON
+// /v1/stream conn and each /v1/mux session implement it. Write methods
+// do not return errors — a failed write means the client is
 // gone, and the read side will surface that on the next record.
 type sink interface {
 	// verdict writes the frame's guard action edge, when a is non-nil,

@@ -170,6 +170,23 @@ func TestBackendsAndHealthEndpoints(t *testing.T) {
 		}
 	}
 
+	// /v1/stream speaks NDJSON only: a binary request is refused before
+	// admission (the session counts below stay 1 / 1), and the answer
+	// points at /v1/mux.
+	req, err := http.NewRequest(http.MethodPost, client.BaseURL+"/v1/stream?backend=envelope", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", BinaryContentType)
+	if resp, err = client.httpClient().Do(req); err != nil {
+		t.Fatal(err)
+	}
+	em := statusError(resp)
+	resp.Body.Close()
+	if em.Code != http.StatusUnsupportedMediaType || !strings.Contains(em.Message, "/v1/mux") {
+		t.Errorf("binary POST /v1/stream = %v, want a 415 naming /v1/mux", em)
+	}
+
 	// A served trajectory shows up in the frame, session and infer-stage
 	// families.
 	traj := testFold(t).Test[0]
@@ -307,8 +324,8 @@ func TestStreamRecordSizeCap(t *testing.T) {
 	}
 }
 
-// TestStreamCombinedFirstRecordRejected pins the header contract on both
-// codecs: labels ride only in the first record, on their own. A first
+// TestStreamCombinedFirstRecordRejected pins the NDJSON header contract:
+// labels ride only in the first record, on their own. A first
 // record with labels and a frame, or any later record with labels, must
 // end the stream with a 400 that says so — not a frame-length error, and
 // not silently dropped labels.
@@ -320,28 +337,22 @@ func TestStreamCombinedFirstRecordRejected(t *testing.T) {
 	jsonRecord := func(msg ClientMsg) func(*Stream) error {
 		return func(st *Stream) error { return st.enc.Encode(msg) }
 	}
-	binLabels := func(st *Stream) error { return st.bw.emit(&BinaryRecord{Type: BinLabels, Labels: labels}) }
 	const late = "labels after the first record"
 	cases := []struct {
 		name   string
-		codec  string
 		header []int               // labels sent at Open
 		frames int                 // frames served before the bad record
 		send   func(*Stream) error // writes the bad record
 		want   string              // in the 400 message
 	}{
-		{"json/first-labels-and-frame", "", nil, 0, jsonRecord(ClientMsg{Labels: labels, Frame: frame[:]}), "labels and frame in one record"},
-		{"json/second-header", "", labels, 0, jsonRecord(ClientMsg{Labels: labels}), late},
-		{"json/mid-stream-labels", "", nil, 2, jsonRecord(ClientMsg{Labels: labels}), late},
-		{"json/mid-stream-labels-and-frame", "", nil, 2, jsonRecord(ClientMsg{Labels: labels, Frame: frame[:]}), late},
-		{"binary/second-header", "binary", labels, 0, binLabels, late},
-		{"binary/mid-stream-labels", "binary", nil, 2, binLabels, late},
+		{"json/first-labels-and-frame", nil, 0, jsonRecord(ClientMsg{Labels: labels, Frame: frame[:]}), "labels and frame in one record"},
+		{"json/second-header", labels, 0, jsonRecord(ClientMsg{Labels: labels}), late},
+		{"json/mid-stream-labels", nil, 2, jsonRecord(ClientMsg{Labels: labels}), late},
+		{"json/mid-stream-labels-and-frame", nil, 2, jsonRecord(ClientMsg{Labels: labels, Frame: frame[:]}), late},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := *client
-			c.Codec = tc.codec
-			st, err := c.Open(context.Background(), "envelope", tc.header)
+			st, err := client.Open(context.Background(), "envelope", tc.header)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -562,7 +573,7 @@ func (s *panicSession) Push(f *safemon.Frame) (safemon.FrameVerdict, error) {
 func (s *panicSession) Close() error { s.d.closed.Add(1); return nil }
 
 // TestSessionPanicIsolated drives a backend that panics mid-stream over
-// NDJSON, binary and mux: each stream must end with a 500 record, its
+// NDJSON and mux: each stream must end with a 500 record, its
 // session must be closed (never pooled) and counted, and the server must
 // go on serving healthy streams on every transport.
 func TestSessionPanicIsolated(t *testing.T) {
@@ -574,15 +585,13 @@ func TestSessionPanicIsolated(t *testing.T) {
 	ts := newHTTPTestServer(t, srv)
 	ctx := context.Background()
 	jc := &Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
-	bc := &Client{BaseURL: ts.URL, HTTPClient: ts.Client(), Codec: "binary"}
-	mc, err := bc.OpenMux(ctx)
+	mc, err := jc.OpenMux(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mc.Close()
 	open := map[string]func() (lockstepStream, error){
 		"json":       func() (lockstepStream, error) { return jc.Open(ctx, "stub", nil) },
-		"binary":     func() (lockstepStream, error) { return bc.Open(ctx, "stub", nil) },
 		"binary-mux": func() (lockstepStream, error) { return mc.Open(ctx, "stub", "", nil) },
 	}
 	var good, bad safemon.Frame
@@ -611,11 +620,11 @@ func TestSessionPanicIsolated(t *testing.T) {
 			}
 		}
 		waitReleased(t, srv)
-		if got := det.closed.Load(); got != 3 {
-			t.Errorf("sessions closed = %d, want 3 (one per panicked stream; healthy ones pool)", got)
+		if got := det.closed.Load(); got != 2 {
+			t.Errorf("sessions closed = %d, want 2 (one per panicked stream; healthy ones pool)", got)
 		}
-		if got := serverMetrics(t, srv).get(t, "safemon_session_panics_total"); got != 3 {
-			t.Errorf("safemon_session_panics_total = %v, want 3", got)
+		if got := serverMetrics(t, srv).get(t, "safemon_session_panics_total"); got != 2 {
+			t.Errorf("safemon_session_panics_total = %v, want 2", got)
 		}
 	}
 }

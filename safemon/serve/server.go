@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -69,12 +70,12 @@ type Config struct {
 //
 // Endpoints:
 //
-//	POST /v1/stream?backend=NAME[&policy=NAME]  duplex frame/verdict stream
-//	     (NDJSON by default, binary via Content-Type/Accept:
-//	     application/x-safemon-frames); with a policy, guard action
-//	     records are interleaved
+//	POST /v1/stream?backend=NAME[&policy=NAME]  duplex NDJSON
+//	     frame/verdict stream; with a policy, guard action records are
+//	     interleaved (a binary Content-Type gets 415: use /v1/mux)
 //	POST /v1/mux                  multiplexed binary connection carrying
-//	     many logical sessions (open/frame/close records with a sid)
+//	     many logical sessions (open/frame/close records with a sid);
+//	     the one binary transport
 //	GET  /v1/backends             served backend names
 //	GET  /v1/models               served model versions
 //	POST /v1/models/reload        hot-swap to the loader's current models
@@ -253,13 +254,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// handleStream is the duplex streaming endpoint. The codec is negotiated
-// per request — NDJSON by default, the binary record format when
-// Content-Type or Accept names application/x-safemon-frames — and
-// admission errors (unknown backend or policy, draining, session cap) are
-// HTTP statuses; once the stream is admitted, errors become terminal
-// records in the stream's codec so the verdict prefix already delivered
-// stays valid. The loop only reads records; the pump does the rest.
+// handleStream is the duplex NDJSON streaming endpoint. Admission errors
+// (unknown backend or policy, draining, session cap) are HTTP statuses;
+// once the stream is admitted, errors become terminal records so the
+// verdict prefix already delivered stays valid. The loop only reads
+// records; the pump does the rest.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// Stream connections are one-shot: telling the client (and our own
 	// http.Server) the connection won't be reused keeps error responses
@@ -270,7 +269,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	binary := wantsBinary(r)
+	if hasMediaType(r.Header.Get("Content-Type"), BinaryContentType) {
+		http.Error(w, "/v1/stream speaks NDJSON only; send binary frames as one sid on POST /v1/mux",
+			http.StatusUnsupportedMediaType)
+		return
+	}
 	// Admission claims a session slot before committing the response
 	// status: at the session cap the client gets a real HTTP 429, not a
 	// broken stream.
@@ -289,29 +292,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusHTTPVersionNotSupported)
 		return
 	}
-	if binary {
-		w.Header().Set("Content-Type", BinaryContentType)
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc.Flush()
 
-	// Records are read under a hard per-record size cap in both codecs:
-	// the stream as a whole is unbounded, but no single record may
-	// buffer without bound (the same no-unbounded-buffering contract the
-	// mux session queues enforce). The idle deadline is re-armed before
-	// each record so a silent client cannot pin its session slot forever.
-	var conn streamConn
-	codecName := "json"
-	if binary {
-		codecName = "binary"
-		conn = newBinStream(r.Body, w, func() { rc.Flush() })
-		s.codec.binaryStreams.Add(1)
-	} else {
-		conn = newJSONStream(r.Body, w, func() { rc.Flush() })
-		s.codec.jsonStreams.Add(1)
-	}
+	// Records are read under a hard per-record size cap: the stream as a
+	// whole is unbounded, but no single record may buffer without bound
+	// (the same no-unbounded-buffering contract the mux session queues
+	// enforce). The idle deadline is re-armed before each record so a
+	// silent client cannot pin its session slot forever.
+	conn := newJSONStream(r.Body, w, func() { rc.Flush() })
+	s.codec.jsonStreams.Add(1)
 	defer conn.release()
 	armIdle := func() { rc.SetReadDeadline(time.Now().Add(s.cfg.StreamIdleTimeout)) }
 
@@ -332,7 +323,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			Message: "labels and frame in one record; send the labels header on its own line"})
 		return
 	}
-	if em := p.open(msg.Labels, codecName, conn); em != nil {
+	if em := p.open(msg.Labels, "json", conn); em != nil {
 		conn.fail(em)
 		return
 	}
@@ -367,10 +358,24 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				Message: fmt.Sprintf("frame needs %d values, got %d", frameSize, len(msg.Frame))})
 			return
 		}
-		if !p.step(r.Context(), (*safemon.Frame)(msg.Frame), conn.decodeNS()) {
+		if !p.step(r.Context(), (*safemon.Frame)(msg.Frame), conn.decNS) {
 			return
 		}
 	}
+}
+
+// hasMediaType reports whether a comma-separated media-type header lists
+// want, ignoring parameters and case.
+func hasMediaType(header, want string) bool {
+	for _, part := range strings.Split(header, ",") {
+		if i := strings.IndexByte(part, ';'); i >= 0 {
+			part = part[:i]
+		}
+		if strings.EqualFold(strings.TrimSpace(part), want) {
+			return true
+		}
+	}
+	return false
 }
 
 // getOnly answers 405 to any method but GET on a read-only listing and

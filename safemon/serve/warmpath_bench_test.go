@@ -1,15 +1,18 @@
 package serve
 
-// Warm-path gates for the production frame path. BenchmarkServeStreamWarm
-// times the pump's step — session push, ledger emit, guard step, verdict
-// encode and the stage-histogram and slow-ring telemetry — behind a
-// binary record decode, with the HTTP transport replaced by in-memory
-// readers so the measurement is the server's own work. It stays at pump
-// level, one admitted stream fed forever, so every op is a warm frame
-// and none pays per-stream admission. scripts/benchguard.sh runs each
-// repeat for 100ms and holds it to 0 allocs/op and a median ns/op
-// budget. TestServeWarmPathZeroAlloc pins the zero-allocation contract
-// on the whole /v1/stream handler, admission to done record.
+// Warm-path gates for the production frame path, on /v1/mux, the binary
+// transport the serving workloads run. BenchmarkServeStreamWarm times
+// the pump's step — session push, ledger emit, guard step, the mux
+// session's verdict encode and the stage-histogram and slow-ring
+// telemetry — behind a binary record decode, with the HTTP transport
+// replaced by in-memory readers so the measurement is the server's own
+// work. It stays at pump level, one admitted session fed forever, so
+// every op is a warm frame and none pays per-session admission.
+// scripts/benchguard.sh runs each repeat for 100ms and holds it to 0
+// allocs/op and a median ns/op budget. TestServeWarmPathZeroAlloc pins
+// the zero-allocation contract on the whole /v1/mux handler, from the
+// open record to the done record, including the connection reader's
+// hand-off to the session goroutine.
 
 import (
 	"bytes"
@@ -64,30 +67,29 @@ func newWarmServer(tb testing.TB, ledgered bool) *Server {
 	return srv
 }
 
-// warmFrames encodes n binary frame records of one in-envelope frame, so
-// a guarded stream steps its engine without transitioning.
-func warmFrames(tb testing.TB, n int) []byte {
+// warmSID is the logical session id the warm path runs under.
+const warmSID = 1
+
+// warmFrame encodes one binary frame record of an in-envelope frame, so
+// a guarded session steps its engine without transitioning.
+func warmFrame(tb testing.TB) []byte {
 	tb.Helper()
 	safe := testFold(tb).Train[0].Frames[10]
 	var buf bytes.Buffer
-	bw := newBinWriter(&buf)
-	for i := 0; i < n; i++ {
-		if err := bw.writeFrame(0, &safe); err != nil {
-			tb.Fatal(err)
-		}
+	if err := newBinWriter(&buf).writeFrame(warmSID, &safe); err != nil {
+		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// warmStream is one admitted binary stream's pump, fed the same frame
+// warmStream is one admitted mux session's pump, fed the same frame
 // record forever.
 type warmStream struct {
-	p    *pump
-	conn *binStream
-	msg  ClientMsg
+	p *pump
+	r *binReader
 }
 
-// newWarmStream admits one binary stream through the server's own
+// newWarmStream admits one mux session through the server's own
 // admission; guarded attaches the test policy.
 func newWarmStream(tb testing.TB, guarded, ledgered bool) *warmStream {
 	tb.Helper()
@@ -100,24 +102,27 @@ func newWarmStream(tb testing.TB, guarded, ledgered bool) *warmStream {
 	if em != nil {
 		tb.Fatal(em)
 	}
-	ws := &warmStream{p: p, conn: newBinStream(&repeatReader{data: warmFrames(tb, 1)}, io.Discard, func() {})}
+	ws := &warmStream{p: p, r: newBinReader(&repeatReader{data: warmFrame(tb)})}
 	tb.Cleanup(func() {
 		p.close()
-		ws.conn.release()
+		ws.r.release()
 	})
-	if em := p.open(nil, "binary", ws.conn); em != nil {
+	ms := &muxSession{sid: warmSID, mw: &muxWriter{w: newBinWriter(io.Discard), flush: func() {}}}
+	if em := p.open(nil, "binary-mux", ms); em != nil {
 		tb.Fatal(em)
 	}
 	return ws
 }
 
-// step decodes the next frame record and hands it to the pump, as
-// handleStream's loop does.
+// step decodes the next frame record and hands it to the pump, as the
+// mux session goroutine does with each frame the connection reader
+// routes to it.
 func (ws *warmStream) step(ctx context.Context) error {
-	if err := ws.conn.next(&ws.msg); err != nil {
+	rec, err := ws.r.next()
+	if err != nil {
 		return err
 	}
-	if !ws.p.step(ctx, (*safemon.Frame)(ws.msg.Frame), ws.conn.decodeNS()) {
+	if !ws.p.step(ctx, &rec.Frame, ws.r.decNS) {
 		return errors.New("push failed")
 	}
 	return nil
@@ -130,9 +135,9 @@ func BenchmarkServeStreamWarm(b *testing.B) {
 		name              string
 		guarded, ledgered bool
 	}{
-		{"binary", false, false},
-		{"binary-guarded", true, false},
-		{"binary-ledgered", false, true},
+		{"mux", false, false},
+		{"mux-guarded", true, false},
+		{"mux-ledgered", false, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			ws := newWarmStream(b, bc.guarded, bc.ledgered)
@@ -149,45 +154,100 @@ func BenchmarkServeStreamWarm(b *testing.B) {
 }
 
 // memResponse is an in-memory http.ResponseWriter that also supports
-// the full-duplex and read-deadline controls handleStream asks of its
-// connection through http.ResponseController.
+// the full-duplex and read-deadline controls handleMux asks of its
+// connection through http.ResponseController. Each Write is one server
+// record, and it leaves a token in written (capacity 1) unless one is
+// already waiting: a lockstep client consumes each token before the next
+// record can be caused, and the send must never block a failing server.
 type memResponse struct {
-	header http.Header
-	code   int
-	body   bytes.Buffer
+	header  http.Header
+	code    int
+	body    bytes.Buffer
+	written chan struct{}
 }
 
-func (w *memResponse) Header() http.Header             { return w.header }
-func (w *memResponse) Write(p []byte) (int, error)     { return w.body.Write(p) }
+func (w *memResponse) Header() http.Header { return w.header }
+func (w *memResponse) Write(p []byte) (int, error) {
+	n, err := w.body.Write(p)
+	select {
+	case w.written <- struct{}{}:
+	default:
+	}
+	return n, err
+}
 func (w *memResponse) WriteHeader(code int)            { w.code = code }
 func (w *memResponse) Flush()                          {}
 func (w *memResponse) SetReadDeadline(time.Time) error { return nil }
 func (w *memResponse) EnableFullDuplex() error         { return nil }
 
+// lockstepBody is a /v1/mux request body that plays a lockstep client:
+// the open record, then each frame record only after the server has
+// written its answer to the previous record (opened, then one verdict
+// per frame), then a clean end of the connection. It never lets the
+// reader outrun the session, so the per-sid queue never fills. A server
+// that leaves a record unanswered past timeout fails the connection.
+type lockstepBody struct {
+	open, frame []byte
+	frames      int // frame records still to send
+	written     <-chan struct{}
+	timeout     <-chan time.Time
+	sentOpen    bool
+	stalled     bool
+}
+
+func (b *lockstepBody) Read(p []byte) (int, error) {
+	if !b.sentOpen {
+		b.sentOpen = true
+		return copy(p, b.open), nil
+	}
+	select {
+	case <-b.written: // the answer to the previous record
+	case <-b.timeout:
+		b.stalled = true
+		return 0, errors.New("no answer from the server")
+	}
+	if b.frames == 0 {
+		return 0, io.EOF
+	}
+	b.frames--
+	return copy(p, b.frame), nil
+}
+
 // TestServeWarmPathZeroAlloc pins the zero-allocation contract on the
-// real /v1/stream handler: a guarded, ledgered binary stream driven
-// in-process through Server.Handler. Admission and teardown allocate a
-// fixed amount per stream, so the per-frame cost is the malloc
-// difference between a 2000-frame and a 1000-frame stream. The race
-// detector's instrumentation allocates, so the measurement only runs
-// without it.
+// real /v1/mux handler: one guarded, ledgered session driven in-process
+// through Server.Handler by a lockstep client. Admission and teardown
+// allocate a fixed amount per connection, so the per-frame cost is the
+// malloc difference between a 2000-frame and a 1000-frame session. The
+// race detector's instrumentation allocates, so the measurement only
+// runs without it.
 func TestServeWarmPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation measurement is meaningless under -race")
 	}
 	h := newWarmServer(t, true).Handler()
-	target := "/v1/stream?backend=envelope&policy=" + testGuardPolicy().Name
-	stream := func(frames int) uint64 {
+	open, err := AppendBinaryRecord(nil, &BinaryRecord{Type: BinOpen, SID: warmSID,
+		Backend: "envelope", Policy: testGuardPolicy().Name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := warmFrame(t)
+	session := func(frames int) uint64 {
 		t.Helper()
-		req := httptest.NewRequest(http.MethodPost, target, bytes.NewReader(warmFrames(t, frames)))
+		w := &memResponse{header: http.Header{}, written: make(chan struct{}, 1)}
+		w.body.Grow(64 + (frames+1)*(binHeaderSize+binVerdictPayload))
+		timeout := time.NewTimer(10 * time.Second)
+		defer timeout.Stop()
+		body := &lockstepBody{open: open, frame: frame, frames: frames, written: w.written, timeout: timeout.C}
+		req := httptest.NewRequest(http.MethodPost, "/v1/mux", body)
 		req.Header.Set("Content-Type", BinaryContentType)
-		w := &memResponse{header: http.Header{}}
-		w.body.Grow((frames + 1) * (binHeaderSize + binVerdictPayload))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		h.ServeHTTP(w, req)
 		runtime.ReadMemStats(&after)
 
+		if body.stalled {
+			t.Fatalf("server left a record unanswered for 10s with %d of %d frames unsent", body.frames, frames)
+		}
 		if w.code != http.StatusOK {
 			t.Fatalf("status %d: %s", w.code, w.body.String())
 		}
@@ -198,11 +258,14 @@ func TestServeWarmPathZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatalf("record %d: %v", i, err)
 			}
-			if rec.Type == BinVerdict {
-				continue
+			if rec.SID != warmSID {
+				t.Fatalf("record %d: %s for sid %d", i, binTypeName(rec.Type), rec.SID)
 			}
-			if rec.Type != BinDone || i != frames || rec.Frames != uint64(frames) {
-				t.Fatalf("record %d: %s (frames %d), want done after %d verdicts", i, binTypeName(rec.Type), rec.Frames, frames)
+			switch {
+			case i == 0 && rec.Type == BinOpened, i > 0 && rec.Type == BinVerdict:
+				continue
+			case rec.Type != BinDone || i != frames+1 || rec.Frames != uint64(frames):
+				t.Fatalf("record %d: %s (frames %d), want opened, %d verdicts, done", i, binTypeName(rec.Type), rec.Frames, frames)
 			}
 			break
 		}
@@ -210,12 +273,12 @@ func TestServeWarmPathZeroAlloc(t *testing.T) {
 	}
 	// Warm every pooled buffer, the stage histograms and the slow ring's
 	// admission path.
-	stream(100)
-	m1000, m2000 := stream(1000), stream(2000)
+	session(100)
+	m1000, m2000 := session(1000), session(2000)
 	perFrame := (float64(m2000) - float64(m1000)) / 1000
 	t.Logf("%.4f allocs/frame", perFrame)
 	if perFrame >= 0.1 {
-		t.Errorf("/v1/stream handler allocates %.3f allocs/frame (%d mallocs for 1000 frames, %d for 2000), want 0",
+		t.Errorf("/v1/mux handler allocates %.3f allocs/frame (%d mallocs for 1000 frames, %d for 2000), want 0",
 			perFrame, m1000, m2000)
 	}
 }

@@ -9,8 +9,8 @@
 # BenchmarkGuardStep, the event ledger's emit path
 # (BenchmarkLedgerAppend), the binary wire codec's encode+decode
 # round trip (BenchmarkCodecRoundTrip, binary subs only), and the
-# instrumented serve warm path with stage telemetry enabled
-# (BenchmarkServeStreamWarm), and enforces two budgets:
+# instrumented serve warm path on /v1/mux with stage telemetry enabled
+# (BenchmarkServeStreamWarm/mux*), and enforces two budgets:
 #
 #   1. allocs/op must be 0 on every repeat of every sub-benchmark: the
 #      zero-allocation guarantee README's Performance section documents
@@ -75,9 +75,10 @@ codecout="$("$GO" test -run='^$' -bench='^BenchmarkCodecRoundTrip$/^binary' \
 	echo "benchguard: codec benchmark run failed" >&2
 	exit 1
 }
-# The instrumented serve warm path (PR 10): the full per-frame handler
-# loop — decode, session push, ledger emit, guard step, encode — with the
-# stage-histogram and slow-ring telemetry enabled must stay 0 allocs/op.
+# The instrumented serve warm path: the per-frame step of a /v1/mux
+# session — binary decode, session push, ledger emit, guard step, mux
+# verdict encode — with the stage-histogram and slow-ring telemetry
+# enabled must stay 0 allocs/op.
 warmout="$("$GO" test -run='^$' -bench='^BenchmarkServeStreamWarm$' \
 	-benchtime="$BENCHTIME" -count="$BENCHCOUNT" -benchmem ./safemon/serve/)" || {
 	echo "$warmout"
