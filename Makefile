@@ -80,9 +80,10 @@ build:
 test:
 	$(GO) test ./...
 
-# The safemon façade and the safemond serving layer (session pools and
-# hot-swap, the in-flight drain, mux session goroutines, Watch) carry
-# the concurrency; they get a dedicated race-detector pass.
+# The safemon façade and the safemond serving layer (concurrent sessions
+# on shared detectors, hot-swap, the in-flight drain, mux session
+# goroutines, Watch) carry the concurrency; they get a dedicated
+# race-detector pass.
 race:
 	$(GO) test -race ./safemon/...
 

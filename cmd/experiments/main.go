@@ -9,19 +9,17 @@
 // Experiments: fig3, fig5, rubric, table3, table4, table5, table6, table7,
 // table8, table9, fig8, fig9, all.
 //
-// Beyond the paper, -run train fits detector backends and saves
-// versioned model artifacts into -model-dir for safemond to serve (see
-// -backend, -model-version), -run mitigate runs the
-// simulator-in-the-loop reaction campaign — the fault-injection suite
-// replayed unguarded vs. guarded (safemon/guard) over identical worlds,
-// reporting prevented / missed / false-stop counts and
-// detection-to-hazard latencies per backend (see -backend, -scale), and
-// -run incidents drives the durable event ledger end to end: guarded
-// streams with injected faults latch safe-stops that become incidents
-// on disk, each replayed byte-identically through its original backend
-// and counterfactually through a second one. All three are excluded
-// from "all". Serving load is measured by perfbench (bash
-// perfbench/run.sh).
+// Beyond the paper, -run mitigate runs the simulator-in-the-loop
+// reaction campaign — the fault-injection suite replayed unguarded vs.
+// guarded (safemon/guard) over identical worlds, reporting prevented /
+// missed / false-stop counts and detection-to-hazard latencies per
+// backend (see -backend, -scale) — and -run incidents drives the durable
+// event ledger end to end: guarded streams with injected faults latch
+// safe-stops that become incidents on disk, each replayed
+// byte-identically through its original backend and counterfactually
+// through a second one. Both are excluded from "all". Model artifacts
+// are trained by safemond -train-only; serving load is measured by
+// perfbench (bash perfbench/run.sh).
 package main
 
 import (
@@ -52,9 +50,7 @@ func run(args []string) error {
 	scale := fs.String("scale", "quick", "experiment scale: quick or full")
 	seed := fs.Int64("seed", 1, "deterministic seed")
 	verbose := fs.Bool("v", false, "print progress")
-	backend := fs.String("backend", "envelope", "train/mitigate/incidents: backend(s) to use (train accepts a comma list or 'all')")
-	modelDir := fs.String("model-dir", "./models", "train: model store directory for saved artifacts")
-	modelVersion := fs.String("model-version", "", "train: artifact version (empty = next sequential)")
+	backend := fs.String("backend", "envelope", "mitigate/incidents: backend(s) to use (mitigate accepts a comma list or 'all')")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -87,9 +83,6 @@ func run(args []string) error {
 		"fig8":      func() (renderer, error) { return experiments.RunFig8(opts) },
 		"fig9":      func() (renderer, error) { return experiments.RunFig9(opts) },
 		"extension": func() (renderer, error) { return experiments.RunExtension(opts) },
-		"train": func() (renderer, error) {
-			return runTrain(opts, trainOptions{modelDir: *modelDir, backends: *backend, version: *modelVersion})
-		},
 		"mitigate": func() (renderer, error) {
 			backends := *backend
 			if !backendFlagSet {
@@ -106,9 +99,9 @@ func run(args []string) error {
 	if *runName == "all" {
 		names = names[:0]
 		for name := range runners {
-			// Service drills and the mitigation campaign are not paper
-			// artifacts; run them explicitly.
-			if name == "train" || name == "mitigate" || name == "incidents" {
+			// The incident drill and the mitigation campaign are not
+			// paper artifacts; run them explicitly.
+			if name == "mitigate" || name == "incidents" {
 				continue
 			}
 			names = append(names, name)

@@ -15,8 +15,7 @@
 // With -model-dir the backend is reconstructed from the store's latest
 // versioned artifact (safemon.LoadDetector path, as safemond does) instead
 // of being refit on every run — the artifact must have been trained for
-// the selected task's feature layout (see `safemond -train-only` /
-// `experiments -run train`).
+// the selected task's feature layout (see `safemond -train-only`).
 package main
 
 import (

@@ -2,8 +2,9 @@
 // serves concurrent kinematics streams over HTTP — NDJSON on /v1/stream,
 // or the compact binary codec (application/x-safemon-frames) on
 // multiplexed /v1/mux connections, one sid per robot — emitting verdicts
-// frame by frame from warm pooled sessions, each scored on the goroutine
-// that owns its stream, with explicit backpressure. Verdict values are
+// frame by frame from one session per stream, opened when the stream is
+// admitted and closed when it ends, each scored on the goroutine that
+// owns its stream, with explicit backpressure. Verdict values are
 // identical across both transports.
 //
 // Models come from one of two places:

@@ -318,11 +318,11 @@ func (m *Monitor) NewStream(groundTruth []int) (*Stream, error) {
 // another trajectory without re-allocating its window buffers. groundTruth
 // replaces the per-frame gesture labels (nil outside perfect-boundary mode).
 //
-// Reset is pool-safe: it may be called at any point — including mid-
-// trajectory, as session pools do when a stream is abandoned — and the
-// reused stream is indistinguishable from a fresh one (no window contents,
-// frame counter, or label slice survive; the truncated buffers only retain
-// backing capacity, which the next pushes overwrite before reading).
+// Reset may be called at any point — including mid-trajectory, when a
+// stream is abandoned — and the reused stream is indistinguishable from a
+// fresh one (no window contents, frame counter, or label slice survive;
+// the truncated buffers only retain backing capacity, which the next
+// pushes overwrite before reading).
 func (s *Stream) Reset(groundTruth []int) error {
 	if s.m.UseGroundTruthGestures && s.m.Errors.GestureSpecific && groundTruth == nil {
 		return errors.New("core: perfect-boundary streaming needs ground-truth labels")

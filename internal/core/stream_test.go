@@ -168,11 +168,10 @@ func TestStreamMatchesRun(t *testing.T) {
 	}
 }
 
-// TestStreamResetPoolSafety pins the pool-reuse contract serving layers
-// rely on: a stream abandoned mid-trajectory and Reset onto a different
-// trajectory must produce verdicts identical to a fresh stream's — no
-// window contents, frame counter, or stale labels may survive — across
-// many reuse cycles.
+// TestStreamResetPoolSafety pins the Reset contract: a stream abandoned
+// mid-trajectory and Reset onto a different trajectory must produce
+// verdicts identical to a fresh stream's — no window contents, frame
+// counter, or stale labels may survive — across many reuse cycles.
 func TestStreamResetPoolSafety(t *testing.T) {
 	lib, mono, fold := streamFixtures(t)
 	if len(fold.Test) < 2 {
@@ -181,22 +180,22 @@ func TestStreamResetPoolSafety(t *testing.T) {
 	cases := streamCases(t, lib, mono, fold)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pooled, err := tc.mon.NewStream(fold.Test[0].Gestures)
+			reused, err := tc.mon.NewStream(fold.Test[0].Gestures)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for cycle := 0; cycle < 3; cycle++ {
 				for _, traj := range fold.Test[:2] {
-					// Dirty the pooled stream with a partial replay of the
+					// Dirty the reused stream with a partial replay of the
 					// other trajectory, then abandon it.
 					other := fold.Test[0]
 					if traj == fold.Test[0] {
 						other = fold.Test[1]
 					}
 					for i := 0; i < other.Len()/3; i++ {
-						pooled.Push(&other.Frames[i])
+						reused.Push(&other.Frames[i])
 					}
-					if err := pooled.Reset(traj.Gestures); err != nil {
+					if err := reused.Reset(traj.Gestures); err != nil {
 						t.Fatal(err)
 					}
 					fresh, err := tc.mon.NewStream(traj.Gestures)
@@ -204,9 +203,9 @@ func TestStreamResetPoolSafety(t *testing.T) {
 						t.Fatal(err)
 					}
 					for i := range traj.Frames {
-						got, want := pooled.Push(&traj.Frames[i]), fresh.Push(&traj.Frames[i])
+						got, want := reused.Push(&traj.Frames[i]), fresh.Push(&traj.Frames[i])
 						if got != want {
-							t.Fatalf("cycle %d frame %d: pooled %+v vs fresh %+v", cycle, i, got, want)
+							t.Fatalf("cycle %d frame %d: reused %+v vs fresh %+v", cycle, i, got, want)
 						}
 					}
 				}

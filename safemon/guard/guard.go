@@ -132,32 +132,6 @@ type Counters struct {
 	Releases uint64
 }
 
-// Add accumulates other into c (merging per-stream engines into service
-// totals).
-func (c *Counters) Add(other Counters) {
-	c.Frames += other.Frames
-	c.Alerts += other.Alerts
-	c.Warns += other.Warns
-	c.Pauses += other.Pauses
-	c.SafeStops += other.SafeStops
-	c.Retracts += other.Retracts
-	c.Releases += other.Releases
-}
-
-// Actuator receives mitigation decisions. Implementations bridge the
-// engine to whatever can act — a robot controller, the simulator's command
-// stream (internal/mitigation), a pager. Act is called once per action
-// edge (Decision.Changed), never per frame.
-type Actuator interface {
-	Act(d Decision) error
-}
-
-// ActuatorFunc adapts a function to the Actuator interface.
-type ActuatorFunc func(d Decision) error
-
-// Act implements Actuator.
-func (f ActuatorFunc) Act(d Decision) error { return f(d) }
-
 // Engine is the per-stream mitigation state machine. It is a
 // single-goroutine object, like the safemon.Session it rides on; Step
 // never allocates.

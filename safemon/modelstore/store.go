@@ -1,8 +1,8 @@
 // Package modelstore is the on-disk versioned store for safemon detector
-// artifacts: the bridge between offline training (safemond -train-only,
-// experiments -run train) and artifact-serving daemons (safemond
-// -model-dir), with immutable versions so deployments are reproducible and
-// rollbacks are a directory rename away.
+// artifacts: the bridge between offline training (safemond -train-only)
+// and artifact-serving daemons (safemond -model-dir), with immutable
+// versions so deployments are reproducible and rollbacks are a directory
+// rename away.
 //
 // # Layout
 //

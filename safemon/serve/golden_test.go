@@ -81,10 +81,10 @@ func TestGoldenVerdictsAcrossPaths(t *testing.T) {
 	}
 }
 
-// TestGoldenServedSecondTrajectory guards warm-pool reuse on the network
-// path: the same connection pool must serve a second, different trajectory
-// with verdicts byte-identical to its own offline replay (a stale pooled
-// session would leak state from the first stream).
+// TestGoldenServedSecondTrajectory guards repeated streams on the network
+// path: one service must serve a second, different trajectory, and the
+// same trajectory again, with verdicts byte-identical to its offline
+// replay (state kept from an earlier stream would change them).
 func TestGoldenServedSecondTrajectory(t *testing.T) {
 	fold := testFold(t)
 	if len(fold.Test) < 2 {
@@ -99,8 +99,8 @@ func TestGoldenServedSecondTrajectory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Stream the same trajectory twice so the second pass rides a
-		// pooled session.
+		// Stream the same trajectory twice: the second stream must
+		// match too.
 		for pass := 0; pass < 2; pass++ {
 			got, err := client.StreamTrajectory(ctx, "context-aware", traj)
 			if err != nil {

@@ -182,9 +182,10 @@ func wireActions(actions []ledger.ActionRecord, policy string) []ActionMsg {
 // Replay re-runs an incident's recorded input stream through a served
 // backend and policy (the POST /v1/incidents/{id}/replay handler).
 // Empty backend/policy default to the incident's originals; an empty
-// original policy replays unguarded. The replay runs through the same
-// warm session pools as live streams but is not itself recorded — a
-// replay can never create an incident.
+// original policy replays unguarded. The replay is admitted like a live
+// stream — refused with ErrDraining once the server drains, and holding a
+// session slot while it runs — but is not itself recorded, so a replay
+// can never create an incident.
 func (s *Server) Replay(ctx context.Context, id, backend, policy string) (*ReplayResult, error) {
 	store := s.ledgerStore()
 	if store == nil {
@@ -231,6 +232,9 @@ func (s *Server) Replay(ctx context.Context, id, backend, policy string) (*Repla
 	if len(labels) == 0 {
 		labels = nil
 	}
+	if s.isDraining() {
+		return nil, ErrDraining
+	}
 	if err := s.manager.Reserve(); err != nil {
 		return nil, err
 	}
@@ -239,8 +243,7 @@ func (s *Server) Replay(ctx context.Context, id, backend, policy string) (*Repla
 		s.manager.Unreserve()
 		return nil, err
 	}
-	healthy := true
-	defer func() { sess.Release(healthy) }()
+	defer sess.Release(false)
 
 	replay := ReplayTrail{
 		Backend:  backend,
@@ -252,7 +255,6 @@ func (s *Server) Replay(ctx context.Context, id, backend, policy string) (*Repla
 	for i := range inc.Inputs {
 		v, err := sess.Push(ctx, &inc.Inputs[i])
 		if err != nil {
-			healthy = false
 			return nil, fmt.Errorf("serve: replay frame %d: %w", i, err)
 		}
 		wire := WireVerdict(v)

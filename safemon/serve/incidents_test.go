@@ -266,6 +266,30 @@ func TestResolveIncidentUnpins(t *testing.T) {
 	}
 }
 
+// TestReplayRefusedWhileDraining pins that an incident replay is admitted
+// like a live stream: once BeginDrain has run, it answers 503 instead of
+// opening a session on a server that is shutting down.
+func TestReplayRefusedWhileDraining(t *testing.T) {
+	det := fittedDetector(t, "envelope")
+	srv, client, _ := newLedgeredService(t, map[string]safemon.Detector{"envelope": det}, testGuardPolicy())
+	ctx := context.Background()
+
+	driveIncident(t, client, "envelope", "stop-fast", incidentFrames(t))
+	incs, err := client.Incidents(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(incs) != 1 {
+		t.Fatalf("incidents = %+v, want exactly 1", incs)
+	}
+	srv.BeginDrain()
+	_, err = client.ReplayIncident(ctx, incs[0].ID, "", "")
+	var em *ErrorMsg
+	if !errors.As(err, &em) || em.Code != http.StatusServiceUnavailable {
+		t.Fatalf("replay while draining: err = %v, want a 503 *ErrorMsg", err)
+	}
+}
+
 // TestReplayFidelityAllBackends is the replay-fidelity golden test: for
 // every registered backend, an incident recorded through a live guarded
 // stream must replay byte-identically — same verdict records, same action

@@ -40,8 +40,8 @@ func TestGoldenArtifactRoundTripServed(t *testing.T) {
 			want := wireLines(t, ref[0].Verdicts)
 
 			_, client := newTestService(t, map[string]safemon.Detector{backend: loaded}, ManagerConfig{})
-			// Twice, so the second stream rides a pooled session of the
-			// loaded detector.
+			// Twice, so a second session of the loaded detector is
+			// checked too.
 			for pass := 0; pass < 2; pass++ {
 				streamed, err := client.StreamTrajectory(ctx, backend, traj)
 				if err != nil {

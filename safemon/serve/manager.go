@@ -24,8 +24,8 @@ var (
 	// ErrUnknownBackend reports a backend name the server does not serve.
 	ErrUnknownBackend = errors.New("serve: unknown backend")
 	// ErrSessionPanic reports that a session's backend panicked while
-	// scoring a frame. The stream ends and its session is closed, never
-	// pooled; the process and every other stream keep running.
+	// scoring a frame. The stream ends and its session is closed; the
+	// process and every other stream keep running.
 	ErrSessionPanic = errors.New("serve: session panic")
 )
 
@@ -40,9 +40,9 @@ type managerStats struct {
 
 // ManagerConfig tunes the session manager.
 type ManagerConfig struct {
-	// MaxSessions caps concurrently attached streams and each backend's
-	// warm session pool; <= 0 means 1024. Each stream has at most one
-	// push in flight, so it also bounds concurrent inference.
+	// MaxSessions caps concurrently attached streams; <= 0 means 1024.
+	// Each stream has at most one push in flight, so it also bounds
+	// concurrent inference.
 	MaxSessions int
 	// EnqueueTimeout bounds how long a /v1/mux connection reader waits
 	// on a session's full frame channel before answering that sid with
@@ -68,10 +68,10 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	return c
 }
 
-// Manager owns the per-backend versioned models with their warm session
-// pools. Streams attach with Open, push frames with Session.Push, and
-// detach with Session.Release; Swap hot-replaces the model set under
-// live traffic; Close drains everything.
+// Manager owns the per-backend versioned models. Streams attach with
+// Open, which gives each its own session, push frames with Session.Push,
+// and detach with Session.Release, which closes it; Swap hot-replaces the
+// model set under live traffic; Close drains everything.
 type Manager struct {
 	cfg      ManagerConfig
 	stats    managerStats
@@ -107,12 +107,7 @@ func NewManagerModels(models map[string]Model, cfg ManagerConfig) (*Manager, err
 		if mod.Detector == nil {
 			return nil, fmt.Errorf("serve: nil detector for backend %q", name)
 		}
-		m.models[name] = &backendModel{
-			det:      mod.Detector,
-			version:  mod.Version,
-			loadedAt: now,
-			pool:     safemon.NewSessionPool(mod.Detector, cfg.MaxSessions),
-		}
+		m.models[name] = &backendModel{det: mod.Detector, version: mod.Version, loadedAt: now}
 	}
 	reg := cfg.Metrics
 	reg.CounterFunc("safemon_frames_total",
@@ -126,12 +121,11 @@ func NewManagerModels(models map[string]Model, cfg ManagerConfig) (*Manager, err
 	return m, nil
 }
 
-// Session is one stream attached to the manager: a pooled safemon
-// session driven by the goroutine that owns the stream.
+// Session is one stream attached to the manager: its own safemon
+// session, driven by the goroutine that owns the stream.
 type Session struct {
 	m       *Manager
 	sess    safemon.Session
-	pool    *safemon.SessionPool
 	version string
 	done    bool
 }
@@ -161,52 +155,38 @@ func (m *Manager) Reserve() error {
 // Unreserve frees a slot claimed by Reserve when Open was never reached.
 func (m *Manager) Unreserve() { m.active.Add(-1) }
 
-// Open attaches a new stream for the named backend, drawing a warm session
-// from the backend's *current* model (streams opened after a Swap bind the
-// new model version). The caller must hold a Reserve slot; on success the
-// Session owns it (Release frees it), on error the caller keeps it and
-// must Unreserve. groundTruth supplies per-frame gesture labels (nil when
-// the backend infers its own context).
+// Open attaches a new stream for the named backend with a new session of
+// the backend's *current* model (streams opened after a Swap bind the new
+// model version; one opened just before keeps the model it read, like any
+// stream attached before the swap). The caller must hold a Reserve slot;
+// on success the Session owns it (Release frees it), on error the caller
+// keeps it and must Unreserve. groundTruth supplies per-frame gesture
+// labels (nil when the backend infers its own context).
 func (m *Manager) Open(backend string, groundTruth []int) (*Session, error) {
-	for {
-		m.mu.RLock()
-		draining := m.draining
-		bm := m.models[backend]
-		m.mu.RUnlock()
-		if draining {
-			return nil, ErrDraining
-		}
-		if bm == nil {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownBackend, backend)
-		}
-		sess, err := bm.pool.Get(groundTruth)
-		if err != nil {
-			return nil, err
-		}
-		// Re-check after Get: a Swap that raced us may have retired this
-		// model, and Get on its closed pool silently falls back to a fresh
-		// session of the OLD detector — which a stream opened after the
-		// swap returned must never see. Retry against the current map;
-		// each retry observes a strictly newer model set, so this cannot
-		// livelock outside a continuous swap storm.
-		m.mu.RLock()
-		current := m.models[backend] == bm
-		m.mu.RUnlock()
-		if !current {
-			sess.Close()
-			continue
-		}
-		m.stats.sessionsOpened.Add(1)
-		return &Session{m: m, sess: sess, pool: bm.pool, version: bm.version}, nil
+	m.mu.RLock()
+	draining := m.draining
+	bm := m.models[backend]
+	m.mu.RUnlock()
+	if draining {
+		return nil, ErrDraining
 	}
+	if bm == nil {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownBackend, backend)
+	}
+	sess, err := bm.det.NewSession(safemon.WithSessionLabels(groundTruth))
+	if err != nil {
+		return nil, err
+	}
+	m.stats.sessionsOpened.Add(1)
+	return &Session{m: m, sess: sess, version: bm.version}, nil
 }
 
 // Push scores one frame on the calling goroutine and returns its
 // verdict. Push is single-caller, like safemon.Session: the goroutine
 // that owns the stream is its only caller, so a stream has at most one
 // push in flight and MaxSessions bounds concurrent inference. A panic in
-// the backend is recovered into an error wrapping ErrSessionPanic; the
-// caller must then Release the session unhealthy.
+// the backend is recovered into an error wrapping ErrSessionPanic, and
+// the stream should end.
 func (s *Session) Push(ctx context.Context, frame *safemon.Frame) (v safemon.FrameVerdict, err error) {
 	m := s.m
 	m.mu.RLock()
@@ -232,38 +212,26 @@ func (s *Session) Push(ctx context.Context, frame *safemon.Frame) (v safemon.Fra
 	return v, err
 }
 
-// Release detaches the stream. A healthy session (its last Push returned
-// no error) goes back to the warm pool; a failed one is closed. Release is
-// idempotent.
-func (s *Session) Release(healthy bool) {
+// Release detaches the stream and closes its session, freeing its slot.
+// The argument is unused: every session is closed, so a failed one can
+// never serve another stream. Release is idempotent.
+func (s *Session) Release(bool) {
 	if s.done {
 		return
 	}
 	s.done = true
 	s.m.stats.sessionsClosed.Add(1)
 	s.m.active.Add(-1)
-	if healthy {
-		s.pool.Put(s.sess)
-	} else {
-		s.sess.Close()
-	}
+	s.sess.Close()
 	s.sess = nil
 }
 
 // Close drains the manager: new Opens and Pushes fail with ErrDraining,
-// in-flight pushes complete, then the warm pools are closed. A second
-// Close waits for the same in-flight pushes and returns.
+// and Close returns once in-flight pushes complete. Attached streams keep
+// their sessions until Release.
 func (m *Manager) Close() {
 	m.mu.Lock()
-	closed := m.draining
 	m.draining = true
-	models := m.models
 	m.mu.Unlock()
 	m.inflight.Wait()
-	if closed {
-		return
-	}
-	for _, bm := range models {
-		bm.pool.Close()
-	}
 }

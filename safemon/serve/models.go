@@ -34,30 +34,27 @@ type ModelInfo struct {
 // model loader (e.g. one that fits at startup instead of serving a store).
 var ErrNoLoader = errors.New("serve: no model loader configured")
 
-// backendModel is the manager's live state for one backend: the detector,
-// its version metadata, and the warm session pool bound to exactly this
-// model. Hot-swapping replaces the whole backendModel, never mutates one —
-// in-flight streams keep their session (and therefore the old model) until
-// they finish, while the retired pool stops recycling sessions.
+// backendModel is the manager's live state for one backend: the detector
+// and its version metadata. Hot-swapping replaces the whole backendModel,
+// never mutates one — in-flight streams keep their session (and therefore
+// the old model) until they finish.
 type backendModel struct {
 	det      safemon.Detector
 	version  string
 	loadedAt time.Time
-	pool     *safemon.SessionPool
 }
 
 // Swap atomically replaces the manager's model set. New streams opened
 // after Swap bind the new models; streams already attached keep pushing
 // frames through their existing sessions against the old model and finish
-// undisturbed (their Release then closes the session instead of pooling
-// it, because the retired pool is closed). A backend whose version string
-// is unchanged keeps its current detector and warm pool: versions name
-// immutable artifacts, so a loader that re-decodes the same version (as
-// the modelstore path does on every reload) must not cost a pool flush —
-// publish changed models under a new version. The empty version and the
-// "unversioned" placeholder name no immutable artifact and never match
-// themselves; such models are replaced unless the detector pointer
-// itself is unchanged. Swap fails with ErrDraining during shutdown.
+// undisturbed. A backend whose version string is unchanged keeps its
+// current detector and load time: versions name immutable artifacts, so a
+// loader that re-decodes the same version (as the modelstore path does on
+// every reload) changes nothing — publish changed models under a new
+// version. The empty version and the "unversioned" placeholder name no
+// immutable artifact and never match themselves; such models are
+// replaced unless the detector pointer itself is unchanged. Swap fails
+// with ErrDraining during shutdown.
 func (m *Manager) Swap(models map[string]Model) error {
 	if len(models) == 0 {
 		return errors.New("serve: refusing to swap in an empty model set")
@@ -73,31 +70,18 @@ func (m *Manager) Swap(models map[string]Model) error {
 		m.mu.Unlock()
 		return ErrDraining
 	}
-	old := m.models
 	next := make(map[string]*backendModel, len(models))
 	for name, mod := range models {
 		versioned := mod.Version != "" && mod.Version != "unversioned"
-		if prev := old[name]; prev != nil &&
+		if prev := m.models[name]; prev != nil &&
 			(prev.det == mod.Detector || (versioned && prev.version == mod.Version)) {
-			next[name] = prev // unchanged model: keep the warm pool
+			next[name] = prev // unchanged model: keep its detector and loaded_at
 			continue
 		}
-		next[name] = &backendModel{
-			det:      mod.Detector,
-			version:  mod.Version,
-			loadedAt: now,
-			pool:     safemon.NewSessionPool(mod.Detector, m.cfg.MaxSessions),
-		}
+		next[name] = &backendModel{det: mod.Detector, version: mod.Version, loadedAt: now}
 	}
 	m.models = next
 	m.mu.Unlock()
-	// Retire replaced pools outside the lock: idle sessions close now;
-	// in-flight streams keep theirs until Release.
-	for name, prev := range old {
-		if next[name] != prev {
-			prev.pool.Close()
-		}
-	}
 	return nil
 }
 

@@ -95,8 +95,8 @@ func TestModelsEndpointAndReload(t *testing.T) {
 		t.Fatalf("post-reload models = %+v", swapped)
 	}
 
-	// A fresh stream must ride v2 — including past the warm pool, which
-	// held v1 sessions before the swap and must not hand them out now.
+	// Every stream opened after the swap must ride v2, the second as
+	// much as the first.
 	for pass := 0; pass < 2; pass++ {
 		got, err = client.StreamTrajectory(ctx, "envelope", traj)
 		if err != nil {
@@ -216,12 +216,12 @@ func TestHotSwapUnderLiveTraffic(t *testing.T) {
 	}
 }
 
-// TestSwapSameVersionKeepsPool pins version-keyed pool retention: versions
-// name immutable artifacts, so a reload that re-decodes the same version
-// into a fresh detector instance (the modelstore loader does this every
-// time) must keep the incumbent detector and its warm pool, while a new
-// version must actually switch models.
-func TestSwapSameVersionKeepsPool(t *testing.T) {
+// TestSwapSameVersionKeepsModel pins version-keyed model retention:
+// versions name immutable artifacts, so a reload that re-decodes the same
+// version into a fresh detector instance (the modelstore loader does this
+// every time) must keep the incumbent detector and its load time, while a
+// new version must actually switch models.
+func TestSwapSameVersionKeepsModel(t *testing.T) {
 	fold := testFold(t)
 	traj := fold.Test[0]
 	ctx := context.Background()

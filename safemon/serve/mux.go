@@ -315,17 +315,17 @@ func runMuxSession(ctx context.Context, ms *muxSession, p *pump) {
 		// promptly, not finish its backlog.
 		select {
 		case <-ms.quit:
-			p.end(ms.reason, false)
+			p.end(ms.reason)
 			return
 		default:
 		}
 		select {
 		case <-ms.quit:
-			p.end(ms.reason, false)
+			p.end(ms.reason)
 			return
 		case mf, ok := <-ms.in:
 			if !ok {
-				p.end("eof", true)
+				p.end("eof")
 				ms.done(p.frames)
 				return
 			}

@@ -1,11 +1,12 @@
 // Package serve turns the safemon façade into a long-lived real-time
 // monitoring service: an HTTP server that accepts many concurrent
-// kinematics streams, scores each frame through a warm session on the
-// goroutine that serves its stream, and emits verdicts frame by frame
-// with bounded latency. Backends are selected per request from the
-// safemon registry names the server was configured with; sessions come
-// from warm safemon.SessionPools; shutdown drains in-flight streams;
-// overload answers with explicit backpressure (HTTP 429 at admission,
+// kinematics streams, scores each frame through the stream's own session
+// on the goroutine that serves its stream, and emits verdicts frame by
+// frame with bounded latency. Backends are selected per request from the
+// safemon registry names the server was configured with; each stream
+// opens a new session of its backend's current model and closes it at
+// the end; shutdown drains in-flight streams; overload answers with
+// explicit backpressure (HTTP 429 at admission,
 // per-sid 429 records on a flooded /v1/mux session) instead of unbounded
 // buffering.
 //

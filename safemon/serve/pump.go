@@ -47,9 +47,8 @@ type pump struct {
 	tr   *streamTrace
 	last guard.Counters // engine counters at the previous edge
 
-	frames  int
-	healthy bool   // the session may go back to its pool
-	reason  string // the ledger end reason
+	frames int
+	reason string // the ledger end reason
 
 	// Reused across frames: frame's pointer goes through the backend
 	// session's Push interface call, and wire and act go out through the
@@ -93,7 +92,7 @@ func (s *Server) admit(backend, policy string) (*pump, *ErrorMsg) {
 	return &pump{s: s, backend: backend, policy: pol}, nil
 }
 
-// open binds the admitted session: a warm session of the backend's
+// open binds the admitted session: a new session of the backend's
 // current model for labels, the guard engine, the ledger recorder (a nil
 // appender makes every recorder call a no-op) and the stage histograms
 // for codec. out receives the session's records. On failure the caller
@@ -104,12 +103,11 @@ func (p *pump) open(labels []int, codec string, out sink) *ErrorMsg {
 	if err != nil {
 		return openError(err)
 	}
-	p.sess, p.out, p.healthy, p.reason = sess, out, true, "error: handler exit"
+	p.sess, p.out, p.reason = sess, out, "error: handler exit"
 	if p.policy.Name != "" {
 		if p.eng, err = guard.NewEngine(p.policy); err != nil {
 			// Policies are validated at construction; reaching this is a
 			// server bug, not a client error.
-			p.healthy = false
 			return &ErrorMsg{Code: http.StatusInternalServerError, Message: err.Error()}
 		}
 		s.mitigation.guardedStreams.Add(1)
@@ -125,35 +123,32 @@ func (p *pump) open(labels []int, codec string, out sink) *ErrorMsg {
 	return nil
 }
 
-// end records why the stream ended and whether its session may be
-// pooled; close acts on both.
-func (p *pump) end(reason string, healthy bool) { p.reason, p.healthy = reason, healthy }
+// end records why the stream ended, for close's ledger end event.
+func (p *pump) end(reason string) { p.reason = reason }
 
-// close ends the session: the ledger end event, then the session back to
-// its pool (closed instead when unhealthy). Before open succeeded it
-// frees the reserved slot.
+// close ends the session: the ledger end event, then the session's
+// release. Before open succeeded it frees the reserved slot.
 func (p *pump) close() {
 	if p.sess == nil {
 		p.s.manager.Unreserve()
 		return
 	}
 	p.rec.End(p.frames, p.reason)
-	p.sess.Release(p.healthy)
+	p.sess.Release(false)
 }
 
 // step carries one decoded frame (decNS is its record-decode time):
 // session push, ledger verdict, guard step with its ledger action edge,
 // then the action and verdict out through the sink, with every stage fed
 // to the trace. A failed push — a recovered backend panic included —
-// ends the stream with an error record and returns false, and the
-// session is closed instead of pooled.
+// ends the stream with an error record and returns false.
 func (p *pump) step(ctx context.Context, f *safemon.Frame, decNS int64) bool {
 	p.frame = *f
 	p.tr.setStage(stageDecode, decNS)
 	t0 := time.Now()
 	v, err := p.sess.Push(ctx, &p.frame)
 	if err != nil {
-		p.end("error: push", false)
+		p.end("error: push")
 		p.out.fail(pushError(err))
 		return false
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -544,6 +545,64 @@ func TestManagerDrain(t *testing.T) {
 	}
 }
 
+// TestManagerSessionCycles pins the per-stream session lifecycle's memory
+// behaviour: Reserve, Open, one context-aware trajectory and Release,
+// repeated, must not grow the live heap (Release closes the session and
+// the manager keeps nothing of it) and must not leak goroutines. make race
+// runs it under the race detector.
+func TestManagerSessionCycles(t *testing.T) {
+	traj := testFold(t).Test[0]
+	m, err := NewManager(map[string]safemon.Detector{"context-aware": fittedDetector(t, "context-aware")},
+		ManagerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	ctx := context.Background()
+	cycle := func() {
+		if err := m.Reserve(); err != nil {
+			t.Fatal(err)
+		}
+		s, err := m.Open("context-aware", traj.Gestures)
+		if err != nil {
+			m.Unreserve()
+			t.Fatal(err)
+		}
+		for i := range traj.Frames {
+			if _, err := s.Push(ctx, &traj.Frames[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Release(true)
+	}
+
+	cycle() // the first cycle may build lazily shared model state
+	goroutinesBefore := runtime.NumGoroutine()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const cycles = 50
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	// One context-aware session holds ~47 KB of windows and scratch, so a
+	// session kept alive per cycle would grow the heap by ~2.3 MB; 256 KiB
+	// absorbs runtime noise.
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 256<<10 {
+		t.Errorf("live heap grew %d bytes across %d open/release cycles", grew, cycles)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > goroutinesBefore && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutinesBefore {
+		t.Errorf("goroutines grew from %d to %d across open/release cycles", goroutinesBefore, n)
+	}
+}
+
 // panicDetector is a stub backend whose sessions panic on any frame whose
 // first value is panicTrigger, standing in for a model whose arithmetic
 // or state broke; it counts the sessions closed on it.
@@ -574,8 +633,9 @@ func (s *panicSession) Close() error { s.d.closed.Add(1); return nil }
 
 // TestSessionPanicIsolated drives a backend that panics mid-stream over
 // NDJSON and mux: each stream must end with a 500 record, its
-// session must be closed (never pooled) and counted, and the server must
-// go on serving healthy streams on every transport.
+// session must be closed and counted, and the server must go on serving
+// healthy streams on every transport, whose sessions close on release
+// too.
 func TestSessionPanicIsolated(t *testing.T) {
 	det := &panicDetector{}
 	srv, err := NewServer(Config{Detectors: map[string]safemon.Detector{"stub": det}})
@@ -620,8 +680,12 @@ func TestSessionPanicIsolated(t *testing.T) {
 			}
 		}
 		waitReleased(t, srv)
-		if got := det.closed.Load(); got != 2 {
-			t.Errorf("sessions closed = %d, want 2 (one per panicked stream; healthy ones pool)", got)
+		want := int32(2) // one per panicked stream
+		if healthy {
+			want = 4 // and one per healthy stream
+		}
+		if got := det.closed.Load(); got != want {
+			t.Errorf("sessions closed = %d, want %d (every released session closes)", got, want)
 		}
 		if got := serverMetrics(t, srv).get(t, "safemon_session_panics_total"); got != 2 {
 			t.Errorf("safemon_session_panics_total = %v, want 2", got)

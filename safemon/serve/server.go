@@ -39,8 +39,7 @@ type Config struct {
 	// policy is validated at construction. Empty disables guarded
 	// streams.
 	Policies []guard.Policy
-	// Manager tunes the session cap, the warm pools and /v1/mux
-	// backpressure.
+	// Manager tunes the session cap and /v1/mux backpressure.
 	Manager ManagerConfig
 	// StreamIdleTimeout bounds the wait for each request record: a client
 	// that goes silent past it loses its stream (and session slot) instead
@@ -333,19 +332,19 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			armIdle()
 			switch err := conn.next(&msg); {
 			case errors.Is(err, io.EOF):
-				p.end("eof", true)
+				p.end("eof")
 				conn.done(p.frames)
 				return
 			case err != nil:
 				// Client hung up mid-record or sent garbage; either
 				// way the stream is over.
-				p.end("error: bad record", p.frames > 0 && errors.Is(err, io.ErrUnexpectedEOF))
+				p.end("error: bad record")
 				conn.fail(&ErrorMsg{Code: http.StatusBadRequest, Message: "bad record: " + err.Error()})
 				return
 			case msg.Labels != nil:
 				// The session was bound to the first record's labels;
 				// later ones would be silently ignored.
-				p.end("error: late labels", false)
+				p.end("error: late labels")
 				conn.fail(&ErrorMsg{Code: http.StatusBadRequest,
 					Message: "labels after the first record; send them once, as the stream's first record"})
 				return
@@ -353,7 +352,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		pending = false
 		if len(msg.Frame) != frameSize {
-			p.end("error: bad frame", false)
+			p.end("error: bad frame")
 			conn.fail(&ErrorMsg{Code: http.StatusBadRequest,
 				Message: fmt.Sprintf("frame needs %d values, got %d", frameSize, len(msg.Frame))})
 			return
