@@ -221,7 +221,7 @@ func runIncidents(opts experiments.Options, ic incidentsOptions) (renderer, erro
 		}
 		crossLatched := false
 		for _, a := range alt.Replay.Actions {
-			if act, ok := ledger.LatchAction(a.Level); ok && act.Latches() {
+			if act, err := guard.ParseAction(a.Level); err == nil && act.Latches() {
 				crossLatched = true
 			}
 		}

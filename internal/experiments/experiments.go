@@ -47,9 +47,6 @@ type Options struct {
 	Verbose func(string)
 }
 
-// DefaultOptions returns Quick-scale options with seed 1.
-func DefaultOptions() Options { return Options{Scale: Quick, Seed: 1} }
-
 func (o Options) log(format string, args ...any) {
 	if o.Verbose != nil {
 		o.Verbose(fmt.Sprintf(format, args...))

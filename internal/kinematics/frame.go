@@ -94,13 +94,6 @@ func (f *Frame) SetGrasperAngle(m Manipulator, a float64) {
 	f[m.block()+OffGrasper] = a
 }
 
-// Rotation returns the 3x3 rotation matrix (row major) of manipulator m.
-func (f *Frame) Rotation(m Manipulator) [9]float64 {
-	var r [9]float64
-	copy(r[:], f[m.block()+OffRotation:m.block()+OffRotation+rotationCount])
-	return r
-}
-
 // SetRotation sets the 3x3 rotation matrix (row major) of manipulator m.
 func (f *Frame) SetRotation(m Manipulator, r [9]float64) {
 	copy(f[m.block()+OffRotation:m.block()+OffRotation+rotationCount], r[:])

@@ -193,12 +193,3 @@ func (n *Network) SaveFile(path string) error {
 	}
 	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
-
-// LoadFile reads a network from a file written by SaveFile.
-func LoadFile(path string, rng *rand.Rand) (*Network, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("nn: load network: %w", err)
-	}
-	return DecodeNetwork(bytes.NewReader(data), rng)
-}

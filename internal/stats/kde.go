@@ -30,9 +30,6 @@ func NewKDE(samples []float64, bandwidth float64) (*KDE, error) {
 	return &KDE{samples: cp, bandwidth: bandwidth}, nil
 }
 
-// Bandwidth returns the kernel bandwidth in use.
-func (k *KDE) Bandwidth() float64 { return k.bandwidth }
-
 // Density evaluates the estimated probability density at x.
 func (k *KDE) Density(x float64) float64 {
 	const invSqrt2Pi = 0.3989422804014327

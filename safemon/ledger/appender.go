@@ -50,7 +50,8 @@ type Snapshot struct {
 	Dropped uint64 `json:"dropped"`
 	Errors  uint64 `json:"errors"`
 	// Bytes is the store's current footprint; Segments and ActiveSegment
-	// describe the disk layout (zero/empty for memory stores).
+	// describe the disk layout (zero/empty unless the store is a
+	// *DiskStore).
 	Bytes         int64  `json:"bytes"`
 	Segments      int    `json:"segments,omitempty"`
 	ActiveSegment string `json:"active_segment,omitempty"`

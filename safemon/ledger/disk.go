@@ -497,7 +497,7 @@ func (s *DiskStore) Close() error {
 	return nil
 }
 
-// Pin implements Pinner: compaction will not remove segments holding the
+// Pin implements Store: compaction will not remove segments holding the
 // session's events.
 func (s *DiskStore) Pin(session uint64) {
 	s.mu.Lock()
@@ -505,7 +505,7 @@ func (s *DiskStore) Pin(session uint64) {
 	s.mu.Unlock()
 }
 
-// Unpin implements Pinner. Compaction runs immediately so that
+// Unpin implements Store. Compaction runs immediately so that
 // acknowledging an incident reclaims the disk it was holding without
 // waiting for the next rotation.
 func (s *DiskStore) Unpin(session uint64) {
@@ -517,7 +517,7 @@ func (s *DiskStore) Unpin(session uint64) {
 	s.mu.Unlock()
 }
 
-// Pinned implements Pinner.
+// Pinned implements Store.
 func (s *DiskStore) Pinned() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

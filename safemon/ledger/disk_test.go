@@ -64,6 +64,14 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if n != 7 {
 		t.Fatalf("scan from 4 returned %d events, want 7", n)
 	}
+	// A callback returning false stops the scan at that event.
+	var stopped []uint64
+	if err := s2.Scan(5, func(e *Event) bool { stopped = append(stopped, e.Seq); return false }); err != nil {
+		t.Fatal(err)
+	}
+	if len(stopped) != 1 || stopped[0] != 5 {
+		t.Fatalf("early-stop scan from 5 returned %v, want [5]", stopped)
+	}
 }
 
 func TestDiskStoreAppendAfterReopen(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kinematics"
-	"repro/safemon/guard"
 )
 
 // An incident is a session on which a latching mitigation (safe-stop or
@@ -202,15 +201,4 @@ func LoadIncident(store Store, session uint64) (*Incident, error) {
 		return nil, ErrNoIncident{Session: session}
 	}
 	return inc, nil
-}
-
-// latchAction maps a trigger-action wire name back to the guard level
-// (used by tests and reports).
-func LatchAction(name string) (guard.Action, bool) {
-	for a := guard.ActionNone; a <= guard.ActionRetract; a++ {
-		if a.String() == name {
-			return a, true
-		}
-	}
-	return guard.ActionNone, false
 }

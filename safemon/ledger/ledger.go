@@ -12,12 +12,11 @@
 //     Every event carries a monotonic sequence number, its session ID,
 //     the backend / model version / policy it was produced under, and
 //     wall-clock plus frame-index timestamps.
-//   - Store: the pluggable persistence interface, with two
-//     implementations: MemoryStore (a bounded in-memory ring for tests
-//     and development) and DiskStore (length-prefixed binary records with
-//     a per-record CRC-32 in fsynced, size-rotated segment files, with
-//     retention/compaction by age and bytes and crash-safe recovery that
-//     truncates a torn tail instead of refusing to open).
+//   - Store: the persistence interface, implemented by DiskStore
+//     (length-prefixed binary records with a per-record CRC-32 in
+//     fsynced, size-rotated segment files, with retention/compaction by
+//     age and bytes and crash-safe recovery that truncates a torn tail
+//     instead of refusing to open). Tests substitute fakes through it.
 //   - Appender: the async batched writer between the zero-allocation
 //     streaming hot path and the store. Emit enqueues one event without
 //     blocking and without allocating; a bounded queue plus explicit drop
@@ -36,8 +35,6 @@
 package ledger
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/kinematics"
 	"repro/safemon/guard"
@@ -150,11 +147,8 @@ func (e *Event) Verdict() core.FrameVerdict {
 	}
 }
 
-// Wall returns the event's wall-clock timestamp.
-func (e *Event) Wall() time.Time { return time.Unix(0, e.WallNS) }
-
-// Store is the pluggable persistence behind an Appender. Implementations
-// must support concurrent Scan while a single writer Appends.
+// Store is the persistence behind an Appender. Implementations must
+// support concurrent Scan while a single writer Appends.
 type Store interface {
 	// Append durably accepts a batch of events whose Seq fields have
 	// already been assigned (strictly increasing across calls).
@@ -171,17 +165,13 @@ type Store interface {
 	MaxSession() uint64
 	// SizeBytes reports the store's current footprint.
 	SizeBytes() int64
-	// Sync flushes buffered state to stable storage (a no-op for
-	// memory stores).
+	// Sync flushes buffered state to stable storage.
 	Sync() error
 	// Close syncs and releases the store.
 	Close() error
-}
-
-// Pinner is implemented by stores whose compaction can be told to keep
-// every segment backing a session — the incident-retention hook.
-type Pinner interface {
-	// Pin marks a session's events as exempt from compaction.
+	// Pin marks a session's events as exempt from compaction — the
+	// incident-retention hook. Append pins the session of every latching
+	// action event it accepts.
 	Pin(session uint64)
 	// Unpin lifts the exemption.
 	Unpin(session uint64)

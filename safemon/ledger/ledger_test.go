@@ -26,6 +26,19 @@ func sampleEvents() []Event {
 	}
 }
 
+// testStore opens a DiskStore in a fresh temporary directory. The
+// appender that owns it closes it; cleanup closes it again for tests that
+// stop early.
+func testStore(tb testing.TB) *DiskStore {
+	tb.Helper()
+	s, err := OpenDisk(tb.TempDir(), DiskConfig{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { s.Close() })
+	return s
+}
+
 func TestCodecRoundTrip(t *testing.T) {
 	events := sampleEvents()
 	var buf []byte
@@ -209,12 +222,12 @@ func TestEmitDropsOversizedEventWithoutPoisoningSegment(t *testing.T) {
 }
 
 // failingSyncStore simulates an fsync failure at the durability barrier.
-type failingSyncStore struct{ *MemoryStore }
+type failingSyncStore struct{ *DiskStore }
 
 func (s *failingSyncStore) Sync() error { return errors.New("fsync failed") }
 
 func TestFlushCountsSyncFailure(t *testing.T) {
-	a := NewAppender(&failingSyncStore{NewMemoryStore(0)}, Options{})
+	a := NewAppender(&failingSyncStore{testStore(t)}, Options{})
 	e := Event{Kind: KindVerdict, Session: 1}
 	a.Emit(&e)
 	a.Flush()
@@ -224,42 +237,8 @@ func TestFlushCountsSyncFailure(t *testing.T) {
 	a.Close()
 }
 
-func TestMemoryStoreRing(t *testing.T) {
-	s := NewMemoryStore(4)
-	for i := 1; i <= 6; i++ {
-		e := Event{Kind: KindVerdict, Seq: uint64(i), Session: uint64(i)}
-		if err := s.Append([]Event{e}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	first, last := s.Bounds()
-	if first != 3 || last != 6 {
-		t.Fatalf("bounds = (%d,%d), want (3,6)", first, last)
-	}
-	var got []uint64
-	s.Scan(0, func(e *Event) bool { got = append(got, e.Seq); return true })
-	want := []uint64{3, 4, 5, 6}
-	if len(got) != len(want) {
-		t.Fatalf("scan returned %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("scan returned %v, want %v", got, want)
-		}
-	}
-	if s.MaxSession() != 6 {
-		t.Fatalf("MaxSession = %d, want 6", s.MaxSession())
-	}
-	// Scan honors the from cursor and early stop.
-	var fromThree []uint64
-	s.Scan(5, func(e *Event) bool { fromThree = append(fromThree, e.Seq); return false })
-	if len(fromThree) != 1 || fromThree[0] != 5 {
-		t.Fatalf("cursor scan returned %v, want [5]", fromThree)
-	}
-}
-
 func TestAppenderBatchingAndFlush(t *testing.T) {
-	s := NewMemoryStore(0)
+	s := testStore(t)
 	a := NewAppender(s, Options{Queue: 64, Batch: 8, FlushEvery: time.Hour})
 	defer a.Close()
 	for i := 0; i < 20; i++ {
@@ -287,7 +266,7 @@ func TestAppenderBatchingAndFlush(t *testing.T) {
 func TestAppenderDropsWhenFull(t *testing.T) {
 	// A store whose Append blocks until released simulates a stalled disk.
 	block := make(chan struct{})
-	s := &blockingStore{MemoryStore: NewMemoryStore(0), gate: block}
+	s := &blockingStore{DiskStore: testStore(t), gate: block}
 	a := NewAppender(s, Options{Queue: 4, Batch: 4, FlushEvery: time.Hour})
 	// Saturate: 4 queued + whatever the writer grabbed; eventually Emit
 	// must start dropping rather than blocking.
@@ -307,7 +286,7 @@ func TestAppenderDropsWhenFull(t *testing.T) {
 }
 
 type blockingStore struct {
-	*MemoryStore
+	*DiskStore
 	gate    chan struct{}
 	blocked bool
 }
@@ -317,11 +296,11 @@ func (s *blockingStore) Append(events []Event) error {
 		s.blocked = true
 		<-s.gate
 	}
-	return s.MemoryStore.Append(events)
+	return s.DiskStore.Append(events)
 }
 
 func TestAppenderEmitAfterClose(t *testing.T) {
-	a := NewAppender(NewMemoryStore(0), Options{})
+	a := NewAppender(testStore(t), Options{})
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +338,7 @@ func TestNilAppenderAndRecorder(t *testing.T) {
 }
 
 func TestRecorderEmitsSessionTrail(t *testing.T) {
-	s := NewMemoryStore(0)
+	s := testStore(t)
 	a := NewAppender(s, Options{})
 	rec := NewRecorder(a, "context", "v7", "default")
 	if rec.Session() == 0 {
@@ -397,7 +376,7 @@ func TestRecorderEmitsSessionTrail(t *testing.T) {
 }
 
 func TestIncidentDerivation(t *testing.T) {
-	s := NewMemoryStore(0)
+	s := testStore(t)
 	a := NewAppender(s, Options{})
 	// Session 1: benign, no latching action — not an incident.
 	r1 := NewRecorder(a, "context", "v1", "default")
@@ -462,17 +441,5 @@ func TestIncidentIDRoundTrip(t *testing.T) {
 		if _, err := ParseIncidentID(bad); err == nil {
 			t.Errorf("ParseIncidentID(%q) accepted", bad)
 		}
-	}
-}
-
-func TestLatchActionNames(t *testing.T) {
-	for a := guard.ActionNone; a <= guard.ActionRetract; a++ {
-		got, ok := LatchAction(a.String())
-		if !ok || got != a {
-			t.Fatalf("LatchAction(%q) = %v, %v", a.String(), got, ok)
-		}
-	}
-	if _, ok := LatchAction("bogus"); ok {
-		t.Fatal("LatchAction accepted bogus name")
 	}
 }

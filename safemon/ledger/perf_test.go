@@ -9,13 +9,22 @@ import (
 	"repro/safemon/guard"
 )
 
+// discardStore is a DiskStore whose Append accepts every batch and
+// writes nothing. The emit gates time the enqueue: over a real disk the
+// writer falls behind a tight emit loop, and the loop would mostly time
+// Emit's drop branch instead.
+type discardStore struct{ *DiskStore }
+
+func (discardStore) Append([]Event) error { return nil }
+
 // BenchmarkLedgerAppend measures the hot-path enqueue: one stack-built
 // verdict event per iteration through Recorder.Verdict into a live
-// appender. benchguard.sh gates it at 0 allocs/op — a slow disk may drop
-// events, but emitting must never allocate or block. The closing drain
-// runs outside the timer: it is teardown, not emit cost.
+// appender. benchguard.sh gates it at 0 allocs/op and 0 dropped/op — a
+// slow disk may drop events, but emitting must never allocate or block,
+// and a row that drops is timing the drop branch, not the enqueue. The
+// closing drain runs outside the timer: it is teardown, not emit cost.
 func BenchmarkLedgerAppend(b *testing.B) {
-	a := NewAppender(NewMemoryStore(0), Options{Queue: 1 << 16})
+	a := NewAppender(discardStore{testStore(b)}, Options{Queue: 1 << 16})
 	rec := NewRecorder(a, "context", "v1", "default")
 	var input kinematics.Frame
 	for i := range input {
@@ -29,12 +38,13 @@ func BenchmarkLedgerAppend(b *testing.B) {
 	}
 	b.StopTimer()
 	a.Close()
+	b.ReportMetric(float64(a.Stats().Dropped)/float64(b.N), "dropped/op")
 }
 
 // TestEmitZeroAlloc pins the enqueue path at zero allocations per event
 // for every hot-path recorder call.
 func TestEmitZeroAlloc(t *testing.T) {
-	a := NewAppender(NewMemoryStore(0), Options{Queue: 1 << 16, FlushEvery: time.Hour})
+	a := NewAppender(discardStore{testStore(t)}, Options{Queue: 1 << 16, FlushEvery: time.Hour})
 	defer a.Close()
 	rec := NewRecorder(a, "context", "v1", "default")
 	var input kinematics.Frame

@@ -7,6 +7,27 @@ import (
 	"repro/safemon/ledger"
 )
 
+// testLedgerStore opens a DiskStore in a fresh temporary directory. The
+// appender that owns it closes it; cleanup closes it again for tests that
+// stop early.
+func testLedgerStore(tb testing.TB) *ledger.DiskStore {
+	tb.Helper()
+	s, err := ledger.OpenDisk(tb.TempDir(), ledger.DiskConfig{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { s.Close() })
+	return s
+}
+
+// discardStore is a DiskStore whose Append accepts every batch and
+// writes nothing. The emit-cost gates time the session step and its
+// enqueue: over a real disk the writer falls behind a tight push loop,
+// and the loop would partly time Emit's drop branch instead.
+type discardStore struct{ *ledger.DiskStore }
+
+func (discardStore) Append([]ledger.Event) error { return nil }
+
 // TestWithLedgerRecordsStream pins the recorded trail of a ledgered
 // guarded session for every backend: a session-start carrying the
 // ground-truth labels, one verdict event per pushed frame (each with its
@@ -18,7 +39,7 @@ func TestWithLedgerRecordsStream(t *testing.T) {
 		t.Run(backend, func(t *testing.T) {
 			det := fittedDetector(t, backend)
 			traj := testFold(t).Test[0]
-			store := ledger.NewMemoryStore(0)
+			store := testLedgerStore(t)
 			app := ledger.NewAppender(store, ledger.Options{})
 			defer app.Close()
 
@@ -110,7 +131,7 @@ func TestWithLedgerRecordsStream(t *testing.T) {
 func TestWithLedgerReset(t *testing.T) {
 	det := fittedDetector(t, "envelope")
 	traj := testFold(t).Test[0]
-	store := ledger.NewMemoryStore(0)
+	store := testLedgerStore(t)
 	app := ledger.NewAppender(store, ledger.Options{})
 	defer app.Close()
 	sess, err := det.NewSession(WithSessionLabels(traj.Gestures), WithLedger(app, "envelope", "v1"))
@@ -148,8 +169,7 @@ func TestWithLedgerReset(t *testing.T) {
 // with zero heap allocations for every backend — the property that lets
 // safemond record everything without GC churn.
 func TestSessionPushZeroAllocLedgered(t *testing.T) {
-	store := ledger.NewMemoryStore(0)
-	app := ledger.NewAppender(store, ledger.Options{Queue: 1 << 16})
+	app := ledger.NewAppender(discardStore{testLedgerStore(t)}, ledger.Options{Queue: 1 << 16})
 	defer app.Close()
 	for _, backend := range perfBackends() {
 		t.Run(backend, func(t *testing.T) {
@@ -184,7 +204,7 @@ func TestSessionPushZeroAllocLedgered(t *testing.T) {
 func TestWithLedgerGuardActionTrail(t *testing.T) {
 	det := fittedDetector(t, "envelope")
 	traj := testFold(t).Test[0]
-	store := ledger.NewMemoryStore(0)
+	store := testLedgerStore(t)
 	app := ledger.NewAppender(store, ledger.Options{})
 	defer app.Close()
 	sess, err := det.NewSession(
@@ -228,12 +248,11 @@ func TestWithLedgerGuardActionTrail(t *testing.T) {
 
 // BenchmarkSessionStepLedgered is BenchmarkSessionStep with the full
 // guard + ledger instrumentation attached; scripts/benchguard.sh holds
-// it to the same 0 allocs/op budget, and the delta against
-// BenchmarkSessionStep is the ledger's hot-path overhead reported in
-// BENCH_PR6.json.
+// it to the same 0 allocs/op budget and to 0 dropped/op, and the delta
+// against BenchmarkSessionStep is the ledger's hot-path overhead
+// reported in BENCH_PR6.json.
 func BenchmarkSessionStepLedgered(b *testing.B) {
-	store := ledger.NewMemoryStore(0)
-	app := ledger.NewAppender(store, ledger.Options{Queue: 1 << 16})
+	app := ledger.NewAppender(discardStore{testLedgerStore(b)}, ledger.Options{Queue: 1 << 16})
 	defer app.Close()
 	for _, backend := range perfBackends() {
 		b.Run(backend, func(b *testing.B) {
@@ -249,6 +268,7 @@ func BenchmarkSessionStepLedgered(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			dropped := app.Stats().Dropped
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -256,6 +276,7 @@ func BenchmarkSessionStepLedgered(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(app.Stats().Dropped-dropped)/float64(b.N), "dropped/op")
 		})
 	}
 }

@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"math"
 	"math/bits"
 	"sync/atomic"
-	"time"
 )
 
 // LogBuckets is the number of power-of-two latency buckets: bucket i
@@ -22,9 +20,6 @@ type Histogram struct {
 	counts [LogBuckets]atomic.Uint64
 	sumNS  atomic.Int64
 }
-
-// Observe records one duration sample.
-func (h *Histogram) Observe(d time.Duration) { h.ObserveNS(d.Nanoseconds()) }
 
 // ObserveNS records one sample in nanoseconds (values < 1 count as 1).
 func (h *Histogram) ObserveNS(ns int64) {
@@ -50,8 +45,3 @@ func (h *Histogram) Counts() [LogBuckets]uint64 {
 
 // SumNS returns the running sum of observed nanoseconds.
 func (h *Histogram) SumNS() int64 { return h.sumNS.Load() }
-
-// floatBits / floatFromBits are the Gauge's float64 <-> atomic bits
-// mapping.
-func floatBits(v float64) uint64     { return math.Float64bits(v) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }

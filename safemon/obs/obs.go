@@ -1,7 +1,7 @@
 // Package obs is the service's telemetry core: a stdlib-only metrics
-// registry whose instruments — atomic counters, gauges and fixed-bucket
-// log2 histograms — are safe for concurrent use and allocation-free to
-// update, rendered on demand in the Prometheus text exposition format.
+// registry of counters, gauges and fixed-bucket log2 histograms that is
+// safe for concurrent use and allocation-free to update, rendered on
+// demand in the Prometheus text exposition format.
 //
 // The design premise is that the serving hot path (one frame through
 // decode → inference → guard → encode) must stay 0 allocs/frame
@@ -14,14 +14,14 @@
 // Two registration styles exist, so a counter that already lives
 // elsewhere is exported without a second copy to keep in sync:
 //
-//   - Counter/Gauge/Histogram mint a registry-owned instrument and are
-//     idempotent: re-registering the same name+labels returns the same
-//     instrument, which lets per-stream code "register" its series on
-//     every admission and pay only a map lookup after the first.
+//   - Histogram mints a registry-owned instrument and is idempotent:
+//     re-registering the same name+labels returns the same histogram,
+//     which lets per-stream code "register" its series on every
+//     admission and pay only a map lookup after the first.
 //   - CounterFunc/GaugeFunc/GaugeCollector bind a series (or a whole
-//     family) to a read function over counters that live elsewhere —
-//     the server's existing atomics — so /metrics reads that memory
-//     directly.
+//     family) to a read function over counters and gauges that live
+//     elsewhere — the server's existing atomics — so /metrics reads that
+//     memory directly.
 package obs
 
 import (

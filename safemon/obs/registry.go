@@ -8,34 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 )
-
-// Counter is a monotonically increasing uint64. Inc/Add are single
-// atomic adds: lock-free, allocation-free, a few ns.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a settable float64 (stored as bits in an atomic).
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return floatFromBits(g.bits.Load()) }
 
 // metric kinds, for the exposition TYPE line and cross-registration
 // conflict checks.
@@ -63,9 +36,7 @@ func (k kind) String() string {
 // value fields is set, matching the family kind.
 type series struct {
 	labels    string // canonical inner label rendering ("" for none)
-	counter   *Counter
 	counterFn func() uint64
-	gauge     *Gauge
 	gaugeFn   func() float64
 	hist      *Histogram
 }
@@ -129,40 +100,6 @@ func (f *family) addSeries(s *series) {
 	f.ordered = append(f.ordered, s)
 }
 
-// Counter registers (or returns the existing) counter for name+labels.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	key := renderLabels(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.register(name, help, kindCounter)
-	if s := f.series[key]; s != nil {
-		if s.counter == nil {
-			panic(fmt.Sprintf("obs: metric %s{%s} already bound to a function", name, key))
-		}
-		return s.counter
-	}
-	s := &series{labels: key, counter: &Counter{}}
-	f.addSeries(s)
-	return s.counter
-}
-
-// Gauge registers (or returns the existing) gauge for name+labels.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	key := renderLabels(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.register(name, help, kindGauge)
-	if s := f.series[key]; s != nil {
-		if s.gauge == nil {
-			panic(fmt.Sprintf("obs: metric %s{%s} already bound to a function", name, key))
-		}
-		return s.gauge
-	}
-	s := &series{labels: key, gauge: &Gauge{}}
-	f.addSeries(s)
-	return s.gauge
-}
-
 // Histogram registers (or returns the existing) log2 latency histogram
 // for name+labels. Values are observed in nanoseconds and rendered in
 // seconds (the Prometheus base unit).
@@ -181,7 +118,7 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 
 // CounterFunc registers a counter series whose value is read from fn at
 // scrape time — the bridge to counters that live in pre-existing
-// structs. Unlike Counter, a duplicate registration panics: two owners
+// structs. Unlike Histogram, a duplicate registration panics: two owners
 // for one series is a wiring bug.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
 	key := renderLabels(name, labels)
@@ -245,12 +182,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		sort.Slice(f.ordered, func(i, j int) bool { return f.ordered[i].labels < f.ordered[j].labels })
 		for _, s := range f.ordered {
 			switch {
-			case s.counter != nil:
-				writeUintSample(bw, f.name, s.labels, s.counter.Value())
 			case s.counterFn != nil:
 				writeUintSample(bw, f.name, s.labels, s.counterFn())
-			case s.gauge != nil:
-				writeSample(bw, buf, f.name, s.labels, "", s.gauge.Value())
 			case s.gaugeFn != nil:
 				writeSample(bw, buf, f.name, s.labels, "", s.gaugeFn())
 			case s.hist != nil:

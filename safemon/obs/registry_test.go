@@ -3,21 +3,13 @@ package obs
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeRender(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_frames_total", "Frames served.", Label{"shard", "0"})
-	c.Add(3)
-	c.Inc()
-	// Idempotent: same name+labels returns the same counter.
-	if again := r.Counter("test_frames_total", "Frames served.", Label{"shard", "0"}); again != c {
-		t.Fatalf("re-registration minted a new counter")
-	}
-	r.Counter("test_frames_total", "Frames served.", Label{"shard", "1"}).Add(7)
-	g := r.Gauge("test_queue_bytes", "Queue size.")
-	g.Set(12.5)
+	r.CounterFunc("test_frames_total", "Frames served.", func() uint64 { return 4 }, Label{"shard", "0"})
+	r.CounterFunc("test_frames_total", "Frames served.", func() uint64 { return 7 }, Label{"shard", "1"})
+	r.GaugeFunc("test_queue_bytes", "Queue size.", func() float64 { return 12.5 })
 	r.CounterFunc("test_drops_total", "Drops.", func() uint64 { return 9 })
 	r.GaugeFunc("test_uptime_seconds", "Uptime.", func() float64 { return 2 })
 	r.GaugeCollector("test_model_loaded_seconds", "Model load time.", func(emit Emit) {
@@ -56,22 +48,22 @@ test_uptime_seconds 2
 func TestLabelCanonicalization(t *testing.T) {
 	r := NewRegistry()
 	// Key order must not matter: both orders name the same series.
-	a := r.Counter("test_x_total", "x", Label{"b", "2"}, Label{"a", "1"})
-	b := r.Counter("test_x_total", "x", Label{"a", "1"}, Label{"b", "2"})
+	a := r.Histogram("test_x_seconds", "x", Label{"b", "2"}, Label{"a", "1"})
+	b := r.Histogram("test_x_seconds", "x", Label{"a", "1"}, Label{"b", "2"})
 	if a != b {
 		t.Fatalf("label order minted distinct series")
 	}
-	a.Inc()
+	a.ObserveNS(1)
 	var sb strings.Builder
 	r.WritePrometheus(&sb)
-	if !strings.Contains(sb.String(), `test_x_total{a="1",b="2"} 1`) {
+	if !strings.Contains(sb.String(), `test_x_seconds_count{a="1",b="2"} 1`) {
 		t.Fatalf("labels not rendered sorted:\n%s", sb.String())
 	}
 }
 
 func TestLabelValueEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_esc_total", "e", Label{"v", "a\"b\\c\nd"}).Inc()
+	r.CounterFunc("test_esc_total", "e", func() uint64 { return 1 }, Label{"v", "a\"b\\c\nd"})
 	var sb strings.Builder
 	r.WritePrometheus(&sb)
 	if !strings.Contains(sb.String(), `test_esc_total{v="a\"b\\c\nd"} 1`) {
@@ -89,15 +81,16 @@ func TestRegistrationPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	expectPanic("invalid name", func() { NewRegistry().Counter("0bad", "x") })
-	expectPanic("invalid label key", func() { NewRegistry().Counter("test_a_total", "x", Label{"0k", "v"}) })
+	zero := func() uint64 { return 0 }
+	expectPanic("invalid name", func() { NewRegistry().Histogram("0bad", "x") })
+	expectPanic("invalid label key", func() { NewRegistry().CounterFunc("test_a_total", "x", zero, Label{"0k", "v"}) })
 	expectPanic("duplicate label key", func() {
-		NewRegistry().Counter("test_a_total", "x", Label{"k", "1"}, Label{"k", "2"})
+		NewRegistry().Histogram("test_a_seconds", "x", Label{"k", "1"}, Label{"k", "2"})
 	})
 	expectPanic("kind conflict", func() {
 		r := NewRegistry()
-		r.Counter("test_a_total", "x")
-		r.Gauge("test_a_total", "x")
+		r.CounterFunc("test_a_total", "x", zero)
+		r.GaugeFunc("test_a_total", "x", func() float64 { return 0 })
 	})
 	expectPanic("func duplicate", func() {
 		r := NewRegistry()
@@ -107,7 +100,7 @@ func TestRegistrationPanics(t *testing.T) {
 	expectPanic("collector conflict", func() {
 		r := NewRegistry()
 		r.GaugeCollector("test_a_seconds", "x", func(Emit) {})
-		r.Gauge("test_a_seconds", "x")
+		r.GaugeFunc("test_a_seconds", "x", func() float64 { return 0 })
 	})
 }
 
@@ -116,7 +109,7 @@ func TestHistogramRender(t *testing.T) {
 	h := r.Histogram("test_lat_seconds", "Latency.", Label{"stage", "infer"})
 	h.ObserveNS(1) // bucket 0: [1,2) ns
 	h.ObserveNS(3) // bucket 1: [2,4) ns
-	h.Observe(3 * time.Nanosecond)
+	h.ObserveNS(3)
 	var sb strings.Builder
 	r.WritePrometheus(&sb)
 	got := sb.String()

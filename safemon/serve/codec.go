@@ -19,7 +19,8 @@ package serve
 //	BinFrame   304B  38 x float64 kinematics values         (c->s)
 //	BinVerdict 21B   i int64 @0 | g int32 @8 | score float64 @12 | unsafe u8 @20
 //	BinAction  26+B  i int64 @0 | alert_frame int64 @8 | score float64 @16 |
-//	                 level u8 @24 | policy_len u8 @25 | policy bytes @26
+//	                 level u8 @24 (a guard.Action) | policy_len u8 @25 |
+//	                 policy bytes @26
 //	BinDone    8B    frames uint64
 //	BinError   4+B   code uint32 @0 | message bytes @4
 //	BinOpen    4+B   backend_len u16 @0 | backend | policy_len u16 | policy |
@@ -47,6 +48,7 @@ import (
 	"time"
 
 	"repro/safemon"
+	"repro/safemon/guard"
 )
 
 // BinaryContentType is the media type of the binary codec: POST /v1/mux
@@ -102,19 +104,6 @@ var (
 	errNonFiniteFrame = fmt.Errorf("%w: non-finite frame value (NaN or ±Inf)", errBadPayload)
 	errShortRecord    = errors.New("serve: truncated binary record")
 )
-
-// actionLevels maps the BinAction level byte to the guard.Action wire
-// names ActionMsg carries (index == guard.Action value).
-var actionLevels = [...]string{"none", "warn", "pause", "safe-stop", "retract"}
-
-func levelByte(name string) (byte, bool) {
-	for i, n := range actionLevels {
-		if n == name {
-			return byte(i), true
-		}
-	}
-	return 0, false
-}
 
 // BinaryRecord is the decoded form of one binary wire record. Exactly
 // the fields implied by Type are meaningful; the struct is designed for
@@ -196,8 +185,8 @@ func AppendBinaryRecord(dst []byte, rec *BinaryRecord) ([]byte, error) {
 			dst = append(dst, 0)
 		}
 	case BinAction:
-		lv, ok := levelByte(rec.Action.Level)
-		if !ok {
+		lv, err := guard.ParseAction(rec.Action.Level)
+		if err != nil {
 			return dst, fmt.Errorf("serve: unknown action level %q", rec.Action.Level)
 		}
 		if len(rec.Action.Policy) > 255 {
@@ -207,7 +196,7 @@ func AppendBinaryRecord(dst []byte, rec *BinaryRecord) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(rec.Action.I)))
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(rec.Action.AlertFrame)))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(rec.Action.Score))
-		dst = append(dst, lv, byte(len(rec.Action.Policy)))
+		dst = append(dst, byte(lv), byte(len(rec.Action.Policy)))
 		dst = append(dst, rec.Action.Policy...)
 	case BinDone:
 		dst = appendBinHeader(dst, BinDone, rec.SID, binDonePayload)
@@ -303,9 +292,9 @@ func DecodeBinaryRecord(b []byte, rec *BinaryRecord) (int, error) {
 		if len(p) < binActionMin {
 			return n, fmt.Errorf("%w: action payload %d bytes, want >= %d", errBadPayload, len(p), binActionMin)
 		}
-		lv := p[24]
-		if int(lv) >= len(actionLevels) {
-			return n, fmt.Errorf("%w: unknown action level byte %d", errBadPayload, lv)
+		lv := guard.Action(p[24])
+		if lv > guard.ActionRetract {
+			return n, fmt.Errorf("%w: unknown action level byte %d", errBadPayload, p[24])
 		}
 		if int(p[25]) != len(p)-binActionMin {
 			return n, fmt.Errorf("%w: action policy length %d for %d payload bytes", errBadPayload, p[25], len(p))
@@ -314,7 +303,7 @@ func DecodeBinaryRecord(b []byte, rec *BinaryRecord) (int, error) {
 			I:          int(int64(binary.LittleEndian.Uint64(p[0:]))),
 			AlertFrame: int(int64(binary.LittleEndian.Uint64(p[8:]))),
 			Score:      math.Float64frombits(binary.LittleEndian.Uint64(p[16:])),
-			Level:      actionLevels[lv],
+			Level:      lv.String(),
 			Policy:     string(p[binActionMin:]),
 		}
 	case BinDone:

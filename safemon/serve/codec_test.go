@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/safemon"
+	"repro/safemon/guard"
 )
 
 // newHTTPTestServer mounts an already-built Server behind httptest with
@@ -69,7 +70,7 @@ func randomBinaryRecord(r *rand.Rand) BinaryRecord {
 			I:          r.Intn(1 << 20),
 			AlertFrame: r.Intn(1<<20) - 1,
 			Score:      r.NormFloat64(),
-			Level:      actionLevels[r.Intn(len(actionLevels))],
+			Level:      guard.Action(r.Intn(int(guard.ActionRetract) + 1)).String(),
 			Policy:     randString(30),
 		}
 	case BinDone:
@@ -189,7 +190,7 @@ func TestDecodeBinaryRecordMalformed(t *testing.T) {
 		{"action short", encodeRaw(BinAction, 7, make([]byte, binActionMin-1)), true},
 		{"action bad level", encodeRaw(BinAction, 7, func() []byte {
 			p := make([]byte, binActionMin)
-			p[24] = byte(len(actionLevels))
+			p[24] = byte(guard.ActionRetract) + 1
 			return p
 		}()), true},
 		{"action bad policy len", encodeRaw(BinAction, 7, func() []byte {

@@ -129,15 +129,11 @@ func (s *Server) ResolveIncident(id string) error {
 	if err != nil {
 		return err
 	}
-	pinner, ok := store.(ledger.Pinner)
-	if !ok {
-		return fmt.Errorf("serve: ledger store cannot pin incidents")
-	}
 	// A just-latched incident pins at append time; flush so it is visible.
 	s.cfg.Ledger.Flush()
-	for _, pinned := range pinner.Pinned() {
+	for _, pinned := range store.Pinned() {
 		if pinned == session {
-			pinner.Unpin(session)
+			store.Unpin(session)
 			return nil
 		}
 	}

@@ -17,13 +17,33 @@ import (
 	"repro/safemon/ledger"
 )
 
-// newLedgeredService stands up a Server recording into an in-memory
-// ledger. The appender outlives the server (the server only borrows it),
-// so cleanup closes it after Shutdown.
+// newDiskLedger opens a DiskStore in dir behind an appender, the
+// composition safemond records through. The appender outlives any server
+// that borrows it, so its cleanup, registered first, runs after the
+// server's Shutdown.
+func newDiskLedger(tb testing.TB, dir string) *ledger.Appender {
+	tb.Helper()
+	store, err := ledger.OpenDisk(dir, ledger.DiskConfig{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	app := ledger.NewAppender(store, ledger.Options{})
+	tb.Cleanup(func() { app.Close() })
+	return app
+}
+
+// newLedgeredService stands up a Server recording into a disk ledger in
+// a fresh temporary directory.
 func newLedgeredService(t *testing.T, detectors map[string]safemon.Detector, policies ...guard.Policy) (*Server, *Client, *ledger.Appender) {
 	t.Helper()
-	app := ledger.NewAppender(ledger.NewMemoryStore(0), ledger.Options{})
-	t.Cleanup(func() { app.Close() })
+	return newLedgeredServiceIn(t, t.TempDir(), detectors, policies...)
+}
+
+// newLedgeredServiceIn is newLedgeredService over the ledger directory
+// dir, so a second server can reopen what a first one recorded.
+func newLedgeredServiceIn(t *testing.T, dir string, detectors map[string]safemon.Detector, policies ...guard.Policy) (*Server, *Client, *ledger.Appender) {
+	t.Helper()
+	app := newDiskLedger(t, dir)
 	srv, err := NewServer(Config{
 		Detectors: detectors,
 		Policies:  policies,
@@ -238,7 +258,7 @@ func TestResolveIncidentUnpins(t *testing.T) {
 	if len(incs) != 1 {
 		t.Fatalf("incidents = %+v, want exactly 1", incs)
 	}
-	pinner := app.Store().(ledger.Pinner)
+	pinner := app.Store()
 	if pins := pinner.Pinned(); len(pins) != 1 || pins[0] != incs[0].Session {
 		t.Fatalf("pinned = %v, want [%d]", pins, incs[0].Session)
 	}
@@ -263,6 +283,57 @@ func TestResolveIncidentUnpins(t *testing.T) {
 		if !errors.As(err, &em) || em.Code != http.StatusNotFound {
 			t.Errorf("resolve %q: err = %v, want 404", id, err)
 		}
+	}
+}
+
+// TestIncidentSurvivesRestart records an incident through one server,
+// shuts it down and closes its ledger, then reopens the same ledger
+// directory under a second server: the incident must keep its ID, replay
+// byte-identically, and still be resolvable, which needs recovery to
+// have re-pinned its session.
+func TestIncidentSurvivesRestart(t *testing.T) {
+	detectors := map[string]safemon.Detector{"envelope": fittedDetector(t, "envelope")}
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	srv, client, app := newLedgeredServiceIn(t, dir, detectors, testGuardPolicy())
+	driveIncident(t, client, "envelope", "stop-fast", incidentFrames(t))
+	before, err := client.Incidents(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before) != 1 {
+		t.Fatalf("incidents = %+v, want exactly 1", before)
+	}
+	id := before[0].ID
+	if detail := waitIncidentClosed(t, client, id); !detail.Closed {
+		t.Fatalf("incident %s never recorded its session end", id)
+	}
+	srv.Shutdown()
+	if err := app.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, client, app = newLedgeredServiceIn(t, dir, detectors, testGuardPolicy())
+	after, err := client.Incidents(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != 1 || after[0].ID != id {
+		t.Fatalf("incidents after restart = %+v, want only %s", after, id)
+	}
+	res, err := client.ReplayIncident(ctx, id, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.VerdictsMatch || !res.ActionsMatch {
+		t.Fatalf("replay after restart: verdicts_match=%v actions_match=%v", res.VerdictsMatch, res.ActionsMatch)
+	}
+	if err := client.ResolveIncident(ctx, id); err != nil {
+		t.Fatalf("resolve after restart: %v", err)
+	}
+	if pins := app.Store().Pinned(); len(pins) != 0 {
+		t.Fatalf("pins after resolve = %v, want none", pins)
 	}
 }
 
@@ -459,10 +530,11 @@ func TestShutdownFlushesInFlightStream(t *testing.T) {
 	}
 }
 
-// TestStatsLedgerSection pins the ledger observability contract on
-// /metrics: a ledgered server exports the appender's counters, and a
-// ledger-less server registers no ledger family at all.
-func TestStatsLedgerSection(t *testing.T) {
+// TestMetricsLedgerFamilies pins the ledger observability contract on
+// /metrics: a ledgered server exports the appender's counters and the
+// disk layout, and a ledger-less server registers no ledger family at
+// all.
+func TestMetricsLedgerFamilies(t *testing.T) {
 	det := fittedDetector(t, "envelope")
 	srv, client, app := newLedgeredService(t, map[string]safemon.Detector{"envelope": det})
 	ctx := context.Background()
@@ -494,6 +566,9 @@ func TestStatsLedgerSection(t *testing.T) {
 	}
 	if got := scrape.get(t, "safemon_ledger_batches_total"); got == 0 {
 		t.Errorf("batches = 0, want > 0")
+	}
+	if got := scrape.get(t, "safemon_ledger_segments"); got < 1 {
+		t.Errorf("segments = %v, want >= 1", got)
 	}
 
 	// A ledger-less server registers none of the ledger families.

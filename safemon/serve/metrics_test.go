@@ -17,7 +17,6 @@ import (
 
 	"repro/safemon"
 	"repro/safemon/guard"
-	"repro/safemon/ledger"
 	"repro/safemon/obs"
 )
 
@@ -252,12 +251,10 @@ func serverMetrics(t *testing.T, srv *Server) *promScrape {
 // sample values redacted (they are load- and clock-dependent).
 func TestMetricsGolden(t *testing.T) {
 	det := fittedDetector(t, "envelope")
-	app := ledger.NewAppender(ledger.NewMemoryStore(0), ledger.Options{})
-	t.Cleanup(func() { app.Close() })
 	srv, err := NewServer(Config{
 		Detectors: map[string]safemon.Detector{"envelope": det},
 		Policies:  []guard.Policy{testGuardPolicy()},
-		Ledger:    app,
+		Ledger:    newDiskLedger(t, t.TempDir()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -309,8 +306,7 @@ func TestMetricsGolden(t *testing.T) {
 func metricsTestService(t *testing.T) (*Server, *Client) {
 	t.Helper()
 	det := fittedDetector(t, "envelope")
-	app := ledger.NewAppender(ledger.NewMemoryStore(0), ledger.Options{})
-	t.Cleanup(func() { app.Close() })
+	app := newDiskLedger(t, t.TempDir())
 	srv, err := NewServer(Config{
 		Detectors: map[string]safemon.Detector{"envelope": det},
 		Policies:  []guard.Policy{testGuardPolicy()},

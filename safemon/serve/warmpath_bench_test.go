@@ -27,7 +27,6 @@ import (
 
 	"repro/safemon"
 	"repro/safemon/guard"
-	"repro/safemon/ledger"
 )
 
 // repeatReader serves the same encoded record bytes forever, so the
@@ -47,7 +46,7 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 }
 
 // newWarmServer stands up an envelope server offering the test guard
-// policy; ledgered records into an in-memory event ledger.
+// policy; ledgered records into a disk ledger, as safemond does.
 func newWarmServer(tb testing.TB, ledgered bool) *Server {
 	tb.Helper()
 	cfg := Config{
@@ -55,9 +54,7 @@ func newWarmServer(tb testing.TB, ledgered bool) *Server {
 		Policies:  []guard.Policy{testGuardPolicy()},
 	}
 	if ledgered {
-		app := ledger.NewAppender(ledger.NewMemoryStore(0), ledger.Options{})
-		tb.Cleanup(func() { app.Close() })
-		cfg.Ledger = app
+		cfg.Ledger = newDiskLedger(tb, tb.TempDir())
 	}
 	srv, err := NewServer(cfg)
 	if err != nil {

@@ -10,7 +10,7 @@
 # (BenchmarkLedgerAppend), the binary wire codec's encode+decode
 # round trip (BenchmarkCodecRoundTrip, binary subs only), and the
 # instrumented serve warm path on /v1/mux with stage telemetry enabled
-# (BenchmarkServeStreamWarm/mux*), and enforces two budgets:
+# (BenchmarkServeStreamWarm/mux*), and enforces three budgets:
 #
 #   1. allocs/op must be 0 on every repeat of every sub-benchmark: the
 #      zero-allocation guarantee README's Performance section documents
@@ -22,6 +22,10 @@
 #      ledger-overhead row went negative from exactly that), so every
 #      benchmark is repeated BENCHCOUNT times (-count, default 5) and
 #      gated on the median, not a lone sample.
+#   3. dropped/op must be 0 on every repeat of a row that reports it
+#      (BenchmarkLedgerAppend, BenchmarkSessionStepLedgered): a row whose
+#      ledger queue overflows is timing Emit's drop branch, not the
+#      enqueue it claims to time.
 #
 # Each repeat runs for a duration, not a fixed iteration count: at a
 # handful of iterations a sub-microsecond row times timer start-up and
@@ -93,10 +97,10 @@ $warmout"
 echo "$out"
 
 # Benchmark lines look like:
-#   BenchmarkX/sub-8   50   206.4 ns/op   0 B/op   0 allocs/op
-# Allocations are gated per repeat; ns/op is aggregated to a median per
-# benchmark name (GOMAXPROCS suffix stripped) and compared against the
-# scaled budget from the baseline file.
+#   BenchmarkX/sub-8   50   206.4 ns/op   0 dropped/op   0 B/op   0 allocs/op
+# Allocations and drops are gated per repeat; ns/op is aggregated to a
+# median per benchmark name (GOMAXPROCS suffix stripped) and compared
+# against the scaled budget from the baseline file.
 echo "$out" | awk -v baseline="$baseline" -v scale="$BENCHGUARD_NSOP_SCALE" '
 	BEGIN {
 		while ((getline line < baseline) > 0) {
@@ -117,7 +121,10 @@ echo "$out" | awk -v baseline="$baseline" -v scale="$BENCHGUARD_NSOP_SCALE" '
 			if ($(i+1) == "ns/op") {
 				n[name]++
 				samples[name, n[name]] = $i + 0
-				break
+			}
+			if ($(i+1) == "dropped/op" && $i + 0 > 0) {
+				printf "benchguard: %s drops %s events/op (budget: 0)\n", name, $i
+				bad = 1
 			}
 		}
 	}
@@ -148,7 +155,7 @@ echo "$out" | awk -v baseline="$baseline" -v scale="$BENCHGUARD_NSOP_SCALE" '
 		exit bad
 	}
 ' || {
-	echo "benchguard: hot-path budget exceeded (allocs/op or median ns/op)" >&2
+	echo "benchguard: hot-path budget exceeded (allocs/op, dropped/op or median ns/op)" >&2
 	exit 1
 }
-echo "benchguard: all session-step, guard-step, ledger-append, codec round-trip and serve warm-path benchmarks within the 0 allocs/op and median ns/op budgets"
+echo "benchguard: all session-step, guard-step, ledger-append, codec round-trip and serve warm-path benchmarks within the 0 allocs/op, 0 dropped/op and median ns/op budgets"
