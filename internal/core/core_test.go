@@ -158,6 +158,31 @@ func TestMonitorRunMatchesStream(t *testing.T) {
 			t.Fatalf("frame %d: stream gesture %d vs batch %d", i, v.Gesture, bv.Gesture)
 		}
 	}
+
+	// A classifier of the default shape (12-frame window, LSTM {32, 16})
+	// streams through the projection cache. From the first full window on,
+	// Run and the stream classify the same window, so the verdicts are
+	// equal to the bit; Run backfills the frames before it.
+	cfg := DefaultGestureClassifierConfig()
+	cfg.Epochs = 1
+	cfg.TrainStride = 6
+	full, err := TrainGestureClassifier(trajs[:2], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon = NewMonitor(full, el)
+	if trace, err = mon.Run(trajs[2]); err != nil {
+		t.Fatal(err)
+	}
+	if stream, err = mon.NewStream(nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := range trajs[2].Frames {
+		v := stream.Push(&trajs[2].Frames[i])
+		if bv := trace.Verdicts[i]; i >= cfg.Window-1 && v != bv {
+			t.Fatalf("default classifier, frame %d: stream %+v vs batch %+v", i, v, bv)
+		}
+	}
 }
 
 func TestMonitorGroundTruthMode(t *testing.T) {

@@ -127,7 +127,10 @@ func TrainGestureClassifier(trajs []*kinematics.Trajectory, cfg GestureClassifie
 
 // PredictFrames returns the per-frame gesture prediction for a trajectory.
 // Frames before the first full window inherit the first prediction, so the
-// output has exactly len(traj.Frames) entries.
+// output has exactly len(traj.Frames) entries. That backfill looks up to
+// Window-1 frames ahead, so on those frames the result can differ from
+// Stream.Push, which classifies the partial window seen so far; from frame
+// Window-1 on the two agree.
 func (gc *GestureClassifier) PredictFrames(traj *kinematics.Trajectory) ([]int, error) {
 	windows, err := dataset.SlideTrajectory(traj, 0, dataset.Config{
 		Features: gc.Config.Features, Size: gc.Config.Window, Stride: 1, Standardizer: gc.Standardizer,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"time"
 
 	"repro/internal/gesture"
@@ -92,9 +93,16 @@ func (tr *Trace) PredictedGestures() []int {
 	return out
 }
 
-// Run processes a whole trajectory offline (windowed, stride 1), producing
-// the same verdict sequence the streaming path yields. It measures the
-// per-frame compute time of each stage, reported in Table VIII.
+// Run processes a whole trajectory offline (windowed, stride 1). It
+// measures the per-frame compute time of each stage, reported in Table
+// VIII.
+//
+// Its verdicts equal the streaming path's on every frame, with one
+// exception: when the context is predicted, the first Window-1 frames
+// differ. Run takes their gesture from the first full window
+// (PredictFrames), which reaches up to Window-1 frames ahead, while
+// Stream.Push classifies the partial window it has seen. From frame
+// Window-1 on, both classify the same window and the verdicts are equal.
 func (m *Monitor) Run(traj *kinematics.Trajectory) (*Trace, error) {
 	if m.Errors == nil {
 		return nil, ErrMonitorIncomplete
@@ -142,15 +150,13 @@ func (m *Monitor) Run(traj *kinematics.Trajectory) (*Trace, error) {
 		}
 		score := m.Errors.Score(g, feat[lo:end+1])
 		if next, blend := m.lookahead(g); next != 0 {
-			if s := blend * m.Errors.Score(next, feat[lo:end+1]); s > score {
-				score = s
-			}
+			score = worse(score, blend*m.Errors.Score(next, feat[lo:end+1]))
 		}
 		v := FrameVerdict{
 			FrameIndex: end,
 			Gesture:    gestures[end],
 			Score:      score,
-			Unsafe:     score >= m.Threshold,
+			Unsafe:     m.unsafe(score),
 		}
 		trace.Verdicts = append(trace.Verdicts, v)
 		if v.Unsafe {
@@ -183,6 +189,22 @@ func (m *Monitor) lookahead(g int) (next int, blend float64) {
 		blend = 0.8
 	}
 	return next, blend
+}
+
+// unsafe reports whether score raises an alert. A NaN score means the
+// monitor's own arithmetic broke, so it fails safe: it is unsafe.
+func (m *Monitor) unsafe(score float64) bool {
+	return score >= m.Threshold || math.IsNaN(score)
+}
+
+// worse returns the larger of the current-context and lookahead scores,
+// or NaN if either is NaN, so a broken lookahead head is never dropped by
+// the max.
+func worse(score, la float64) float64 {
+	if la > score || math.IsNaN(la) {
+		return la
+	}
+	return score
 }
 
 // slidingWindow is a fixed-capacity sliding window of feature rows with
@@ -270,6 +292,12 @@ func (h *errHeadScorer) score(gestureIdx int, window [][]float64) float64 {
 // time and receive a verdict. It maintains the sliding windows internally.
 // All window rows, feature projections and per-head inference scratch are
 // allocated at NewStream, so a warm Push performs zero heap allocations.
+//
+// When the gesture classifier's first layer is an LSTM, the stream also
+// keeps projWin: that layer's input projection B + Wx·x_t (nn.LSTM.Project)
+// of every gestureWin row. Consecutive windows share all but one row, so
+// a warm Push projects only the newest row instead of the whole window.
+// Observe defers its row's projection to the next Push.
 type Stream struct {
 	m *Monitor
 	// sliding windows of standardized features for each stage
@@ -282,6 +310,12 @@ type Stream struct {
 	// error head (shared trained networks, private buffers)
 	gesturePred *nn.Predictor
 	errHeads    errHeadScorer
+	// gestureLSTM is the classifier's first layer, or nil when that is
+	// not an LSTM. projWin advances in step with gestureWin, row for row;
+	// its newest projStale rows are not yet projected.
+	gestureLSTM *nn.LSTM
+	projWin     slidingWindow
+	projStale   int
 	frameIdx    int
 	// groundTruth optionally supplies per-frame gesture labels for
 	// perfect-boundary streaming.
@@ -310,6 +344,10 @@ func (m *Monitor) NewStream(groundTruth []int) (*Stream, error) {
 		s.gestureExt = gc.Config.Features.NewExtractor()
 		s.gestureWin = newSlidingWindow(gc.Config.Window, s.gestureExt.Dim())
 		s.gesturePred = gc.Net.NewPredictor(gc.Config.Window, s.gestureExt.Dim())
+		if l, ok := gc.Net.Layers[0].(*nn.LSTM); ok {
+			s.gestureLSTM = l
+			s.projWin = newSlidingWindow(gc.Config.Window, 4*l.Hidden)
+		}
 	}
 	return s, nil
 }
@@ -328,6 +366,8 @@ func (s *Stream) Reset(groundTruth []int) error {
 		return errors.New("core: perfect-boundary streaming needs ground-truth labels")
 	}
 	s.gestureWin.reset()
+	s.projWin.reset()
+	s.projStale = 0
 	s.errorWin.reset()
 	s.frameIdx = 0
 	s.groundTruth = groundTruth
@@ -347,10 +387,7 @@ func (s *Stream) Observe(f *kinematics.Frame) {
 	m := s.m
 	s.frameIdx++
 	if s.gesturePred != nil {
-		row := s.gestureExt.ExtractInto(f, s.gestureWin.next())
-		if m.Gestures.Standardizer != nil {
-			m.Gestures.Standardizer.Transform(row)
-		}
+		s.advanceGesture(f)
 	}
 	row := s.errorExt.ExtractInto(f, s.errorWin.next())
 	if m.Errors.Standardizer != nil {
@@ -373,11 +410,8 @@ func (s *Stream) Push(f *kinematics.Frame) FrameVerdict {
 			g = s.groundTruth[idx]
 		}
 	case s.gesturePred != nil:
-		row := s.gestureExt.ExtractInto(f, s.gestureWin.next())
-		if m.Gestures.Standardizer != nil {
-			m.Gestures.Standardizer.Transform(row)
-		}
-		g = s.gesturePred.PredictClass(s.gestureWin.rows)
+		s.advanceGesture(f)
+		g = s.classify()
 	}
 
 	// Error stage.
@@ -391,14 +425,41 @@ func (s *Stream) Push(f *kinematics.Frame) FrameVerdict {
 	}
 	score := s.errHeads.score(lookup, s.errorWin.rows)
 	if next, blend := m.lookahead(g); next != 0 {
-		if la := blend * s.errHeads.score(next, s.errorWin.rows); la > score {
-			score = la
-		}
+		score = worse(score, blend*s.errHeads.score(next, s.errorWin.rows))
 	}
 	return FrameVerdict{
 		FrameIndex: idx,
 		Gesture:    g,
 		Score:      score,
-		Unsafe:     score >= m.Threshold,
+		Unsafe:     m.unsafe(score),
 	}
+}
+
+// advanceGesture slides frame f into the gesture window, standardized. Its
+// input projection is left stale for classify: no MACs run here.
+func (s *Stream) advanceGesture(f *kinematics.Frame) {
+	row := s.gestureExt.ExtractInto(f, s.gestureWin.next())
+	if s.m.Gestures.Standardizer != nil {
+		s.m.Gestures.Standardizer.Transform(row)
+	}
+	if s.gestureLSTM != nil {
+		s.projWin.next()
+		if s.projStale < len(s.projWin.rows) {
+			s.projStale++
+		}
+	}
+}
+
+// classify returns the gesture class of the current window, projecting
+// only the rows that are still stale.
+func (s *Stream) classify() int {
+	if s.gestureLSTM == nil {
+		return s.gesturePred.PredictClass(s.gestureWin.rows)
+	}
+	rows, proj := s.gestureWin.rows, s.projWin.rows
+	for t := len(rows) - s.projStale; t < len(rows); t++ {
+		s.gestureLSTM.Project(proj[t], rows[t])
+	}
+	s.projStale = 0
+	return nn.Argmax(s.gesturePred.ForwardProjected(proj))
 }

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/gesture"
+	"repro/internal/kinematics"
+	"repro/internal/nn"
 	"repro/internal/synth"
 )
 
@@ -37,11 +42,16 @@ func streamFixtures(t *testing.T) (*ErrorLibrary, *ErrorLibrary, dataset.LOSOSpl
 type streamCase struct {
 	name string
 	mon  *Monitor
+	// runFrom is the first frame from which the stream's verdicts equal
+	// Run's: Window-1 when the context is predicted (see Monitor.Run).
+	runFrom int
 }
 
 // streamCases returns the monitors the stream tests cover: perfect
 // boundaries, the same with boundary lookahead (its grammar fitted on the
-// training gestures), and a gesture-agnostic library.
+// training gestures), a gesture-agnostic library, and a context predicted
+// by a classifier of the default shape (12-frame window, LSTM {32, 16}),
+// which streams through the LSTM projection cache.
 func streamCases(t *testing.T, lib, mono *ErrorLibrary, fold dataset.LOSOSplit) []streamCase {
 	t.Helper()
 	perfect := NewMonitor(nil, lib)
@@ -56,10 +66,18 @@ func streamCases(t *testing.T, lib, mono *ErrorLibrary, fold dataset.LOSOSplit) 
 	}
 	lookahead := *perfect
 	lookahead.Lookahead = chain
+	gcCfg := DefaultGestureClassifierConfig()
+	gcCfg.Epochs = 1
+	gcCfg.TrainStride = 6
+	gc, err := TrainGestureClassifier(fold.Train, gcCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return []streamCase{
-		{"perfect-boundaries", perfect},
-		{"perfect-boundaries+lookahead", &lookahead},
-		{"gesture-agnostic", NewMonitor(nil, mono)},
+		{"perfect-boundaries", perfect, 0},
+		{"perfect-boundaries+lookahead", &lookahead, 0},
+		{"gesture-agnostic", NewMonitor(nil, mono), 0},
+		{"predicted-context", NewMonitor(gc, lib), gcCfg.Window - 1},
 	}
 }
 
@@ -102,9 +120,10 @@ func TestNewStreamGuard(t *testing.T) {
 }
 
 // TestStreamMatchesRun checks each streaming mode against the offline
-// path: with ground-truth context, with boundary lookahead on top, and
-// gesture-agnostic, the stream's verdicts must equal Run's frame by frame,
-// also after Reset.
+// path: with ground-truth context, with boundary lookahead on top,
+// gesture-agnostic, and with a predicted context, the stream's verdicts
+// must equal Run's frame by frame (from the first full gesture window when
+// the context is predicted), also after Reset.
 func TestStreamMatchesRun(t *testing.T) {
 	lib, mono, fold := streamFixtures(t)
 	cases := streamCases(t, lib, mono, fold)
@@ -150,7 +169,7 @@ func TestStreamMatchesRun(t *testing.T) {
 			}
 			for i := range traj.Frames {
 				v := stream.Push(&traj.Frames[i])
-				if want := trace.Verdicts[i]; v != want {
+				if want := trace.Verdicts[i]; i >= tc.runFrom && v != want {
 					t.Fatalf("frame %d: stream %+v vs run %+v", i, v, want)
 				}
 			}
@@ -160,7 +179,7 @@ func TestStreamMatchesRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range traj.Frames {
-				if v, want := stream.Push(&traj.Frames[i]), trace.Verdicts[i]; v != want {
+				if v, want := stream.Push(&traj.Frames[i]), trace.Verdicts[i]; i >= tc.runFrom && v != want {
 					t.Fatalf("after reset, frame %d: stream %+v vs run %+v", i, v, want)
 				}
 			}
@@ -226,4 +245,189 @@ func TestStreamResetGuard(t *testing.T) {
 	if err := stream.Reset(nil); err == nil {
 		t.Error("Reset without labels in perfect-boundary mode should fail")
 	}
+}
+
+// TestStreamProjectionCacheExact pins the stream's cache of the gesture
+// LSTM's input projections to the uncached computation, bit for bit.
+// Random Observe, Push and Reset interleavings cover partial windows, full
+// windows that wrap, and runs of Observe longer than the window. After
+// every Push, the class the stream reports and the logits its cached
+// projections yield must equal Network.Forward on a copy of the gesture
+// window. The classifiers are untrained: exactness does not depend on the
+// weights, and {13} has a hidden width that is not a multiple of 4.
+func TestStreamProjectionCacheExact(t *testing.T) {
+	trajs := tinyDemos(t, 5, 4)
+	lib := &ErrorLibrary{Config: DefaultErrorDetectorConfig(), GestureSpecific: true}
+	for _, units := range [][]int{{32, 16}, {13}} {
+		t.Run(fmt.Sprint(units), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(units[0])))
+			cfg := DefaultGestureClassifierConfig()
+			cfg.LSTMUnits = units
+			gc := &GestureClassifier{
+				Net: nn.BuildStackedLSTM(rng, nn.StackedLSTMConfig{
+					InputDim: cfg.Features.Dim(), LSTMUnits: units, DenseUnits: cfg.DenseUnits,
+					NumClasses: gesture.NumClasses, Dropout: cfg.Dropout,
+				}),
+				Standardizer: dataset.FitStandardizer(trajs, cfg.Features),
+				Config:       cfg,
+			}
+			s, err := NewMonitor(gc, lib).NewStream(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.gestureLSTM == nil {
+				t.Fatal("the projection cache is off for an LSTM classifier")
+			}
+			tr, fi := 0, 0
+			next := func() *kinematics.Frame {
+				f := &trajs[tr].Frames[fi]
+				if fi++; fi == trajs[tr].Len() {
+					tr, fi = (tr+1)%len(trajs), 0
+				}
+				return f
+			}
+			window := make([][]float64, cfg.Window)
+			pushes, full := 0, 0
+			for op := 0; op < 5000; op++ {
+				switch r := rng.Float64(); {
+				case r < 0.02:
+					if err := s.Reset(nil); err != nil {
+						t.Fatal(err)
+					}
+				case r < 0.05:
+					for n := rng.Intn(2 * cfg.Window); n >= 0; n-- {
+						s.Observe(next())
+					}
+				case r < 0.40:
+					s.Observe(next())
+				default:
+					v := s.Push(next())
+					rows := s.gestureWin.rows
+					win := window[:len(rows)]
+					for i, row := range rows {
+						win[i] = append(win[i][:0], row...)
+					}
+					want := gc.Net.Forward(win, false)
+					got := s.gesturePred.ForwardProjected(s.projWin.rows)
+					for k := range want {
+						if got[k] != want[k] {
+							t.Fatalf("op %d, window of %d rows: cached logit %d = %v, uncached %v", op, len(rows), k, got[k], want[k])
+						}
+					}
+					if c := nn.Argmax(want); v.Gesture != c {
+						t.Fatalf("op %d: Push reported class %d, uncached %d", op, v.Gesture, c)
+					}
+					pushes++
+					if len(rows) == cfg.Window {
+						full++
+					}
+				}
+			}
+			t.Logf("%d pushes, %d on a full window", pushes, full)
+			if full == 0 || full == pushes {
+				t.Fatal("the interleavings did not cover both partial and full windows")
+			}
+		})
+	}
+}
+
+// poisonHeads sets the unsafe logit's bias to NaN in every head of lib
+// that pick selects (the global head is -1), and returns a function that
+// restores the weights.
+func poisonHeads(lib *ErrorLibrary, pick func(g int) bool) (restore func()) {
+	var undo []func()
+	poison := func(net *nn.Network) {
+		b := net.Layers[len(net.Layers)-1].(*nn.Dense).Bias.W
+		old := b[1]
+		b[1] = math.NaN()
+		undo = append(undo, func() { b[1] = old })
+	}
+	for g, net := range lib.PerGesture {
+		if net != nil && pick(g) {
+			poison(net)
+		}
+	}
+	if lib.Global != nil && pick(-1) {
+		poison(lib.Global)
+	}
+	return func() {
+		for _, u := range undo {
+			u()
+		}
+	}
+}
+
+// TestNaNScoreIsUnsafe pins the fail-safe verdict: a head whose arithmetic
+// broke scores NaN, and both Run and Push must report that frame unsafe,
+// whether the NaN comes from the context's head or from the lookahead
+// head. Finite scores keep their verdicts.
+func TestNaNScoreIsUnsafe(t *testing.T) {
+	lib, mono, fold := streamFixtures(t)
+	traj := fold.Test[0]
+	cases := streamCases(t, lib, mono, fold)
+	check := func(t *testing.T, mon *Monitor, want func(i int, v FrameVerdict) bool) {
+		t.Helper()
+		trace, err := mon.Run(traj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := mon.NewStream(traj.Gestures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range traj.Frames {
+			v := stream.Push(&traj.Frames[i])
+			if !want(i, trace.Verdicts[i]) {
+				t.Fatalf("frame %d: Run reported %+v", i, trace.Verdicts[i])
+			}
+			if !want(i, v) {
+				t.Fatalf("frame %d: Push reported %+v", i, v)
+			}
+		}
+	}
+	failsSafe := func(v FrameVerdict) bool { return math.IsNaN(v.Score) && v.Unsafe }
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer poisonHeads(tc.mon.Errors, func(int) bool { return true })()
+			check(t, tc.mon, func(_ int, v FrameVerdict) bool { return failsSafe(v) })
+		})
+	}
+
+	// Poison only the lookahead head of one context. Frames that consult
+	// it must fail safe through the lookahead max; the rest keep their
+	// verdicts.
+	t.Run("lookahead-head", func(t *testing.T) {
+		mon := cases[1].mon
+		clean, err := mon.Run(traj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		poisoned := 0
+		for _, g := range traj.Gestures {
+			if n, _ := mon.lookahead(g); n != 0 && n != g {
+				poisoned = n
+				break
+			}
+		}
+		if poisoned == 0 {
+			t.Fatal("no context on this trajectory has a lookahead head")
+		}
+		defer poisonHeads(mon.Errors, func(g int) bool { return g == poisoned })()
+		viaLookahead := 0
+		check(t, mon, func(i int, v FrameVerdict) bool {
+			g := traj.Gestures[i]
+			if n, _ := mon.lookahead(g); n == poisoned {
+				viaLookahead++
+				return failsSafe(v)
+			}
+			if g == poisoned {
+				return failsSafe(v)
+			}
+			return v == clean.Verdicts[i]
+		})
+		if viaLookahead == 0 {
+			t.Fatal("no frame consulted the poisoned lookahead head")
+		}
+	})
 }

@@ -75,11 +75,27 @@ func (n *Network) NewPredictor(maxT, inDim int) *Predictor {
 // Forward runs the network on a window and returns the final logits. The
 // returned slice is scratch-backed and is overwritten by the next call.
 func (p *Predictor) Forward(x [][]float64) []float64 {
-	for i, l := range p.net.Layers {
-		if il, ok := l.(inferable); ok {
+	return p.forwardFrom(0, x)
+}
+
+// ForwardProjected is Forward for a network whose first layer is an LSTM,
+// given that layer's input projections instead of the window: proj[t] must
+// hold what the layer's Project writes for window row t. A stream whose
+// windows overlap can then project each row once instead of once per
+// window. The logits are bit-identical to Forward on the window. It panics
+// if the first layer is not an LSTM.
+func (p *Predictor) ForwardProjected(proj [][]float64) []float64 {
+	l := p.net.Layers[0].(*LSTM)
+	return p.forwardFrom(1, l.recur(proj, p.scr[0]))
+}
+
+// forwardFrom runs layers[first:] on x, the output of the layer before.
+func (p *Predictor) forwardFrom(first int, x [][]float64) []float64 {
+	for i := first; i < len(p.net.Layers); i++ {
+		if il, ok := p.net.Layers[i].(inferable); ok {
 			x = il.infer(x, p.scr[i])
 		} else {
-			x = l.Forward(x, false)
+			x = p.net.Layers[i].Forward(x, false)
 		}
 	}
 	if len(x) == 0 {
@@ -224,26 +240,52 @@ func (l *LSTM) newScratch(maxT, _ int) *scratch {
 	return s
 }
 
+// infer projects each row and advances the recurrence on it, one timestep
+// at a time, so the scratch needs one projection row, not one per step.
 func (l *LSTM) infer(x [][]float64, s *scratch) [][]float64 {
-	T, H := len(x), l.Hidden
-	out := s.rows[:T]
+	out := s.rows[:len(x)]
 	h, c, pre := s.a, s.b, s.c
-	for j := 0; j < H; j++ {
-		h[j], c[j] = 0, 0
-	}
-	for t := 0; t < T; t++ {
-		l.gates(x[t], h, pre)
-		for j := 0; j < H; j++ {
-			i := sigmoid(pre[j])
-			f := sigmoid(pre[H+j])
-			g := math.Tanh(pre[2*H+j])
-			o := sigmoid(pre[3*H+j])
-			cv := f*c[j] + i*g
-			hv := o * math.Tanh(cv)
-			c[j] = cv
-			h[j] = hv
-			out[t][j] = hv
-		}
+	clear(h)
+	clear(c)
+	for t := range x {
+		l.Project(pre, x[t])
+		l.step(pre, h, c, out[t])
 	}
 	return out
+}
+
+// recur is infer over precomputed input projections (see Project).
+// Copying a row's projection into the gate buffer before step continues
+// each lane's chain exactly where Project left it, so the outputs are
+// bit-identical to infer on the rows that were projected.
+func (l *LSTM) recur(proj [][]float64, s *scratch) [][]float64 {
+	out := s.rows[:len(proj)]
+	h, c, pre := s.a, s.b, s.c
+	clear(h)
+	clear(c)
+	for t := range proj {
+		copy(pre, proj[t])
+		l.step(pre, h, c, out[t])
+	}
+	return out
+}
+
+// step advances the inference recurrence by one timestep. pre holds the
+// timestep's input projection on entry and is used as scratch; h and c are
+// the hidden and cell state, updated in place, and the new hidden state is
+// also written to out.
+func (l *LSTM) step(pre, h, c, out []float64) {
+	H := l.Hidden
+	matvecAccum(pre, l.Wh.W, h, 4*H, H)
+	for j := 0; j < H; j++ {
+		i := sigmoid(pre[j])
+		f := sigmoid(pre[H+j])
+		g := math.Tanh(pre[2*H+j])
+		o := sigmoid(pre[3*H+j])
+		cv := f*c[j] + i*g
+		hv := o * math.Tanh(cv)
+		c[j] = cv
+		h[j] = hv
+		out[j] = hv
+	}
 }

@@ -8,6 +8,11 @@ package nn
 // products, keep a four-row weight tile hot in cache while the timestep
 // rows stream through it.
 //
+// The matvec kernels reslice each tile row to len(x) before the inner
+// loop. The compiler cannot otherwise prove that a row built from an
+// offset expression is as long as x, so it keeps a bounds check on three
+// of the four row loads in every iteration.
+//
 // Numerical contract: every kernel accumulates each output lane in exactly
 // the order of the scalar loop it replaces — a single running sum seeded
 // with the bias (or the destination value, for the Accum variants) and
@@ -27,6 +32,7 @@ func matvecInto(dst, w, bias, x []float64, out, in int) {
 		r1 := w[base+1*in : base+2*in : base+2*in]
 		r2 := w[base+2*in : base+3*in : base+3*in]
 		r3 := w[base+3*in : base+4*in : base+4*in]
+		r0, r1, r2, r3 = r0[:len(x)], r1[:len(x)], r2[:len(x)], r3[:len(x)]
 		s0, s1, s2, s3 := bias[o], bias[o+1], bias[o+2], bias[o+3]
 		for i, xi := range x {
 			s0 += r0[i] * xi
@@ -57,6 +63,7 @@ func matvecAccum(dst, w, x []float64, out, in int) {
 		r1 := w[base+1*in : base+2*in : base+2*in]
 		r2 := w[base+2*in : base+3*in : base+3*in]
 		r3 := w[base+3*in : base+4*in : base+4*in]
+		r0, r1, r2, r3 = r0[:len(x)], r1[:len(x)], r2[:len(x)], r3[:len(x)]
 		s0, s1, s2, s3 := dst[o], dst[o+1], dst[o+2], dst[o+3]
 		for i, xi := range x {
 			s0 += r0[i] * xi
@@ -88,6 +95,7 @@ func matvecStridedAccum(dst, w, x []float64, base, stride, out, in int) {
 		r1 := w[off+1*stride : off+1*stride+in : off+1*stride+in]
 		r2 := w[off+2*stride : off+2*stride+in : off+2*stride+in]
 		r3 := w[off+3*stride : off+3*stride+in : off+3*stride+in]
+		r0, r1, r2, r3 = r0[:len(x)], r1[:len(x)], r2[:len(x)], r3[:len(x)]
 		s0, s1, s2, s3 := dst[o], dst[o+1], dst[o+2], dst[o+3]
 		for i, xi := range x {
 			s0 += r0[i] * xi

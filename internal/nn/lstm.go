@@ -57,6 +57,14 @@ func (l *LSTM) gates(x, h, dst []float64) {
 	matvecAccum(dst, l.Wh.W, h, 4*H, H)
 }
 
+// Project writes the input projection B + Wx·x of one timestep into dst
+// (length 4*Hidden): the part of the gate pre-activations that does not
+// depend on the recurrent state. It starts each lane's accumulation chain
+// exactly as gates does.
+func (l *LSTM) Project(dst, x []float64) {
+	matvecInto(dst, l.Wx.W, l.B.W, x, 4*l.Hidden, l.In)
+}
+
 // Forward implements Layer, running the full window with state reset.
 // BPTT caches are only written in train mode, keeping inference read-only
 // (and therefore safe for concurrent streams sharing one trained network).

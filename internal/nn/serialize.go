@@ -1,13 +1,11 @@
 package nn
 
 import (
-	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 )
 
 // ErrBadNetworkSpec is wrapped by every decode failure caused by a
@@ -183,13 +181,4 @@ func DecodeNetwork(r io.Reader, rng *rand.Rand) (*Network, error) {
 		layers[i] = l
 	}
 	return NewNetwork(layers...), nil
-}
-
-// SaveFile writes the network to a file.
-func (n *Network) SaveFile(path string) error {
-	var buf bytes.Buffer
-	if err := n.Encode(&buf); err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
