@@ -64,7 +64,10 @@ func (e *envelope) widen(margin float64) {
 }
 
 // violation returns the worst normalized envelope excess of a row
-// (0 = inside everywhere; 1 = one range-width outside).
+// (0 = inside everywhere; 1 = one range-width outside). It saturates at
+// math.MaxFloat64: an excess that overflows (a huge finite value over a
+// narrow range) stays unsafe at any finite threshold without becoming a
+// +Inf score, which no JSON surface can carry.
 func (e *envelope) violation(row []float64) float64 {
 	var worst float64
 	for i, v := range row {
@@ -83,7 +86,7 @@ func (e *envelope) violation(row []float64) float64 {
 			worst = excess
 		}
 	}
-	return worst
+	return math.Min(worst, math.MaxFloat64)
 }
 
 // NewStaticEnvelope constructs the baseline over a feature subset.

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/gesture"
@@ -74,6 +75,27 @@ func TestEnvelopeDetectsGrossViolations(t *testing.T) {
 	}
 	if score <= 1 {
 		t.Errorf("gross violation scored only %v", score)
+	}
+}
+
+// TestEnvelopeSaturatesOverflow pins the score of a finite frame whose
+// excess overflows float64: the largest finite score, not +Inf.
+func TestEnvelopeSaturatesOverflow(t *testing.T) {
+	trajs := envelopeDemos(t, 3, 6)
+	e := NewStaticEnvelope(kinematics.CG(), false)
+	if err := e.Fit(trajs); err != nil {
+		t.Fatal(err)
+	}
+	var f kinematics.Frame
+	for i := range f {
+		f[i] = 1e308
+	}
+	score, err := e.Score(&f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if score != math.MaxFloat64 {
+		t.Errorf("overflowing frame scored %v, want %v", score, math.MaxFloat64)
 	}
 }
 

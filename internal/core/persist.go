@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 
 	"repro/internal/kinematics"
 	"repro/internal/nn"
@@ -294,22 +293,4 @@ func DecodeMonitor(r io.Reader, rng *rand.Rand) (*Monitor, error) {
 	lib.Global = global
 	m.Errors = lib
 	return m, nil
-}
-
-// SaveFile writes the monitor bundle to a file.
-func (m *Monitor) SaveFile(path string) error {
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
-}
-
-// LoadMonitorFile reads a monitor bundle written by SaveFile.
-func LoadMonitorFile(path string, rng *rand.Rand) (*Monitor, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: load monitor: %w", err)
-	}
-	return DecodeMonitor(bytes.NewReader(data), rng)
 }

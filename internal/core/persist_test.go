@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 )
 
@@ -53,17 +52,19 @@ func TestMonitorPersistRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMonitorPersistFile round-trips a ground-truth-context monitor, which
+// has no gesture stage, through its serialized bundle.
 func TestMonitorPersistFile(t *testing.T) {
 	trajs := tinyDemos(t, 32, 2)
 	el := tinyEL(t, trajs)
 	mon := NewMonitor(nil, el)
 	mon.UseGroundTruthGestures = true
 
-	path := filepath.Join(t.TempDir(), "monitor.bin")
-	if err := mon.SaveFile(path); err != nil {
+	var buf bytes.Buffer
+	if err := mon.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadMonitorFile(path, rand.New(rand.NewSource(2)))
+	restored, err := DecodeMonitor(&buf, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +80,5 @@ func TestPersistRequiresErrorLibrary(t *testing.T) {
 	var buf bytes.Buffer
 	if err := (&Monitor{}).Encode(&buf); err == nil {
 		t.Error("expected error for monitor without stages")
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := LoadMonitorFile("/nonexistent/monitor.bin", rand.New(rand.NewSource(3))); err == nil {
-		t.Error("expected error for missing file")
 	}
 }

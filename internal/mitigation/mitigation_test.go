@@ -194,7 +194,6 @@ func fittedEnvelope(t *testing.T, demos ...*kinematics.Trajectory) safemon.Detec
 	}
 	det, err := safemon.Open("envelope",
 		safemon.WithErrorFeatures(safemon.CG()),
-		safemon.WithEnvelopeMargin(0.5),
 		safemon.WithGroundTruthContext(),
 	)
 	if err != nil {

@@ -257,8 +257,13 @@ func notReadyErr(name string, loadErr error) error {
 	return ErrNotFitted
 }
 
-// persistedConfig mirrors Config without its runtime-only fields (Verbose,
-// Timing) and func-typed members, in a gob-stable form.
+// persistedConfig mirrors Config without its runtime-only Timing, in a
+// gob-stable form. Its fields are the artifact format and, printed with
+// %+v, the ConfigHash input, so none may be dropped. EnvelopeMargin,
+// SkipLag and the four Cascade fields have no Config counterpart: they are
+// written zero (the fitted envelope and skip chain carry their own margin
+// and lag), and only decodeCascade reads them, to refuse a cascade saved
+// with other stages or gating.
 type persistedConfig struct {
 	Threshold          float64
 	GroundTruthContext bool
@@ -296,13 +301,7 @@ func persistConfig(c Config) persistedConfig {
 		Epochs:             c.Epochs,
 		TrainStride:        c.TrainStride,
 		Seed:               c.Seed,
-		EnvelopeMargin:     c.EnvelopeMargin,
 		Atoms:              c.Atoms,
-		SkipLag:            c.SkipLag,
-		CascadeFront:       c.CascadeFront,
-		CascadeInner:       c.CascadeInner,
-		CascadeArm:         c.CascadeArm,
-		CascadeHoldoff:     c.CascadeHoldoff,
 	}
 }
 
@@ -311,8 +310,8 @@ func persistConfig(c Config) persistedConfig {
 // a model in float would change its recorded verdicts.
 var errQuantizedArtifact = errors.New("safemon: artifact has int8-quantized error heads, which this build does not serve")
 
-// restore rebuilds a Config, keeping base's runtime-only fields (Timing,
-// Verbose) that artifacts deliberately do not carry.
+// restore rebuilds a Config, keeping base's runtime-only Timing, which
+// artifacts deliberately do not carry.
 func (p persistedConfig) restore(base Config) (Config, error) {
 	if p.Quantized {
 		return Config{}, errQuantizedArtifact
@@ -336,13 +335,7 @@ func (p persistedConfig) restore(base Config) (Config, error) {
 	cfg.Epochs = p.Epochs
 	cfg.TrainStride = p.TrainStride
 	cfg.Seed = p.Seed
-	cfg.EnvelopeMargin = p.EnvelopeMargin
 	cfg.Atoms = p.Atoms
-	cfg.SkipLag = p.SkipLag
-	cfg.CascadeFront = p.CascadeFront
-	cfg.CascadeInner = p.CascadeInner
-	cfg.CascadeArm = p.CascadeArm
-	cfg.CascadeHoldoff = p.CascadeHoldoff
 	return cfg, nil
 }
 

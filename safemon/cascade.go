@@ -6,14 +6,14 @@ import (
 	"fmt"
 )
 
-// The cascade backend implements two-stage cascade detection: a cheap
-// front filter (static envelope or SDSDL) scores every frame, and the
-// expensive nn-backed inner detector runs only while the front reports
-// suspicion.
+// The cascade backend implements two-stage cascade detection: the static
+// envelope (a cheap front filter) scores every frame, and the paper's
+// context-aware monitor (the expensive nn-backed inner stage) runs only
+// while the front reports suspicion.
 //
-// The front's score is compared against an arm threshold every frame. A
-// score at or above it arms the inner detector for CascadeHoldoff frames
-// (the counter refreshes on every suspicious frame, so suspicion streaks
+// The front's score is compared against cascadeArm every frame. A score
+// at or above it arms the inner detector for cascadeHoldoff frames (the
+// counter refreshes on every suspicious frame, so suspicion streaks
 // extend the window). While armed, the inner detector's verdict is
 // returned verbatim; while disarmed, the inner detector still observes
 // the frame — its sliding windows stay warm, so the first armed frame
@@ -21,78 +21,23 @@ import (
 // the cascade reports the front's score with Unsafe forced false (only
 // the inner stage may raise alerts).
 
-// Cascade stage defaults.
+// The cascade's gating. Front scores are envelope violation magnitudes,
+// not probabilities, so the arm threshold sits near zero.
 const (
-	defaultCascadeFront   = "envelope"
-	defaultCascadeInner   = "context-aware"
-	defaultCascadeArm     = 0.02
-	defaultCascadeHoldoff = 30 // one second at the 30 Hz kinematics rate
+	cascadeArm     = 0.02
+	cascadeHoldoff = 30 // one second at the 30 Hz kinematics rate
 )
 
-// cascadeStages resolves and validates the cascade's stage selection and
-// gating parameters. Factories cannot return errors, so an invalid
-// selection surfaces here — at Fit, Load and NewSession time.
-func cascadeStages(cfg Config) (front, inner string, arm float64, holdoff int, err error) {
-	front = cfg.CascadeFront
-	if front == "" {
-		front = defaultCascadeFront
-	}
-	inner = cfg.CascadeInner
-	if inner == "" {
-		inner = defaultCascadeInner
-	}
-	switch front {
-	case "envelope", "sdsdl":
-	default:
-		return "", "", 0, 0, fmt.Errorf("safemon: cascade front must be envelope or sdsdl, got %q", front)
-	}
-	switch inner {
-	case "context-aware", "lookahead", "monolithic":
-	default:
-		return "", "", 0, 0, fmt.Errorf("safemon: cascade inner must be context-aware, lookahead or monolithic, got %q", inner)
-	}
-	arm = cfg.CascadeArm
-	if arm == 0 {
-		arm = defaultCascadeArm
-	}
-	holdoff = cfg.CascadeHoldoff
-	if holdoff <= 0 {
-		holdoff = defaultCascadeHoldoff
-	}
-	return front, inner, arm, holdoff, nil
-}
-
-// openStage opens an unfitted stage detector. Its Config is the cascade's
-// with the cascade knobs cleared (stages are plain detectors); the front
-// also drops lookahead state, which only the inner nn backends honor. The
-// "lookahead" factory re-sets cfg.Lookahead itself.
-func openStage(name string, cfg Config, isFront bool) (*detector, error) {
-	cfg.CascadeFront, cfg.CascadeInner = "", ""
-	cfg.CascadeArm, cfg.CascadeHoldoff = 0, 0
+// cascadeStages opens the cascade's two unfitted stages with its config:
+// the envelope front and the context-aware inner detector. Neither honors
+// lookahead.
+func cascadeStages(cfg Config) (front, inner *detector) {
 	cfg.Lookahead = false
-	if isFront {
-		cfg.Chain = nil
-	}
-	d, err := openWith(name, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return d.(*detector), nil
+	return newDetector("envelope", cfg, fitEnvelope, decodeEnvelope), newContextDetector(cfg)
 }
 
 func fitCascade(ctx context.Context, _ string, cfg Config, trajs []*Trajectory) (model, error) {
-	frontName, innerName, _, _, err := cascadeStages(cfg)
-	if err != nil {
-		return nil, err
-	}
-	front, err := openStage(frontName, cfg, true)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := openStage(innerName, cfg, false)
-	if err != nil {
-		return nil, err
-	}
+	front, inner := cascadeStages(cfg)
 	if err := front.Fit(ctx, trajs); err != nil {
 		return nil, fmt.Errorf("safemon: fit cascade front stage: %w", err)
 	}
@@ -119,35 +64,38 @@ func decodeCascade(name string, base Config, data []byte) (Config, model, error)
 	if err != nil {
 		return cfg, nil, err
 	}
-	frontName, innerName, _, _, err := cascadeStages(cfg)
-	if err != nil {
+	front, inner := cascadeStages(cfg)
+	if err := checkFixedCascade(&p, front.name, inner.name); err != nil {
 		return cfg, nil, corruptErr("validate", name, err)
 	}
-	if p.FrontName != frontName || p.InnerName != innerName {
-		return cfg, nil, corruptErr("validate", name, fmt.Errorf("stage names %q/%q disagree with config %q/%q",
-			p.FrontName, p.InnerName, frontName, innerName))
+	// Each stage's Load rejects an artifact for any other backend.
+	if err := front.Load(bytes.NewReader(p.Front)); err != nil {
+		return cfg, nil, artifactErr("decode", name, fmt.Errorf("front stage: %w", err))
 	}
-	// Each stage loads into a detector opened with its stage config, whose
-	// Load rejects an artifact for any other backend.
-	load := func(stage, stageName string, isFront bool, art []byte) (*detector, error) {
-		d, err := openStage(stageName, cfg, isFront)
-		if err == nil {
-			err = d.Load(bytes.NewReader(art))
-		}
-		if err != nil {
-			return nil, artifactErr("decode", name, fmt.Errorf("%s stage: %w", stage, err))
-		}
-		return d, nil
-	}
-	front, err := load("front", frontName, true, p.Front)
-	if err != nil {
-		return cfg, nil, err
-	}
-	inner, err := load("inner", innerName, false, p.Inner)
-	if err != nil {
-		return cfg, nil, err
+	if err := inner.Load(bytes.NewReader(p.Inner)); err != nil {
+		return cfg, nil, artifactErr("decode", name, fmt.Errorf("inner stage: %w", err))
 	}
 	return cfg, cascadeModel{front, inner}, nil
+}
+
+// checkFixedCascade refuses a cascade artifact saved with other stages or
+// other gating than this build serves: replaying it under the fixed
+// composition would change its recorded verdicts. Empty and zero persisted
+// knobs mean the defaults.
+func checkFixedCascade(p *cascadePayload, front, inner string) error {
+	c := p.Config
+	switch {
+	case p.FrontName != front || p.InnerName != inner,
+		c.CascadeFront != "" && c.CascadeFront != front,
+		c.CascadeInner != "" && c.CascadeInner != inner:
+		return fmt.Errorf("stages %q/%q (config %q/%q); this build serves %q/%q",
+			p.FrontName, p.InnerName, c.CascadeFront, c.CascadeInner, front, inner)
+	case c.CascadeArm != 0 && c.CascadeArm != cascadeArm,
+		c.CascadeHoldoff != 0 && c.CascadeHoldoff != cascadeHoldoff:
+		return fmt.Errorf("arm %v holdoff %d; this build serves arm %v holdoff %d",
+			c.CascadeArm, c.CascadeHoldoff, cascadeArm, cascadeHoldoff)
+	}
+	return nil
 }
 
 // cascadeModel is the fitted state of a cascade detector: its two stage
@@ -171,11 +119,7 @@ func (m cascadeModel) payload(cfg persistedConfig) (any, error) {
 	}, nil
 }
 
-func (m cascadeModel) session(cfg Config, labels []int) (Session, error) {
-	_, _, arm, holdoff, err := cascadeStages(cfg)
-	if err != nil {
-		return nil, err
-	}
+func (m cascadeModel) session(_ Config, labels []int) (Session, error) {
 	// Stage sessions are created bare: guard and ledger wrapping apply to
 	// the cascade session as a whole, not to each stage.
 	fs, err := m.front.m.session(m.front.cfg, labels)
@@ -187,7 +131,7 @@ func (m cascadeModel) session(cfg Config, labels []int) (Session, error) {
 		fs.Close()
 		return nil, err
 	}
-	return &cascadeSession{front: fs, inner: in, arm: arm, holdoff: holdoff}, nil
+	return &cascadeSession{front: fs, inner: in, arm: cascadeArm, holdoff: cascadeHoldoff}, nil
 }
 
 // gatedStream is the cascade's view of its inner stream: full inference

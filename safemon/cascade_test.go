@@ -1,6 +1,7 @@
 package safemon
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -142,55 +143,37 @@ func TestCascadeRunSessionEquivalence(t *testing.T) {
 	}
 }
 
-// TestCascadeAlternateStages exercises the non-default stage pairing
-// (sdsdl front gating the lookahead detector) end to end.
-func TestCascadeAlternateStages(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains two nn stages")
-	}
-	fold := testFold(t)
-	opts := append(quickOptions("cascade"),
-		WithCascadeStages("sdsdl", "lookahead"), WithAtoms(16),
-		WithCascadeArm(0.05), WithCascadeHoldoff(10))
-	det, err := Open("cascade", opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := det.Fit(context.Background(), fold.Train); err != nil {
-		t.Fatal(err)
-	}
-	traj := fold.Test[0]
-	trace, err := det.Run(context.Background(), traj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trace.Verdicts) != len(traj.Frames) {
-		t.Fatalf("got %d verdicts for %d frames", len(trace.Verdicts), len(traj.Frames))
-	}
-}
-
-// TestCascadeValidation covers stage-name validation and the unfitted
-// session error.
+// TestCascadeValidation covers the refusal of cascade artifacts saved
+// with other stages or gating than the fixed composition, and the
+// unfitted session error.
 func TestCascadeValidation(t *testing.T) {
-	fold := testFold(t)
+	art := saveArtifact(t, fittedDetector(t, "cascade"))
+	for name, edit := range map[string]func(*cascadePayload){
+		"front stage":  func(p *cascadePayload) { p.FrontName = "sdsdl" },
+		"inner stage":  func(p *cascadePayload) { p.InnerName = "lookahead" },
+		"config front": func(p *cascadePayload) { p.Config.CascadeFront = "sdsdl" },
+		"config inner": func(p *cascadePayload) { p.Config.CascadeInner = "monolithic" },
+		"arm":          func(p *cascadePayload) { p.Config.CascadeArm = 0.05 },
+		"holdoff":      func(p *cascadePayload) { p.Config.CascadeHoldoff = 10 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, err := LoadDetector(bytes.NewReader(rewriteArtifact(t, art, &cascadePayload{}, edit)))
+			var ae *ArtifactError
+			if !errors.As(err, &ae) || !errors.Is(err, ErrCorruptPayload) {
+				t.Fatalf("LoadDetector = %v, want an *ArtifactError wrapping ErrCorruptPayload", err)
+			}
+		})
+	}
+	// The fixed stages and gating, written out, load like the defaults.
+	explicit := rewriteArtifact(t, art, &cascadePayload{}, func(p *cascadePayload) {
+		p.Config.CascadeFront, p.Config.CascadeInner = "envelope", "context-aware"
+		p.Config.CascadeArm, p.Config.CascadeHoldoff = cascadeArm, cascadeHoldoff
+	})
+	if _, err := LoadDetector(bytes.NewReader(explicit)); err != nil {
+		t.Errorf("artifact naming the fixed stages and gating: %v", err)
+	}
 
-	det, err := Open("cascade", WithCascadeStages("monolithic", ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := det.Fit(context.Background(), fold.Train); err == nil {
-		t.Error("nn backend as cascade front should be rejected")
-	}
-
-	det, err = Open("cascade", WithCascadeStages("", "envelope"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := det.Fit(context.Background(), fold.Train); err == nil {
-		t.Error("envelope as cascade inner should be rejected")
-	}
-
-	det, err = Open("cascade")
+	det, err := Open("cascade")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func fitClassifier(_ context.Context, name string, cfg Config, trajs []*Trajecto
 			return nil, fmt.Errorf("safemon: fit sdsdl context stage: %w", err)
 		}
 	} else {
-		m.sc = baseline.NewSkipChain(cfg.SkipLag)
+		m.sc = baseline.NewSkipChain(0) // the default skip lag
 		if err := m.sc.Fit(xs, ys); err != nil {
 			return nil, fmt.Errorf("safemon: fit skipchain context stage: %w", err)
 		}

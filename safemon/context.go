@@ -45,7 +45,6 @@ func fitContext(ctx context.Context, name string, cfg Config, trajs []*Trajector
 		elCfg.TrainStride = cfg.TrainStride
 	}
 	elCfg.Seed = cfg.Seed + 7
-	elCfg.Verbose = cfg.Verbose
 
 	var lib *core.ErrorLibrary
 	var err error
@@ -74,7 +73,6 @@ func fitContext(ctx context.Context, name string, cfg Config, trajs []*Trajector
 			gcCfg.TrainStride = cfg.TrainStride
 		}
 		gcCfg.Seed = cfg.Seed
-		gcCfg.Verbose = cfg.Verbose
 		gc, err = core.TrainGestureClassifier(trajs, gcCfg)
 		if err != nil {
 			return nil, fmt.Errorf("safemon: fit %s context stage: %w", name, err)
@@ -85,15 +83,12 @@ func fitContext(ctx context.Context, name string, cfg Config, trajs []*Trajector
 	mon.Threshold = cfg.Threshold
 	mon.UseGroundTruthGestures = cfg.GroundTruthContext
 	if cfg.Lookahead {
-		mon.Lookahead = cfg.Chain
-		if mon.Lookahead == nil {
-			seqs := make([][]int, 0, len(trajs))
-			for _, tr := range trajs {
-				seqs = append(seqs, tr.GestureSequence())
-			}
-			if mon.Lookahead, err = gesture.FitMarkovChain(seqs); err != nil {
-				return nil, fmt.Errorf("safemon: fit lookahead grammar: %w", err)
-			}
+		seqs := make([][]int, 0, len(trajs))
+		for _, tr := range trajs {
+			seqs = append(seqs, tr.GestureSequence())
+		}
+		if mon.Lookahead, err = gesture.FitMarkovChain(seqs); err != nil {
+			return nil, fmt.Errorf("safemon: fit lookahead grammar: %w", err)
 		}
 	}
 	return contextModel{mon}, nil
@@ -135,7 +130,6 @@ func decodeContext(name string, base Config, data []byte) (Config, model, error)
 	}
 	if cfg.Lookahead {
 		mon.Lookahead, mon.LookaheadBlend = p.Chain, p.Blend
-		cfg.Chain = p.Chain
 	}
 	return cfg, contextModel{mon}, nil
 }

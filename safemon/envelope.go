@@ -16,16 +16,13 @@ import (
 // envelope covers every context.
 
 // fitStaticEnvelope fits a static envelope over cfg's error features (CRG
-// by default), widened by cfg's margin.
+// by default), widened by the default margin.
 func fitStaticEnvelope(cfg Config, perGesture bool, trajs []*Trajectory) (*baseline.StaticEnvelope, error) {
 	features := cfg.ErrorFeatures
 	if features == nil {
 		features = CRG()
 	}
 	env := baseline.NewStaticEnvelope(features, perGesture)
-	if cfg.EnvelopeMargin > 0 {
-		env.Margin = cfg.EnvelopeMargin
-	}
 	return env, env.Fit(trajs)
 }
 

@@ -35,6 +35,7 @@ package guard
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 )
@@ -195,8 +196,9 @@ func (e *Engine) threshold(gesture int) float64 {
 func (e *Engine) Step(v core.FrameVerdict) Decision {
 	e.counters.Frames++
 	th := e.threshold(v.Gesture)
-	// Partial-window scores during the warmup are noise, not evidence.
-	evidence := v.Score >= th && v.FrameIndex >= e.p.WarmupFrames
+	// Partial-window scores during the warmup are noise, not evidence. A
+	// NaN score is evidence: the monitor reports it unsafe.
+	evidence := (v.Score >= th || math.IsNaN(v.Score)) && v.FrameIndex >= e.p.WarmupFrames
 	prev := e.level
 
 	if evidence {

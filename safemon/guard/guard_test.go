@@ -2,6 +2,7 @@ package guard
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -153,6 +154,20 @@ func TestEnginePanicScoreJumpsToMax(t *testing.T) {
 	}
 	if c := e.Counters(); c.SafeStops != 1 || c.Warns != 0 {
 		t.Fatalf("counters = %+v: a panic jump lands directly on max", c)
+	}
+}
+
+// TestEngineNaNScoreIsEvidence pins the fail-safe reading of a NaN score:
+// the monitor reports it unsafe, so the engine counts it as evidence and
+// climbs to safe-stop after the warmup.
+func TestEngineNaNScoreIsEvidence(t *testing.T) {
+	e := MustEngine(DefaultPolicy())
+	var d Decision
+	for i := 0; i < 40; i++ {
+		d = e.Step(core.FrameVerdict{FrameIndex: i, Score: math.NaN(), Unsafe: true})
+	}
+	if d.Action != ActionSafeStop || !d.Alert {
+		t.Fatalf("after 40 NaN-scored unsafe verdicts: %+v, want a confirmed alert at safe-stop", d)
 	}
 }
 

@@ -44,19 +44,13 @@ func Backends() []string {
 // Open constructs an unfitted detector by registry name, e.g.
 // Open("context-aware", WithThreshold(0.6)).
 func Open(name string, opts ...Option) (Detector, error) {
-	return openWith(name, newConfig(opts))
-}
-
-// openWith constructs an unfitted detector from an already-resolved Config
-// (the cascade backend uses it to derive its stages from its own config).
-func openWith(name string, cfg Config) (Detector, error) {
 	registry.RLock()
 	f := registry.m[name]
 	registry.RUnlock()
 	if f == nil {
 		return nil, fmt.Errorf("safemon: unknown backend %q (have %s)", name, strings.Join(Backends(), ", "))
 	}
-	return f(cfg), nil
+	return f(newConfig(opts)), nil
 }
 
 func init() {

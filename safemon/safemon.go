@@ -6,7 +6,8 @@
 //     two-stage context-aware monitor, its boundary-lookahead extension,
 //     the non-context-specific (monolithic) baseline, the static safety
 //     envelope, and the SkipChain / SDSDL classifier baselines, plus the
-//     cascade that gates an nn-backed detector behind a cheap filter.
+//     cascade in which the static envelope gates the context-aware
+//     monitor.
 //     Backends are selected by name through a registry (Open, Register,
 //     Backends). One shell implements the interface for every built-in
 //     backend — fit and load state, artifacts, session options — so each
@@ -16,8 +17,7 @@
 //   - Functional options: New(WithThreshold(0.7), WithGroundTruthContext(),
 //     ...) builds a configured detector without struct-field poking.
 //   - Session: the constant-latency streaming interface — push one
-//     kinematics frame, get one FrameVerdict. Watch adapts a Session to
-//     channels with context cancellation.
+//     kinematics frame, get one FrameVerdict.
 //   - Runner: a concurrent batch evaluator that fans trajectories across
 //     workers with per-worker session reuse and merges the traces into a
 //     PipelineReport byte-identical to the sequential path.
@@ -43,7 +43,6 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/gesture"
 	"repro/internal/kinematics"
 	"repro/safemon/guard"
 	"repro/safemon/ledger"
@@ -71,8 +70,6 @@ type (
 	ErrorTruth = core.ErrorTruth
 	// ErrorArch selects the erroneous-gesture head architecture.
 	ErrorArch = core.ErrorArch
-	// MarkovChain is the task grammar used by the lookahead backend.
-	MarkovChain = gesture.MarkovChain
 )
 
 // Error-head architectures (Tables V/VI ablation).
@@ -90,12 +87,6 @@ func CRG() FeatureSet { return kinematics.CRG() }
 
 // CG returns the Cartesian + grasper subset (Block Transfer set).
 func CG() FeatureSet { return kinematics.CG() }
-
-// FitMarkovChain fits a task grammar from gesture-index sequences, for use
-// with WithLookahead.
-func FitMarkovChain(sequences [][]int) (*MarkovChain, error) {
-	return gesture.FitMarkovChain(sequences)
-}
 
 // TruthFromLabels derives ErrorTruth entries from a frame-labeled
 // trajectory (onset = segment start).
@@ -186,8 +177,9 @@ func applySessionOptions(opts []SessionOption) sessionConfig {
 }
 
 // New builds the paper's context-aware monitor with the given options —
-// the default, recommended backend. Passing WithLookahead upgrades it to
-// the boundary-lookahead variant. Use Open to select other backends.
+// the default, recommended backend. Open selects the others by name;
+// Open("lookahead", ...) is the one way to build the boundary-lookahead
+// variant.
 func New(opts ...Option) Detector {
 	return newContextDetector(newConfig(opts))
 }

@@ -122,12 +122,9 @@ func TestRegistryRoundTrip(t *testing.T) {
 }
 
 func TestOptionApplication(t *testing.T) {
-	chain := &MarkovChain{}
-	verbose := func(string) {}
 	cfg := newConfig([]Option{
 		WithThreshold(0.7),
 		WithGroundTruthContext(),
-		WithLookahead(chain),
 		WithFeatures(CG()),
 		WithErrorFeatures(CRG()),
 		WithWindow(10),
@@ -135,13 +132,10 @@ func TestOptionApplication(t *testing.T) {
 		WithEpochs(4),
 		WithTrainStride(5),
 		WithSeed(99),
-		WithEnvelopeMargin(1.5),
 		WithAtoms(32),
-		WithSkipLag(7),
 		WithTiming(),
-		WithVerbose(verbose),
 	})
-	if cfg.Threshold != 0.7 || !cfg.GroundTruthContext || !cfg.Lookahead || cfg.Chain != chain {
+	if cfg.Threshold != 0.7 || !cfg.GroundTruthContext {
 		t.Errorf("core options not applied: %+v", cfg)
 	}
 	if cfg.GestureFeatures.Dim() != CG().Dim() || cfg.ErrorFeatures.Dim() != CRG().Dim() {
@@ -150,7 +144,7 @@ func TestOptionApplication(t *testing.T) {
 	if cfg.Window != 10 || cfg.Arch != ArchLSTM || cfg.Epochs != 4 || cfg.TrainStride != 5 || cfg.Seed != 99 {
 		t.Errorf("training options not applied: %+v", cfg)
 	}
-	if cfg.EnvelopeMargin != 1.5 || cfg.Atoms != 32 || cfg.SkipLag != 7 || !cfg.Timing || cfg.Verbose == nil {
+	if cfg.Atoms != 32 || !cfg.Timing {
 		t.Errorf("backend options not applied: %+v", cfg)
 	}
 
@@ -165,10 +159,6 @@ func TestOptionApplication(t *testing.T) {
 	info := det.Info()
 	if info.Name != "context-aware" || info.Threshold != 0.7 || info.PredictsContext {
 		t.Errorf("New Info = %+v", info)
-	}
-	la := New(WithLookahead(nil))
-	if la.Info().Name != "lookahead" {
-		t.Errorf("New with lookahead = %+v", la.Info())
 	}
 }
 
@@ -265,54 +255,5 @@ func TestSessionPoolMidStreamReuse(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestWatchChannelMode(t *testing.T) {
-	det := fittedDetector(t, "envelope")
-	traj := testFold(t).Test[0]
-	ref, err := det.Run(context.Background(), traj)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sess, err := det.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	in := make(chan *Frame)
-	out := Watch(ctx, sess, in)
-	go func() {
-		defer close(in)
-		for i := range traj.Frames {
-			in <- &traj.Frames[i]
-		}
-	}()
-	n := 0
-	for sv := range out {
-		if sv.Err != nil {
-			t.Fatal(sv.Err)
-		}
-		if sv.Verdict.Score != ref.Verdicts[n].Score {
-			t.Fatalf("frame %d: watch score %v vs run %v", n, sv.Verdict.Score, ref.Verdicts[n].Score)
-		}
-		n++
-	}
-	if n != traj.Len() {
-		t.Fatalf("watched %d verdicts, want %d", n, traj.Len())
-	}
-
-	// Cancellation closes the stream.
-	sess2, err := det.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	in2 := make(chan *Frame)
-	out2 := Watch(ctx2, sess2, in2)
-	cancel2()
-	for range out2 {
 	}
 }

@@ -178,10 +178,12 @@ func wireActions(actions []ledger.ActionRecord, policy string) []ActionMsg {
 // Replay re-runs an incident's recorded input stream through a served
 // backend and policy (the POST /v1/incidents/{id}/replay handler).
 // Empty backend/policy default to the incident's originals; an empty
-// original policy replays unguarded. The replay is admitted like a live
-// stream — refused with ErrDraining once the server drains, and holding a
-// session slot while it runs — but is not itself recorded, so a replay
-// can never create an incident.
+// original policy replays unguarded. The replay goes through a live
+// stream's admission, so its refusals are the same *ErrorMsg (404 for an
+// unknown backend or policy, 429 at the session cap, 503 while
+// draining), and it holds a session slot while it runs. It opens its
+// session directly, not through the pump, so it is never recorded and can
+// never create an incident.
 func (s *Server) Replay(ctx context.Context, id, backend, policy string) (*ReplayResult, error) {
 	store := s.ledgerStore()
 	if store == nil {
@@ -203,22 +205,12 @@ func (s *Server) Replay(ctx context.Context, id, backend, policy string) (*Repla
 	if backend == "" {
 		backend = inc.Backend
 	}
-	if !s.manager.has(backend) {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownBackend, backend)
-	}
 	if policy == "" {
 		policy = inc.Policy
 	}
-	var eng *guard.Engine
-	if policy != "" {
-		p, ok := s.policies[policy]
-		if !ok {
-			return nil, fmt.Errorf("serve: unknown policy %q (have %v)", policy, s.policyNames)
-		}
-		eng, err = guard.NewEngine(p)
-		if err != nil {
-			return nil, err
-		}
+	p, em := s.admit(backend, policy)
+	if em != nil {
+		return nil, em
 	}
 
 	labels := make([]int, len(inc.Labels))
@@ -228,18 +220,18 @@ func (s *Server) Replay(ctx context.Context, id, backend, policy string) (*Repla
 	if len(labels) == 0 {
 		labels = nil
 	}
-	if s.isDraining() {
-		return nil, ErrDraining
-	}
-	if err := s.manager.Reserve(); err != nil {
-		return nil, err
-	}
 	sess, err := s.manager.Open(backend, labels)
 	if err != nil {
 		s.manager.Unreserve()
-		return nil, err
+		return nil, openError(err)
 	}
 	defer sess.Release(false)
+	var eng *guard.Engine
+	if policy != "" {
+		if eng, err = guard.NewEngine(p.policy); err != nil {
+			return nil, err
+		}
+	}
 
 	replay := ReplayTrail{
 		Backend:  backend,
@@ -351,21 +343,20 @@ func (s *Server) handleIncident(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeIncidentError maps incident-API failures onto HTTP statuses.
+// writeIncidentError maps incident-API failures onto HTTP statuses; a
+// replay's admission refusal answers with its own code.
 func writeIncidentError(w http.ResponseWriter, err error) {
+	var em *ErrorMsg
+	if errors.As(err, &em) {
+		http.Error(w, em.Message, em.Code)
+		return
+	}
 	status := http.StatusInternalServerError
 	var noInc ledger.ErrNoIncident
 	switch {
 	case errors.Is(err, ErrNoLedger):
 		status = http.StatusNotImplemented
-	case errors.As(err, &noInc), errors.Is(err, ErrUnknownBackend):
-		status = http.StatusNotFound
-	case errors.Is(err, ErrBusy):
-		status = http.StatusTooManyRequests
-	case errors.Is(err, ErrDraining):
-		status = http.StatusServiceUnavailable
-	case strings.Contains(err.Error(), "malformed incident id"),
-		strings.Contains(err.Error(), "unknown policy"):
+	case errors.As(err, &noInc), strings.Contains(err.Error(), "malformed incident id"):
 		status = http.StatusNotFound
 	}
 	http.Error(w, err.Error(), status)

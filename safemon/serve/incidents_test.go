@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -234,12 +235,17 @@ func TestIncidentRoundTripOverServe(t *testing.T) {
 				t.Errorf("replayed verdicts differ from the live stream's")
 			}
 
-			// Unknown incidents and backends are 404s, not 500s.
-			if _, err := client.Incident(ctx, "inc-999"); err == nil {
-				t.Error("expected error for unknown incident")
-			}
-			if _, err := client.ReplayIncident(ctx, inc.ID, "no-such-backend", ""); err == nil {
-				t.Error("expected error for unknown replay backend")
+			// Unknown incidents, replay backends and replay policies are
+			// 404s, not 500s.
+			for what, call := range map[string]func() error{
+				"incident":       func() error { _, err := client.Incident(ctx, "inc-999"); return err },
+				"replay backend": func() error { _, err := client.ReplayIncident(ctx, inc.ID, "no-such-backend", ""); return err },
+				"replay policy":  func() error { _, err := client.ReplayIncident(ctx, inc.ID, "", "no-such-policy"); return err },
+			} {
+				var em *ErrorMsg
+				if err := call(); !errors.As(err, &em) || em.Code != http.StatusNotFound {
+					t.Errorf("unknown %s: err = %v, want a 404 *ErrorMsg", what, err)
+				}
 			}
 		})
 	}
@@ -358,6 +364,38 @@ func TestReplayRefusedWhileDraining(t *testing.T) {
 	var em *ErrorMsg
 	if !errors.As(err, &em) || em.Code != http.StatusServiceUnavailable {
 		t.Fatalf("replay while draining: err = %v, want a 503 *ErrorMsg", err)
+	}
+}
+
+// TestOverflowIncident latches an incident with frames whose envelope
+// excess overflows float64: the listing must answer, the detail must carry
+// the saturated peak score, and the replay must match.
+func TestOverflowIncident(t *testing.T) {
+	det := fittedDetector(t, "envelope")
+	_, client, _ := newLedgeredService(t, map[string]safemon.Detector{"envelope": det}, testGuardPolicy())
+	ctx := context.Background()
+	frames := incidentFrames(t)
+	huge := overflowFrame()
+	for i := 5; i < 9; i++ { // the wild stretch
+		frames[i] = &huge
+	}
+	driveIncidentOver(t, client, "binary-mux", "envelope", "stop-fast", frames)
+	incs, err := client.Incidents(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(incs) != 1 {
+		t.Fatalf("incidents = %+v, want exactly 1", incs)
+	}
+	if detail := waitIncidentClosed(t, client, incs[0].ID); detail.PeakScore != math.MaxFloat64 {
+		t.Errorf("peak score %v, want the saturated %v", detail.PeakScore, math.MaxFloat64)
+	}
+	res, err := client.ReplayIncident(ctx, incs[0].ID, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.VerdictsMatch || !res.ActionsMatch {
+		t.Fatalf("replay fidelity: verdicts_match=%v actions_match=%v", res.VerdictsMatch, res.ActionsMatch)
 	}
 }
 

@@ -99,9 +99,13 @@ type muxSession struct {
 }
 
 // verdict, done and fail make the session the pump's sink: its records
-// under its sid on the connection's shared writer.
-func (ms *muxSession) verdict(a *ActionMsg, v *VerdictMsg) { ms.mw.verdict(ms.sid, a, v) }
-func (ms *muxSession) done(frames int)                     { ms.mw.done(ms.sid, frames) }
+// under its sid on the connection's shared writer. The binary verdict
+// record carries every score exactly, so verdict never ends the stream.
+func (ms *muxSession) verdict(a *ActionMsg, v *VerdictMsg) bool {
+	ms.mw.verdict(ms.sid, a, v)
+	return true
+}
+func (ms *muxSession) done(frames int) { ms.mw.done(ms.sid, frames) }
 
 // fail marks the stream dead before its error record goes out, so the
 // reader drops every frame the client sends after seeing it.

@@ -22,7 +22,9 @@
 // application/x-safemon-frames gets a 415 pointing at POST /v1/mux, the
 // one binary transport, which carries many logical sessions over one
 // connection in the compact record format documented in codec.go.
-// Verdict values are exactly equal across both transports.
+// Verdict values are exactly equal across both transports, except a score
+// with no JSON form (NaN or ±Inf): NDJSON ends the stream with a 500
+// error record naming the frame, while /v1/mux carries the exact bits.
 package serve
 
 import (
@@ -33,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"sync"
 	"time"
 
@@ -235,11 +238,19 @@ func (c *jsonStream) emit(m ServerMsg) {
 	c.flush()
 }
 
-func (c *jsonStream) verdict(a *ActionMsg, v *VerdictMsg) {
-	if a != nil && c.enc.Encode(ServerMsg{Action: a}) != nil {
-		return
+// verdict writes the frame's action edge and verdict. A score with no
+// JSON form (NaN or ±Inf) ends the stream instead: a 500 error record
+// names the frame, and verdict returns false.
+func (c *jsonStream) verdict(a *ActionMsg, v *VerdictMsg) bool {
+	if math.IsNaN(v.Score) || math.IsInf(v.Score, 0) {
+		c.fail(&ErrorMsg{Code: http.StatusInternalServerError,
+			Message: fmt.Sprintf("frame %d: score %v has no JSON form; /v1/mux carries it", v.I, v.Score)})
+		return false
 	}
-	c.emit(ServerMsg{Verdict: v})
+	if a == nil || c.enc.Encode(ServerMsg{Action: a}) == nil {
+		c.emit(ServerMsg{Verdict: v})
+	}
+	return true
 }
 
 func (c *jsonStream) done(frames int)  { c.emit(ServerMsg{Done: &DoneMsg{Frames: frames}}) }

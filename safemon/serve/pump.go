@@ -26,8 +26,10 @@ import (
 // gone, and the read side will surface that on the next record.
 type sink interface {
 	// verdict writes the frame's guard action edge, when a is non-nil,
-	// and then its verdict, flushing once.
-	verdict(a *ActionMsg, v *VerdictMsg)
+	// and then its verdict, flushing once. False means the verdict has no
+	// form on this wire: the sink has ended the stream with an error
+	// record.
+	verdict(a *ActionMsg, v *VerdictMsg) bool
 	done(frames int)
 	fail(e *ErrorMsg)
 }
@@ -140,8 +142,9 @@ func (p *pump) close() {
 // step carries one decoded frame (decNS is its record-decode time):
 // session push, ledger verdict, guard step with its ledger action edge,
 // then the action and verdict out through the sink, with every stage fed
-// to the trace. A failed push — a recovered backend panic included —
-// ends the stream with an error record and returns false.
+// to the trace. A failed push — a recovered backend panic included — or a
+// verdict the sink cannot write ends the stream with an error record and
+// returns false.
 func (p *pump) step(ctx context.Context, f *safemon.Frame, decNS int64) bool {
 	p.frame = *f
 	p.tr.setStage(stageDecode, decNS)
@@ -173,7 +176,10 @@ func (p *pump) step(ctx context.Context, f *safemon.Frame, decNS int64) bool {
 		}
 		t3 = time.Now()
 	}
-	p.out.verdict(act, &p.wire)
+	if !p.out.verdict(act, &p.wire) {
+		p.end("error: score has no wire form")
+		return false
+	}
 	end := time.Now()
 	p.tr.setStage(stageInfer, t1.Sub(t0).Nanoseconds())
 	p.tr.setStage(stageLedger, t2.Sub(t1).Nanoseconds())

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -715,6 +718,93 @@ func TestStreamEarlyHangup(t *testing.T) {
 	st.Close() // abrupt: no CloseSend handshake
 
 	waitReleased(t, srv)
+}
+
+// overflowFrame is a finite frame whose envelope excess overflows
+// float64: every value is 1e308, far beyond any fitted range.
+func overflowFrame() safemon.Frame {
+	var f safemon.Frame
+	for i := range f {
+		f[i] = 1e308
+	}
+	return f
+}
+
+// TestStreamOverflowingFrame sends the envelope a safe, an overflowing and
+// a safe frame over a lockstep /v1/stream: each Recv must answer its own
+// frame, and the overflowing one must be unsafe with a score that JSON
+// carries.
+func TestStreamOverflowingFrame(t *testing.T) {
+	det := fittedDetector(t, "envelope")
+	_, client := newTestService(t, map[string]safemon.Detector{"envelope": det}, ManagerConfig{})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	safe, _ := guardProbeFrames(t)
+	huge := overflowFrame()
+	st, err := client.Open(ctx, "envelope", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i, f := range []*safemon.Frame{&safe, &huge, &safe} {
+		if err := st.Send(f); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+		v, err := st.Recv()
+		if err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		if v.FrameIndex != i || v.Unsafe != (i == 1) || math.IsInf(v.Score, 0) {
+			t.Fatalf("recv %d: %+v, want frame %d with unsafe=%v and a finite score", i, v, i, i == 1)
+		}
+	}
+	if err := st.CloseSend(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recv(); err != io.EOF {
+		t.Fatalf("expected done, got %v", err)
+	}
+}
+
+// TestJSONStreamUnencodableScore pins the NDJSON sink's answer to a score
+// with no JSON form: a finite verdict goes out as a verdict record, and a
+// NaN or ±Inf one ends the stream with a 500 error record naming its
+// frame.
+func TestJSONStreamUnencodableScore(t *testing.T) {
+	for _, score := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var out bytes.Buffer
+		c := newJSONStream(strings.NewReader(""), &out, func() {})
+		if !c.verdict(nil, &VerdictMsg{I: 0, Score: 0.25}) {
+			t.Fatal("finite verdict not written")
+		}
+		if c.verdict(nil, &VerdictMsg{I: 1, Score: score, Unsafe: true}) {
+			t.Fatalf("score %v: verdict reported written", score)
+		}
+		c.release()
+		var recs []ServerMsg
+		for dec := json.NewDecoder(&out); dec.More(); {
+			var m ServerMsg
+			if err := dec.Decode(&m); err != nil {
+				t.Fatalf("score %v: %v in %q", score, err, out.String())
+			}
+			recs = append(recs, m)
+		}
+		if len(recs) != 2 || recs[0].Verdict == nil || recs[0].Verdict.I != 0 ||
+			recs[1].Error == nil || recs[1].Error.Code != http.StatusInternalServerError ||
+			!strings.Contains(recs[1].Error.Message, "frame 1") {
+			t.Fatalf("score %v: records %+v, want the frame 0 verdict then a 500 error naming frame 1", score, recs)
+		}
+	}
+}
+
+// TestWriteJSONUnencodable pins writeJSON's order: a value with no JSON
+// form answers 500 with the reason, not a 200 with an empty body.
+func TestWriteJSONUnencodable(t *testing.T) {
+	w := httptest.NewRecorder()
+	writeJSON(w, http.StatusOK, map[string]float64{"peak": math.Inf(1)})
+	if w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), "unsupported value") {
+		t.Fatalf("writeJSON(+Inf) = %d %q, want a 500 naming the value", w.Code, w.Body.String())
+	}
 }
 
 func TestWireVerdictRoundTrip(t *testing.T) {

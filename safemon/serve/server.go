@@ -387,10 +387,16 @@ func getOnly(w http.ResponseWriter, r *http.Request) bool {
 	return false
 }
 
+// writeJSON answers status with v as indented JSON. The body is marshaled
+// before the status goes out, so a value with no JSON form (a NaN or ±Inf
+// score) answers 500 with the reason, never an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		http.Error(w, "encode response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(append(body, '\n'))
 }

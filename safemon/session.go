@@ -56,51 +56,3 @@ func runViaSession(ctx context.Context, d Detector, traj *Trajectory, timing boo
 	defer s.Close()
 	return replayTrace(ctx, s, traj, timing)
 }
-
-// StreamVerdict is one element of a Watch channel: a verdict or a terminal
-// error (Err non-nil ends the stream).
-type StreamVerdict struct {
-	Verdict FrameVerdict
-	Err     error
-}
-
-// Watch adapts a Session to channel mode: frames received on in are pushed
-// through the session and verdicts are delivered on the returned channel,
-// which closes when in closes, the context is cancelled, or a push fails.
-// Watch takes ownership of the session and closes it on exit.
-//
-// Cancellation delivery is best-effort: a consumer that is between
-// receives when the context dies may observe the channel closing without
-// a terminal Err record, so treat ctx.Err() — not the record — as the
-// authority on whether the stream was cancelled.
-func Watch(ctx context.Context, s Session, in <-chan *Frame) <-chan StreamVerdict {
-	out := make(chan StreamVerdict)
-	go func() {
-		defer close(out)
-		defer s.Close()
-		for {
-			select {
-			case <-ctx.Done():
-				select {
-				case out <- StreamVerdict{Err: ctx.Err()}:
-				default:
-				}
-				return
-			case f, ok := <-in:
-				if !ok {
-					return
-				}
-				v, err := s.Push(f)
-				select {
-				case <-ctx.Done():
-					return
-				case out <- StreamVerdict{Verdict: v, Err: err}:
-				}
-				if err != nil {
-					return
-				}
-			}
-		}
-	}()
-	return out
-}

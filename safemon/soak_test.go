@@ -10,68 +10,55 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestWatchSoakSharedNetwork soaks Watch under -race: many concurrent
-// sessions over one shared trained network, half of them cancelled
-// mid-stream, and no goroutine may outlive its stream. This pins the PR 1
-// guarantee that inference on a shared network is race-free, now under
-// channel-mode concurrency.
-func TestWatchSoakSharedNetwork(t *testing.T) {
+// TestSoakSharedNetwork soaks concurrent sessions under -race: many
+// sessions over one shared trained network, each pushed from its own
+// goroutine, half of them abandoned mid-stream, and no goroutine may
+// outlive its stream. Every verdict must equal Run's: inference on a
+// shared network is race-free.
+func TestSoakSharedNetwork(t *testing.T) {
 	det := fittedDetector(t, "context-aware") // one shared trained network
 	fold := testFold(t)
+	refs := make([]*Trace, len(fold.Test))
+	for i, traj := range fold.Test {
+		var err error
+		if refs[i], err = det.Run(context.Background(), traj); err != nil {
+			t.Fatal(err)
+		}
+	}
 	baseline := runtime.NumGoroutine()
 
-	const watchers = 16
+	const streams = 16
 	var wg sync.WaitGroup
-	errs := make(chan error, watchers)
-	for i := 0; i < watchers; i++ {
+	errs := make(chan error, streams)
+	for i := 0; i < streams; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			traj := fold.Test[i%len(fold.Test)]
+			traj, ref := fold.Test[i%len(fold.Test)], refs[i%len(fold.Test)]
 			sess, err := det.NewSession()
 			if err != nil {
 				errs <- err
 				return
 			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			in := make(chan *Frame)
-			out := Watch(ctx, sess, in)
-
-			cancelAt := -1
+			defer sess.Close()
+			frames := traj.Len()
 			if i%2 == 0 {
-				cancelAt = traj.Len() / 2 // cancel mid-stream
+				frames /= 2 // abandon mid-stream
 			}
-			go func() {
-				defer close(in)
-				for j := range traj.Frames {
-					select {
-					case in <- &traj.Frames[j]:
-					case <-ctx.Done():
-						return
-					}
-				}
-			}()
-			n := 0
-			for sv := range out {
-				if sv.Err != nil {
-					if ctx.Err() != nil {
-						return // cancellation surfacing as an error is fine
-					}
-					errs <- sv.Err
+			for j := 0; j < frames; j++ {
+				v, err := sess.Push(&traj.Frames[j])
+				if err != nil {
+					errs <- fmt.Errorf("stream %d frame %d: %w", i, j, err)
 					return
 				}
-				if sv.Verdict.FrameIndex != n {
-					errs <- fmt.Errorf("watcher %d: verdict %d out of order (frame %d)", i, sv.Verdict.FrameIndex, n)
+				if v.FrameIndex != j {
+					errs <- fmt.Errorf("stream %d: verdict %d out of order (frame %d)", i, v.FrameIndex, j)
 					return
 				}
-				n++
-				if n == cancelAt {
-					cancel()
+				if v != ref.Verdicts[j] {
+					errs <- fmt.Errorf("stream %d frame %d: %+v, Run gave %+v", i, j, v, ref.Verdicts[j])
+					return
 				}
-			}
-			if cancelAt < 0 && n != traj.Len() {
-				errs <- fmt.Errorf("watcher %d: %d verdicts for %d frames", i, n, traj.Len())
 			}
 		}(i)
 	}

@@ -23,9 +23,10 @@
 #      benchmark is repeated BENCHCOUNT times (-count, default 5) and
 #      gated on the median, not a lone sample.
 #   3. dropped/op must be 0 on every repeat of a row that reports it
-#      (BenchmarkLedgerAppend, BenchmarkSessionStepLedgered): a row whose
-#      ledger queue overflows is timing Emit's drop branch, not the
-#      enqueue it claims to time.
+#      (BenchmarkLedgerAppend, BenchmarkSessionStepLedgered,
+#      BenchmarkServeStreamWarm/mux-ledgered): a row whose ledger queue
+#      overflows is timing Emit's drop branch, not the enqueue it claims
+#      to time.
 #
 # Each repeat runs for a duration, not a fixed iteration count: at a
 # handful of iterations a sub-microsecond row times timer start-up and
