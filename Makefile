@@ -16,8 +16,9 @@
 #   make bench-smoke - with -benchmem: per-backend session-step
 #                      benchmarks (fitted, artifact-loaded and ledgered),
 #                      the guard engine's BenchmarkGuardStep, the event
-#                      ledger's BenchmarkLedgerAppend, the binary subs of
-#                      BenchmarkCodecRoundTrip, and BenchmarkServeStreamWarm
+#                      ledger's BenchmarkLedgerAppend, every sub of
+#                      BenchmarkCodecRoundTrip (binary and NDJSON records),
+#                      and BenchmarkServeStreamWarm
 #                      (the production serve pump's per-frame step), gated
 #                      by scripts/benchguard.sh: 0 allocs/op, and the median
 #                      of BENCHCOUNT repeats, each run for BENCHTIME
@@ -45,8 +46,9 @@
 #   make bench-coldstart - per-backend fit-vs-load time-to-ready benchmarks
 #   make fuzz-replay - replay the checked-in fuzz seed corpora (no fuzzing)
 #   make fuzz        - actively fuzz the serve protocol parsers (NDJSON and
-#                      binary) and the model artifact/manifest decoders for
-#                      30s each
+#                      binary), the NDJSON hot-record appenders and
+#                      scanners, and the model artifact/manifest decoders
+#                      for 30s each
 #   make test        - tests only
 #   make race        - race-detector pass over the concurrency-bearing packages
 #   make fmt         - apply gofmt in place
@@ -149,14 +151,15 @@ metriclint:
 	sh scripts/metriclint.sh
 
 # Replay the checked-in fuzz seed corpora as plain tests (what CI runs):
-# the serve protocol parser, the model artifact/manifest decoders, and the
-# ledger segment reader.
+# the serve protocol parsers and NDJSON hot records, the model
+# artifact/manifest decoders, and the ledger segment reader.
 fuzz-replay:
 	$(GO) test -run='^Fuzz' ./safemon/...
 
 # Actively fuzz the parsers (developer entry point, not CI).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeRecord -fuzztime=30s ./safemon/serve/
+	$(GO) test -run=^$$ -fuzz=FuzzHotRecords -fuzztime=30s ./safemon/serve/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBinaryRecord -fuzztime=30s ./safemon/serve/
 	$(GO) test -run=^$$ -fuzz=FuzzLoadArtifact -fuzztime=30s ./safemon/
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalEnvelope -fuzztime=30s ./safemon/

@@ -67,7 +67,8 @@ func (e *envelope) widen(margin float64) {
 // (0 = inside everywhere; 1 = one range-width outside). It saturates at
 // math.MaxFloat64: an excess that overflows (a huge finite value over a
 // narrow range) stays unsafe at any finite threshold without becoming a
-// +Inf score, which no JSON surface can carry.
+// +Inf score, which no JSON surface can carry. A NaN value is inside no
+// range, so it counts as that saturated excess.
 func (e *envelope) violation(row []float64) float64 {
 	var worst float64
 	for i, v := range row {
@@ -81,6 +82,8 @@ func (e *envelope) violation(row []float64) float64 {
 			excess = (e.lo[i] - v) / width
 		case v > e.hi[i]:
 			excess = (v - e.hi[i]) / width
+		case math.IsNaN(v):
+			excess = math.MaxFloat64
 		}
 		if excess > worst {
 			worst = excess

@@ -152,6 +152,9 @@ func (m *Monitor) Run(traj *kinematics.Trajectory) (*Trace, error) {
 		if next, blend := m.lookahead(g); next != 0 {
 			score = worse(score, blend*m.Errors.Score(next, feat[lo:end+1]))
 		}
+		if !finite(&traj.Frames[end]) {
+			score = math.NaN()
+		}
 		v := FrameVerdict{
 			FrameIndex: end,
 			Gesture:    gestures[end],
@@ -195,6 +198,19 @@ func (m *Monitor) lookahead(g int) (next int, blend float64) {
 // monitor's own arithmetic broke, so it fails safe: it is unsafe.
 func (m *Monitor) unsafe(score float64) bool {
 	return score >= m.Threshold || math.IsNaN(score)
+}
+
+// finite reports whether every value of f is finite. Run and Push give a
+// frame holding a NaN or ±Inf value a NaN score, which is unsafe: the
+// networks' ReLU and max-pool layers can turn such an input into a
+// finite, safe-looking score.
+func finite(f *kinematics.Frame) bool {
+	for _, v := range f {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // worse returns the larger of the current-context and lookahead scores,
@@ -426,6 +442,9 @@ func (s *Stream) Push(f *kinematics.Frame) FrameVerdict {
 	score := s.errHeads.score(lookup, s.errorWin.rows)
 	if next, blend := m.lookahead(g); next != 0 {
 		score = worse(score, blend*s.errHeads.score(next, s.errorWin.rows))
+	}
+	if !finite(f) {
+		score = math.NaN()
 	}
 	return FrameVerdict{
 		FrameIndex: idx,

@@ -2,6 +2,7 @@ package safemon
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 
@@ -252,6 +253,51 @@ func TestSessionPoolMidStreamReuse(t *testing.T) {
 				}
 				if v != ref.Verdicts[i] {
 					t.Fatalf("frame %d: reused session %+v vs fresh run %+v", i, v, ref.Verdicts[i])
+				}
+			}
+		})
+	}
+}
+
+// TestNonFiniteFramesAreUnsafe pins the fail-safe verdict on frames the
+// monitor cannot measure: 40 all-NaN frames and 40 all-+Inf frames,
+// pushed through a fresh session and run offline, get no safe verdict on
+// any backend.
+func TestNonFiniteFramesAreUnsafe(t *testing.T) {
+	labels := testFold(t).Test[0].Gestures[:40]
+	ctx := context.Background()
+	for _, backend := range Backends() {
+		t.Run(backend, func(t *testing.T) {
+			det := fittedDetector(t, backend)
+			for _, value := range []float64{math.NaN(), math.Inf(1)} {
+				traj := &Trajectory{Frames: make([]Frame, len(labels)), Gestures: labels}
+				for i := range traj.Frames {
+					for k := range traj.Frames[i] {
+						traj.Frames[i][k] = value
+					}
+				}
+				sess, err := det.NewSession(WithSessionLabels(labels))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range traj.Frames {
+					v, err := sess.Push(&traj.Frames[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !v.Unsafe {
+						t.Fatalf("%v frame %d: session verdict %+v is safe", value, i, v)
+					}
+				}
+				sess.Close()
+				trace, err := det.Run(ctx, traj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range trace.Verdicts {
+					if !v.Unsafe {
+						t.Fatalf("%v frame %d: Run verdict %+v is safe", value, v.FrameIndex, v)
+					}
 				}
 			}
 		})

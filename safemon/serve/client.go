@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -160,8 +161,9 @@ func (c *Client) ReplayIncident(ctx context.Context, id, backend, policy string)
 type Stream struct {
 	body    io.WriteCloser // request-body pipe
 	resp    *http.Response
-	enc     *json.Encoder
-	dec     *json.Decoder
+	rd      *bufio.Reader // response lines
+	long    []byte        // a response line longer than rd's buffer
+	out     []byte        // the frame record, reused across Sends
 	actions []ActionMsg
 }
 
@@ -206,9 +208,13 @@ func (c *Client) OpenGuarded(ctx context.Context, backend, policy string, ground
 		pw.Close()
 		return nil, err
 	}
-	st := &Stream{body: pw, resp: resp, enc: json.NewEncoder(pw), dec: json.NewDecoder(bufio.NewReader(resp.Body))}
+	st := &Stream{body: pw, resp: resp, rd: bufio.NewReader(resp.Body)}
 	if groundTruth != nil {
-		if err := st.enc.Encode(ClientMsg{Labels: groundTruth}); err != nil {
+		header, err := json.Marshal(ClientMsg{Labels: groundTruth})
+		if err == nil {
+			_, err = pw.Write(append(header, '\n'))
+		}
+		if err != nil {
 			st.Close()
 			return nil, err
 		}
@@ -216,19 +222,39 @@ func (c *Client) OpenGuarded(ctx context.Context, backend, policy string, ground
 	return st, nil
 }
 
-// Send writes one frame record.
+// Send writes one frame record. A NaN or ±Inf value has no JSON form:
+// Send writes nothing and returns encoding/json's
+// *json.UnsupportedValueError.
 func (s *Stream) Send(frame *safemon.Frame) error {
-	return s.enc.Encode(ClientMsg{Frame: frame[:]})
+	out, err := appendFrameRecord(s.out[:0], frame)
+	if err != nil {
+		return err
+	}
+	s.out = out
+	_, err = s.body.Write(out)
+	return err
 }
 
 // Recv reads the next verdict. Guard action records arriving in between
 // are collected (see Actions) rather than returned. Terminal records
 // surface as errors: io.EOF for a done record, *ErrorMsg for a server
-// error.
+// error. A response that ends before either, or mid-line, is
+// io.ErrUnexpectedEOF: the server never finished the stream.
 func (s *Stream) Recv() (safemon.FrameVerdict, error) {
 	for {
+		line, err := s.readLine()
+		if err != nil {
+			return safemon.FrameVerdict{}, err
+		}
+		var v VerdictMsg
+		if scanVerdict(line, &v) {
+			return v.Verdict(), nil
+		}
+		if blank(line) {
+			continue
+		}
 		var msg ServerMsg
-		if err := s.dec.Decode(&msg); err != nil {
+		if err := json.Unmarshal(line, &msg); err != nil {
 			return safemon.FrameVerdict{}, err
 		}
 		switch {
@@ -244,6 +270,26 @@ func (s *Stream) Recv() (safemon.FrameVerdict, error) {
 			return safemon.FrameVerdict{}, fmt.Errorf("serve: empty server record")
 		}
 	}
+}
+
+// readLine returns the next response line, newline included; it stays
+// valid until the next call. A line longer than rd's buffer is gathered
+// whole into s.long. The body's end is io.ErrUnexpectedEOF: Recv has
+// not yet seen a done or error record, or the line is cut short.
+func (s *Stream) readLine() ([]byte, error) {
+	line, err := s.rd.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		s.long = append(s.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = s.rd.ReadSlice('\n')
+			s.long = append(s.long, line...)
+		}
+		line = s.long
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return line, err
 }
 
 // Actions returns the guard action records received so far, in stream
@@ -309,8 +355,11 @@ func lockstep(st lockstepStream, frames []safemon.Frame) ([]safemon.FrameVerdict
 	if err := st.CloseSend(); err != nil {
 		return verdicts, err
 	}
-	if _, err := st.Recv(); err != io.EOF {
-		return verdicts, fmt.Errorf("serve: expected done record, got %v", err)
+	switch _, err := st.Recv(); {
+	case err == nil:
+		return verdicts, errors.New("serve: expected done record, got a verdict")
+	case err != io.EOF:
+		return verdicts, fmt.Errorf("serve: expected done record, got %w", err)
 	}
 	return verdicts, nil
 }

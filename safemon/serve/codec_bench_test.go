@@ -1,19 +1,22 @@
 package serve
 
 import (
-	"encoding/json"
 	"testing"
+
+	"repro/safemon"
 )
 
 // BenchmarkCodecRoundTrip measures one encode+decode cycle for the two
 // record types that dominate a stream — the 38-float client frame and the
-// server verdict — in both wire codecs. The binary subs are the numbers
-// BENCH_PR9.json records and scripts/benchguard.sh gates: they must run
-// warm with 0 allocs/op (reused append buffer, reused decode record),
-// while the NDJSON subs exist as the baseline the >=5x speedup is
-// measured against.
+// server verdict — in both wire codecs, through the production pairs:
+// the client's frame appender then the server's DecodeRecord, and the
+// server's verdict appender then the client's verdict scanner for
+// NDJSON; AppendBinaryRecord then DecodeBinaryRecord for binary.
+// scripts/benchguard.sh gates every sub: each must run warm with 0
+// allocs/op (reused append buffer, reused decode record) and within its
+// median ns/op budget.
 func BenchmarkCodecRoundTrip(b *testing.B) {
-	var frame [38]float64
+	var frame safemon.Frame
 	for i := range frame {
 		frame[i] = 0.125 * float64(i+1)
 	}
@@ -21,13 +24,17 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 
 	b.Run("json-frame", func(b *testing.B) {
 		b.ReportAllocs()
+		var buf []byte
 		var msg ClientMsg
 		for i := 0; i < b.N; i++ {
-			line, err := json.Marshal(ClientMsg{Frame: frame[:]})
+			var err error
+			buf, err = appendFrameRecord(buf[:0], &frame)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := DecodeRecord(line, &msg); err != nil {
+			// The server's record reader hands DecodeRecord the line
+			// without its newline.
+			if err := DecodeRecord(buf[:len(buf)-1], &msg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -52,14 +59,12 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 	})
 	b.Run("json-verdict", func(b *testing.B) {
 		b.ReportAllocs()
-		var msg ServerMsg
+		var buf []byte
+		var out VerdictMsg
 		for i := 0; i < b.N; i++ {
-			line, err := json.Marshal(ServerMsg{Verdict: &verdict})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := json.Unmarshal(line, &msg); err != nil {
-				b.Fatal(err)
+			buf = appendVerdictRecord(buf[:0], &verdict)
+			if !scanVerdict(buf, &out) {
+				b.Fatalf("verdict record %q declined", buf)
 			}
 		}
 	})

@@ -15,6 +15,10 @@ import (
 // per-record size cap). Whatever the bytes are — malformed JSON, truncated
 // records, nested garbage, oversized lines — the parser must never panic,
 // and every record it does accept must survive a marshal round trip.
+// Differentially, DecodeRecord must equal json.Unmarshal plus the
+// non-finite check on every input, into a fresh message and into one
+// whose frame array the frame scanner reuses: the same error text, or
+// the same labels and frame bits, nil-ness included.
 func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte(`{"labels":[1,2,2,3]}`))
 	f.Add([]byte(`{"frame":[0.1,0.2,0.3]}`))
@@ -36,10 +40,22 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Single-record decode: error or round-trippable record, no panic.
 		var msg ClientMsg
-		if err := DecodeRecord(data, &msg); err == nil {
+		err := DecodeRecord(data, &msg)
+		if err == nil {
 			if _, err := json.Marshal(msg); err != nil {
 				t.Fatalf("accepted record does not re-marshal: %v", err)
 			}
+		}
+
+		// Differential: the same answer as encoding/json, whether or not
+		// the frame scanner took the line.
+		want, wantErr := unmarshalRecord(data)
+		if !sameDecode(msg, err, want, wantErr) {
+			t.Fatalf("DecodeRecord(%q) = %+v, %v; json.Unmarshal gives %+v, %v", data, msg, err, want, wantErr)
+		}
+		reused := ClientMsg{Labels: []int{7}, Frame: make([]float64, frameSize)}
+		if err := DecodeRecord(data, &reused); !sameDecode(reused, err, want, wantErr) {
+			t.Fatalf("DecodeRecord(%q) into a used message = %+v, %v; json.Unmarshal gives %+v, %v", data, reused, err, want, wantErr)
 		}
 
 		// Streaming decode: the reader must terminate with io.EOF or a

@@ -143,7 +143,21 @@ var errRecordTooLarge = fmt.Errorf("serve: record exceeds %d bytes", maxRecordBy
 // standard JSON cannot spell NaN or ±Inf, but a decoder must not rely on
 // its input being standard, and nothing non-finite may reach a backend's
 // scorers.
+//
+// A frame record of frameSize numbers takes scanFrame's path, which
+// decodes the values encoding/json would and stores them in msg.Frame's
+// backing array when it has room, so a reused msg decodes frames without
+// allocating. Every other line goes to json.Unmarshal.
 func DecodeRecord(line []byte, msg *ClientMsg) error {
+	var frame safemon.Frame
+	if scanFrame(line, &frame) {
+		buf := msg.Frame
+		if cap(buf) < frameSize {
+			buf = make([]float64, frameSize)
+		}
+		*msg = ClientMsg{Frame: append(buf[:0], frame[:]...)}
+		return nil
+	}
 	*msg = ClientMsg{}
 	if err := json.Unmarshal(line, msg); err != nil {
 		return err
@@ -219,16 +233,20 @@ func (d *recordReader) next(msg *ClientMsg) error {
 }
 
 // jsonStream is one admitted /v1/stream connection: NDJSON records in
-// through the embedded reader, server records out through the encoder.
-// It is the connection's pump sink.
+// through the embedded reader, server records out to w. It is the
+// connection's pump sink. Verdicts go out through appendVerdictRecord;
+// the action, done and error records, at most one per stream or guard
+// edge, through the encoder.
 type jsonStream struct {
 	*recordReader
+	w     io.Writer
 	enc   *json.Encoder
+	out   []byte // the verdict record, reused across frames
 	flush func()
 }
 
 func newJSONStream(r io.Reader, w io.Writer, flush func()) *jsonStream {
-	return &jsonStream{recordReader: newRecordReader(r), enc: json.NewEncoder(w), flush: flush}
+	return &jsonStream{recordReader: newRecordReader(r), w: w, enc: json.NewEncoder(w), flush: flush}
 }
 
 func (c *jsonStream) emit(m ServerMsg) {
@@ -238,17 +256,22 @@ func (c *jsonStream) emit(m ServerMsg) {
 	c.flush()
 }
 
-// verdict writes the frame's action edge and verdict. A score with no
-// JSON form (NaN or ±Inf) ends the stream instead: a 500 error record
-// names the frame, and verdict returns false.
+// verdict writes the frame's action edge and verdict, each with one
+// Write, then flushes. A score with no JSON form (NaN or ±Inf) ends the
+// stream instead: a 500 error record names the frame, and verdict
+// returns false.
 func (c *jsonStream) verdict(a *ActionMsg, v *VerdictMsg) bool {
 	if math.IsNaN(v.Score) || math.IsInf(v.Score, 0) {
 		c.fail(&ErrorMsg{Code: http.StatusInternalServerError,
 			Message: fmt.Sprintf("frame %d: score %v has no JSON form; /v1/mux carries it", v.I, v.Score)})
 		return false
 	}
-	if a == nil || c.enc.Encode(ServerMsg{Action: a}) == nil {
-		c.emit(ServerMsg{Verdict: v})
+	if a != nil && c.enc.Encode(ServerMsg{Action: a}) != nil {
+		return true
+	}
+	c.out = appendVerdictRecord(c.out[:0], v)
+	if _, err := c.w.Write(c.out); err == nil {
+		c.flush()
 	}
 	return true
 }

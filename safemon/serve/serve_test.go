@@ -287,6 +287,12 @@ func TestSessionCapReturns429(t *testing.T) {
 	}
 }
 
+// sendRecord writes msg on st's request body through encoding/json, for
+// records Stream.Send cannot spell.
+func sendRecord(st *Stream, msg ClientMsg) error {
+	return json.NewEncoder(st.body).Encode(msg)
+}
+
 func TestStreamBadFrameLength(t *testing.T) {
 	det := fittedDetector(t, "envelope")
 	_, client := newTestService(t, map[string]safemon.Detector{"envelope": det}, ManagerConfig{})
@@ -295,7 +301,7 @@ func TestStreamBadFrameLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.enc.Encode(ClientMsg{Frame: []float64{1, 2, 3}}); err != nil {
+	if err := sendRecord(st, ClientMsg{Frame: []float64{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	_, err = st.Recv()
@@ -318,7 +324,7 @@ func TestStreamRecordSizeCap(t *testing.T) {
 	defer st.Close()
 
 	huge := make([]float64, 1<<18) // ~2.8 MB encoded, past the 1 MB cap
-	if err := st.enc.Encode(ClientMsg{Frame: huge}); err != nil {
+	if err := sendRecord(st, ClientMsg{Frame: huge}); err != nil {
 		t.Fatal(err)
 	}
 	_, err = st.Recv()
@@ -339,7 +345,7 @@ func TestStreamCombinedFirstRecordRejected(t *testing.T) {
 	frame := testFold(t).Test[0].Frames[0]
 	labels := []int{1, 2}
 	jsonRecord := func(msg ClientMsg) func(*Stream) error {
-		return func(st *Stream) error { return st.enc.Encode(msg) }
+		return func(st *Stream) error { return sendRecord(st, msg) }
 	}
 	const late = "labels after the first record"
 	cases := []struct {

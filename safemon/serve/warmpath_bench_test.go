@@ -12,11 +12,13 @@ package serve
 // allocs/op and a median ns/op budget. TestServeWarmPathZeroAlloc pins
 // the zero-allocation contract on the whole /v1/mux handler, from the
 // open record to the done record, including the connection reader's
-// hand-off to the session goroutine.
+// hand-off to the session goroutine, and TestServeNDJSONZeroAlloc pins
+// it on the whole NDJSON /v1/stream handler.
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -190,12 +192,14 @@ func (w *memResponse) Flush()                          {}
 func (w *memResponse) SetReadDeadline(time.Time) error { return nil }
 func (w *memResponse) EnableFullDuplex() error         { return nil }
 
-// lockstepBody is a /v1/mux request body that plays a lockstep client:
-// the open record, then each frame record only after the server has
-// written its answer to the previous record (opened, then one verdict
-// per frame), then a clean end of the connection. It never lets the
-// reader outrun the session, so the per-sid queue never fills. A server
-// that leaves a record unanswered past timeout fails the connection.
+// lockstepBody is a request body that plays a lockstep client: the open
+// record, then each frame record only after the server has written its
+// answer to the previous record, then a clean end of the connection. On
+// /v1/mux the open record is the sid's open and is answered by opened,
+// then one verdict per frame; on /v1/stream it is the first frame. It
+// never lets the reader outrun the session, so the per-sid queue never
+// fills. A server that leaves a record unanswered past timeout fails the
+// connection.
 type lockstepBody struct {
 	open, frame []byte
 	frames      int // frame records still to send
@@ -289,6 +293,72 @@ func TestServeWarmPathZeroAlloc(t *testing.T) {
 	t.Logf("%.4f allocs/frame", perFrame)
 	if perFrame >= 0.1 {
 		t.Errorf("/v1/mux handler allocates %.3f allocs/frame (%d mallocs for 1000 frames, %d for 2000), want 0",
+			perFrame, m1000, m2000)
+	}
+}
+
+// TestServeNDJSONZeroAlloc pins the zero-allocation contract on the real
+// NDJSON /v1/stream handler: one guarded, ledgered session driven
+// in-process through Server.Handler by a lockstep client whose frame
+// records are the client's own appended bytes. As in
+// TestServeWarmPathZeroAlloc, the per-frame cost is the malloc
+// difference between a 2000-frame and a 1000-frame session, and the
+// measurement only runs without the race detector.
+func TestServeNDJSONZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation measurement is meaningless under -race")
+	}
+	h := newWarmServer(t, true).Handler()
+	safe := testFold(t).Train[0].Frames[10]
+	frame, err := appendFrameRecord(nil, &safe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verdictLen := len(appendVerdictRecord(nil, &VerdictMsg{I: 1 << 20, Score: 1}))
+	session := func(frames int) uint64 {
+		t.Helper()
+		w := &memResponse{header: http.Header{}, written: make(chan struct{}, 1)}
+		w.body.Grow(64 + frames*verdictLen)
+		timeout := time.NewTimer(10 * time.Second)
+		defer timeout.Stop()
+		body := &lockstepBody{open: frame, frame: frame, frames: frames - 1, written: w.written, timeout: timeout.C}
+		req := httptest.NewRequest(http.MethodPost, "/v1/stream?backend=envelope&policy="+testGuardPolicy().Name, body)
+		req.Header.Set("Content-Type", "application/x-ndjson")
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(w, req)
+		runtime.ReadMemStats(&after)
+
+		if body.stalled {
+			t.Fatalf("server left a record unanswered for 10s with %d of %d frames unsent", body.frames, frames)
+		}
+		if w.code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.code, w.body.String())
+		}
+		dec := json.NewDecoder(&w.body)
+		for i := 0; ; i++ {
+			var msg ServerMsg
+			if err := dec.Decode(&msg); err != nil {
+				t.Fatalf("record %d: %v", i, err)
+			}
+			switch {
+			case msg.Verdict != nil && msg.Verdict.I == i:
+				continue
+			case msg.Done == nil || i != frames || msg.Done.Frames != frames:
+				t.Fatalf("record %d: %+v, want %d verdicts, then done", i, msg, frames)
+			}
+			break
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	// Warm every pooled buffer, the stage histograms and the slow ring's
+	// admission path.
+	session(100)
+	m1000, m2000 := session(1000), session(2000)
+	perFrame := (float64(m2000) - float64(m1000)) / 1000
+	t.Logf("%.4f allocs/frame", perFrame)
+	if perFrame >= 0.1 {
+		t.Errorf("/v1/stream handler allocates %.3f allocs/frame (%d mallocs for 1000 frames, %d for 2000), want 0",
 			perFrame, m1000, m2000)
 	}
 }

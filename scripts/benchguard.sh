@@ -7,9 +7,10 @@
 # (BenchmarkSessionStepLoaded) and the ledger-recording path
 # (BenchmarkSessionStepLedgered) — plus the guard policy engine's
 # BenchmarkGuardStep, the event ledger's emit path
-# (BenchmarkLedgerAppend), the binary wire codec's encode+decode
-# round trip (BenchmarkCodecRoundTrip, binary subs only), and the
-# instrumented serve warm path on /v1/mux with stage telemetry enabled
+# (BenchmarkLedgerAppend), the wire codecs' encode+decode round trips
+# (BenchmarkCodecRoundTrip: the binary records, and the NDJSON frame and
+# verdict records through their production appenders and scanners), and
+# the instrumented serve warm path on /v1/mux with stage telemetry enabled
 # (BenchmarkServeStreamWarm/mux*), and enforces three budgets:
 #
 #   1. allocs/op must be 0 on every repeat of every sub-benchmark: the
@@ -71,10 +72,12 @@ ledgerout="$("$GO" test -run='^$' -bench='^BenchmarkLedgerAppend$' \
 	echo "benchguard: ledger benchmark run failed" >&2
 	exit 1
 }
-# Only the binary subs of the codec round-trip are gated: NDJSON
-# marshals through encoding/json and inherently allocates; the binary
-# wire codec's 0 allocs/op warm path is a documented contract (PR 9).
-codecout="$("$GO" test -run='^$' -bench='^BenchmarkCodecRoundTrip$/^binary' \
+# Every sub of the codec round-trip is gated: the binary records, and
+# the NDJSON frame and verdict records, which the frame appender and
+# DecodeRecord's scanner and the verdict appender and the client's
+# scanner carry without encoding/json. A 0 allocs/op warm path is a
+# documented contract of both wires.
+codecout="$("$GO" test -run='^$' -bench='^BenchmarkCodecRoundTrip$' \
 	-benchtime="$BENCHTIME" -count="$BENCHCOUNT" -benchmem ./safemon/serve/)" || {
 	echo "$codecout"
 	echo "benchguard: codec benchmark run failed" >&2
