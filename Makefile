@@ -51,6 +51,8 @@
 #                      for 30s each
 #   make test        - tests only
 #   make race        - race-detector pass over the concurrency-bearing packages
+#                      (safemon, its serving layer, and internal/nn's
+#                      pipelined Fit)
 #   make fmt         - apply gofmt in place
 
 GO ?= go
@@ -85,9 +87,13 @@ test:
 # The safemon façade and the safemond serving layer (concurrent sessions
 # on shared detectors, hot-swap, the in-flight drain, mux session
 # goroutines, Watch) carry the concurrency; they get a dedicated
-# race-detector pass.
+# race-detector pass. So does internal/nn, whose Network.Fit runs its
+# forward and backward stages on two goroutines; the pipeline test runs
+# ten times over, since ./safemon/... reaches Fit only through fixtures.
 race:
 	$(GO) test -race ./safemon/...
+	$(GO) test -race ./internal/nn
+	$(GO) test -race -count=10 -run '^TestFitPipelineMatchesSequential$$' ./internal/nn
 
 bench:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x .

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -356,11 +357,21 @@ func TestGestureClassifierDeterministicSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, _ := a.PredictFrames(trajs[0])
-	pb, _ := b.PredictFrames(trajs[0])
-	for i := range pa {
-		if pa[i] != pb[i] {
-			t.Fatal("training not deterministic for fixed seed")
+	sameWeights(t, "gesture classifier", a.Net, b.Net)
+}
+
+// sameWeights fails unless a and b hold bit-identical weights.
+func sameWeights(t *testing.T, what string, a, b *nn.Network) {
+	t.Helper()
+	pa, pb := a.Params(), b.Params()
+	if len(pa) != len(pb) {
+		t.Fatalf("%s: %d vs %d params across identical trainings", what, len(pa), len(pb))
+	}
+	for i, p := range pa {
+		for j, w := range p.W {
+			if math.Float64bits(w) != math.Float64bits(pb[i].W[j]) {
+				t.Fatalf("%s: %s[%d] = %v vs %v across identical trainings", what, p.Name, j, w, pb[i].W[j])
+			}
 		}
 	}
 }
@@ -381,22 +392,20 @@ func TestErrorLibraryDeterministicSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := make([][]float64, cfg.Window)
-	for i := range w {
-		w[i] = make([]float64, cfg.Features.Dim())
-		for j := range w[i] {
-			w[i][j] = float64(i+j) * 0.1
-		}
+	if len(a.PerGesture) != len(b.PerGesture) {
+		t.Fatalf("%d vs %d heads across identical trainings", len(a.PerGesture), len(b.PerGesture))
 	}
-	for g := range a.PerGesture {
+	for g, net := range a.PerGesture {
 		if b.PerGesture[g] == nil {
 			t.Fatalf("head set differs for gesture %d", g)
 		}
-		sa := a.Score(g, w)
-		sb := b.Score(g, w)
-		if math.Abs(sa-sb) > 1e-12 {
-			t.Fatalf("gesture %d: scores %.9f vs %.9f across identical trainings", g, sa, sb)
-		}
+		sameWeights(t, fmt.Sprintf("gesture %d head", g), net, b.PerGesture[g])
+	}
+	if (a.Global == nil) != (b.Global == nil) {
+		t.Fatal("global head set differs across identical trainings")
+	}
+	if a.Global != nil {
+		sameWeights(t, "global head", a.Global, b.Global)
 	}
 }
 

@@ -132,23 +132,34 @@ func TrainGestureClassifier(trajs []*kinematics.Trajectory, cfg GestureClassifie
 // Stream.Push, which classifies the partial window seen so far; from frame
 // Window-1 on the two agree.
 func (gc *GestureClassifier) PredictFrames(traj *kinematics.Trajectory) ([]int, error) {
+	out, _, err := gc.predictFrames(traj)
+	return out, err
+}
+
+// predictFrames is PredictFrames that also reports, per frame, whether the
+// logits it took the frame's gesture from hold a NaN.
+func (gc *GestureClassifier) predictFrames(traj *kinematics.Trajectory) (out []int, nan []bool, err error) {
 	windows, err := dataset.SlideTrajectory(traj, 0, dataset.Config{
 		Features: gc.Config.Features, Size: gc.Config.Window, Stride: 1, Standardizer: gc.Standardizer,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := make([]int, len(traj.Frames))
+	out = make([]int, len(traj.Frames))
+	nan = make([]bool, len(traj.Frames))
 	if len(windows) == 0 {
-		return out, nil
+		return out, nan, nil
 	}
 	for _, w := range windows {
-		out[w.FrameIndex] = gc.Net.PredictClass(w.X)
+		logits := gc.Net.Forward(w.X, false)
+		out[w.FrameIndex] = nn.Argmax(logits)
+		nan[w.FrameIndex] = hasNaN(logits)
 	}
 	for i := 0; i < gc.Config.Window-1 && i < len(out); i++ {
 		out[i] = out[gc.Config.Window-1]
+		nan[i] = nan[gc.Config.Window-1]
 	}
-	return out, nil
+	return out, nan, nil
 }
 
 // Confusion evaluates the classifier on labeled trajectories, returning the

@@ -109,6 +109,7 @@ func (m *Monitor) Run(traj *kinematics.Trajectory) (*Trace, error) {
 	}
 	useGT := m.UseGroundTruthGestures || !m.Errors.GestureSpecific
 	var gestures []int
+	var nanLogits []bool // per frame: the gesture logits hold a NaN
 	var gestureNS float64
 	if useGT {
 		if len(traj.Gestures) != len(traj.Frames) {
@@ -121,7 +122,7 @@ func (m *Monitor) Run(traj *kinematics.Trajectory) (*Trace, error) {
 		}
 		start := time.Now()
 		var err error
-		gestures, err = m.Gestures.PredictFrames(traj)
+		gestures, nanLogits, err = m.Gestures.predictFrames(traj)
 		if err != nil {
 			return nil, err
 		}
@@ -135,12 +136,30 @@ func (m *Monitor) Run(traj *kinematics.Trajectory) (*Trace, error) {
 		m.Errors.Standardizer.TransformAll(feat)
 	}
 
+	// lastBad[i] is the last frame at or before i holding a NaN or ±Inf
+	// value, or -1. The gesture window of frame i ends at i, or at
+	// Window-1 for the first frames, which take their context from there.
+	lastBad := make([]int, len(traj.Frames))
+	bad := -1
+	for i := range traj.Frames {
+		if !finite(&traj.Frames[i]) {
+			bad = i
+		}
+		lastBad[i] = bad
+	}
+
 	trace := &Trace{GestureComputeNS: gestureNS}
 	start := time.Now()
 	for end := range traj.Frames {
 		lo := end - cfg.Window + 1
 		if lo < 0 {
 			lo = 0
+		}
+		tainted := lastBad[end] >= lo
+		if !useGT {
+			gw := m.Gestures.Config.Window
+			hi := min(max(end, gw-1), len(traj.Frames)-1)
+			tainted = tainted || lastBad[hi] > hi-gw
 		}
 		g := 0
 		if m.Errors.GestureSpecific {
@@ -152,7 +171,7 @@ func (m *Monitor) Run(traj *kinematics.Trajectory) (*Trace, error) {
 		if next, blend := m.lookahead(g); next != 0 {
 			score = worse(score, blend*m.Errors.Score(next, feat[lo:end+1]))
 		}
-		if !finite(&traj.Frames[end]) {
+		if tainted || nanLogits != nil && nanLogits[end] {
 			score = math.NaN()
 		}
 		v := FrameVerdict{
@@ -200,17 +219,33 @@ func (m *Monitor) unsafe(score float64) bool {
 	return score >= m.Threshold || math.IsNaN(score)
 }
 
-// finite reports whether every value of f is finite. Run and Push give a
-// frame holding a NaN or ±Inf value a NaN score, which is unsafe: the
-// networks' ReLU and max-pool layers can turn such an input into a
-// finite, safe-looking score.
+// finite reports whether every value of f is finite. Run and Push give
+// every verdict whose gesture or error window holds a frame with a NaN or
+// ±Inf value a NaN score, which is unsafe: the networks can turn such a
+// row into a finite, safe-looking score. A single ±Inf input saturates an
+// LSTM gate to an exact 0 or 1 rather than making it NaN, so the check is
+// on the windows' frames, not on the networks' outputs.
 func finite(f *kinematics.Frame) bool {
 	for _, v := range f {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if v-v != 0 { // 0 for every finite v, NaN for NaN and ±Inf
 			return false
 		}
 	}
 	return true
+}
+
+// hasNaN reports whether any of xs is NaN. Run and Push give a verdict
+// whose gesture logits hold a NaN a NaN score: Argmax still picks a head
+// from them, but the context it names is meaningless. Finite frames can
+// get there too, when an activation overflows to ±Inf and meets its
+// opposite.
+func hasNaN(xs []float64) bool {
+	for _, x := range xs {
+		if x != x {
+			return true
+		}
+	}
+	return false
 }
 
 // worse returns the larger of the current-context and lookahead scores,
@@ -333,6 +368,9 @@ type Stream struct {
 	projWin     slidingWindow
 	projStale   int
 	frameIdx    int
+	// tainted counts the verdicts, the current one included, whose
+	// windows still hold a frame with a NaN or ±Inf value (see see).
+	tainted int
 	// groundTruth optionally supplies per-frame gesture labels for
 	// perfect-boundary streaming.
 	groundTruth []int
@@ -386,6 +424,7 @@ func (s *Stream) Reset(groundTruth []int) error {
 	s.projStale = 0
 	s.errorWin.reset()
 	s.frameIdx = 0
+	s.tainted = 0
 	s.groundTruth = groundTruth
 	return nil
 }
@@ -402,6 +441,7 @@ func (s *Stream) Reset(groundTruth []int) error {
 func (s *Stream) Observe(f *kinematics.Frame) {
 	m := s.m
 	s.frameIdx++
+	s.see(f)
 	if s.gesturePred != nil {
 		s.advanceGesture(f)
 	}
@@ -416,10 +456,11 @@ func (s *Stream) Push(f *kinematics.Frame) FrameVerdict {
 	m := s.m
 	idx := s.frameIdx
 	s.frameIdx++
+	s.see(f)
 
 	// Gesture context. Gesture-agnostic libraries echo supplied labels so
 	// verdicts stay frame-aligned with Run's per-gesture reporting.
-	g := 0
+	g, nanLogits := 0, false
 	switch {
 	case (m.UseGroundTruthGestures || !m.Errors.GestureSpecific) && s.groundTruth != nil:
 		if idx < len(s.groundTruth) {
@@ -427,7 +468,7 @@ func (s *Stream) Push(f *kinematics.Frame) FrameVerdict {
 		}
 	case s.gesturePred != nil:
 		s.advanceGesture(f)
-		g = s.classify()
+		g, nanLogits = s.classify()
 	}
 
 	// Error stage.
@@ -443,7 +484,7 @@ func (s *Stream) Push(f *kinematics.Frame) FrameVerdict {
 	if next, blend := m.lookahead(g); next != 0 {
 		score = worse(score, blend*s.errHeads.score(next, s.errorWin.rows))
 	}
-	if !finite(f) {
+	if s.tainted > 0 || nanLogits {
 		score = math.NaN()
 	}
 	return FrameVerdict{
@@ -451,6 +492,17 @@ func (s *Stream) Push(f *kinematics.Frame) FrameVerdict {
 		Gesture:    g,
 		Score:      score,
 		Unsafe:     m.unsafe(score),
+	}
+}
+
+// see counts frame f into s.tainted: a frame holding a NaN or ±Inf value
+// stays in the stream's windows for as many frames as the longer one
+// holds, its own included.
+func (s *Stream) see(f *kinematics.Frame) {
+	if !finite(f) {
+		s.tainted = max(cap(s.errorWin.rows), cap(s.gestureWin.rows))
+	} else if s.tainted > 0 {
+		s.tainted--
 	}
 }
 
@@ -470,15 +522,18 @@ func (s *Stream) advanceGesture(f *kinematics.Frame) {
 }
 
 // classify returns the gesture class of the current window, projecting
-// only the rows that are still stale.
-func (s *Stream) classify() int {
+// only the rows that are still stale, and whether its logits hold a NaN.
+func (s *Stream) classify() (int, bool) {
+	var logits []float64
 	if s.gestureLSTM == nil {
-		return s.gesturePred.PredictClass(s.gestureWin.rows)
+		logits = s.gesturePred.Forward(s.gestureWin.rows)
+	} else {
+		rows, proj := s.gestureWin.rows, s.projWin.rows
+		for t := len(rows) - s.projStale; t < len(rows); t++ {
+			s.gestureLSTM.Project(proj[t], rows[t])
+		}
+		s.projStale = 0
+		logits = s.gesturePred.ForwardProjected(proj)
 	}
-	rows, proj := s.gestureWin.rows, s.projWin.rows
-	for t := len(rows) - s.projStale; t < len(rows); t++ {
-		s.gestureLSTM.Project(proj[t], rows[t])
-	}
-	s.projStale = 0
-	return nn.Argmax(s.gesturePred.ForwardProjected(proj))
+	return nn.Argmax(logits), hasNaN(logits)
 }

@@ -190,7 +190,8 @@ func TestStreamMatchesRun(t *testing.T) {
 // TestStreamResetPoolSafety pins the Reset contract: a stream abandoned
 // mid-trajectory and Reset onto a different trajectory must produce
 // verdicts identical to a fresh stream's — no window contents, frame
-// counter, or stale labels may survive — across many reuse cycles.
+// counter, stale labels or pending non-finite-row verdicts may survive —
+// across many reuse cycles.
 func TestStreamResetPoolSafety(t *testing.T) {
 	lib, mono, fold := streamFixtures(t)
 	if len(fold.Test) < 2 {
@@ -214,6 +215,11 @@ func TestStreamResetPoolSafety(t *testing.T) {
 					for i := 0; i < other.Len()/3; i++ {
 						reused.Push(&other.Frames[i])
 					}
+					var nan kinematics.Frame
+					for k := range nan {
+						nan[k] = math.NaN()
+					}
+					reused.Push(&nan)
 					if err := reused.Reset(traj.Gestures); err != nil {
 						t.Fatal(err)
 					}

@@ -66,7 +66,7 @@ func TestPredictorMatchesForward(t *testing.T) {
 						t.Fatalf("T=%d class %d: predictor %v vs forward %v", T, i, got[i], want[i])
 					}
 				}
-				if gc, wc := p.PredictClass(x), tc.net.PredictClass(x); gc != wc {
+				if gc, wc := p.PredictClass(x), Argmax(tc.net.Forward(x, false)); gc != wc {
 					t.Fatalf("T=%d: predictor class %d vs forward %d", T, gc, wc)
 				}
 			}

@@ -49,11 +49,16 @@ func (c *Conv1D) Forward(x [][]float64, train bool) [][]float64 {
 
 // Backward implements Layer.
 func (c *Conv1D) Backward(gradOut [][]float64) [][]float64 {
+	gradIn := seq(len(c.lastIn), c.In)
+	c.backward(gradOut, gradIn)
+	return gradIn
+}
+
+// backward implements Layer.
+func (c *Conv1D) backward(gradOut, gradIn [][]float64) {
 	T := len(c.lastIn)
-	gradIn := seq(T, c.In)
 	for t := range gradOut {
-		for o := 0; o < c.Out; o++ {
-			g := gradOut[t][o]
+		for o, g := range gradOut[t][:c.Out] {
 			if g == 0 {
 				continue
 			}
@@ -63,22 +68,25 @@ func (c *Conv1D) Backward(gradOut [][]float64) [][]float64 {
 				if ti >= T {
 					break
 				}
-				wRow := c.Weight.W[(o*c.K+k)*c.In : (o*c.K+k+1)*c.In]
-				gRow := c.Weight.G[(o*c.K+k)*c.In : (o*c.K+k+1)*c.In]
-				xt := c.lastIn[ti]
-				gi := gradIn[ti]
-				for i := 0; i < c.In; i++ {
-					gRow[i] += g * xt[i]
-					gi[i] += g * wRow[i]
+				row := (o*c.K + k) * c.In
+				gRow := c.Weight.G[row : row+c.In]
+				if gradIn == nil {
+					axpy(gRow, g, c.lastIn[ti])
+				} else {
+					axpy2(gRow, c.lastIn[ti], gradIn[ti], c.Weight.W[row:row+c.In], g)
 				}
 			}
 		}
 	}
-	return gradIn
 }
 
 // Params implements Layer.
 func (c *Conv1D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
+
+// twin implements Layer.
+func (c *Conv1D) twin() Layer {
+	return &Conv1D{In: c.In, Out: c.Out, K: c.K, Weight: c.Weight, Bias: c.Bias}
+}
 
 // OutDim implements Layer.
 func (c *Conv1D) OutDim(int) int { return c.Out }

@@ -52,7 +52,7 @@ type Predictor struct {
 
 // NewPredictor builds a reusable inference workspace for windows of up to
 // maxT timesteps with inDim input features. Outputs are numerically
-// identical to Network.Predict / PredictClass on the same window.
+// identical to Network.Forward / Predict on the same window.
 func (n *Network) NewPredictor(maxT, inDim int) *Predictor {
 	p := &Predictor{net: n, scr: make([]*scratch, len(n.Layers))}
 	d := inDim
@@ -136,7 +136,7 @@ func (r *ReLU) infer(x [][]float64, s *scratch) [][]float64 {
 	for t := range x {
 		ot := out[t][:len(x[t])]
 		for i, v := range x[t] {
-			if v > 0 {
+			if !(v <= 0) { // v > 0, or NaN, which must propagate
 				ot[i] = v
 			} else {
 				ot[i] = 0
@@ -189,8 +189,8 @@ func (g *GlobalMaxPool) infer(x [][]float64, s *scratch) [][]float64 {
 	for i := 0; i < d; i++ {
 		best := x[0][i]
 		for t := 1; t < len(x); t++ {
-			if x[t][i] > best {
-				best = x[t][i]
+			if v := x[t][i]; v > best || v != v {
+				best = v
 			}
 		}
 		row[i] = best

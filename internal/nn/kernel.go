@@ -188,3 +188,24 @@ func conv1dInto(out, x [][]float64, w, bias []float64, outDim, inDim, K int) {
 		}
 	}
 }
+
+// axpy computes dst[i] += a·x[i] for i in [0, len(dst)): one row of a
+// training backward pass's gradient accumulation. x is resliced to
+// len(dst) so the compiler drops the loop's bounds checks.
+func axpy(dst []float64, a float64, x []float64) {
+	x = x[:len(dst)]
+	for i, xi := range x {
+		dst[i] += a * xi
+	}
+}
+
+// axpy2 is two axpys in one pass, g += a·x and gi += a·w: a parameter
+// gradient row and the matching input gradient row. Each element gets
+// exactly the one addition the separate loops would give it.
+func axpy2(g, x, gi, w []float64, a float64) {
+	x, gi, w = x[:len(g)], gi[:len(g)], w[:len(g)]
+	for i, xi := range x {
+		g[i] += a * xi
+		gi[i] += a * w[i]
+	}
+}

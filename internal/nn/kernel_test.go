@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -320,5 +321,116 @@ func BenchmarkConv1dKernel(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		conv1dInto(dst, x, w, bias, out, in, K)
+	}
+}
+
+// refLSTMBackward is LSTM.Backward's BPTT loop written with plain indexed
+// loops, run over l's caches.
+func refLSTMBackward(l *LSTM, gradOut [][]float64) [][]float64 {
+	T, H := len(l.xs), l.Hidden
+	gradIn := seq(T, l.In)
+	dhNext := make([]float64, H)
+	dcNext := make([]float64, H)
+	dGate := make([]float64, 4*H)
+	for t := T - 1; t >= 0; t-- {
+		for j := 0; j < H; j++ {
+			dh := gradOut[t][j] + dhNext[j]
+			c := l.cs[t+1][j]
+			tc := math.Tanh(c)
+			o := l.g_o[t][j]
+			do := dh * tc
+			dc := dh*o*(1-tc*tc) + dcNext[j]
+			i, f, g := l.gi[t][j], l.gf[t][j], l.gg[t][j]
+			dcNext[j] = dc * f
+			dGate[j] = dc * g * i * (1 - i)
+			dGate[H+j] = dc * l.cs[t][j] * f * (1 - f)
+			dGate[2*H+j] = dc * i * (1 - g*g)
+			dGate[3*H+j] = do * o * (1 - o)
+		}
+		for j := range dhNext {
+			dhNext[j] = 0
+		}
+		for g := 0; g < 4*H; g++ {
+			dg := dGate[g]
+			if dg == 0 {
+				continue
+			}
+			l.B.G[g] += dg
+			for i := 0; i < l.In; i++ {
+				l.Wx.G[g*l.In+i] += dg * l.xs[t][i]
+				gradIn[t][i] += dg * l.Wx.W[g*l.In+i]
+			}
+			for i := 0; i < H; i++ {
+				l.Wh.G[g*H+i] += dg * l.hs[t][i]
+				dhNext[i] += dg * l.Wh.W[g*H+i]
+			}
+		}
+	}
+	return gradIn
+}
+
+// TestLSTMBackwardMatchesReference pins the BPTT's axpy rows, with and
+// without the input gradient, to the plain loop bit for bit, on gradients
+// that start random or all -0. Zeroed output gradients give whole gate
+// rows a zero gradient, which both loops must skip: over a one-step
+// window such a row's -0 gradients get no other term, so adding its 0·x
+// terms would flip sign bits.
+func TestLSTMBackwardMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	shapes := []struct{ T, in, hidden int }{{1, 3, 1}, {1, 6, 4}, {5, 7, 4}, {12, 38, 32}, {6, 5, 9}}
+	for c := range 2 * len(shapes) {
+		sh, negZero := shapes[c/2], c%2 == 1
+		net := NewLSTM(rng, sh.in, sh.hidden)
+		net.Forward(randSeq(rng, sh.T, sh.in), true)
+		gradOut := randSeq(rng, sh.T, sh.hidden)
+		for j := 0; j < sh.hidden; j += 2 {
+			gradOut[sh.T-1][j] = 0 // the last step's dropped units
+		}
+		seedGrads := func() {
+			for _, p := range net.Params() {
+				for i := range p.G {
+					p.G[i] = rng.NormFloat64()
+					if negZero {
+						p.G[i] = math.Copysign(0, -1)
+					}
+				}
+			}
+		}
+		grads := func() (out [][]float64) {
+			for _, p := range net.Params() {
+				out = append(out, append([]float64(nil), p.G...))
+			}
+			return out
+		}
+		seedGrads()
+		start := grads()
+		wantIn := refLSTMBackward(net, gradOut)
+		want := grads()
+		for _, withIn := range []bool{true, false} {
+			for i, p := range net.Params() {
+				copy(p.G, start[i])
+			}
+			var gotIn [][]float64
+			if withIn {
+				gotIn = net.Backward(gradOut)
+			} else {
+				net.backward(gradOut, nil)
+			}
+			for i, g := range grads() {
+				for j := range g {
+					if math.Float64bits(g[j]) != math.Float64bits(want[i][j]) {
+						t.Fatalf("%+v negZero=%v withIn=%v: %s.G[%d] = %v, reference %v",
+							sh, negZero, withIn, net.Params()[i].Name, j, g[j], want[i][j])
+					}
+				}
+			}
+			for ti := range gotIn {
+				for j := range gotIn[ti] {
+					if math.Float64bits(gotIn[ti][j]) != math.Float64bits(wantIn[ti][j]) {
+						t.Fatalf("%+v: gradIn[%d][%d] = %v, reference %v", sh, ti, j, gotIn[ti][j], wantIn[ti][j])
+					}
+				}
+			}
+		}
 	}
 }

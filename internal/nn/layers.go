@@ -43,34 +43,41 @@ func (d *Dense) Forward(x [][]float64, train bool) [][]float64 {
 // Backward implements Layer.
 func (d *Dense) Backward(gradOut [][]float64) [][]float64 {
 	gradIn := seq(len(gradOut), d.In)
-	for t := range gradOut {
+	d.backward(gradOut, gradIn)
+	return gradIn
+}
+
+// backward implements Layer.
+func (d *Dense) backward(gradOut, gradIn [][]float64) {
+	for t, gt := range gradOut {
 		xt := d.lastIn[t]
-		gt := gradOut[t]
-		for o := 0; o < d.Out; o++ {
-			go_ := gt[o]
-			if go_ == 0 {
+		for o, g := range gt[:d.Out] {
+			if g == 0 {
 				continue
 			}
-			d.Bias.G[o] += go_
-			wRow := d.Weight.W[o*d.In : (o+1)*d.In]
+			d.Bias.G[o] += g
 			gRow := d.Weight.G[o*d.In : (o+1)*d.In]
-			gi := gradIn[t]
-			for i := 0; i < d.In; i++ {
-				gRow[i] += go_ * xt[i]
-				gi[i] += go_ * wRow[i]
+			if gradIn == nil {
+				axpy(gRow, g, xt)
+			} else {
+				axpy2(gRow, xt, gradIn[t], d.Weight.W[o*d.In:(o+1)*d.In], g)
 			}
 		}
 	}
-	return gradIn
 }
 
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.Weight, d.Bias} }
 
+// twin implements Layer.
+func (d *Dense) twin() Layer { return &Dense{In: d.In, Out: d.Out, Weight: d.Weight, Bias: d.Bias} }
+
 // OutDim implements Layer.
 func (d *Dense) OutDim(int) int { return d.Out }
 
-// ReLU is the rectified linear activation applied elementwise.
+// ReLU is the rectified linear activation applied elementwise. A NaN
+// passes through, so arithmetic that broke upstream is never turned into
+// a finite activation.
 type ReLU struct {
 	lastIn [][]float64
 }
@@ -88,7 +95,7 @@ func (r *ReLU) Forward(x [][]float64, train bool) [][]float64 {
 	out := seq(len(x), len(x[0]))
 	for t := range x {
 		for i, v := range x[t] {
-			if v > 0 {
+			if !(v <= 0) { // v > 0, or NaN, which must propagate
 				out[t][i] = v
 			}
 		}
@@ -102,18 +109,26 @@ func (r *ReLU) Backward(gradOut [][]float64) [][]float64 {
 		return gradOut
 	}
 	gradIn := seq(len(gradOut), len(gradOut[0]))
-	for t := range gradOut {
+	r.backward(gradOut, gradIn)
+	return gradIn
+}
+
+// backward implements Layer.
+func (r *ReLU) backward(gradOut, gradIn [][]float64) {
+	for t := range gradIn {
 		for i := range gradOut[t] {
 			if r.lastIn[t][i] > 0 {
 				gradIn[t][i] = gradOut[t][i]
 			}
 		}
 	}
-	return gradIn
 }
 
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
+
+// twin implements Layer.
+func (r *ReLU) twin() Layer { return &ReLU{} }
 
 // OutDim implements Layer.
 func (r *ReLU) OutDim(in int) int { return in }
@@ -145,17 +160,25 @@ func (a *Tanh) Forward(x [][]float64, train bool) [][]float64 {
 // Backward implements Layer.
 func (a *Tanh) Backward(gradOut [][]float64) [][]float64 {
 	gradIn := seq(len(gradOut), len(gradOut[0]))
-	for t := range gradOut {
+	a.backward(gradOut, gradIn)
+	return gradIn
+}
+
+// backward implements Layer.
+func (a *Tanh) backward(gradOut, gradIn [][]float64) {
+	for t := range gradIn {
 		for i := range gradOut[t] {
 			y := a.lastOut[t][i]
 			gradIn[t][i] = gradOut[t][i] * (1 - y*y)
 		}
 	}
-	return gradIn
 }
 
 // Params implements Layer.
 func (a *Tanh) Params() []*Param { return nil }
+
+// twin implements Layer.
+func (a *Tanh) twin() Layer { return &Tanh{} }
 
 // OutDim implements Layer.
 func (a *Tanh) OutDim(in int) int { return in }
@@ -205,16 +228,28 @@ func (d *Dropout) Backward(gradOut [][]float64) [][]float64 {
 		return gradOut
 	}
 	gradIn := seq(len(gradOut), len(gradOut[0]))
-	for t := range gradOut {
+	d.backward(gradOut, gradIn)
+	return gradIn
+}
+
+// backward implements Layer.
+func (d *Dropout) backward(gradOut, gradIn [][]float64) {
+	for t := range gradIn {
+		if d.mask == nil {
+			copy(gradIn[t], gradOut[t])
+			continue
+		}
 		for i := range gradOut[t] {
 			gradIn[t][i] = gradOut[t][i] * d.mask[t][i]
 		}
 	}
-	return gradIn
 }
 
 // Params implements Layer.
 func (d *Dropout) Params() []*Param { return nil }
+
+// twin implements Layer.
+func (d *Dropout) twin() Layer { return &Dropout{P: d.P, Rng: d.Rng} }
 
 // OutDim implements Layer.
 func (d *Dropout) OutDim(in int) int { return in }
@@ -241,18 +276,29 @@ func (l *TakeLast) Forward(x [][]float64, train bool) [][]float64 {
 // Backward implements Layer.
 func (l *TakeLast) Backward(gradOut [][]float64) [][]float64 {
 	gradIn := seq(l.lastT, len(gradOut[0]))
-	copy(gradIn[l.lastT-1], gradOut[0])
+	l.backward(gradOut, gradIn)
 	return gradIn
+}
+
+// backward implements Layer.
+func (l *TakeLast) backward(gradOut, gradIn [][]float64) {
+	if len(gradIn) > 0 {
+		copy(gradIn[len(gradIn)-1], gradOut[0])
+	}
 }
 
 // Params implements Layer.
 func (l *TakeLast) Params() []*Param { return nil }
+
+// twin implements Layer.
+func (l *TakeLast) twin() Layer { return &TakeLast{} }
 
 // OutDim implements Layer.
 func (l *TakeLast) OutDim(in int) int { return in }
 
 // GlobalMaxPool reduces a sequence by taking the per-feature maximum over
 // time: [T][D] -> [1][D]. It is the readout used after the Conv1D stack.
+// A NaN anywhere in a feature's column is that feature's maximum.
 type GlobalMaxPool struct {
 	argmax []int
 	lastT  int
@@ -274,8 +320,8 @@ func (g *GlobalMaxPool) Forward(x [][]float64, train bool) [][]float64 {
 	for i := 0; i < d; i++ {
 		best, bestT := x[0][i], 0
 		for t := 1; t < len(x); t++ {
-			if x[t][i] > best {
-				best, bestT = x[t][i], t
+			if v := x[t][i]; v > best || v != v {
+				best, bestT = v, t
 			}
 		}
 		out[0][i] = best
@@ -290,16 +336,26 @@ func (g *GlobalMaxPool) Forward(x [][]float64, train bool) [][]float64 {
 
 // Backward implements Layer.
 func (g *GlobalMaxPool) Backward(gradOut [][]float64) [][]float64 {
-	d := len(gradOut[0])
-	gradIn := seq(g.lastT, d)
-	for i := 0; i < d; i++ {
-		gradIn[g.argmax[i]][i] = gradOut[0][i]
-	}
+	gradIn := seq(g.lastT, len(gradOut[0]))
+	g.backward(gradOut, gradIn)
 	return gradIn
+}
+
+// backward implements Layer.
+func (g *GlobalMaxPool) backward(gradOut, gradIn [][]float64) {
+	if gradIn == nil {
+		return
+	}
+	for i, v := range gradOut[0] {
+		gradIn[g.argmax[i]][i] = v
+	}
 }
 
 // Params implements Layer.
 func (g *GlobalMaxPool) Params() []*Param { return nil }
+
+// twin implements Layer.
+func (g *GlobalMaxPool) twin() Layer { return &GlobalMaxPool{} }
 
 // OutDim implements Layer.
 func (g *GlobalMaxPool) OutDim(in int) int { return in }
@@ -331,14 +387,22 @@ func (f *Flatten) Forward(x [][]float64, train bool) [][]float64 {
 // Backward implements Layer.
 func (f *Flatten) Backward(gradOut [][]float64) [][]float64 {
 	gradIn := seq(f.lastT, f.lastD)
-	for t := 0; t < f.lastT; t++ {
+	f.backward(gradOut, gradIn)
+	return gradIn
+}
+
+// backward implements Layer.
+func (f *Flatten) backward(gradOut, gradIn [][]float64) {
+	for t := range gradIn {
 		copy(gradIn[t], gradOut[0][t*f.lastD:(t+1)*f.lastD])
 	}
-	return gradIn
 }
 
 // Params implements Layer.
 func (f *Flatten) Params() []*Param { return nil }
+
+// twin implements Layer.
+func (f *Flatten) twin() Layer { return &Flatten{} }
 
 // OutDim implements Layer.
 func (f *Flatten) OutDim(in int) int { return in } // true dim depends on T; validated at runtime

@@ -36,14 +36,20 @@ func SoftmaxInto(out, logits []float64) []float64 {
 // respect to the logits (probs - onehot).
 func CrossEntropyLoss(logits []float64, target int) (loss float64, grad []float64) {
 	probs := Softmax(logits)
+	loss = nll(probs, target)
 	grad = probs
+	grad[target] -= 1
+	return loss, grad
+}
+
+// nll is the negative log-likelihood of target under probs, with the
+// probability floored at 1e-15.
+func nll(probs []float64, target int) float64 {
 	p := probs[target]
 	if p < 1e-15 {
 		p = 1e-15
 	}
-	loss = -math.Log(p)
-	grad[target] -= 1
-	return loss, grad
+	return -math.Log(p)
 }
 
 // WeightedCrossEntropyLoss is CrossEntropyLoss with a per-class weight

@@ -108,8 +108,14 @@ func (l *LSTM) Forward(x [][]float64, train bool) [][]float64 {
 
 // Backward implements Layer (full BPTT over the cached window).
 func (l *LSTM) Backward(gradOut [][]float64) [][]float64 {
+	gradIn := seq(len(l.xs), l.In)
+	l.backward(gradOut, gradIn)
+	return gradIn
+}
+
+// backward implements Layer.
+func (l *LSTM) backward(gradOut, gradIn [][]float64) {
 	T, H := len(l.xs), l.Hidden
-	gradIn := seq(T, l.In)
 	dhNext := make([]float64, H)
 	dcNext := make([]float64, H)
 	dGate := make([]float64, 4*H)
@@ -134,34 +140,27 @@ func (l *LSTM) Backward(gradOut [][]float64) [][]float64 {
 			dGate[3*H+j] = do * o * (1 - o)
 		}
 		// accumulate parameter grads and input/hidden grads
-		for j := range dhNext {
-			dhNext[j] = 0
-		}
-		xt := l.xs[t]
+		clear(dhNext)
+		xt := l.xs[t][:l.In]
 		ht := l.hs[t]
-		for g := 0; g < 4*H; g++ {
-			dg := dGate[g]
+		for g, dg := range dGate {
 			if dg == 0 {
 				continue
 			}
 			l.B.G[g] += dg
-			wxRow := l.Wx.W[g*l.In : (g+1)*l.In]
 			gxRow := l.Wx.G[g*l.In : (g+1)*l.In]
-			gi := gradIn[t]
-			for i := 0; i < l.In; i++ {
-				gxRow[i] += dg * xt[i]
-				gi[i] += dg * wxRow[i]
+			if gradIn == nil {
+				axpy(gxRow, dg, xt)
+			} else {
+				axpy2(gxRow, xt, gradIn[t], l.Wx.W[g*l.In:(g+1)*l.In], dg)
 			}
-			whRow := l.Wh.W[g*H : (g+1)*H]
-			ghRow := l.Wh.G[g*H : (g+1)*H]
-			for i := 0; i < H; i++ {
-				ghRow[i] += dg * ht[i]
-				dhNext[i] += dg * whRow[i]
-			}
+			axpy2(l.Wh.G[g*H:(g+1)*H], ht, dhNext, l.Wh.W[g*H:(g+1)*H], dg)
 		}
 	}
-	return gradIn
 }
+
+// twin implements Layer.
+func (l *LSTM) twin() Layer { return &LSTM{In: l.In, Hidden: l.Hidden, Wx: l.Wx, Wh: l.Wh, B: l.B} }
 
 // Params implements Layer.
 func (l *LSTM) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }

@@ -60,17 +60,129 @@ func (n *Network) Predict(x [][]float64) []float64 {
 	return Softmax(n.Forward(x, false))
 }
 
-// PredictClass returns the argmax class for a window.
-func (n *Network) PredictClass(x [][]float64) int {
-	return Argmax(n.Forward(x, false))
+// twin returns a network of n's layers' twins (see Layer).
+func (n *Network) twin() *Network {
+	layers := make([]Layer, len(n.Layers))
+	for i, l := range n.Layers {
+		layers[i] = l.twin()
+	}
+	return NewNetwork(layers...)
 }
 
-// backward pushes a logits gradient through the network.
-func (n *Network) backward(grad []float64) {
+// lowestParamLayer returns the index of the first layer with parameters,
+// or len(n.Layers) if none has any.
+func (n *Network) lowestParamLayer() int {
+	for i, l := range n.Layers {
+		if len(l.Params()) > 0 {
+			return i
+		}
+	}
+	return len(n.Layers)
+}
+
+// backward pushes a logits gradient through the network down to layer
+// low, which accumulates only its parameter gradients: its input gradient,
+// and every layer below it, has none to feed.
+func (n *Network) backward(grad []float64, low int) {
 	g := [][]float64{grad}
-	for i := len(n.Layers) - 1; i >= 0; i-- {
+	for i := len(n.Layers) - 1; i > low; i-- {
 		g = n.Layers[i].Backward(g)
 	}
+	if low < len(n.Layers) {
+		n.Layers[low].backward(g, nil)
+	}
+}
+
+// sampleLoss is one sample's training forward: its weighted loss and the
+// loss gradient with respect to the logits. panicked carries a panic out
+// of the forward stage's goroutine.
+type sampleLoss struct {
+	loss     float64
+	grad     []float64
+	panicked any
+}
+
+// forwardLoss runs s's training forward on net.
+func forwardLoss(net *Network, s *Sample) sampleLoss {
+	logits := net.Forward(s.X, true)
+	w := s.Weight
+	if w == 0 {
+		w = 1
+	}
+	loss, grad := WeightedCrossEntropyLoss(logits, s.Y, w)
+	return sampleLoss{loss: loss, grad: grad}
+}
+
+// forwardJob asks the forward stage for s's training forward on net.
+type forwardJob struct {
+	net *Network
+	s   *Sample
+}
+
+func (j forwardJob) run() (r sampleLoss) {
+	defer func() {
+		if p := recover(); p != nil {
+			r.panicked = p
+		}
+	}()
+	return forwardLoss(j.net, j.s)
+}
+
+// pipeline is Fit's schedule over one mini-batch: a forward-stage
+// goroutine runs sample k+1's training forward on one of nets while the
+// caller runs sample k's backward pass on the other. nets are the network
+// and its twin, so both stages see the same weights, the forwards draw
+// dropout masks in sample order, and the caller accumulates gradients and
+// losses in sample order: the sequential loop's arithmetic exactly.
+type pipeline struct {
+	nets [2]*Network
+	low  int
+	jobs chan forwardJob
+	done chan sampleLoss
+}
+
+func newPipeline(n *Network) *pipeline {
+	p := &pipeline{
+		nets: [2]*Network{n, n.twin()},
+		low:  n.lowestParamLayer(),
+		jobs: make(chan forwardJob, 1),
+		done: make(chan sampleLoss, 1),
+	}
+	go func() {
+		defer close(p.done)
+		for j := range p.jobs {
+			p.done <- j.run()
+		}
+	}()
+	return p
+}
+
+// stop ends the forward stage and returns once its goroutine has exited.
+func (p *pipeline) stop() {
+	close(p.jobs)
+	for range p.done {
+	}
+}
+
+// batch accumulates the gradients of train[i] for i in idx and returns
+// sum plus their losses, added in sample order. Both stages are idle when
+// it returns.
+func (p *pipeline) batch(train []Sample, idx []int, sum float64) float64 {
+	cur := forwardLoss(p.nets[0], &train[idx[0]])
+	for k := range idx {
+		more := k+1 < len(idx)
+		if more {
+			p.jobs <- forwardJob{p.nets[(k+1)%2], &train[idx[k+1]]}
+		}
+		sum += cur.loss
+		p.nets[k%2].backward(cur.grad, p.low)
+		if more {
+			if cur = <-p.done; cur.panicked != nil {
+				panic(cur.panicked)
+			}
+		}
+	}
+	return sum
 }
 
 // TrainConfig controls Network.Fit.
@@ -105,6 +217,12 @@ type FitResult struct {
 // Fit trains the network with Adam + step decay and early stopping on a
 // held-out validation set (paper §III). val may be empty, in which case
 // early stopping is disabled and training runs all epochs.
+//
+// Within a mini-batch, one sample's forward pass runs on a second
+// goroutine while the caller runs the previous sample's backward pass
+// (see Layer); the result is the sequential loop's to the bit. The
+// backward pass stops at the lowest layer with parameters, whose input
+// gradient nothing reads.
 func (n *Network) Fit(train, val []Sample, cfg TrainConfig) (FitResult, error) {
 	if len(train) == 0 {
 		return FitResult{}, ErrNoTrainingData
@@ -126,6 +244,8 @@ func (n *Network) Fit(train, val []Sample, cfg TrainConfig) (FitResult, error) {
 	opt.DecayFactor = cfg.DecayRate
 	opt.ClipNorm = cfg.ClipNorm
 	params := n.Params()
+	pipe := newPipeline(n)
+	defer pipe.stop()
 
 	idx := make([]int, len(train))
 	for i := range idx {
@@ -144,17 +264,7 @@ func (n *Network) Fit(train, val []Sample, cfg TrainConfig) (FitResult, error) {
 			if end > len(idx) {
 				end = len(idx)
 			}
-			for _, i := range idx[start:end] {
-				s := train[i]
-				logits := n.Forward(s.X, true)
-				w := s.Weight
-				if w == 0 {
-					w = 1
-				}
-				loss, grad := WeightedCrossEntropyLoss(logits, s.Y, w)
-				epochLoss += loss
-				n.backward(grad)
-			}
+			epochLoss = pipe.batch(train, idx[start:end], epochLoss)
 			opt.Step(params, end-start)
 		}
 		epochLoss /= float64(len(train))
@@ -194,15 +304,14 @@ func (n *Network) EvalLoss(samples []Sample) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
+	p := n.predictorFor(samples)
 	var total float64
 	for _, s := range samples {
-		logits := n.Forward(s.X, false)
 		w := s.Weight
 		if w == 0 {
 			w = 1
 		}
-		loss, _ := WeightedCrossEntropyLoss(logits, s.Y, w)
-		total += loss
+		total += nll(p.Predict(s.X), s.Y) * w
 	}
 	return total / float64(len(samples))
 }
@@ -212,13 +321,26 @@ func (n *Network) Accuracy(samples []Sample) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
+	p := n.predictorFor(samples)
 	correct := 0
 	for _, s := range samples {
-		if n.PredictClass(s.X) == s.Y {
+		if p.PredictClass(s.X) == s.Y {
 			correct++
 		}
 	}
 	return float64(correct) / float64(len(samples))
+}
+
+// predictorFor returns a Predictor sized for every window in samples.
+func (n *Network) predictorFor(samples []Sample) *Predictor {
+	maxT, dim := 0, 0
+	for _, s := range samples {
+		maxT = max(maxT, len(s.X))
+		for _, row := range s.X {
+			dim = max(dim, len(row))
+		}
+	}
+	return n.NewPredictor(maxT, dim)
 }
 
 func snapshot(params []*Param) [][]float64 {

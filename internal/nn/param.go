@@ -10,7 +10,9 @@
 // features). Layers transform sequences; reduction layers (TakeLast,
 // GlobalMaxPool, Flatten) collapse the time axis before the classification
 // head. Training is sample-wise gradient accumulation over mini-batches,
-// which is exact and fast enough for the CPU-scale experiments here.
+// which is exact and fast enough for the CPU-scale experiments here; Fit
+// overlaps one sample's forward pass with the previous one's backward
+// pass on two goroutines without changing any gradient.
 package nn
 
 import (
@@ -20,6 +22,11 @@ import (
 
 // Param is one learnable tensor, stored flat with an explicit gradient
 // buffer that optimizers consume.
+//
+// A Param may be shared by two layers: Network.Fit trains through the
+// network and a twin whose layers hold the same Params (see Layer). Within
+// a mini-batch W is read-only, and only the backward stage writes G; the
+// optimizer writes both between batches, while neither stage runs.
 type Param struct {
 	Name string
 	W    []float64 // weights, flat
@@ -63,6 +70,13 @@ func seq(t, d int) [][]float64 {
 // gradient with respect to the layer input, accumulating parameter
 // gradients along the way. Layers cache whatever they need between Forward
 // and Backward, so a Layer instance must not be shared across goroutines.
+//
+// Every layer also has a twin: a layer that shares its Params (and a
+// Dropout's Rng) but keeps its own caches. Network.Fit runs one sample's
+// training Forward on the twin network while the calling goroutine runs
+// the previous sample's Backward. Within a mini-batch both stages only
+// read W; the forward stage alone draws dropout masks, in sample order,
+// and the backward stage alone writes G.
 type Layer interface {
 	// Forward runs the layer. train toggles training-only behaviour
 	// such as dropout masking.
@@ -74,4 +88,13 @@ type Layer interface {
 	// OutDim returns the layer's feature dimensionality given an input
 	// dimensionality, used for shape validation when stacking.
 	OutDim(inDim int) int
+
+	// twin returns a layer sharing the receiver's Params and dropout
+	// Rng, with caches of its own.
+	twin() Layer
+	// backward is Backward writing the input gradient into gradIn,
+	// shaped like the cached input and zeroed. A nil gradIn skips the
+	// input gradient: only the parameter gradients accumulate, exactly
+	// as Backward accumulates them.
+	backward(gradOut, gradIn [][]float64)
 }

@@ -26,6 +26,12 @@ func newContextDetector(cfg Config) *detector {
 	return newDetector(name, cfg, fitContext, decodeContext)
 }
 
+// fitContext trains the monitor's two stages concurrently: the error
+// library on its own goroutine, the gesture classifier on the caller's.
+// They may: the stages share no rng (the library's is seeded Seed+7, the
+// classifier's Seed), and both only read trajs, so each trains exactly as
+// it would alone. Errors are reported in stage order: the error stage's
+// first, then a cancelled ctx, then the context stage's.
 func fitContext(ctx context.Context, name string, cfg Config, trajs []*Trajectory) (model, error) {
 	gestureSpecific := name != "monolithic"
 	elCfg := core.DefaultErrorDetectorConfig()
@@ -46,22 +52,25 @@ func fitContext(ctx context.Context, name string, cfg Config, trajs []*Trajector
 	}
 	elCfg.Seed = cfg.Seed + 7
 
-	var lib *core.ErrorLibrary
-	var err error
-	if gestureSpecific {
-		lib, err = core.TrainErrorLibrary(trajs, elCfg)
-	} else {
-		lib, err = core.TrainMonolithicDetector(trajs, elCfg)
+	type libFit struct {
+		lib *core.ErrorLibrary
+		err error
 	}
-	if err != nil {
-		return nil, fmt.Errorf("safemon: fit %s error stage: %w", name, err)
-	}
-
-	var gc *core.GestureClassifier
-	if gestureSpecific && !cfg.GroundTruthContext {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	libDone := make(chan libFit, 1)
+	go func() {
+		var f libFit
+		if gestureSpecific {
+			f.lib, f.err = core.TrainErrorLibrary(trajs, elCfg)
+		} else {
+			f.lib, f.err = core.TrainMonolithicDetector(trajs, elCfg)
 		}
+		libDone <- f
+	}()
+
+	fitGestures := gestureSpecific && !cfg.GroundTruthContext
+	var gc *core.GestureClassifier
+	var gcErr error
+	if fitGestures && ctx.Err() == nil {
 		gcCfg := core.DefaultGestureClassifierConfig()
 		if cfg.GestureFeatures != nil {
 			gcCfg.Features = cfg.GestureFeatures
@@ -73,13 +82,22 @@ func fitContext(ctx context.Context, name string, cfg Config, trajs []*Trajector
 			gcCfg.TrainStride = cfg.TrainStride
 		}
 		gcCfg.Seed = cfg.Seed
-		gc, err = core.TrainGestureClassifier(trajs, gcCfg)
-		if err != nil {
-			return nil, fmt.Errorf("safemon: fit %s context stage: %w", name, err)
+		gc, gcErr = core.TrainGestureClassifier(trajs, gcCfg)
+	}
+	lib := <-libDone
+	if lib.err != nil {
+		return nil, fmt.Errorf("safemon: fit %s error stage: %w", name, lib.err)
+	}
+	if fitGestures {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if gcErr != nil {
+			return nil, fmt.Errorf("safemon: fit %s context stage: %w", name, gcErr)
 		}
 	}
 
-	mon := core.NewMonitor(gc, lib)
+	mon := core.NewMonitor(gc, lib.lib)
 	mon.Threshold = cfg.Threshold
 	mon.UseGroundTruthGestures = cfg.GroundTruthContext
 	if cfg.Lookahead {
@@ -87,6 +105,7 @@ func fitContext(ctx context.Context, name string, cfg Config, trajs []*Trajector
 		for _, tr := range trajs {
 			seqs = append(seqs, tr.GestureSequence())
 		}
+		var err error
 		if mon.Lookahead, err = gesture.FitMarkovChain(seqs); err != nil {
 			return nil, fmt.Errorf("safemon: fit lookahead grammar: %w", err)
 		}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/gesture"
 	"repro/internal/synth"
@@ -300,6 +301,98 @@ func TestNonFiniteFramesAreUnsafe(t *testing.T) {
 					}
 				}
 			}
+			if mon := monitorOf(det); mon != nil {
+				checkNonFiniteRow(t, det, mon)
+			}
 		})
+	}
+}
+
+// monitorOf returns the two-stage monitor behind an nn-backed detector
+// (the cascade's inner one), or nil for the other backends.
+func monitorOf(det Detector) *core.Monitor {
+	m := det.(*detector).m
+	if c, ok := m.(cascadeModel); ok {
+		m = c.inner.m
+	}
+	if c, ok := m.(contextModel); ok {
+		return c.mon
+	}
+	return nil
+}
+
+// checkNonFiniteRow puts one non-finite frame inside a real trajectory:
+// all NaN, all +Inf, or one +Inf or -Inf value among finite ones. A lone
+// infinite input saturates the LSTM gates instead of making them NaN, so
+// only the monitor's window check keeps those verdicts unsafe. Every
+// verdict whose gesture or error window still holds that row must be
+// unsafe, in a session and in Run. From frame at+Window on, no window
+// holds it, so a session and Run must answer exactly as they do on the
+// clean trajectory (except the cascade, whose front keeps the inner stage
+// armed for its hold-off).
+func checkNonFiniteRow(t *testing.T, det Detector, mon *core.Monitor) {
+	t.Helper()
+	clean := testFold(t).Test[0]
+	window := mon.Errors.Config.Window
+	if mon.Gestures != nil && !mon.UseGroundTruthGestures {
+		window = max(window, mon.Gestures.Config.Window)
+	}
+	at := len(clean.Frames) / 2
+	_, cascade := det.(*detector).m.(cascadeModel)
+	push := func(traj *Trajectory) []FrameVerdict {
+		sess, err := det.NewSession(WithSessionLabels(traj.Gestures))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		out := make([]FrameVerdict, len(traj.Frames))
+		for i := range traj.Frames {
+			if out[i], err = sess.Push(&traj.Frames[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	run := func(traj *Trajectory) []FrameVerdict {
+		trace, err := det.Run(context.Background(), traj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return trace.Verdicts
+	}
+	rows := []struct {
+		name  string
+		value float64
+		all   bool
+	}{
+		{"all NaN", math.NaN(), true},
+		{"all +Inf", math.Inf(1), true},
+		{"one +Inf", math.Inf(1), false},
+		{"one -Inf", math.Inf(-1), false},
+	}
+	for _, row := range rows {
+		bad := *clean
+		bad.Frames = append([]Frame(nil), clean.Frames...)
+		if row.all {
+			for k := range bad.Frames[at] {
+				bad.Frames[at][k] = row.value
+			}
+		} else {
+			bad.Frames[at][0] = row.value // the left tool's x, in every feature set
+		}
+		for path, verdicts := range map[string]func(*Trajectory) []FrameVerdict{"session": push, "Run": run} {
+			got, want := verdicts(&bad), verdicts(clean)
+			for i := at; i < at+window; i++ {
+				if !got[i].Unsafe {
+					t.Errorf("%s at frame %d: %s verdict %+v at frame %d is safe", row.name, at, path, got[i], i)
+				}
+			}
+			for i := at + window; i < len(got) && !cascade; i++ {
+				if got[i] != want[i] {
+					t.Errorf("%s at frame %d: %s verdict %+v at frame %d, want the clean trajectory's %+v",
+						row.name, at, path, got[i], i, want[i])
+				}
+			}
+		}
 	}
 }
