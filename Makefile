@@ -86,10 +86,11 @@ test:
 
 # The safemon façade and the safemond serving layer (concurrent sessions
 # on shared detectors, hot-swap, the in-flight drain, mux session
-# goroutines, Watch) carry the concurrency; they get a dedicated
-# race-detector pass. So does internal/nn, whose Network.Fit runs its
-# forward and backward stages on two goroutines; the pipeline test runs
-# ten times over, since ./safemon/... reaches Fit only through fixtures.
+# goroutines, the error library fitted beside the gesture classifier)
+# carry the concurrency; they get a dedicated race-detector pass. So does
+# internal/nn, whose Network.Fit runs its forward and backward stages on
+# two goroutines; the pipeline test runs ten times over, since
+# ./safemon/... reaches Fit only through fixtures.
 race:
 	$(GO) test -race ./safemon/...
 	$(GO) test -race ./internal/nn

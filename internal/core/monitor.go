@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"time"
 
@@ -297,32 +298,51 @@ func (w *slidingWindow) next() []float64 {
 // reset empties the window, keeping every row's backing capacity.
 func (w *slidingWindow) reset() { w.rows = w.rows[:0] }
 
-// errHeadScorer mirrors ErrorLibrary.Score over per-stream nn.Predictors:
-// one scratch-backed predictor per trained head, built once at stream
-// creation, so scoring a window allocates nothing. The head-selection
-// fallback chain (gesture head, then global, then safe 0) is identical to
-// ErrorLibrary.Score and the scores are numerically identical.
+// errHeadScorer mirrors ErrorLibrary.Score over per-stream nn.Predictors
+// that all run in one scratch workspace, built once at stream creation,
+// so scoring a window allocates nothing. One workspace serves every head
+// because a stream scores one window at a time and every head comes from
+// one buildErrorNet config; DecodeMonitor refuses a bundle whose heads
+// differ in layer shapes. The head-selection fallback chain (gesture
+// head, then global, then safe 0) is identical to ErrorLibrary.Score and
+// the scores are numerically identical.
 type errHeadScorer struct {
 	lib    *ErrorLibrary
 	per    map[int]*nn.Predictor
 	global *nn.Predictor
 }
 
-func newErrHeadScorer(lib *ErrorLibrary) errHeadScorer {
+func newErrHeadScorer(lib *ErrorLibrary) (errHeadScorer, error) {
 	h := errHeadScorer{lib: lib}
-	maxT, dim := lib.Config.Window, lib.Config.Features.Dim()
+	var ws *nn.Predictor
+	predictor := func(net *nn.Network) (*nn.Predictor, error) {
+		if ws == nil {
+			ws = net.NewPredictor(lib.Config.Window, lib.Config.Features.Dim())
+			return ws, nil
+		}
+		return ws.Share(net)
+	}
 	if lib.GestureSpecific && len(lib.PerGesture) > 0 {
 		h.per = make(map[int]*nn.Predictor, len(lib.PerGesture))
 		for g, net := range lib.PerGesture {
-			if net != nil {
-				h.per[g] = net.NewPredictor(maxT, dim)
+			if net == nil {
+				continue
 			}
+			p, err := predictor(net)
+			if err != nil {
+				return h, fmt.Errorf("core: error head %d: %w", g, err)
+			}
+			h.per[g] = p
 		}
 	}
 	if lib.Global != nil {
-		h.global = lib.Global.NewPredictor(maxT, dim)
+		p, err := predictor(lib.Global)
+		if err != nil {
+			return h, fmt.Errorf("core: global error head: %w", err)
+		}
+		h.global = p
 	}
-	return h
+	return h, nil
 }
 
 func (h *errHeadScorer) score(gestureIdx int, window [][]float64) float64 {
@@ -357,8 +377,9 @@ type Stream struct {
 	// cached feature projections for each stage
 	gestureExt *kinematics.Extractor
 	errorExt   *kinematics.Extractor
-	// per-stream inference scratch: the gesture classifier and every
-	// error head (shared trained networks, private buffers)
+	// per-stream inference scratch: the gesture classifier and the error
+	// heads, which share one workspace (shared trained networks, private
+	// buffers)
 	gesturePred *nn.Predictor
 	errHeads    errHeadScorer
 	// gestureLSTM is the classifier's first layer, or nil when that is
@@ -392,7 +413,10 @@ func (m *Monitor) NewStream(groundTruth []int) (*Stream, error) {
 	cfg := m.Errors.Config
 	s.errorExt = cfg.Features.NewExtractor()
 	s.errorWin = newSlidingWindow(cfg.Window, s.errorExt.Dim())
-	s.errHeads = newErrHeadScorer(m.Errors)
+	var err error
+	if s.errHeads, err = newErrHeadScorer(m.Errors); err != nil {
+		return nil, err
+	}
 	if !m.UseGroundTruthGestures && m.Errors.GestureSpecific && m.Gestures != nil {
 		gc := m.Gestures
 		s.gestureExt = gc.Config.Features.NewExtractor()

@@ -291,6 +291,26 @@ func DecodeMonitor(r io.Reader, rng *rand.Rand) (*Monitor, error) {
 		return nil, fmt.Errorf("%w: error library has no trained heads", ErrBadMonitorSpec)
 	}
 	lib.Global = global
+	if err := checkHeadShapes(lib); err != nil {
+		return nil, err
+	}
 	m.Errors = lib
 	return m, nil
+}
+
+// checkHeadShapes refuses a library whose heads differ in layer shapes: a
+// stream runs every head in one workspace (see errHeadScorer).
+func checkHeadShapes(lib *ErrorLibrary) error {
+	first := lib.Global
+	for _, net := range lib.PerGesture {
+		if net == nil {
+			continue
+		}
+		if first == nil {
+			first = net
+		} else if !first.SameShape(net) {
+			return fmt.Errorf("%w: error heads differ in layer shapes", ErrBadMonitorSpec)
+		}
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -80,5 +81,33 @@ func TestPersistRequiresErrorLibrary(t *testing.T) {
 	var buf bytes.Buffer
 	if err := (&Monitor{}).Encode(&buf); err == nil {
 		t.Error("expected error for monitor without stages")
+	}
+}
+
+// TestDecodeRejectsMismatchedHeads: a stream runs every error head in one
+// workspace, so DecodeMonitor refuses a bundle with a head whose layer
+// shapes differ from the others', and NewStream refuses such a library.
+func TestDecodeRejectsMismatchedHeads(t *testing.T) {
+	el := tinyEL(t, tinyDemos(t, 33, 2))
+	if len(el.PerGesture) == 0 || el.Global == nil {
+		t.Fatal("fixture needs gesture heads and a global head")
+	}
+	odd := el.Config
+	odd.Units = []int{el.Config.Units[0] + 1}
+	for g := range el.PerGesture {
+		el.PerGesture[g] = buildErrorNet(rand.New(rand.NewSource(1)), odd)
+		break
+	}
+	mon := NewMonitor(nil, el)
+	mon.UseGroundTruthGestures = true
+	var buf bytes.Buffer
+	if err := mon.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeMonitor(&buf, rand.New(rand.NewSource(2))); !errors.Is(err, ErrBadMonitorSpec) {
+		t.Errorf("DecodeMonitor = %v, want ErrBadMonitorSpec", err)
+	}
+	if _, err := mon.NewStream([]int{1}); err == nil {
+		t.Error("NewStream accepted error heads of different shapes")
 	}
 }

@@ -11,7 +11,8 @@ type Conv1D struct {
 	Weight *Param // Out x K x In, row major
 	Bias   *Param // Out
 
-	lastIn [][]float64
+	lastIn      [][]float64
+	out, gradIn seqBuf
 }
 
 var _ Layer = (*Conv1D)(nil)
@@ -42,14 +43,14 @@ func (c *Conv1D) Forward(x [][]float64, train bool) [][]float64 {
 	if outT < 1 {
 		outT = 1
 	}
-	out := seq(outT, c.Out)
+	out := output(&c.out, train, outT, c.Out)
 	conv1dInto(out, x, c.Weight.W, c.Bias.W, c.Out, c.In, c.K)
 	return out
 }
 
 // Backward implements Layer.
 func (c *Conv1D) Backward(gradOut [][]float64) [][]float64 {
-	gradIn := seq(len(c.lastIn), c.In)
+	gradIn := c.gradIn.zeroed(len(c.lastIn), c.In)
 	c.backward(gradOut, gradIn)
 	return gradIn
 }

@@ -1,14 +1,19 @@
 package nn
 
-import "math"
+import (
+	"errors"
+	"math"
+)
 
 // This file is the zero-allocation inference path used by the streaming
-// monitor. Training and one-shot evaluation keep using Network.Forward,
-// which allocates fresh output sequences; long-lived streams instead hold a
-// Predictor, which carries per-layer scratch buffers allocated once and
-// reused on every call, so a warm per-frame inference performs no heap
-// allocations at all (the property pinned by the allocation-budget tests in
-// alloc_test.go and safemon's perf suite).
+// monitor. One-shot inference keeps using Network.Forward(x, false), which
+// allocates its outputs and writes no layer field, so it is the read-only
+// reference the Predictor is checked against; training reuses per-layer
+// buffers instead (see Layer). Long-lived streams hold a Predictor, which
+// carries per-layer scratch buffers allocated once and reused on every
+// call, so a warm per-frame inference performs no heap allocations at all
+// (the property pinned by the allocation-budget tests in alloc_test.go and
+// safemon's perf suite).
 
 // scratch is one layer's reusable inference workspace. rows is the output
 // sequence buffer (row views into one flat backing array); a, b and c are
@@ -23,20 +28,6 @@ type scratch struct {
 // newSeqScratch builds a scratch whose rows hold up to t rows of width d.
 func newSeqScratch(t, d int) *scratch {
 	return &scratch{rows: seq(t, d)}
-}
-
-// inferable is the optional layer capability backing Predictor: a
-// scratch-based inference forward that must produce outputs numerically
-// identical to Forward(x, false) while writing only into the scratch.
-// Every layer in this package implements it; Predictor falls back to the
-// allocating Forward for any future layer that does not.
-type inferable interface {
-	// newScratch sizes a scratch for windows of at most maxT timesteps
-	// whose rows have inDim features.
-	newScratch(maxT, inDim int) *scratch
-	// infer runs the inference-mode forward into s and returns the output
-	// sequence (backed by s, or by x for pass-through layers).
-	infer(x [][]float64, s *scratch) [][]float64
 }
 
 // Predictor executes inference forwards through a fixed network with
@@ -57,9 +48,7 @@ func (n *Network) NewPredictor(maxT, inDim int) *Predictor {
 	p := &Predictor{net: n, scr: make([]*scratch, len(n.Layers))}
 	d := inDim
 	for i, l := range n.Layers {
-		if il, ok := l.(inferable); ok {
-			p.scr[i] = il.newScratch(maxT, d)
-		}
+		p.scr[i] = l.newScratch(maxT, d)
 		if _, isFlatten := l.(*Flatten); isFlatten {
 			// Flatten's true output width depends on the runtime window
 			// length; maxT*d is its widest possible row.
@@ -70,6 +59,18 @@ func (n *Network) NewPredictor(maxT, inDim int) *Predictor {
 	}
 	p.probs = make([]float64, d)
 	return p
+}
+
+// Share returns a Predictor for o that runs in p's workspace, so one
+// stream can score several networks of one shape with a single set of
+// scratch buffers. Each call on p or on the returned Predictor overwrites
+// the other's outputs, and the two must not run at once. It fails unless
+// o has the layer shapes of p's network (see SameShape).
+func (p *Predictor) Share(o *Network) (*Predictor, error) {
+	if !p.net.SameShape(o) {
+		return nil, errors.New("nn: a shared Predictor needs a network of the same layer shapes")
+	}
+	return &Predictor{net: o, scr: p.scr, probs: p.probs}, nil
 }
 
 // Forward runs the network on a window and returns the final logits. The
@@ -92,11 +93,7 @@ func (p *Predictor) ForwardProjected(proj [][]float64) []float64 {
 // forwardFrom runs layers[first:] on x, the output of the layer before.
 func (p *Predictor) forwardFrom(first int, x [][]float64) []float64 {
 	for i := first; i < len(p.net.Layers); i++ {
-		if il, ok := p.net.Layers[i].(inferable); ok {
-			x = il.infer(x, p.scr[i])
-		} else {
-			x = p.net.Layers[i].Forward(x, false)
-		}
+		x = p.net.Layers[i].infer(x, p.scr[i])
 	}
 	if len(x) == 0 {
 		return nil

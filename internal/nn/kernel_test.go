@@ -328,6 +328,7 @@ func BenchmarkConv1dKernel(b *testing.B) {
 // loops, run over l's caches.
 func refLSTMBackward(l *LSTM, gradOut [][]float64) [][]float64 {
 	T, H := len(l.xs), l.Hidden
+	hs, cs, gi, gf, gg, gO := l.hs.rows, l.cs.rows, l.gi.rows, l.gf.rows, l.gg.rows, l.g_o.rows
 	gradIn := seq(T, l.In)
 	dhNext := make([]float64, H)
 	dcNext := make([]float64, H)
@@ -335,15 +336,15 @@ func refLSTMBackward(l *LSTM, gradOut [][]float64) [][]float64 {
 	for t := T - 1; t >= 0; t-- {
 		for j := 0; j < H; j++ {
 			dh := gradOut[t][j] + dhNext[j]
-			c := l.cs[t+1][j]
+			c := cs[t+1][j]
 			tc := math.Tanh(c)
-			o := l.g_o[t][j]
+			o := gO[t][j]
 			do := dh * tc
 			dc := dh*o*(1-tc*tc) + dcNext[j]
-			i, f, g := l.gi[t][j], l.gf[t][j], l.gg[t][j]
+			i, f, g := gi[t][j], gf[t][j], gg[t][j]
 			dcNext[j] = dc * f
 			dGate[j] = dc * g * i * (1 - i)
-			dGate[H+j] = dc * l.cs[t][j] * f * (1 - f)
+			dGate[H+j] = dc * cs[t][j] * f * (1 - f)
 			dGate[2*H+j] = dc * i * (1 - g*g)
 			dGate[3*H+j] = do * o * (1 - o)
 		}
@@ -361,7 +362,7 @@ func refLSTMBackward(l *LSTM, gradOut [][]float64) [][]float64 {
 				gradIn[t][i] += dg * l.Wx.W[g*l.In+i]
 			}
 			for i := 0; i < H; i++ {
-				l.Wh.G[g*H+i] += dg * l.hs[t][i]
+				l.Wh.G[g*H+i] += dg * hs[t][i]
 				dhNext[i] += dg * l.Wh.W[g*H+i]
 			}
 		}

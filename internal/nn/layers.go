@@ -12,7 +12,8 @@ type Dense struct {
 	Weight  *Param // Out x In, row major
 	Bias    *Param // Out
 
-	lastIn [][]float64
+	lastIn      [][]float64
+	out, gradIn seqBuf
 }
 
 var _ Layer = (*Dense)(nil)
@@ -35,14 +36,14 @@ func (d *Dense) Forward(x [][]float64, train bool) [][]float64 {
 	if train {
 		d.lastIn = x
 	}
-	out := seq(len(x), d.Out)
+	out := output(&d.out, train, len(x), d.Out)
 	seqDenseInto(out, x, d.Weight.W, d.Bias.W, d.Out, d.In)
 	return out
 }
 
 // Backward implements Layer.
 func (d *Dense) Backward(gradOut [][]float64) [][]float64 {
-	gradIn := seq(len(gradOut), d.In)
+	gradIn := d.gradIn.zeroed(len(gradOut), d.In)
 	d.backward(gradOut, gradIn)
 	return gradIn
 }
@@ -79,7 +80,8 @@ func (d *Dense) OutDim(int) int { return d.Out }
 // passes through, so arithmetic that broke upstream is never turned into
 // a finite activation.
 type ReLU struct {
-	lastIn [][]float64
+	lastIn      [][]float64
+	out, gradIn seqBuf
 }
 
 var _ Layer = (*ReLU)(nil)
@@ -92,11 +94,13 @@ func (r *ReLU) Forward(x [][]float64, train bool) [][]float64 {
 	if len(x) == 0 {
 		return x
 	}
-	out := seq(len(x), len(x[0]))
+	out := output(&r.out, train, len(x), len(x[0]))
 	for t := range x {
 		for i, v := range x[t] {
 			if !(v <= 0) { // v > 0, or NaN, which must propagate
 				out[t][i] = v
+			} else {
+				out[t][i] = 0
 			}
 		}
 	}
@@ -108,7 +112,7 @@ func (r *ReLU) Backward(gradOut [][]float64) [][]float64 {
 	if len(gradOut) == 0 {
 		return gradOut
 	}
-	gradIn := seq(len(gradOut), len(gradOut[0]))
+	gradIn := r.gradIn.zeroed(len(gradOut), len(gradOut[0]))
 	r.backward(gradOut, gradIn)
 	return gradIn
 }
@@ -135,7 +139,8 @@ func (r *ReLU) OutDim(in int) int { return in }
 
 // Tanh is the hyperbolic-tangent activation applied elementwise.
 type Tanh struct {
-	lastOut [][]float64
+	lastOut     [][]float64
+	out, gradIn seqBuf
 }
 
 var _ Layer = (*Tanh)(nil)
@@ -145,7 +150,7 @@ func (a *Tanh) Forward(x [][]float64, train bool) [][]float64 {
 	if len(x) == 0 {
 		return x
 	}
-	out := seq(len(x), len(x[0]))
+	out := output(&a.out, train, len(x), len(x[0]))
 	for t := range x {
 		for i, v := range x[t] {
 			out[t][i] = math.Tanh(v)
@@ -159,7 +164,7 @@ func (a *Tanh) Forward(x [][]float64, train bool) [][]float64 {
 
 // Backward implements Layer.
 func (a *Tanh) Backward(gradOut [][]float64) [][]float64 {
-	gradIn := seq(len(gradOut), len(gradOut[0]))
+	gradIn := a.gradIn.zeroed(len(gradOut), len(gradOut[0]))
 	a.backward(gradOut, gradIn)
 	return gradIn
 }
@@ -189,7 +194,10 @@ type Dropout struct {
 	P   float64
 	Rng *rand.Rand
 
-	mask [][]float64
+	// mask is the last training Forward's mask, a view of maskBuf, or nil
+	// when that Forward dropped nothing.
+	mask                 [][]float64
+	out, maskBuf, gradIn seqBuf
 }
 
 var _ Layer = (*Dropout)(nil)
@@ -208,14 +216,17 @@ func (d *Dropout) Forward(x [][]float64, train bool) [][]float64 {
 		return x
 	}
 	keep := 1 - d.P
-	out := seq(len(x), len(x[0]))
-	d.mask = seq(len(x), len(x[0]))
+	out := d.out.resize(len(x), len(x[0]))
+	d.mask = d.maskBuf.resize(len(x), len(x[0]))
 	for t := range x {
 		for i, v := range x[t] {
 			if d.Rng.Float64() < keep {
 				m := 1 / keep
 				d.mask[t][i] = m
 				out[t][i] = v * m
+			} else {
+				d.mask[t][i] = 0
+				out[t][i] = 0
 			}
 		}
 	}
@@ -227,7 +238,7 @@ func (d *Dropout) Backward(gradOut [][]float64) [][]float64 {
 	if d.mask == nil {
 		return gradOut
 	}
-	gradIn := seq(len(gradOut), len(gradOut[0]))
+	gradIn := d.gradIn.zeroed(len(gradOut), len(gradOut[0]))
 	d.backward(gradOut, gradIn)
 	return gradIn
 }
@@ -257,7 +268,8 @@ func (d *Dropout) OutDim(in int) int { return in }
 // TakeLast reduces a sequence to its final timestep: [T][D] -> [1][D].
 // It is the standard readout for sequence classification with LSTMs.
 type TakeLast struct {
-	lastT int
+	lastT  int
+	gradIn seqBuf
 }
 
 var _ Layer = (*TakeLast)(nil)
@@ -275,7 +287,7 @@ func (l *TakeLast) Forward(x [][]float64, train bool) [][]float64 {
 
 // Backward implements Layer.
 func (l *TakeLast) Backward(gradOut [][]float64) [][]float64 {
-	gradIn := seq(l.lastT, len(gradOut[0]))
+	gradIn := l.gradIn.zeroed(l.lastT, len(gradOut[0]))
 	l.backward(gradOut, gradIn)
 	return gradIn
 }
@@ -300,8 +312,9 @@ func (l *TakeLast) OutDim(in int) int { return in }
 // time: [T][D] -> [1][D]. It is the readout used after the Conv1D stack.
 // A NaN anywhere in a feature's column is that feature's maximum.
 type GlobalMaxPool struct {
-	argmax []int
-	lastT  int
+	argmax      []int
+	lastT       int
+	out, gradIn seqBuf
 }
 
 var _ Layer = (*GlobalMaxPool)(nil)
@@ -315,8 +328,11 @@ func (g *GlobalMaxPool) Forward(x [][]float64, train bool) [][]float64 {
 		return x
 	}
 	d := len(x[0])
-	out := seq(1, d)
-	argmax := make([]int, d)
+	out := output(&g.out, train, 1, d)
+	if train {
+		g.lastT = len(x)
+		g.argmax = grow(g.argmax, d)
+	}
 	for i := 0; i < d; i++ {
 		best, bestT := x[0][i], 0
 		for t := 1; t < len(x); t++ {
@@ -325,18 +341,16 @@ func (g *GlobalMaxPool) Forward(x [][]float64, train bool) [][]float64 {
 			}
 		}
 		out[0][i] = best
-		argmax[i] = bestT
-	}
-	if train {
-		g.lastT = len(x)
-		g.argmax = argmax
+		if train {
+			g.argmax[i] = bestT
+		}
 	}
 	return out
 }
 
 // Backward implements Layer.
 func (g *GlobalMaxPool) Backward(gradOut [][]float64) [][]float64 {
-	gradIn := seq(g.lastT, len(gradOut[0]))
+	gradIn := g.gradIn.zeroed(g.lastT, len(gradOut[0]))
 	g.backward(gradOut, gradIn)
 	return gradIn
 }
@@ -364,6 +378,7 @@ func (g *GlobalMaxPool) OutDim(in int) int { return in }
 // [T][D] -> [1][T*D]. The sequence length must be fixed across samples.
 type Flatten struct {
 	lastT, lastD int
+	out, gradIn  seqBuf
 }
 
 var _ Layer = (*Flatten)(nil)
@@ -377,7 +392,7 @@ func (f *Flatten) Forward(x [][]float64, train bool) [][]float64 {
 	if train {
 		f.lastT, f.lastD = tt, d
 	}
-	out := seq(1, tt*d)
+	out := output(&f.out, train, 1, tt*d)
 	for t := range x {
 		copy(out[0][t*d:(t+1)*d], x[t])
 	}
@@ -386,7 +401,7 @@ func (f *Flatten) Forward(x [][]float64, train bool) [][]float64 {
 
 // Backward implements Layer.
 func (f *Flatten) Backward(gradOut [][]float64) [][]float64 {
-	gradIn := seq(f.lastT, f.lastD)
+	gradIn := f.gradIn.zeroed(f.lastT, f.lastD)
 	f.backward(gradOut, gradIn)
 	return gradIn
 }

@@ -35,11 +35,19 @@ func SoftmaxInto(out, logits []float64) []float64 {
 // against a target class index, together with the gradient of the loss with
 // respect to the logits (probs - onehot).
 func CrossEntropyLoss(logits []float64, target int) (loss float64, grad []float64) {
-	probs := Softmax(logits)
-	loss = nll(probs, target)
-	grad = probs
+	return WeightedCrossEntropyLoss(logits, target, 1) // x*1 == x bit for bit
+}
+
+// weightedCrossEntropyInto is WeightedCrossEntropyLoss writing the
+// gradient into grad, which must have the length of logits.
+func weightedCrossEntropyInto(grad, logits []float64, target int, weight float64) float64 {
+	SoftmaxInto(grad, logits)
+	loss := nll(grad, target)
 	grad[target] -= 1
-	return loss, grad
+	for i := range grad {
+		grad[i] *= weight
+	}
+	return loss * weight
 }
 
 // nll is the negative log-likelihood of target under probs, with the
@@ -56,11 +64,8 @@ func nll(probs []float64, target int) float64 {
 // multiplied into both loss and gradient, used to handle class imbalance in
 // the safe/unsafe detection stage.
 func WeightedCrossEntropyLoss(logits []float64, target int, weight float64) (float64, []float64) {
-	loss, grad := CrossEntropyLoss(logits, target)
-	for i := range grad {
-		grad[i] *= weight
-	}
-	return loss * weight, grad
+	grad := make([]float64, len(logits))
+	return weightedCrossEntropyInto(grad, logits, target, weight), grad
 }
 
 // Argmax returns the index of the maximum element, or -1 for empty input.

@@ -18,10 +18,17 @@ type LSTM struct {
 	Wh *Param // 4*Hidden x Hidden, hidden-to-gates
 	B  *Param // 4*Hidden
 
-	// caches for BPTT
+	// caches for BPTT: the last training window, its hidden and cell
+	// states (T+1 rows, row 0 the zero initial state) and its gate
+	// activations per timestep
 	xs              [][]float64
-	hs, cs          [][]float64 // hidden and cell states, length T+1 (index 0 = initial)
-	gi, gf, gg, g_o [][]float64 // gate activations per timestep
+	hs, cs          seqBuf
+	gi, gf, gg, g_o seqBuf
+	// training buffers: the output, the input gradient, the forward's
+	// h, c and gate pre-activations, and the backward's dh, dc and gate
+	// gradients, each laid out in 6*Hidden values
+	out, gradIn seqBuf
+	fwd, bwd    []float64
 }
 
 var _ Layer = (*LSTM)(nil)
@@ -70,20 +77,23 @@ func (l *LSTM) Project(dst, x []float64) {
 // (and therefore safe for concurrent streams sharing one trained network).
 func (l *LSTM) Forward(x [][]float64, train bool) [][]float64 {
 	T, H := len(x), l.Hidden
-	out := seq(T, H)
-	h := make([]float64, H)
-	c := make([]float64, H)
+	out := output(&l.out, train, T, H)
+	var h, c, pre []float64
+	var hs, cs, gi, gf, gg, gO [][]float64
 	if train {
 		l.xs = x
-		l.hs = seq(T+1, H)
-		l.cs = seq(T+1, H)
-		l.gi = seq(T, H)
-		l.gf = seq(T, H)
-		l.gg = seq(T, H)
-		l.g_o = seq(T, H)
+		hs, cs = l.hs.resize(T+1, H), l.cs.resize(T+1, H)
+		clear(hs[0])
+		clear(cs[0])
+		gi, gf, gg, gO = l.gi.resize(T, H), l.gf.resize(T, H), l.gg.resize(T, H), l.g_o.resize(T, H)
+		l.fwd = grow(l.fwd, 6*H)
+		h, c, pre = l.fwd[:H:H], l.fwd[H:2*H:2*H], l.fwd[2*H:]
+		clear(h)
+		clear(c)
+	} else {
+		h, c, pre = make([]float64, H), make([]float64, H), make([]float64, 4*H)
 	}
 
-	pre := make([]float64, 4*H)
 	for t := 0; t < T; t++ {
 		l.gates(x[t], h, pre)
 		for j := 0; j < H; j++ {
@@ -94,9 +104,9 @@ func (l *LSTM) Forward(x [][]float64, train bool) [][]float64 {
 			cv := f*c[j] + i*g
 			hv := o * math.Tanh(cv)
 			if train {
-				l.gi[t][j], l.gf[t][j], l.gg[t][j], l.g_o[t][j] = i, f, g, o
-				l.cs[t+1][j] = cv
-				l.hs[t+1][j] = hv
+				gi[t][j], gf[t][j], gg[t][j], gO[t][j] = i, f, g, o
+				cs[t+1][j] = cv
+				hs[t+1][j] = hv
 			}
 			c[j] = cv
 			h[j] = hv
@@ -108,7 +118,7 @@ func (l *LSTM) Forward(x [][]float64, train bool) [][]float64 {
 
 // Backward implements Layer (full BPTT over the cached window).
 func (l *LSTM) Backward(gradOut [][]float64) [][]float64 {
-	gradIn := seq(len(l.xs), l.In)
+	gradIn := l.gradIn.zeroed(len(l.xs), l.In)
 	l.backward(gradOut, gradIn)
 	return gradIn
 }
@@ -116,22 +126,25 @@ func (l *LSTM) Backward(gradOut [][]float64) [][]float64 {
 // backward implements Layer.
 func (l *LSTM) backward(gradOut, gradIn [][]float64) {
 	T, H := len(l.xs), l.Hidden
-	dhNext := make([]float64, H)
-	dcNext := make([]float64, H)
-	dGate := make([]float64, 4*H)
+	hs, cs := l.hs.rows, l.cs.rows
+	gi, gf, gg, gO := l.gi.rows, l.gf.rows, l.gg.rows, l.g_o.rows
+	l.bwd = grow(l.bwd, 6*H)
+	dhNext, dcNext, dGate := l.bwd[:H:H], l.bwd[H:2*H:2*H], l.bwd[2*H:]
+	clear(dhNext)
+	clear(dcNext)
 
 	for t := T - 1; t >= 0; t-- {
 		for j := 0; j < H; j++ {
 			dh := gradOut[t][j] + dhNext[j]
-			c := l.cs[t+1][j]
+			c := cs[t+1][j]
 			tc := math.Tanh(c)
-			o := l.g_o[t][j]
+			o := gO[t][j]
 			do := dh * tc
 			dc := dh*o*(1-tc*tc) + dcNext[j]
-			i, f, g := l.gi[t][j], l.gf[t][j], l.gg[t][j]
+			i, f, g := gi[t][j], gf[t][j], gg[t][j]
 			di := dc * g
 			dg := dc * i
-			df := dc * l.cs[t][j]
+			df := dc * cs[t][j]
 			dcNext[j] = dc * f
 			// pre-activation gradients
 			dGate[j] = di * i * (1 - i)
@@ -142,7 +155,7 @@ func (l *LSTM) backward(gradOut, gradIn [][]float64) {
 		// accumulate parameter grads and input/hidden grads
 		clear(dhNext)
 		xt := l.xs[t][:l.In]
-		ht := l.hs[t]
+		ht := hs[t]
 		for g, dg := range dGate {
 			if dg == 0 {
 				continue

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 )
 
 // Sample is one training example: a [T][D] input window and a class label.
@@ -18,6 +19,10 @@ type Sample struct {
 // softmax is folded into the loss.
 type Network struct {
 	Layers []Layer
+
+	// lossGrad is the training loss gradient with respect to the logits,
+	// one row, reused from sample to sample.
+	lossGrad seqBuf
 }
 
 // NewNetwork builds a sequential network from layers.
@@ -44,7 +49,9 @@ func (n *Network) NumWeights() int {
 }
 
 // Forward runs the network on a window, returning the final logits (the
-// last layer must reduce to a single timestep).
+// last layer must reduce to a single timestep). In training the logits
+// are a layer's buffer, overwritten by the next training Forward (see
+// Layer); in inference they are freshly allocated, and n is only read.
 func (n *Network) Forward(x [][]float64, train bool) []float64 {
 	for _, l := range n.Layers {
 		x = l.Forward(x, train)
@@ -60,6 +67,36 @@ func (n *Network) Predict(x [][]float64) []float64 {
 	return Softmax(n.Forward(x, false))
 }
 
+// SameShape reports whether n and o stack layers of the same types with
+// the same dimensions, so that a Predictor workspace sized for one fits
+// the other.
+func (n *Network) SameShape(o *Network) bool {
+	if len(n.Layers) != len(o.Layers) {
+		return false
+	}
+	for i, l := range n.Layers {
+		if !sameShape(l, o.Layers[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameShape(a, b Layer) bool {
+	switch a := a.(type) {
+	case *Dense:
+		b, ok := b.(*Dense)
+		return ok && a.In == b.In && a.Out == b.Out
+	case *LSTM:
+		b, ok := b.(*LSTM)
+		return ok && a.In == b.In && a.Hidden == b.Hidden
+	case *Conv1D:
+		b, ok := b.(*Conv1D)
+		return ok && a.In == b.In && a.Out == b.Out && a.K == b.K
+	}
+	return reflect.TypeOf(a) == reflect.TypeOf(b)
+}
+
 // twin returns a network of n's layers' twins (see Layer).
 func (n *Network) twin() *Network {
 	layers := make([]Layer, len(n.Layers))
@@ -67,6 +104,16 @@ func (n *Network) twin() *Network {
 		layers[i] = l.twin()
 	}
 	return NewNetwork(layers...)
+}
+
+// dropTrainingState replaces every layer with its twin and drops the loss
+// gradient, so n keeps its Params and dropout Rngs and no cache or buffer
+// that would keep a training window reachable.
+func (n *Network) dropTrainingState() {
+	for i, l := range n.Layers {
+		n.Layers[i] = l.twin()
+	}
+	n.lossGrad = seqBuf{}
 }
 
 // lowestParamLayer returns the index of the first layer with parameters,
@@ -83,8 +130,7 @@ func (n *Network) lowestParamLayer() int {
 // backward pushes a logits gradient through the network down to layer
 // low, which accumulates only its parameter gradients: its input gradient,
 // and every layer below it, has none to feed.
-func (n *Network) backward(grad []float64, low int) {
-	g := [][]float64{grad}
+func (n *Network) backward(g [][]float64, low int) {
 	for i := len(n.Layers) - 1; i > low; i-- {
 		g = n.Layers[i].Backward(g)
 	}
@@ -94,11 +140,12 @@ func (n *Network) backward(grad []float64, low int) {
 }
 
 // sampleLoss is one sample's training forward: its weighted loss and the
-// loss gradient with respect to the logits. panicked carries a panic out
-// of the forward stage's goroutine.
+// loss gradient with respect to the logits, a one-row sequence that net's
+// next forwardLoss overwrites. panicked carries a panic out of the
+// forward stage's goroutine.
 type sampleLoss struct {
 	loss     float64
-	grad     []float64
+	grad     [][]float64
 	panicked any
 }
 
@@ -109,7 +156,8 @@ func forwardLoss(net *Network, s *Sample) sampleLoss {
 	if w == 0 {
 		w = 1
 	}
-	loss, grad := WeightedCrossEntropyLoss(logits, s.Y, w)
+	grad := net.lossGrad.resize(1, len(logits))
+	loss := weightedCrossEntropyInto(grad[0], logits, s.Y, w)
 	return sampleLoss{loss: loss, grad: grad}
 }
 
@@ -133,7 +181,9 @@ func (j forwardJob) run() (r sampleLoss) {
 // caller runs sample k's backward pass on the other. nets are the network
 // and its twin, so both stages see the same weights, the forwards draw
 // dropout masks in sample order, and the caller accumulates gradients and
-// losses in sample order: the sequential loop's arithmetic exactly.
+// losses in sample order: the sequential loop's arithmetic exactly. A
+// network's next forward starts only after its backward has returned, so
+// each network's training buffers are free to be overwritten by then.
 type pipeline struct {
 	nets [2]*Network
 	low  int
@@ -222,7 +272,11 @@ type FitResult struct {
 // goroutine while the caller runs the previous sample's backward pass
 // (see Layer); the result is the sequential loop's to the bit. The
 // backward pass stops at the lowest layer with parameters, whose input
-// gradient nothing reads.
+// gradient nothing reads. Once warm, a training sample allocates nothing.
+//
+// Fit drops its training state when it returns: each layer is replaced by
+// its twin, so the network keeps only its Params and dropout Rngs, and no
+// training window stays reachable from it.
 func (n *Network) Fit(train, val []Sample, cfg TrainConfig) (FitResult, error) {
 	if len(train) == 0 {
 		return FitResult{}, ErrNoTrainingData
@@ -244,6 +298,7 @@ func (n *Network) Fit(train, val []Sample, cfg TrainConfig) (FitResult, error) {
 	opt.DecayFactor = cfg.DecayRate
 	opt.ClipNorm = cfg.ClipNorm
 	params := n.Params()
+	defer n.dropTrainingState() // after pipe.stop, deferred below
 	pipe := newPipeline(n)
 	defer pipe.stop()
 
@@ -280,7 +335,7 @@ func (n *Network) Fit(train, val []Sample, cfg TrainConfig) (FitResult, error) {
 			if valLoss < res.BestValLoss-1e-6 {
 				res.BestValLoss = valLoss
 				badEpochs = 0
-				bestWeights = snapshot(params)
+				bestWeights = snapshot(bestWeights, params)
 			} else if cfg.Patience > 0 {
 				badEpochs++
 				if badEpochs >= cfg.Patience {
@@ -343,13 +398,16 @@ func (n *Network) predictorFor(samples []Sample) *Predictor {
 	return n.NewPredictor(maxT, dim)
 }
 
-func snapshot(params []*Param) [][]float64 {
-	out := make([][]float64, len(params))
-	for i, p := range params {
-		out[i] = make([]float64, len(p.W))
-		copy(out[i], p.W)
+// snapshot copies params' weights into dst, reusing its buffers (nil
+// allocates them), and returns it.
+func snapshot(dst [][]float64, params []*Param) [][]float64 {
+	if dst == nil {
+		dst = make([][]float64, len(params))
 	}
-	return out
+	for i, p := range params {
+		dst[i] = append(dst[i][:0], p.W...)
+	}
+	return dst
 }
 
 func restore(params []*Param, weights [][]float64) {

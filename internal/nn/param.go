@@ -12,7 +12,12 @@
 // head. Training is sample-wise gradient accumulation over mini-batches,
 // which is exact and fast enough for the CPU-scale experiments here; Fit
 // overlaps one sample's forward pass with the previous one's backward
-// pass on two goroutines without changing any gradient.
+// pass on two goroutines without changing any gradient. Training is
+// garbage-free once warm: each layer grows its activation, cache and
+// gradient buffers once and reuses them from sample to sample, and Fit
+// drops them when it returns. Inference allocates either per call
+// (Network.Forward, the read-only reference) or once per workspace
+// (Predictor).
 package nn
 
 import (
@@ -64,6 +69,58 @@ func seq(t, d int) [][]float64 {
 	return out
 }
 
+// seqBuf is a training sequence buffer that a layer grows once and then
+// reuses from sample to sample, so a warm training step allocates
+// nothing. rows is the view its last resize handed out.
+type seqBuf struct {
+	rows [][]float64
+	flat []float64
+}
+
+// resize points rows at a [t][d] view of the buffer, growing it if it is
+// too small, and returns rows. The values are stale: the caller must
+// write every one before it reads any.
+func (b *seqBuf) resize(t, d int) [][]float64 {
+	if cap(b.flat) < t*d {
+		b.flat = make([]float64, t*d)
+	}
+	if cap(b.rows) < t {
+		b.rows = make([][]float64, t)
+	}
+	b.rows = b.rows[:t]
+	for i := range b.rows {
+		b.rows[i] = b.flat[i*d : (i+1)*d : (i+1)*d]
+	}
+	return b.rows
+}
+
+// zeroed is resize with every value cleared, as seq hands them out.
+func (b *seqBuf) zeroed(t, d int) [][]float64 {
+	rows := b.resize(t, d)
+	clear(b.flat[:t*d])
+	return rows
+}
+
+// output returns a layer's [t][d] Forward output. In training it is the
+// layer's reused buffer b, whose stale values Forward must overwrite; in
+// inference it is freshly allocated, so Forward(x, false) writes no layer
+// field and stays safe for concurrent use.
+func output(b *seqBuf, train bool, t, d int) [][]float64 {
+	if !train {
+		return seq(t, d)
+	}
+	return b.resize(t, d)
+}
+
+// grow returns s resliced to n elements, reallocated if its capacity is
+// short. The elements are stale.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // Layer is one differentiable stage of a network. Forward consumes a
 // [T][Din] sequence and produces a [T'][Dout] sequence; Backward consumes
 // the gradient of the loss with respect to the layer output and returns the
@@ -71,17 +128,24 @@ func seq(t, d int) [][]float64 {
 // gradients along the way. Layers cache whatever they need between Forward
 // and Backward, so a Layer instance must not be shared across goroutines.
 //
+// Training reuses memory: a training Forward's output and a Backward's
+// input gradient are buffers the layer grows once and overwrites on its
+// next call of the same kind, so the caller must be done with them by
+// then. An inference Forward allocates its output and writes no field of
+// the layer.
+//
 // Every layer also has a twin: a layer that shares its Params (and a
-// Dropout's Rng) but keeps its own caches. Network.Fit runs one sample's
-// training Forward on the twin network while the calling goroutine runs
-// the previous sample's Backward. Within a mini-batch both stages only
-// read W; the forward stage alone draws dropout masks, in sample order,
-// and the backward stage alone writes G.
+// Dropout's Rng) but keeps its own caches and buffers. Network.Fit runs
+// one sample's training Forward on the twin network while the calling
+// goroutine runs the previous sample's Backward. Within a mini-batch both
+// stages only read W; the forward stage alone draws dropout masks, in
+// sample order, and the backward stage alone writes G.
 type Layer interface {
 	// Forward runs the layer. train toggles training-only behaviour
 	// such as dropout masking.
 	Forward(x [][]float64, train bool) [][]float64
-	// Backward back-propagates gradOut and returns the input gradient.
+	// Backward back-propagates gradOut and returns the input gradient,
+	// which belongs to the layer until its next Backward.
 	Backward(gradOut [][]float64) [][]float64
 	// Params returns the layer's learnable parameters (possibly empty).
 	Params() []*Param
@@ -90,11 +154,18 @@ type Layer interface {
 	OutDim(inDim int) int
 
 	// twin returns a layer sharing the receiver's Params and dropout
-	// Rng, with caches of its own.
+	// Rng, with caches and buffers of its own.
 	twin() Layer
 	// backward is Backward writing the input gradient into gradIn,
 	// shaped like the cached input and zeroed. A nil gradIn skips the
 	// input gradient: only the parameter gradients accumulate, exactly
 	// as Backward accumulates them.
 	backward(gradOut, gradIn [][]float64)
+	// newScratch sizes a Predictor's workspace for windows of at most
+	// maxT timesteps whose rows have inDim features (nil if the layer
+	// needs none).
+	newScratch(maxT, inDim int) *scratch
+	// infer is Forward(x, false) writing only into s: the same values,
+	// in s's rows, or in x's for pass-through layers.
+	infer(x [][]float64, s *scratch) [][]float64
 }

@@ -58,7 +58,7 @@ func refFit(n *Network, train, val []Sample, cfg TrainConfig) FitResult {
 		if valLoss < res.BestValLoss-1e-6 {
 			res.BestValLoss = valLoss
 			bad = 0
-			best = snapshot(params)
+			best = snapshot(best, params)
 		} else if cfg.Patience > 0 {
 			if bad++; bad >= cfg.Patience {
 				res.StoppedEarly = true

@@ -129,6 +129,28 @@ func BenchmarkSessionStepLoaded(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionOpen times NewSession and Close on every backend's
+// fitted fixture: what a stream pays once, since serve opens one session
+// per stream. Run it with -benchmem for the bytes and allocations of an
+// open; an open allocates by design, so scripts/benchguard.sh leaves it
+// out.
+func BenchmarkSessionOpen(b *testing.B) {
+	for _, backend := range perfBackends() {
+		b.Run(backend, func(b *testing.B) {
+			det := fittedDetector(b, backend)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sess, err := det.NewSession()
+				if err != nil {
+					b.Fatal(err)
+				}
+				sess.Close()
+			}
+		})
+	}
+}
+
 // BenchmarkColdStart is the model-lifecycle headline: time-to-ready for a
 // detector via Fit (train on the shared fold) versus Load (decode the
 // fitted fixture's artifact). The ratio is why safemond serves from
