@@ -47,8 +47,8 @@
 #   make fuzz-replay - replay the checked-in fuzz seed corpora (no fuzzing)
 #   make fuzz        - actively fuzz the serve protocol parsers (NDJSON and
 #                      binary), the NDJSON hot-record appenders and
-#                      scanners, and the model artifact/manifest decoders
-#                      for 30s each
+#                      scanners, the model artifact/manifest decoders,
+#                      and every backend's session Push for 30s each
 #   make test        - tests only
 #   make race        - race-detector pass over the concurrency-bearing packages
 #                      (safemon, its serving layer, and internal/nn's
@@ -159,7 +159,8 @@ metriclint:
 
 # Replay the checked-in fuzz seed corpora as plain tests (what CI runs):
 # the serve protocol parsers and NDJSON hot records, the model
-# artifact/manifest decoders, and the ledger segment reader.
+# artifact/manifest decoders, the ledger segment reader, and every
+# backend's session Push.
 fuzz-replay:
 	$(GO) test -run='^Fuzz' ./safemon/...
 
@@ -170,6 +171,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBinaryRecord -fuzztime=30s ./safemon/serve/
 	$(GO) test -run=^$$ -fuzz=FuzzLoadArtifact -fuzztime=30s ./safemon/
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalEnvelope -fuzztime=30s ./safemon/
+	$(GO) test -run=^$$ -fuzz=FuzzSessionPush -fuzztime=30s ./safemon/
 	$(GO) test -run=^$$ -fuzz=FuzzParseManifest -fuzztime=30s ./safemon/modelstore/
 	$(GO) test -run=^$$ -fuzz=FuzzParsePolicy -fuzztime=30s ./safemon/guard/
 	$(GO) test -run=^$$ -fuzz=FuzzReadSegment -fuzztime=30s ./safemon/ledger/

@@ -107,14 +107,16 @@ func run() error {
 		fmt.Printf(" (%.0f ms left before the attack completes — the mitigation budget)\n", budget)
 	}
 
-	// Control: the clean victim should raise no (or few) alerts. Reset
-	// reuses the session's buffers for the second stream.
-	if err := sess.Reset(nil); err != nil {
+	// Control: the clean victim should raise no (or few) alerts. A new
+	// stream opens a new session.
+	clean, err := det.NewSession()
+	if err != nil {
 		return err
 	}
+	defer clean.Close()
 	cleanAlerts := 0
 	for i := range victim.Frames {
-		v, err := sess.Push(&victim.Frames[i])
+		v, err := clean.Push(&victim.Frames[i])
 		if err != nil {
 			return err
 		}

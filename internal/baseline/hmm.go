@@ -229,9 +229,6 @@ func (sc *SkipChain) NewOnlineDecoder() (*OnlineDecoder, error) {
 	return &OnlineDecoder{sc: sc, delta: make([]float64, k), next: make([]float64, k)}, nil
 }
 
-// Reset rewinds the decoder to the start of a new sequence.
-func (d *OnlineDecoder) Reset() { d.t = 0 }
-
 // Push consumes one feature frame and returns its gesture label.
 func (d *OnlineDecoder) Push(x []float64) int {
 	sc := d.sc

@@ -71,7 +71,6 @@ type ErrorDetectorConfig struct {
 	// BalanceClasses applies inverse-frequency class weights.
 	BalanceClasses bool
 	Seed           int64
-	Verbose        func(string)
 }
 
 // DefaultErrorDetectorConfig returns a CPU-scale 1D-CNN configuration of
@@ -173,7 +172,6 @@ func trainBinary(rng *rand.Rand, cfg ErrorDetectorConfig, windows []dataset.Wind
 		ClipNorm:   5,
 		Patience:   cfg.Patience,
 		Rng:        rng,
-		Verbose:    cfg.Verbose,
 	})
 	if err != nil {
 		return nil, err
@@ -318,13 +316,7 @@ func (el *ErrorLibrary) EvalPerGesture(trajs []*kinematics.Trajectory, threshold
 	for g := range byG {
 		gestures = append(gestures, g)
 	}
-	for i := 0; i < len(gestures); i++ {
-		for j := i + 1; j < len(gestures); j++ {
-			if gestures[j] < gestures[i] {
-				gestures[i], gestures[j] = gestures[j], gestures[i]
-			}
-		}
-	}
+	sort.Ints(gestures)
 	var out []GestureEval
 	for _, g := range gestures {
 		ws := byG[g]

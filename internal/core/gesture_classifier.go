@@ -37,8 +37,6 @@ type GestureClassifierConfig struct {
 	TrainStride int
 	// Seed makes training deterministic.
 	Seed int64
-	// Verbose receives per-epoch progress lines when non-nil.
-	Verbose func(string)
 }
 
 // DefaultGestureClassifierConfig returns a CPU-scale configuration of the
@@ -117,7 +115,6 @@ func TrainGestureClassifier(trajs []*kinematics.Trajectory, cfg GestureClassifie
 		ClipNorm:   5,
 		Patience:   cfg.Patience,
 		Rng:        rng,
-		Verbose:    cfg.Verbose,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: train gesture classifier: %w", err)

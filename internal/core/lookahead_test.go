@@ -57,8 +57,7 @@ func TestLookaheadImprovesOrMatchesReaction(t *testing.T) {
 }
 
 // TestLookaheadNextGesture pins Monitor.lookahead: the most probable
-// successor under the grammar, only when it has a trained head, with the
-// blend defaulting to 0.8.
+// successor under the grammar, only when it has a trained head.
 func TestLookaheadNextGesture(t *testing.T) {
 	chain, err := gesture.FitMarkovChain([][]int{{2, 12, 6, 5, 11}})
 	if err != nil {
@@ -67,23 +66,21 @@ func TestLookaheadNextGesture(t *testing.T) {
 	head := &nn.Network{}
 	lib := &ErrorLibrary{GestureSpecific: true, PerGesture: map[int]*nn.Network{12: head, 6: nil}}
 	m := &Monitor{Errors: lib, Lookahead: chain}
-	check := func(g, wantNext int, wantBlend float64) {
+	check := func(g, wantNext int) {
 		t.Helper()
-		if next, blend := m.lookahead(g); next != wantNext || blend != wantBlend {
-			t.Errorf("lookahead(G%d) = (%d, %v), want (%d, %v)", g, next, blend, wantNext, wantBlend)
+		if next := m.lookahead(g); next != wantNext {
+			t.Errorf("lookahead(G%d) = %d, want %d", g, next, wantNext)
 		}
 	}
-	check(2, 12, 0.8)
-	check(12, 0, 0) // successor G6 has no trained head
-	check(11, 0, 0) // terminal
-	check(0, 0, 0)  // invalid context
-	m.LookaheadBlend = 0.5
-	check(2, 12, 0.5)
+	check(2, 12)
+	check(12, 0) // successor G6 has no trained head
+	check(11, 0) // terminal
+	check(0, 0)  // invalid context
 	lib.GestureSpecific = false
-	check(2, 0, 0)
+	check(2, 0)
 	lib.GestureSpecific = true
 	m.Lookahead = nil
-	check(2, 0, 0)
+	check(2, 0)
 }
 
 func TestLookaheadNonSpecificPassthrough(t *testing.T) {

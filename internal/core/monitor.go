@@ -41,13 +41,15 @@ type Monitor struct {
 	// of the two scores. Early in a gesture the classifier often still
 	// reports the previous context (negative jitter); the lookahead head
 	// covers that gap, trading false-positive rate for earlier detection.
-	// It applies to gesture-specific libraries only.
+	// It applies to gesture-specific libraries only. The lookahead head's
+	// score is scaled by LookaheadBlend before the max.
 	Lookahead *gesture.MarkovChain
-	// LookaheadBlend scales the lookahead head's score before the max
-	// (0..1]; lower values make pre-activation more conservative. Zero
-	// selects 0.8.
-	LookaheadBlend float64
 }
+
+// LookaheadBlend scales the lookahead head's score before the max with the
+// current context's; below 1, pre-activation is more conservative than
+// the current context's head.
+const LookaheadBlend = 0.8
 
 // NewMonitor builds a monitor from trained stages with the default 0.5
 // alert threshold.
@@ -169,8 +171,8 @@ func (m *Monitor) Run(traj *kinematics.Trajectory) (*Trace, error) {
 			g = -1
 		}
 		score := m.Errors.Score(g, feat[lo:end+1])
-		if next, blend := m.lookahead(g); next != 0 {
-			score = worse(score, blend*m.Errors.Score(next, feat[lo:end+1]))
+		if next := m.lookahead(g); next != 0 {
+			score = worse(score, LookaheadBlend*m.Errors.Score(next, feat[lo:end+1]))
 		}
 		if tainted || nanLogits != nil && nanLogits[end] {
 			score = math.NaN()
@@ -190,13 +192,13 @@ func (m *Monitor) Run(traj *kinematics.Trajectory) (*Trace, error) {
 	return trace, nil
 }
 
-// lookahead returns the error head to pre-activate after context g — the
-// most probable successor of g under m.Lookahead — and the blend to scale
-// its score by. next is 0 when lookahead is off, the library is gesture-
-// agnostic, or the successor has no trained head.
-func (m *Monitor) lookahead(g int) (next int, blend float64) {
+// lookahead returns the error head to pre-activate after context g: the
+// most probable successor of g under m.Lookahead. It is 0 when lookahead
+// is off, the library is gesture-agnostic, or the successor has no
+// trained head.
+func (m *Monitor) lookahead(g int) (next int) {
 	if m.Lookahead == nil || !m.Errors.GestureSpecific || g <= 0 || g > gesture.MaxGesture {
-		return 0, 0
+		return 0
 	}
 	bestP := 0.0
 	for succ, p := range m.Lookahead.Row(g) {
@@ -204,14 +206,10 @@ func (m *Monitor) lookahead(g int) (next int, blend float64) {
 			next, bestP = succ, p
 		}
 	}
-	if next == 0 || m.Errors.PerGesture[next] == nil {
-		return 0, 0
+	if m.Errors.PerGesture[next] == nil {
+		return 0
 	}
-	blend = m.LookaheadBlend
-	if blend <= 0 {
-		blend = 0.8
-	}
-	return next, blend
+	return next
 }
 
 // unsafe reports whether score raises an alert. A NaN score means the
@@ -294,9 +292,6 @@ func (w *slidingWindow) next() []float64 {
 	w.rows[len(w.rows)-1] = row
 	return row
 }
-
-// reset empties the window, keeping every row's backing capacity.
-func (w *slidingWindow) reset() { w.rows = w.rows[:0] }
 
 // errHeadScorer mirrors ErrorLibrary.Score over per-stream nn.Predictors
 // that all run in one scratch workspace, built once at stream creation,
@@ -390,7 +385,8 @@ type Stream struct {
 	projStale   int
 	frameIdx    int
 	// tainted counts the verdicts, the current one included, whose
-	// windows still hold a frame with a NaN or ±Inf value (see see).
+	// windows still hold a frame with a NaN or ±Inf value (see
+	// Stream.see).
 	tainted int
 	// groundTruth optionally supplies per-frame gesture labels for
 	// perfect-boundary streaming.
@@ -428,29 +424,6 @@ func (m *Monitor) NewStream(groundTruth []int) (*Stream, error) {
 		}
 	}
 	return s, nil
-}
-
-// Reset rewinds the stream to frame zero so the session can be reused for
-// another trajectory without re-allocating its window buffers. groundTruth
-// replaces the per-frame gesture labels (nil outside perfect-boundary mode).
-//
-// Reset may be called at any point — including mid-trajectory, when a
-// stream is abandoned — and the reused stream is indistinguishable from a
-// fresh one (no window contents, frame counter, or label slice survive;
-// the truncated buffers only retain backing capacity, which the next
-// pushes overwrite before reading).
-func (s *Stream) Reset(groundTruth []int) error {
-	if s.m.UseGroundTruthGestures && s.m.Errors.GestureSpecific && groundTruth == nil {
-		return errors.New("core: perfect-boundary streaming needs ground-truth labels")
-	}
-	s.gestureWin.reset()
-	s.projWin.reset()
-	s.projStale = 0
-	s.errorWin.reset()
-	s.frameIdx = 0
-	s.tainted = 0
-	s.groundTruth = groundTruth
-	return nil
 }
 
 // Observe consumes one kinematics frame without running any neural
@@ -505,8 +478,8 @@ func (s *Stream) Push(f *kinematics.Frame) FrameVerdict {
 		lookup = -1
 	}
 	score := s.errHeads.score(lookup, s.errorWin.rows)
-	if next, blend := m.lookahead(g); next != 0 {
-		score = worse(score, blend*s.errHeads.score(next, s.errorWin.rows))
+	if next := m.lookahead(g); next != 0 {
+		score = worse(score, LookaheadBlend*s.errHeads.score(next, s.errorWin.rows))
 	}
 	if s.tainted > 0 || nanLogits {
 		score = math.NaN()

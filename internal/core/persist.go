@@ -18,8 +18,9 @@ import (
 // produce a half-populated monitor.
 var ErrBadMonitorSpec = errors.New("core: bad monitor spec")
 
-// persistedGestureConfig mirrors GestureClassifierConfig without its
-// func-typed fields, which gob cannot encode.
+// persistedGestureConfig is GestureClassifierConfig's artifact form. Its
+// gob field names are the wire format, so saved bundles keep decoding
+// when a config field is renamed.
 type persistedGestureConfig struct {
 	Features       []int // kinematics.FeatureGroup values
 	Window, Stride int
@@ -52,7 +53,8 @@ func (p persistedGestureConfig) restore() GestureClassifierConfig {
 	}
 }
 
-// persistedErrorConfig mirrors ErrorDetectorConfig without func fields.
+// persistedErrorConfig is ErrorDetectorConfig's artifact form, kept apart
+// for the same reason.
 type persistedErrorConfig struct {
 	Features       []int
 	Window, Stride int
@@ -176,8 +178,7 @@ func decodeNet(data []byte, rng *rand.Rand) (*nn.Network, error) {
 	return nn.DecodeNetwork(bytes.NewReader(data), rng)
 }
 
-// Encode serializes the monitor bundle. Verbose callbacks and any training
-// state are not persisted.
+// Encode serializes the monitor bundle. No training state is persisted.
 func (m *Monitor) Encode(w io.Writer) error {
 	p := persistedMonitor{
 		Threshold: m.Threshold,

@@ -123,7 +123,7 @@ func TestNewStreamGuard(t *testing.T) {
 // path: with ground-truth context, with boundary lookahead on top,
 // gesture-agnostic, and with a predicted context, the stream's verdicts
 // must equal Run's frame by frame (from the first full gesture window when
-// the context is predicted), also after Reset.
+// the context is predicted).
 func TestStreamMatchesRun(t *testing.T) {
 	lib, mono, fold := streamFixtures(t)
 	cases := streamCases(t, lib, mono, fold)
@@ -173,94 +173,19 @@ func TestStreamMatchesRun(t *testing.T) {
 					t.Fatalf("frame %d: stream %+v vs run %+v", i, v, want)
 				}
 			}
-
-			// Reset replays identically.
-			if err := stream.Reset(labels); err != nil {
-				t.Fatal(err)
-			}
-			for i := range traj.Frames {
-				if v, want := stream.Push(&traj.Frames[i]), trace.Verdicts[i]; i >= tc.runFrom && v != want {
-					t.Fatalf("after reset, frame %d: stream %+v vs run %+v", i, v, want)
-				}
-			}
 		})
-	}
-}
-
-// TestStreamResetPoolSafety pins the Reset contract: a stream abandoned
-// mid-trajectory and Reset onto a different trajectory must produce
-// verdicts identical to a fresh stream's — no window contents, frame
-// counter, stale labels or pending non-finite-row verdicts may survive —
-// across many reuse cycles.
-func TestStreamResetPoolSafety(t *testing.T) {
-	lib, mono, fold := streamFixtures(t)
-	if len(fold.Test) < 2 {
-		t.Skip("need two test trajectories")
-	}
-	cases := streamCases(t, lib, mono, fold)
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			reused, err := tc.mon.NewStream(fold.Test[0].Gestures)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for cycle := 0; cycle < 3; cycle++ {
-				for _, traj := range fold.Test[:2] {
-					// Dirty the reused stream with a partial replay of the
-					// other trajectory, then abandon it.
-					other := fold.Test[0]
-					if traj == fold.Test[0] {
-						other = fold.Test[1]
-					}
-					for i := 0; i < other.Len()/3; i++ {
-						reused.Push(&other.Frames[i])
-					}
-					var nan kinematics.Frame
-					for k := range nan {
-						nan[k] = math.NaN()
-					}
-					reused.Push(&nan)
-					if err := reused.Reset(traj.Gestures); err != nil {
-						t.Fatal(err)
-					}
-					fresh, err := tc.mon.NewStream(traj.Gestures)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range traj.Frames {
-						got, want := reused.Push(&traj.Frames[i]), fresh.Push(&traj.Frames[i])
-						if got != want {
-							t.Fatalf("cycle %d frame %d: reused %+v vs fresh %+v", cycle, i, got, want)
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestStreamResetGuard checks that Reset re-validates the label contract.
-func TestStreamResetGuard(t *testing.T) {
-	lib, _, fold := streamFixtures(t)
-	mon := NewMonitor(nil, lib)
-	mon.UseGroundTruthGestures = true
-	stream, err := mon.NewStream(fold.Test[0].Gestures)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stream.Reset(nil); err == nil {
-		t.Error("Reset without labels in perfect-boundary mode should fail")
 	}
 }
 
 // TestStreamProjectionCacheExact pins the stream's cache of the gesture
 // LSTM's input projections to the uncached computation, bit for bit.
-// Random Observe, Push and Reset interleavings cover partial windows, full
-// windows that wrap, and runs of Observe longer than the window. After
-// every Push, the class the stream reports and the logits its cached
-// projections yield must equal Network.Forward on a copy of the gesture
-// window. The classifiers are untrained: exactness does not depend on the
-// weights, and {13} has a hidden width that is not a multiple of 4.
+// Random interleavings of Observe, Push and fresh streams cover partial
+// windows, full windows that wrap, and runs of Observe longer than the
+// window. After every Push, the class the stream reports and the logits
+// its cached projections yield must equal Network.Forward on a copy of
+// the gesture window. The classifiers are untrained: exactness does not
+// depend on the weights, and {13} has a hidden width that is not a
+// multiple of 4.
 func TestStreamProjectionCacheExact(t *testing.T) {
 	trajs := tinyDemos(t, 5, 4)
 	lib := &ErrorLibrary{Config: DefaultErrorDetectorConfig(), GestureSpecific: true}
@@ -277,7 +202,8 @@ func TestStreamProjectionCacheExact(t *testing.T) {
 				Standardizer: dataset.FitStandardizer(trajs, cfg.Features),
 				Config:       cfg,
 			}
-			s, err := NewMonitor(gc, lib).NewStream(nil)
+			mon := NewMonitor(gc, lib)
+			s, err := mon.NewStream(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,7 +223,7 @@ func TestStreamProjectionCacheExact(t *testing.T) {
 			for op := 0; op < 5000; op++ {
 				switch r := rng.Float64(); {
 				case r < 0.02:
-					if err := s.Reset(nil); err != nil {
+					if s, err = mon.NewStream(nil); err != nil {
 						t.Fatal(err)
 					}
 				case r < 0.05:
@@ -411,7 +337,7 @@ func TestNaNScoreIsUnsafe(t *testing.T) {
 		}
 		poisoned := 0
 		for _, g := range traj.Gestures {
-			if n, _ := mon.lookahead(g); n != 0 && n != g {
+			if n := mon.lookahead(g); n != 0 && n != g {
 				poisoned = n
 				break
 			}
@@ -423,7 +349,7 @@ func TestNaNScoreIsUnsafe(t *testing.T) {
 		viaLookahead := 0
 		check(t, mon, func(i int, v FrameVerdict) bool {
 			g := traj.Gestures[i]
-			if n, _ := mon.lookahead(g); n == poisoned {
+			if n := mon.lookahead(g); n == poisoned {
 				viaLookahead++
 				return failsSafe(v)
 			}

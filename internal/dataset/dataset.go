@@ -7,6 +7,7 @@ package dataset
 import (
 	"errors"
 	"math/rand"
+	"sort"
 
 	"repro/internal/kinematics"
 )
@@ -114,14 +115,7 @@ func LOSO(trajs []*kinematics.Trajectory) []LOSOSplit {
 	for tr := range trialSet {
 		trials = append(trials, tr)
 	}
-	// deterministic order
-	for i := 0; i < len(trials); i++ {
-		for j := i + 1; j < len(trials); j++ {
-			if trials[j] < trials[i] {
-				trials[i], trials[j] = trials[j], trials[i]
-			}
-		}
-	}
+	sort.Ints(trials) // deterministic order
 	folds := make([]LOSOSplit, 0, len(trials))
 	for _, tr := range trials {
 		fold := LOSOSplit{Trial: tr}

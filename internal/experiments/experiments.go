@@ -239,10 +239,3 @@ func splitTruths(all []*synth.Demo, truths [][]core.ErrorTruth, test []*kinemati
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -58,7 +58,7 @@ func RunExtension(o Options) (*ExtensionResult, error) {
 		return nil, err
 	}
 	lookahead := *mon
-	lookahead.Lookahead, lookahead.LookaheadBlend = chain, 0.8
+	lookahead.Lookahead = chain
 
 	res := &ExtensionResult{}
 	baseRep, err := mon.Evaluate(fold.Test, foldTruths)

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/dataset"
 	"repro/internal/kinematics"
 	"repro/internal/stats"
 	"repro/internal/synth"
@@ -38,7 +39,7 @@ func RunFig5(o Options) (*Fig5Result, error) {
 	trajs := synth.Trajectories(demos)
 
 	features := kinematics.CRG()
-	std := fitStd(trajs, features)
+	std := dataset.FitStandardizer(trajs, features)
 
 	// Scalar projection: standardized feature-vector norm. This captures
 	// how far the kinematics deviate from nominal in any direction, the
@@ -86,14 +87,6 @@ func RunFig5(o Options) (*Fig5Result, error) {
 		}
 	}
 	return res, nil
-}
-
-func fitStd(trajs []*kinematics.Trajectory, features kinematics.FeatureSet) *kinematics.Standardizer {
-	var rows [][]float64
-	for _, tr := range trajs {
-		rows = append(rows, features.Matrix(tr)...)
-	}
-	return kinematics.FitStandardizer(rows)
 }
 
 // Render returns the divergence matrix as text.

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
 )
@@ -248,8 +247,6 @@ type TrainConfig struct {
 	Patience int
 	// Rng shuffles mini-batches. Required.
 	Rng *rand.Rand
-	// Verbose, if non-nil, receives one line per epoch.
-	Verbose func(string)
 }
 
 // ErrNoTrainingData is returned when Fit receives an empty training set.
@@ -329,9 +326,6 @@ func (n *Network) Fit(train, val []Sample, cfg TrainConfig) (FitResult, error) {
 
 		if len(val) > 0 {
 			valLoss := n.EvalLoss(val)
-			if cfg.Verbose != nil {
-				cfg.Verbose(fmt.Sprintf("epoch %d: train loss %.4f, val loss %.4f, lr %.2g", epoch, epochLoss, valLoss, opt.LR))
-			}
 			if valLoss < res.BestValLoss-1e-6 {
 				res.BestValLoss = valLoss
 				badEpochs = 0
@@ -343,8 +337,6 @@ func (n *Network) Fit(train, val []Sample, cfg TrainConfig) (FitResult, error) {
 					break
 				}
 			}
-		} else if cfg.Verbose != nil {
-			cfg.Verbose(fmt.Sprintf("epoch %d: train loss %.4f, lr %.2g", epoch, epochLoss, opt.LR))
 		}
 	}
 	if bestWeights != nil {

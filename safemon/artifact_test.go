@@ -11,6 +11,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // saveArtifact marshals a fitted detector to bytes.
@@ -83,25 +85,20 @@ func TestArtifactRoundTripVerdicts(t *testing.T) {
 				}
 			}
 
-			// Manual replay, twice through one session to pin Reset.
+			// Manual replay through a session.
 			traj := fold.Test[0]
 			sess, err := loaded.NewSession(WithSessionLabels(traj.Gestures))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer sess.Close()
-			for pass := 0; pass < 2; pass++ {
-				for i := range traj.Frames {
-					v, err := sess.Push(&traj.Frames[i])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := wantTraces[0].Verdicts[i]; v != want {
-						t.Fatalf("pass %d frame %d: verdict %+v, want %+v", pass, i, v, want)
-					}
-				}
-				if err := sess.Reset(traj.Gestures); err != nil {
+			for i := range traj.Frames {
+				v, err := sess.Push(&traj.Frames[i])
+				if err != nil {
 					t.Fatal(err)
+				}
+				if want := wantTraces[0].Verdicts[i]; v != want {
+					t.Fatalf("frame %d: verdict %+v, want %+v", i, v, want)
 				}
 			}
 		})
@@ -245,6 +242,39 @@ func TestLoadRefusesQuantizedArtifact(t *testing.T) {
 				t.Fatalf("LoadDetector = %v, want an *ArtifactError wrapping errQuantizedArtifact", err)
 			}
 		})
+	}
+}
+
+// TestLoadLookaheadBlend pins the fixed lookahead blend: an artifact
+// carrying a blend other than 0 (the default) or core.LookaheadBlend is
+// refused, and one carrying core.LookaheadBlend serves the verdicts of
+// the detector that saved it.
+func TestLoadLookaheadBlend(t *testing.T) {
+	det := fittedDetector(t, "lookahead")
+	art := saveArtifact(t, det)
+	withBlend := func(b float64) []byte {
+		return rewriteArtifact(t, art, &contextPayload{}, func(p *contextPayload) { p.Blend = b })
+	}
+	_, err := LoadDetector(bytes.NewReader(withBlend(0.5)))
+	var ae *ArtifactError
+	if !errors.As(err, &ae) || !errors.Is(err, ErrCorruptPayload) {
+		t.Fatalf("blend 0.5: LoadDetector = %v, want an *ArtifactError wrapping ErrCorruptPayload", err)
+	}
+	loaded, err := LoadDetector(bytes.NewReader(withBlend(core.LookaheadBlend)))
+	if err != nil {
+		t.Fatalf("blend %v: %v", core.LookaheadBlend, err)
+	}
+	traj := testFold(t).Test[0]
+	want, err := det.Run(context.Background(), traj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := loaded.Run(context.Background(), traj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Verdicts, want.Verdicts) {
+		t.Fatal("an artifact naming the blend serves other verdicts")
 	}
 }
 

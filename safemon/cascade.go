@@ -135,13 +135,12 @@ func (m cascadeModel) session(_ Config, labels []int) (Session, error) {
 }
 
 // gatedStream is the cascade's view of its inner stream: full inference
-// (Push), window-warming without inference (Observe), and reuse (Reset).
-// Frame indices stay aligned because both paths advance the stream's
-// frame counter. *core.Stream implements it; tests substitute a fake.
+// (Push) and window-warming without inference (Observe). Frame indices
+// stay aligned because both paths advance the stream's frame counter.
+// *core.Stream implements it; tests substitute a fake.
 type gatedStream interface {
 	Push(f *Frame) FrameVerdict
 	Observe(f *Frame)
-	Reset(groundTruth []int) error
 }
 
 // cascadeSession gates the inner stream on the front session's score.
@@ -172,17 +171,6 @@ func (s *cascadeSession) Push(f *Frame) (FrameVerdict, error) {
 	s.inner.Observe(f)
 	fv.Unsafe = false
 	return fv, nil
-}
-
-func (s *cascadeSession) Reset(groundTruth []int) error {
-	if err := s.front.Reset(groundTruth); err != nil {
-		return err
-	}
-	if err := s.inner.Reset(groundTruth); err != nil {
-		return err
-	}
-	s.armed = 0
-	return nil
 }
 
 func (s *cascadeSession) Close() error { return s.front.Close() }

@@ -12,19 +12,12 @@ import (
 type scriptedFront struct {
 	scores []float64
 	i      int
-	resets int
 }
 
 func (s *scriptedFront) Push(f *Frame) (FrameVerdict, error) {
 	v := FrameVerdict{FrameIndex: s.i, Gesture: 5, Score: s.scores[s.i]}
 	s.i++
 	return v, nil
-}
-
-func (s *scriptedFront) Reset(groundTruth []int) error {
-	s.i = 0
-	s.resets++
-	return nil
 }
 
 func (s *scriptedFront) Close() error { return nil }
@@ -37,13 +30,12 @@ func (s *scriptedInner) Push(*Frame) FrameVerdict {
 	s.pushes++
 	return FrameVerdict{Gesture: 3, Score: 0.9, Unsafe: true}
 }
-func (s *scriptedInner) Observe(*Frame)    { s.observes++ }
-func (s *scriptedInner) Reset([]int) error { return nil }
+func (s *scriptedInner) Observe(*Frame) { s.observes++ }
 
 // TestCascadeArmHoldoff pins the gating semantics: a front score at or
 // above the arm threshold runs the inner detector for holdoff frames,
-// further suspicious frames refresh the counter, disarmed frames only
-// observe, and Reset clears the armed state.
+// further suspicious frames refresh the counter, and disarmed frames only
+// observe.
 func TestCascadeArmHoldoff(t *testing.T) {
 	scores := []float64{0.1, 0.6, 0.1, 0.1, 0.1, 0.1, 0.7, 0.8, 0.1, 0.1, 0.1, 0.1}
 	front := &scriptedFront{scores: scores}
@@ -83,53 +75,20 @@ func TestCascadeArmHoldoff(t *testing.T) {
 	if wantObs := len(scores) - 7; inner.observes != wantObs {
 		t.Errorf("inner observed %d frames, want %d", inner.observes, wantObs)
 	}
-
-	// Arm on the last scripted frame, then Reset: the armed state must not
-	// leak into the next trajectory.
-	front.scores = append(front.scores, 0.9)
-	if _, err := s.Push(&Frame{}); err != nil {
-		t.Fatal(err)
-	}
-	if s.armed == 0 {
-		t.Fatal("expected session to be armed before Reset")
-	}
-	if err := s.Reset(nil); err != nil {
-		t.Fatal(err)
-	}
-	if s.armed != 0 {
-		t.Errorf("Reset left armed = %d, want 0", s.armed)
-	}
-	if front.resets != 1 {
-		t.Errorf("front saw %d resets, want 1", front.resets)
-	}
-	pushesBefore := inner.pushes
-	if v, err := s.Push(&Frame{}); err != nil || v.Unsafe || inner.pushes != pushesBefore {
-		t.Errorf("first post-Reset quiet frame should be disarmed, got %+v (err %v, inner pushes %d->%d)",
-			v, err, pushesBefore, inner.pushes)
-	}
 }
 
-// TestCascadeRunSessionEquivalence checks that a single reused session
-// (with Reset between trajectories) reproduces Run's verdicts exactly —
-// in particular that Reset fully rewinds both stages and the armed state.
+// TestCascadeRunSessionEquivalence checks that a session reproduces
+// Run's verdicts exactly on every test trajectory, a fresh session each.
 func TestCascadeRunSessionEquivalence(t *testing.T) {
 	det := fittedDetector(t, "cascade")
-	fold := testFold(t)
-
-	var sess Session
-	for ti, traj := range fold.Test {
+	for ti, traj := range testFold(t).Test {
 		run, err := det.Run(context.Background(), traj)
 		if err != nil {
 			t.Fatalf("run traj %d: %v", ti, err)
 		}
-		if sess == nil {
-			sess, err = det.NewSession(WithSessionLabels(traj.Gestures))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sess.Close()
-		} else if err := sess.Reset(traj.Gestures); err != nil {
-			t.Fatalf("reset before traj %d: %v", ti, err)
+		sess, err := det.NewSession(WithSessionLabels(traj.Gestures))
+		if err != nil {
+			t.Fatal(err)
 		}
 		for i := range traj.Frames {
 			v, err := sess.Push(&traj.Frames[i])
@@ -140,6 +99,7 @@ func TestCascadeRunSessionEquivalence(t *testing.T) {
 				t.Fatalf("traj %d frame %d: session %+v != run %+v", ti, i, v, run.Verdicts[i])
 			}
 		}
+		sess.Close()
 	}
 }
 

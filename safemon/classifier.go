@@ -194,12 +194,4 @@ func (s *classifierSession) Push(f *Frame) (FrameVerdict, error) {
 	return v, nil
 }
 
-func (s *classifierSession) Reset([]int) error {
-	if s.dec != nil {
-		s.dec.Reset()
-	}
-	s.idx = 0
-	return nil
-}
-
 func (s *classifierSession) Close() error { return nil }

@@ -115,7 +115,9 @@ func fitContext(ctx context.Context, name string, cfg Config, trajs []*Trajector
 
 // contextPayload is the artifact payload of the context-aware, lookahead
 // and monolithic backends: the serialized two-stage monitor bundle plus the
-// resolved configuration (and, for lookahead, the task grammar and blend).
+// resolved configuration (and, for lookahead, the task grammar). Blend is
+// written as 0, which means core.LookaheadBlend; the one other value
+// decodeContext accepts is core.LookaheadBlend itself.
 type contextPayload struct {
 	Config  persistedConfig
 	Monitor []byte
@@ -143,12 +145,14 @@ func decodeContext(name string, base Config, data []byte) (Config, model, error)
 		err = errors.New("lookahead flag disagrees with backend name")
 	case cfg.Lookahead && p.Chain == nil:
 		err = errors.New("lookahead artifact without a task grammar")
+	case p.Blend != 0 && p.Blend != core.LookaheadBlend:
+		err = fmt.Errorf("lookahead blend %v; this build serves %v", p.Blend, core.LookaheadBlend)
 	}
 	if err != nil {
 		return cfg, nil, corruptErr("validate", name, err)
 	}
 	if cfg.Lookahead {
-		mon.Lookahead, mon.LookaheadBlend = p.Chain, p.Blend
+		mon.Lookahead = p.Chain
 	}
 	return cfg, contextModel{mon}, nil
 }
@@ -161,12 +165,7 @@ func (m contextModel) payload(cfg persistedConfig) (any, error) {
 	if err := m.mon.Encode(&mon); err != nil {
 		return nil, err
 	}
-	return contextPayload{
-		Config:  cfg,
-		Monitor: mon.Bytes(),
-		Chain:   m.mon.Lookahead,
-		Blend:   m.mon.LookaheadBlend,
-	}, nil
+	return contextPayload{Config: cfg, Monitor: mon.Bytes(), Chain: m.mon.Lookahead}, nil
 }
 
 func (m contextModel) session(_ Config, labels []int) (Session, error) {

@@ -134,5 +134,5 @@ func (d *detector) NewSession(opts ...SessionOption) (Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wrapGuard(s, sc)
+	return decorate(s, sc)
 }

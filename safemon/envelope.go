@@ -72,20 +72,14 @@ func (m envelopeModel) session(cfg Config, labels []int) (Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &envelopeSession{
-		scorer:     scorer,
-		threshold:  cfg.Threshold,
-		needLabels: cfg.GroundTruthContext,
-		labels:     labels,
-	}, nil
+	return &envelopeSession{scorer: scorer, threshold: cfg.Threshold, labels: labels}, nil
 }
 
 type envelopeSession struct {
-	scorer     *baseline.EnvelopeScorer
-	threshold  float64
-	needLabels bool
-	labels     []int
-	idx        int
+	scorer    *baseline.EnvelopeScorer
+	threshold float64
+	labels    []int
+	idx       int
 }
 
 func (s *envelopeSession) Push(f *Frame) (FrameVerdict, error) {
@@ -102,15 +96,6 @@ func (s *envelopeSession) Push(f *Frame) (FrameVerdict, error) {
 	}
 	s.idx++
 	return v, nil
-}
-
-func (s *envelopeSession) Reset(groundTruth []int) error {
-	if s.needLabels && groundTruth == nil {
-		return errors.New("safemon: per-gesture envelope session needs ground-truth labels")
-	}
-	s.labels = groundTruth
-	s.idx = 0
-	return nil
 }
 
 func (s *envelopeSession) Close() error { return nil }

@@ -16,8 +16,9 @@ func guardTestPolicy() guard.Policy {
 }
 
 // TestWithGuardWrapsEveryBackend pins that WithGuard yields a
-// GuardedSession for every registered backend, that verdicts are
-// unchanged by the wrapper, and that Reset clears the engine episode.
+// GuardedSession for every registered backend, that it reports no
+// episode before the first push (AlertFrame -1, as guard.Decision
+// documents), and that verdicts are unchanged by the wrapper.
 func TestWithGuardWrapsEveryBackend(t *testing.T) {
 	for _, backend := range Backends() {
 		t.Run(backend, func(t *testing.T) {
@@ -37,6 +38,9 @@ func TestWithGuardWrapsEveryBackend(t *testing.T) {
 			gs, ok := sess.(GuardedSession)
 			if !ok {
 				t.Fatalf("WithGuard session is %T, not GuardedSession", sess)
+			}
+			if d := gs.Decision(); d.Action != guard.ActionNone || d.AlertFrame != -1 {
+				t.Errorf("decision before the first push = %+v", d)
 			}
 
 			for i := range traj.Frames {
@@ -60,13 +64,6 @@ func TestWithGuardWrapsEveryBackend(t *testing.T) {
 			}
 			if gs.GuardPolicy().Name != "test" {
 				t.Errorf("policy = %q", gs.GuardPolicy().Name)
-			}
-
-			if err := gs.Reset(traj.Gestures); err != nil {
-				t.Fatal(err)
-			}
-			if d := gs.Decision(); d.Action != guard.ActionNone || d.AlertFrame != -1 {
-				t.Errorf("decision after Reset = %+v", d)
 			}
 		})
 	}

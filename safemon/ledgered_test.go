@@ -28,6 +28,21 @@ type discardStore struct{ *ledger.DiskStore }
 
 func (discardStore) Append([]ledger.Event) error { return nil }
 
+// oneLedgerSession returns a check that every event it sees carries one
+// and the same nonzero ledger session ID: a session opened WithLedger is
+// one recorded session.
+func oneLedgerSession(t *testing.T) func(*ledger.Event) {
+	var session uint64
+	return func(e *ledger.Event) {
+		if session == 0 {
+			session = e.Session
+		}
+		if e.Session == 0 || e.Session != session {
+			t.Errorf("%v event carries session %d, want one nonzero session (%d)", e.Kind, e.Session, session)
+		}
+	}
+}
+
 // TestWithLedgerRecordsStream pins the recorded trail of a ledgered
 // guarded session for every backend: a session-start carrying the
 // ground-truth labels, one verdict event per pushed frame (each with its
@@ -59,10 +74,6 @@ func TestWithLedgerRecordsStream(t *testing.T) {
 			if _, ok := sess.(GuardedSession); !ok {
 				t.Fatalf("ledgered guarded session is %T, lost the guard surface", sess)
 			}
-			ls, ok := sess.(LedgeredSession)
-			if !ok {
-				t.Fatalf("WithLedger session is %T, not LedgeredSession", sess)
-			}
 
 			actions := 0
 			for i := range traj.Frames {
@@ -87,11 +98,10 @@ func TestWithLedgerRecordsStream(t *testing.T) {
 			app.Flush()
 
 			var starts, verdicts, acts, ends int
+			oneSession := oneLedgerSession(t)
 			frame := 0
 			store.Scan(0, func(e *ledger.Event) bool {
-				if e.Session != ls.LedgerSession() {
-					return true
-				}
+				oneSession(e)
 				switch e.Kind {
 				case ledger.KindSessionStart:
 					starts++
@@ -122,44 +132,6 @@ func TestWithLedgerRecordsStream(t *testing.T) {
 					starts, verdicts, acts, actions, ends)
 			}
 		})
-	}
-}
-
-// TestWithLedgerReset pins that Reset closes the recorded session and
-// opens a fresh one, so Runner-style session reuse yields one recorded
-// session per trajectory.
-func TestWithLedgerReset(t *testing.T) {
-	det := fittedDetector(t, "envelope")
-	traj := testFold(t).Test[0]
-	store := testLedgerStore(t)
-	app := ledger.NewAppender(store, ledger.Options{})
-	defer app.Close()
-	sess, err := det.NewSession(WithSessionLabels(traj.Gestures), WithLedger(app, "envelope", "v1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := sess.(LedgeredSession).LedgerSession()
-	if _, err := sess.Push(&traj.Frames[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Reset(traj.Gestures); err != nil {
-		t.Fatal(err)
-	}
-	second := sess.(LedgeredSession).LedgerSession()
-	if second == first {
-		t.Fatal("Reset did not open a fresh recorded session")
-	}
-	sess.Close()
-	app.Flush()
-	var endReasons []string
-	store.Scan(0, func(e *ledger.Event) bool {
-		if e.Kind == ledger.KindSessionEnd {
-			endReasons = append(endReasons, e.Note)
-		}
-		return true
-	})
-	if len(endReasons) != 2 || endReasons[0] != "reset" || endReasons[1] != "close" {
-		t.Fatalf("end reasons = %v, want [reset close]", endReasons)
 	}
 }
 
@@ -227,7 +199,9 @@ func TestWithLedgerGuardActionTrail(t *testing.T) {
 	sess.Close()
 	app.Flush()
 	var got []*ledger.Event
+	oneSession := oneLedgerSession(t)
 	store.Scan(0, func(e *ledger.Event) bool {
+		oneSession(e)
 		if e.Kind == ledger.KindAction {
 			cp := *e
 			got = append(got, &cp)

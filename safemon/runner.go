@@ -11,11 +11,12 @@ import (
 
 // Runner evaluates a fitted detector over a batch of trajectories
 // concurrently: trajectories fan out across Workers goroutines, each
-// holding one reusable Session, and the resulting traces are merged into a
-// PipelineReport in trajectory order. Because trace aggregation is
-// deterministic and sessions are reset between trajectories, a concurrent
-// run produces a report identical to the sequential one (as long as the
-// detector was built without WithTiming).
+// scoring one trajectory at a time through Detector.Run (a fresh
+// session), and the resulting traces are merged into a PipelineReport in
+// trajectory order. Because every trajectory gets its own session and
+// trace aggregation is deterministic, a concurrent run produces a report
+// identical to the sequential one (as long as the detector was built
+// without WithTiming).
 type Runner struct {
 	// Detector is the fitted backend to evaluate.
 	Detector Detector
@@ -61,7 +62,6 @@ func (r *Runner) Traces(ctx context.Context, trajs []*Trajectory) ([]*Trace, err
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	timing := r.Detector.Info().Timing
 	traces := make([]*Trace, len(trajs))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -80,26 +80,8 @@ func (r *Runner) Traces(ctx context.Context, trajs []*Trajectory) ([]*Trace, err
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sess Session
-			defer func() {
-				if sess != nil {
-					sess.Close()
-				}
-			}()
 			for idx := range jobs {
-				traj := trajs[idx]
-				gt := groundTruthOf(traj)
-				var err error
-				if sess == nil {
-					sess, err = r.Detector.NewSession(WithSessionLabels(gt))
-				} else {
-					err = sess.Reset(gt)
-				}
-				if err != nil {
-					fail(&TrajectoryError{Index: idx, Err: err})
-					return
-				}
-				trace, err := replayTrace(ctx, sess, traj, timing)
+				trace, err := r.Detector.Run(ctx, trajs[idx])
 				if err != nil {
 					fail(&TrajectoryError{Index: idx, Err: err})
 					return

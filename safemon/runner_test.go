@@ -117,8 +117,7 @@ func (s *poisonSession) Push(f *Frame) (FrameVerdict, error) {
 	return v, nil
 }
 
-func (s *poisonSession) Reset([]int) error { s.idx = 0; return nil }
-func (s *poisonSession) Close() error      { return nil }
+func (s *poisonSession) Close() error { return nil }
 
 // TestRunnerTrajectoryError pins the error contract of Traces/Run: the
 // first worker failure must surface as a *TrajectoryError carrying the

@@ -17,10 +17,11 @@
 //   - Functional options: New(WithThreshold(0.7), WithGroundTruthContext(),
 //     ...) builds a configured detector without struct-field poking.
 //   - Session: the constant-latency streaming interface — push one
-//     kinematics frame, get one FrameVerdict.
+//     kinematics frame, get one FrameVerdict. A session serves one
+//     trajectory, from NewSession to Close.
 //   - Runner: a concurrent batch evaluator that fans trajectories across
-//     workers with per-worker session reuse and merges the traces into a
-//     PipelineReport byte-identical to the sequential path.
+//     workers, scores each through Detector.Run, and merges the traces
+//     into a PipelineReport byte-identical to the sequential path.
 //
 // Quickstart:
 //
@@ -138,14 +139,13 @@ type Detector interface {
 }
 
 // Session is the constant-latency online interface: feed one frame at a
-// time and receive a verdict. Sessions are single-goroutine objects; use
-// one per stream (Runner keeps one per worker).
+// time and receive a verdict. Sessions are single-goroutine objects and
+// one-shot: a session serves one stream from its first frame, and a new
+// stream opens a new session, so no state crosses from one trajectory
+// into another.
 type Session interface {
 	// Push consumes one frame and returns its verdict.
 	Push(f *Frame) (FrameVerdict, error)
-	// Reset rewinds the session to frame zero for reuse on another
-	// trajectory, replacing the ground-truth labels (nil when unused).
-	Reset(groundTruth []int) error
 	// Close releases the session.
 	Close() error
 }

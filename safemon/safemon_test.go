@@ -180,13 +180,12 @@ func TestUnfittedErrors(t *testing.T) {
 }
 
 // TestSessionRunEquivalence verifies that for every backend a manual
-// streaming session produces exactly the verdicts of the batch Run, and
-// that a Reset session reproduces them again.
+// streaming session produces exactly the verdicts of the batch Run.
 func TestSessionRunEquivalence(t *testing.T) {
 	fold := testFold(t)
 	traj := fold.Test[0]
 	ctx := context.Background()
-	for _, backend := range []string{"context-aware", "lookahead", "monolithic", "envelope", "skipchain", "sdsdl"} {
+	for _, backend := range Backends() {
 		t.Run(backend, func(t *testing.T) {
 			det := fittedDetector(t, backend)
 			trace, err := det.Run(ctx, traj)
@@ -201,59 +200,13 @@ func TestSessionRunEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sess.Close()
-			for pass := 0; pass < 2; pass++ { // second pass exercises Reset
-				for i := range traj.Frames {
-					v, err := sess.Push(&traj.Frames[i])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if v != trace.Verdicts[i] {
-						t.Fatalf("pass %d frame %d: session %+v vs run %+v", pass, i, v, trace.Verdicts[i])
-					}
-				}
-				if err := sess.Reset(traj.Gestures); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// TestSessionPoolMidStreamReuse guards the harder reuse scenario: a warm
-// session abandoned a third of the way into one trajectory and Reset for
-// the next must replay that next trajectory exactly (stale window state,
-// frame counter and labels may not leak).
-func TestSessionPoolMidStreamReuse(t *testing.T) {
-	fold := testFold(t)
-	trajA, trajB := fold.Test[0], fold.Test[len(fold.Test)-1]
-	ctx := context.Background()
-	for _, backend := range []string{"context-aware", "lookahead", "monolithic", "envelope", "skipchain", "sdsdl"} {
-		t.Run(backend, func(t *testing.T) {
-			det := fittedDetector(t, backend)
-			ref, err := det.Run(ctx, trajB)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sess, err := det.NewSession(WithSessionLabels(trajA.Gestures))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sess.Close()
-			for i := 0; i < trajA.Len()/3; i++ { // abandon a third of the way in
-				if _, err := sess.Push(&trajA.Frames[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := sess.Reset(trajB.Gestures); err != nil {
-				t.Fatal(err)
-			}
-			for i := range trajB.Frames {
-				v, err := sess.Push(&trajB.Frames[i])
+			for i := range traj.Frames {
+				v, err := sess.Push(&traj.Frames[i])
 				if err != nil {
 					t.Fatal(err)
 				}
-				if v != ref.Verdicts[i] {
-					t.Fatalf("frame %d: reused session %+v vs fresh run %+v", i, v, ref.Verdicts[i])
+				if v != trace.Verdicts[i] {
+					t.Fatalf("frame %d: session %+v vs run %+v", i, v, trace.Verdicts[i])
 				}
 			}
 		})

@@ -515,8 +515,7 @@ func (s *stubSession) Push(*safemon.Frame) (safemon.FrameVerdict, error) {
 	return v, nil
 }
 
-func (s *stubSession) Reset([]int) error { s.idx = 0; return nil }
-func (s *stubSession) Close() error      { return nil }
+func (s *stubSession) Close() error { return nil }
 
 // TestManagerDrain pins the shutdown contract: Close waits for in-flight
 // pushes, and later pushes and opens fail with ErrDraining.
