@@ -14,7 +14,8 @@
 #                      tables, hot-path and ablation benches; the serving path
 #                      is measured open loop by perfbench/run.sh)
 #   make bench-smoke - with -benchmem: per-backend session-step
-#                      benchmarks (fitted, artifact-loaded and ledgered),
+#                      benchmarks (fitted, artifact-loaded and ledgered,
+#                      and the prepared step of the two LSTM backends),
 #                      the guard engine's BenchmarkGuardStep, the event
 #                      ledger's BenchmarkLedgerAppend, every sub of
 #                      BenchmarkCodecRoundTrip (binary and NDJSON records),

@@ -256,13 +256,12 @@ func prepLibrary(trajs []*kinematics.Trajectory, cfg ErrorDetectorConfig) (*Erro
 	if cfg.Window <= 0 || cfg.Stride <= 0 {
 		return nil, nil, fmt.Errorf("core: bad window config %d/%d", cfg.Window, cfg.Stride)
 	}
-	std := dataset.FitStandardizer(trajs, cfg.Features)
 	trainStride := cfg.TrainStride
 	if trainStride <= 0 {
 		trainStride = cfg.Stride
 	}
-	windows, err := dataset.Slide(trajs, dataset.Config{
-		Features: cfg.Features, Size: cfg.Window, Stride: trainStride, Standardizer: std,
+	windows, std, err := dataset.FitSlide(trajs, dataset.Config{
+		Features: cfg.Features, Size: cfg.Window, Stride: trainStride,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -76,13 +76,12 @@ func TrainGestureClassifier(trajs []*kinematics.Trajectory, cfg GestureClassifie
 		return nil, fmt.Errorf("core: bad window config %d/%d", cfg.Window, cfg.Stride)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	std := dataset.FitStandardizer(trajs, cfg.Features)
 	trainStride := cfg.TrainStride
 	if trainStride <= 0 {
 		trainStride = cfg.Stride
 	}
-	windows, err := dataset.Slide(trajs, dataset.Config{
-		Features: cfg.Features, Size: cfg.Window, Stride: trainStride, Standardizer: std,
+	windows, std, err := dataset.FitSlide(trajs, dataset.Config{
+		Features: cfg.Features, Size: cfg.Window, Stride: trainStride,
 	})
 	if err != nil {
 		return nil, err

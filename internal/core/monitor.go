@@ -359,11 +359,17 @@ func (h *errHeadScorer) score(gestureIdx int, window [][]float64) float64 {
 // All window rows, feature projections and per-head inference scratch are
 // allocated at NewStream, so a warm Push performs zero heap allocations.
 //
-// When the gesture classifier's first layer is an LSTM, the stream also
-// keeps projWin: that layer's input projection B + Wx·x_t (nn.LSTM.Project)
-// of every gestureWin row. Consecutive windows share all but one row, so
-// a warm Push projects only the newest row instead of the whole window.
-// Observe defers its row's projection to the next Push.
+// When the gesture classifier is LSTM layers followed by TakeLast
+// (nn.Predictor.Stepwise), the stream also keeps projWin: the first
+// layer's input projection B + Wx·x_t (nn.LSTM.Project) of every
+// gestureWin row. Consecutive windows share all but one row, so each row
+// is projected once, not once per window. The classifier then runs in two
+// parts (nn.Predictor.Prefix and ForwardLast): Prepare runs the LSTM
+// layers over the rows the next window shares with the current one, and
+// Push steps each layer once on its frame's row. Push runs the prefix
+// itself when nobody prepared it, so both orders give the same verdict.
+// Observe defers its row's projection to the next Prepare and discards a
+// prepared prefix.
 type Stream struct {
 	m *Monitor
 	// sliding windows of standardized features for each stage
@@ -377,12 +383,14 @@ type Stream struct {
 	// buffers)
 	gesturePred *nn.Predictor
 	errHeads    errHeadScorer
-	// gestureLSTM is the classifier's first layer, or nil when that is
-	// not an LSTM. projWin advances in step with gestureWin, row for row;
-	// its newest projStale rows are not yet projected.
+	// gestureLSTM is the classifier's first layer when the classifier is
+	// Stepwise, else nil. projWin advances in step with gestureWin, row
+	// for row; its newest projStale rows are not yet projected. prepared
+	// reports that gesturePred holds the prefix of the next window.
 	gestureLSTM *nn.LSTM
 	projWin     slidingWindow
 	projStale   int
+	prepared    bool
 	frameIdx    int
 	// tainted counts the verdicts, the current one included, whose
 	// windows still hold a frame with a NaN or ±Inf value (see
@@ -418,9 +426,9 @@ func (m *Monitor) NewStream(groundTruth []int) (*Stream, error) {
 		s.gestureExt = gc.Config.Features.NewExtractor()
 		s.gestureWin = newSlidingWindow(gc.Config.Window, s.gestureExt.Dim())
 		s.gesturePred = gc.Net.NewPredictor(gc.Config.Window, s.gestureExt.Dim())
-		if l, ok := gc.Net.Layers[0].(*nn.LSTM); ok {
-			s.gestureLSTM = l
-			s.projWin = newSlidingWindow(gc.Config.Window, 4*l.Hidden)
+		if s.gesturePred.Stepwise() {
+			s.gestureLSTM = gc.Net.Layers[0].(*nn.LSTM)
+			s.projWin = newSlidingWindow(gc.Config.Window, 4*s.gestureLSTM.Hidden)
 		}
 	}
 	return s, nil
@@ -464,6 +472,7 @@ func (s *Stream) Push(f *kinematics.Frame) FrameVerdict {
 			g = s.groundTruth[idx]
 		}
 	case s.gesturePred != nil:
+		s.Prepare()
 		s.advanceGesture(f)
 		g, nanLogits = s.classify()
 	}
@@ -492,6 +501,33 @@ func (s *Stream) Push(f *kinematics.Frame) FrameVerdict {
 	}
 }
 
+// Prepare does the part of the next Push that does not depend on its
+// frame, so a caller with idle time between frames can take it off the
+// verdict path: it projects the rows Observe left stale and runs the
+// gesture classifier's LSTM layers over the rows the next window shares
+// with the current one (all of them until the window is full, then the
+// newest Window-1). Push then steps each layer once, on its frame's row.
+// Push after Prepare returns the same verdict as Push alone, and a second
+// Prepare before the next frame does nothing. It is a no-op when the
+// stream does not classify, or classifies with a network that is not
+// LSTM layers followed by TakeLast.
+func (s *Stream) Prepare() {
+	if s.gestureLSTM == nil || s.prepared {
+		return
+	}
+	rows, proj := s.gestureWin.rows, s.projWin.rows
+	first := 0
+	if len(rows) == cap(rows) {
+		first = 1 // the next frame evicts the oldest row
+	}
+	for t := max(len(rows)-s.projStale, first); t < len(rows); t++ {
+		s.gestureLSTM.Project(proj[t], rows[t])
+	}
+	s.projStale = 0
+	s.gesturePred.Prefix(proj[first:])
+	s.prepared = true
+}
+
 // see counts frame f into s.tainted: a frame holding a NaN or ±Inf value
 // stays in the stream's windows for as many frames as the longer one
 // holds, its own included.
@@ -504,7 +540,8 @@ func (s *Stream) see(f *kinematics.Frame) {
 }
 
 // advanceGesture slides frame f into the gesture window, standardized. Its
-// input projection is left stale for classify: no MACs run here.
+// input projection is left stale, and a prepared prefix is spent: no MACs
+// run here.
 func (s *Stream) advanceGesture(f *kinematics.Frame) {
 	row := s.gestureExt.ExtractInto(f, s.gestureWin.next())
 	if s.m.Gestures.Standardizer != nil {
@@ -515,22 +552,24 @@ func (s *Stream) advanceGesture(f *kinematics.Frame) {
 		if s.projStale < len(s.projWin.rows) {
 			s.projStale++
 		}
+		s.prepared = false
 	}
 }
 
-// classify returns the gesture class of the current window, projecting
-// only the rows that are still stale, and whether its logits hold a NaN.
+// classify returns the gesture class of the current window, and whether
+// its logits hold a NaN. A Stepwise classifier projects the newest row
+// and finishes the window from the prefix Prepare ran before the window
+// advanced.
 func (s *Stream) classify() (int, bool) {
 	var logits []float64
 	if s.gestureLSTM == nil {
 		logits = s.gesturePred.Forward(s.gestureWin.rows)
 	} else {
-		rows, proj := s.gestureWin.rows, s.projWin.rows
-		for t := len(rows) - s.projStale; t < len(rows); t++ {
-			s.gestureLSTM.Project(proj[t], rows[t])
-		}
+		n := len(s.gestureWin.rows)
+		last := s.projWin.rows[n-1]
+		s.gestureLSTM.Project(last, s.gestureWin.rows[n-1])
 		s.projStale = 0
-		logits = s.gesturePred.ForwardProjected(proj)
+		logits = s.gesturePred.ForwardLast(last)
 	}
 	return nn.Argmax(logits), hasNaN(logits)
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sort"
 
 	"repro/internal/kinematics"
 	"repro/internal/nn"
@@ -206,8 +207,15 @@ func (m *Monitor) Encode(w io.Writer) error {
 		p.ErrorStd = m.Errors.Standardizer.Std
 	}
 	p.GestureSpecific = m.Errors.GestureSpecific
-	for g, net := range m.Errors.PerGesture {
-		data, err := encodeNet(net)
+	// Heads go out in ascending gesture order, so one monitor always
+	// encodes to the same bytes.
+	heads := make([]int, 0, len(m.Errors.PerGesture))
+	for g := range m.Errors.PerGesture {
+		heads = append(heads, g)
+	}
+	sort.Ints(heads)
+	for _, g := range heads {
+		data, err := encodeNet(m.Errors.PerGesture[g])
 		if err != nil {
 			return fmt.Errorf("core: encode head %d: %w", g, err)
 		}

@@ -178,14 +178,16 @@ func TestStreamMatchesRun(t *testing.T) {
 }
 
 // TestStreamProjectionCacheExact pins the stream's cache of the gesture
-// LSTM's input projections to the uncached computation, bit for bit.
-// Random interleavings of Observe, Push and fresh streams cover partial
-// windows, full windows that wrap, and runs of Observe longer than the
-// window. After every Push, the class the stream reports and the logits
-// its cached projections yield must equal Network.Forward on a copy of
-// the gesture window. The classifiers are untrained: exactness does not
-// depend on the weights, and {13} has a hidden width that is not a
-// multiple of 4.
+// LSTM's input projections, and the prefix Prepare runs over them, to the
+// uncached computation, bit for bit. Random interleavings of Observe,
+// Prepare (0-2 calls), Push and fresh streams cover partial windows, full
+// windows that wrap, runs of Observe longer than the window, and Pushes
+// with and without a prepared prefix. After every Push, the class the
+// stream reports and the logits its prefix and cached projections yield
+// (ForwardLast leaves the prefix Push used in place) must equal
+// Network.Forward on a copy of the gesture window. The classifiers are
+// untrained: exactness does not depend on the weights, and {13} has a
+// hidden width that is not a multiple of 4.
 func TestStreamProjectionCacheExact(t *testing.T) {
 	trajs := tinyDemos(t, 5, 4)
 	lib := &ErrorLibrary{Config: DefaultErrorDetectorConfig(), GestureSpecific: true}
@@ -219,7 +221,7 @@ func TestStreamProjectionCacheExact(t *testing.T) {
 				return f
 			}
 			window := make([][]float64, cfg.Window)
-			pushes, full := 0, 0
+			pushes, full, prepared := 0, 0, 0
 			for op := 0; op < 5000; op++ {
 				switch r := rng.Float64(); {
 				case r < 0.02:
@@ -230,9 +232,14 @@ func TestStreamProjectionCacheExact(t *testing.T) {
 					for n := rng.Intn(2 * cfg.Window); n >= 0; n-- {
 						s.Observe(next())
 					}
-				case r < 0.40:
+				case r < 0.30:
 					s.Observe(next())
+				case r < 0.45:
+					for n := rng.Intn(3); n > 0; n-- {
+						s.Prepare()
+					}
 				default:
+					wasPrepared := s.prepared
 					v := s.Push(next())
 					rows := s.gestureWin.rows
 					win := window[:len(rows)]
@@ -240,7 +247,7 @@ func TestStreamProjectionCacheExact(t *testing.T) {
 						win[i] = append(win[i][:0], row...)
 					}
 					want := gc.Net.Forward(win, false)
-					got := s.gesturePred.ForwardProjected(s.projWin.rows)
+					got := s.gesturePred.ForwardLast(s.projWin.rows[len(rows)-1])
 					for k := range want {
 						if got[k] != want[k] {
 							t.Fatalf("op %d, window of %d rows: cached logit %d = %v, uncached %v", op, len(rows), k, got[k], want[k])
@@ -253,11 +260,14 @@ func TestStreamProjectionCacheExact(t *testing.T) {
 					if len(rows) == cfg.Window {
 						full++
 					}
+					if wasPrepared {
+						prepared++
+					}
 				}
 			}
-			t.Logf("%d pushes, %d on a full window", pushes, full)
-			if full == 0 || full == pushes {
-				t.Fatal("the interleavings did not cover both partial and full windows")
+			t.Logf("%d pushes, %d on a full window, %d prepared", pushes, full, prepared)
+			if full == 0 || full == pushes || prepared == 0 || prepared == pushes {
+				t.Fatal("the interleavings did not cover partial and full windows, prepared and not")
 			}
 		})
 	}

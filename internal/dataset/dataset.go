@@ -52,7 +52,12 @@ func SlideTrajectory(t *kinematics.Trajectory, trajIndex int, cfg Config) ([]Win
 	if cfg.Standardizer != nil {
 		cfg.Standardizer.TransformAll(feat)
 	}
-	var out []Window
+	return cut(nil, t, trajIndex, feat, cfg), nil
+}
+
+// cut appends to out cfg's windows of feat, the feature matrix of t, as
+// views into its rows.
+func cut(out []Window, t *kinematics.Trajectory, trajIndex int, feat [][]float64, cfg Config) []Window {
 	hasG := len(t.Gestures) == len(t.Frames)
 	hasU := len(t.Unsafe) == len(t.Frames)
 	for end := cfg.Size - 1; end < len(feat); end += cfg.Stride {
@@ -69,7 +74,7 @@ func SlideTrajectory(t *kinematics.Trajectory, trajIndex int, cfg Config) ([]Win
 		}
 		out = append(out, w)
 	}
-	return out, nil
+	return out
 }
 
 // Slide cuts sliding windows from every trajectory.
@@ -83,6 +88,33 @@ func Slide(trajs []*kinematics.Trajectory, cfg Config) ([]Window, error) {
 		out = append(out, ws...)
 	}
 	return out, nil
+}
+
+// FitSlide is FitStandardizer followed by Slide with the fitted
+// standardizer, from one extraction of each trajectory's feature matrix:
+// it fits the standardizer on the rows of every matrix, standardizes them
+// in place and cuts cfg's windows from them. cfg.Standardizer is ignored.
+// The windows and the standardizer are identical to the two-call form's.
+func FitSlide(trajs []*kinematics.Trajectory, cfg Config) ([]Window, *kinematics.Standardizer, error) {
+	if cfg.Size <= 0 || cfg.Stride <= 0 {
+		return nil, nil, ErrBadWindow
+	}
+	n := 0
+	for _, t := range trajs {
+		n += len(t.Frames)
+	}
+	feats := make([][][]float64, len(trajs))
+	rows := make([][]float64, 0, n)
+	for i, t := range trajs {
+		feats[i] = cfg.Features.Matrix(t)
+		rows = append(rows, feats[i]...)
+	}
+	std := kinematics.FitStandardizer(rows)
+	var out []Window
+	for i, t := range trajs {
+		out = cut(out, t, i, std.TransformAll(feats[i]), cfg)
+	}
+	return out, std, nil
 }
 
 // FitStandardizer fits a standardizer on the selected features of the

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -171,5 +172,42 @@ func TestFitStandardizerOnFeatures(t *testing.T) {
 	std := FitStandardizer(trajs, kinematics.CG())
 	if std.Dim() != kinematics.CG().Dim() {
 		t.Errorf("standardizer dim %d", std.Dim())
+	}
+}
+
+// TestFitSlideMatchesTwoCalls pins FitSlide to FitStandardizer followed by
+// Slide with the fitted standardizer: the same standardizer and the same
+// windows, values compared bit for bit, over trajectories of several
+// lengths (one shorter than the window) and varied frames.
+func TestFitSlideMatchesTwoCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var trajs []*kinematics.Trajectory
+	for i, n := range []int{20, 3, 33} {
+		tr := makeTraj(n, i)
+		for f := range tr.Frames {
+			for k := range tr.Frames[f] {
+				tr.Frames[f][k] += rng.NormFloat64()
+			}
+		}
+		trajs = append(trajs, tr)
+	}
+	cfg := Config{Features: kinematics.CRG(), Size: 5, Stride: 2}
+	std := FitStandardizer(trajs, cfg.Features)
+	want, err := Slide(trajs, Config{Features: cfg.Features, Size: cfg.Size, Stride: cfg.Stride, Standardizer: std})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotStd, err := FitSlide(trajs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotStd, std) {
+		t.Fatalf("standardizer %+v, want %+v", gotStd, std)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("windows differ from FitStandardizer then Slide")
+	}
+	if _, _, err := FitSlide(trajs, Config{Features: cfg.Features, Size: 0, Stride: 1}); err != ErrBadWindow {
+		t.Errorf("FitSlide with a zero window: %v, want ErrBadWindow", err)
 	}
 }

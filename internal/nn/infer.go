@@ -18,8 +18,8 @@ import (
 // scratch is one layer's reusable inference workspace. rows is the output
 // sequence buffer (row views into one flat backing array); a, b and c are
 // auxiliary vectors for layers that need running state inside a single
-// forward (the LSTM's hidden, cell and pre-activation vectors; the
-// Flatten layer's backing row).
+// forward (the LSTM's recurrence state, its copy for ForwardLast and its
+// pre-activations; the Flatten layer's backing row).
 type scratch struct {
 	rows    [][]float64
 	a, b, c []float64
@@ -35,17 +35,27 @@ func newSeqScratch(t, d int) *scratch {
 // allocations per call. It only ever reads the network's weights — many
 // Predictors may share one trained Network — but a single Predictor is not
 // safe for concurrent use: create one per stream.
+//
+// A network made of LSTM layers followed by TakeLast (see Stepwise) can
+// also be run in two parts: Prefix runs the recurrence over a window's
+// leading rows and keeps its state, and ForwardLast finishes the window
+// from that state with one step per LSTM layer on the last row. A stream
+// whose next window shares all but its last row with the current one can
+// run Prefix before that row arrives.
 type Predictor struct {
 	net   *Network
 	scr   []*scratch
 	probs []float64
+	// lstms is the number of leading LSTM layers when TakeLast follows
+	// them, else 0.
+	lstms int
 }
 
 // NewPredictor builds a reusable inference workspace for windows of up to
 // maxT timesteps with inDim input features. Outputs are numerically
 // identical to Network.Forward / Predict on the same window.
 func (n *Network) NewPredictor(maxT, inDim int) *Predictor {
-	p := &Predictor{net: n, scr: make([]*scratch, len(n.Layers))}
+	p := &Predictor{net: n, scr: make([]*scratch, len(n.Layers)), lstms: stepwiseDepth(n.Layers)}
 	d := inDim
 	for i, l := range n.Layers {
 		p.scr[i] = l.newScratch(maxT, d)
@@ -61,6 +71,25 @@ func (n *Network) NewPredictor(maxT, inDim int) *Predictor {
 	return p
 }
 
+// stepwiseDepth returns the number of leading LSTM layers when a TakeLast
+// layer follows them, and 0 otherwise.
+func stepwiseDepth(layers []Layer) int {
+	k := 0
+	for k < len(layers) {
+		if _, ok := layers[k].(*LSTM); !ok {
+			break
+		}
+		k++
+	}
+	if k == len(layers) {
+		return 0
+	}
+	if _, ok := layers[k].(*TakeLast); !ok {
+		return 0
+	}
+	return k
+}
+
 // Share returns a Predictor for o that runs in p's workspace, so one
 // stream can score several networks of one shape with a single set of
 // scratch buffers. Each call on p or on the returned Predictor overwrites
@@ -70,7 +99,7 @@ func (p *Predictor) Share(o *Network) (*Predictor, error) {
 	if !p.net.SameShape(o) {
 		return nil, errors.New("nn: a shared Predictor needs a network of the same layer shapes")
 	}
-	return &Predictor{net: o, scr: p.scr, probs: p.probs}, nil
+	return &Predictor{net: o, scr: p.scr, probs: p.probs, lstms: p.lstms}, nil
 }
 
 // Forward runs the network on a window and returns the final logits. The
@@ -79,15 +108,46 @@ func (p *Predictor) Forward(x [][]float64) []float64 {
 	return p.forwardFrom(0, x)
 }
 
-// ForwardProjected is Forward for a network whose first layer is an LSTM,
-// given that layer's input projections instead of the window: proj[t] must
-// hold what the layer's Project writes for window row t. A stream whose
-// windows overlap can then project each row once instead of once per
-// window. The logits are bit-identical to Forward on the window. It panics
-// if the first layer is not an LSTM.
-func (p *Predictor) ForwardProjected(proj [][]float64) []float64 {
-	l := p.net.Layers[0].(*LSTM)
-	return p.forwardFrom(1, l.recur(proj, p.scr[0]))
+// Stepwise reports whether the network is LSTM layers followed by
+// TakeLast, so that only a window's last row reaches the layers after the
+// recurrence and Prefix and ForwardLast can split its forward pass.
+func (p *Predictor) Stepwise() bool { return p.lstms > 0 }
+
+// Prefix runs the LSTM layers of a Stepwise network from zero state over
+// the leading rows of a window and keeps each layer's final hidden and
+// cell state for ForwardLast. The rows come as the first layer's input
+// projections: proj[t] must hold what that layer's Project writes for
+// row t, so a stream whose windows overlap projects each row once. A
+// Prefix of no rows leaves the zero state. It panics unless Stepwise.
+func (p *Predictor) Prefix(proj [][]float64) {
+	if p.lstms == 0 {
+		panic("nn: Prefix needs LSTM layers followed by TakeLast")
+	}
+	x := p.net.Layers[0].(*LSTM).recur(proj, p.scr[0])
+	for i := 1; i < p.lstms; i++ {
+		x = p.net.Layers[i].infer(x, p.scr[i])
+	}
+}
+
+// ForwardLast returns the logits of the window made of the rows the last
+// Prefix ran plus one more row, given as its first-layer input
+// projection: one recurrence step per LSTM layer from the prefix state,
+// then the layers from TakeLast on. The logits are bit-identical to
+// Forward on the whole window, since each lane runs the same operations
+// in the same order. The step runs on a copy of the prefix state, so
+// ForwardLast may run again after it on the same prefix. The returned
+// slice is scratch-backed and is overwritten by the next call. It panics
+// unless Stepwise.
+func (p *Predictor) ForwardLast(proj []float64) []float64 {
+	if p.lstms == 0 {
+		panic("nn: ForwardLast needs LSTM layers followed by TakeLast")
+	}
+	var out [][]float64
+	for i, x := 0, proj; i < p.lstms; i++ {
+		out = p.net.Layers[i].(*LSTM).next(x, i == 0, p.scr[i])
+		x = out[0]
+	}
+	return p.forwardFrom(p.lstms, out)
 }
 
 // forwardFrom runs layers[first:] on x, the output of the layer before.
@@ -231,22 +291,27 @@ func (c *Conv1D) infer(x [][]float64, s *scratch) [][]float64 {
 func (l *LSTM) newScratch(maxT, _ int) *scratch {
 	H := l.Hidden
 	s := newSeqScratch(maxT, H)
-	s.a = make([]float64, H)   // hidden state
-	s.b = make([]float64, H)   // cell state
+	s.a = make([]float64, 2*H) // hidden and cell state after the last row
+	s.b = make([]float64, 2*H) // their copy, advanced by next
 	s.c = make([]float64, 4*H) // gate pre-activations
 	return s
+}
+
+// zeroState clears the recurrence state in s and returns its hidden and
+// cell vectors.
+func (l *LSTM) zeroState(s *scratch) (h, c []float64) {
+	clear(s.a)
+	return s.a[:l.Hidden], s.a[l.Hidden:]
 }
 
 // infer projects each row and advances the recurrence on it, one timestep
 // at a time, so the scratch needs one projection row, not one per step.
 func (l *LSTM) infer(x [][]float64, s *scratch) [][]float64 {
 	out := s.rows[:len(x)]
-	h, c, pre := s.a, s.b, s.c
-	clear(h)
-	clear(c)
+	h, c := l.zeroState(s)
 	for t := range x {
-		l.Project(pre, x[t])
-		l.step(pre, h, c, out[t])
+		l.Project(s.c, x[t])
+		l.step(s.c, h, c, out[t])
 	}
 	return out
 }
@@ -257,13 +322,27 @@ func (l *LSTM) infer(x [][]float64, s *scratch) [][]float64 {
 // bit-identical to infer on the rows that were projected.
 func (l *LSTM) recur(proj [][]float64, s *scratch) [][]float64 {
 	out := s.rows[:len(proj)]
-	h, c, pre := s.a, s.b, s.c
-	clear(h)
-	clear(c)
+	h, c := l.zeroState(s)
 	for t := range proj {
-		copy(pre, proj[t])
-		l.step(pre, h, c, out[t])
+		copy(s.c, proj[t])
+		l.step(s.c, h, c, out[t])
 	}
+	return out
+}
+
+// next advances a copy of the state infer or recur left in s by one
+// timestep and returns the new hidden state as a one-row output. x is the
+// timestep's input projection when projected, else its input row.
+func (l *LSTM) next(x []float64, projected bool, s *scratch) [][]float64 {
+	H := l.Hidden
+	if projected {
+		copy(s.c, x)
+	} else {
+		l.Project(s.c, x)
+	}
+	copy(s.b, s.a)
+	out := s.rows[:1]
+	l.step(s.c, s.b[:H], s.b[H:], out[0])
 	return out
 }
 

@@ -105,6 +105,25 @@ func TestArtifactRoundTripVerdicts(t *testing.T) {
 	}
 }
 
+// TestSaveDeterministic saves every context-family fixture 50 times: one
+// fitted detector must always save to one byte string, and so to one
+// modelstore checksum. The monitor's per-gesture heads live in a map,
+// whose iteration order changes from walk to walk, so the encoder must
+// not write them in map order.
+func TestSaveDeterministic(t *testing.T) {
+	for _, backend := range []string{"context-aware", "lookahead", "monolithic", "cascade"} {
+		t.Run(backend, func(t *testing.T) {
+			det := fittedDetector(t, backend)
+			first := saveArtifact(t, det)
+			for i := 1; i < 50; i++ {
+				if !bytes.Equal(saveArtifact(t, det), first) {
+					t.Fatalf("save %d differs from the first save", i)
+				}
+			}
+		})
+	}
+}
+
 func TestSaveUnfittedFails(t *testing.T) {
 	for _, backend := range Backends() {
 		det, err := Open(backend)

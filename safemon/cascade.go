@@ -135,11 +135,13 @@ func (m cascadeModel) session(_ Config, labels []int) (Session, error) {
 }
 
 // gatedStream is the cascade's view of its inner stream: full inference
-// (Push) and window-warming without inference (Observe). Frame indices
-// stay aligned because both paths advance the stream's frame counter.
-// *core.Stream implements it; tests substitute a fake.
+// (Push), its frame-independent part (Prepare) and window-warming without
+// inference (Observe). Frame indices stay aligned because both Push and
+// Observe advance the stream's frame counter. *core.Stream implements
+// it; tests substitute a fake.
 type gatedStream interface {
 	Push(f *Frame) FrameVerdict
+	Prepare()
 	Observe(f *Frame)
 }
 
@@ -171,6 +173,17 @@ func (s *cascadeSession) Push(f *Frame) (FrameVerdict, error) {
 	s.inner.Observe(f)
 	fv.Unsafe = false
 	return fv, nil
+}
+
+// Prepare prepares the inner stream only while the cascade is armed: then
+// the next frame runs the inner Push. A disarmed next frame may only
+// Observe, which would discard the prefix; if that frame arms the
+// cascade, Push runs the prefix itself. The envelope front has nothing to
+// prepare.
+func (s *cascadeSession) Prepare() {
+	if s.armed > 0 {
+		s.inner.Prepare()
+	}
 }
 
 func (s *cascadeSession) Close() error { return s.front.Close() }

@@ -20,16 +20,19 @@ func (s *scriptedFront) Push(f *Frame) (FrameVerdict, error) {
 	return v, nil
 }
 
+func (s *scriptedFront) Prepare()     {}
 func (s *scriptedFront) Close() error { return nil }
 
-// scriptedInner fakes the cascade's inner stream, counting inference and
-// observe-only frames; every inference verdict is unsafe in context 3.
-type scriptedInner struct{ pushes, observes int }
+// scriptedInner fakes the cascade's inner stream, counting inference,
+// prepare and observe-only calls; every inference verdict is unsafe in
+// context 3.
+type scriptedInner struct{ pushes, prepares, observes int }
 
 func (s *scriptedInner) Push(*Frame) FrameVerdict {
 	s.pushes++
 	return FrameVerdict{Gesture: 3, Score: 0.9, Unsafe: true}
 }
+func (s *scriptedInner) Prepare()       { s.prepares++ }
 func (s *scriptedInner) Observe(*Frame) { s.observes++ }
 
 // TestCascadeArmHoldoff pins the gating semantics: a front score at or
@@ -74,6 +77,30 @@ func TestCascadeArmHoldoff(t *testing.T) {
 	}
 	if wantObs := len(scores) - 7; inner.observes != wantObs {
 		t.Errorf("inner observed %d frames, want %d", inner.observes, wantObs)
+	}
+}
+
+// TestCascadePrepareOnlyWhileArmed pins where the cascade forwards
+// Prepare: to the inner stream only while it is armed, since then the
+// next frame runs the inner Push whatever the front scores. A disarmed
+// cascade prepares nothing, even when the next frame arms it (f6 below):
+// that Push runs the prefix itself.
+func TestCascadePrepareOnlyWhileArmed(t *testing.T) {
+	scores := []float64{0.1, 0.6, 0.1, 0.1, 0.1, 0.1, 0.7, 0.8, 0.1, 0.1, 0.1, 0.1}
+	inner := &scriptedInner{}
+	s := &cascadeSession{front: &scriptedFront{scores: scores}, inner: inner, arm: 0.5, holdoff: 3}
+	// Per frame: whether the inner stream runs the next frame's Push
+	// whatever the front scores (f1 arms f1..f3, f6 and f7 arm f6..f9).
+	wantPrepare := []bool{false, true, true, false, false, false, true, true, true, false, false, false}
+	for i := range scores {
+		if _, err := s.Push(&Frame{}); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		before := inner.prepares
+		s.Prepare()
+		if got := inner.prepares > before; got != wantPrepare[i] {
+			t.Errorf("after frame %d: Prepare reached the inner stream = %v, want %v (armed %d)", i, got, wantPrepare[i], s.armed)
+		}
 	}
 }
 

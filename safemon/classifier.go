@@ -194,4 +194,5 @@ func (s *classifierSession) Push(f *Frame) (FrameVerdict, error) {
 	return v, nil
 }
 
+func (s *classifierSession) Prepare()     {}
 func (s *classifierSession) Close() error { return nil }

@@ -176,7 +176,8 @@ func (m contextModel) session(_ Config, labels []int) (Session, error) {
 	return contextSession{st}, nil
 }
 
-// contextSession serves a core stream as a Session.
+// contextSession serves a core stream as a Session; Prepare is the
+// stream's own.
 type contextSession struct{ *core.Stream }
 
 func (s contextSession) Push(f *Frame) (FrameVerdict, error) { return s.Stream.Push(f), nil }

@@ -98,4 +98,5 @@ func (s *envelopeSession) Push(f *Frame) (FrameVerdict, error) {
 	return v, nil
 }
 
+func (s *envelopeSession) Prepare()     {}
 func (s *envelopeSession) Close() error { return nil }

@@ -129,6 +129,31 @@ func BenchmarkSessionStepLoaded(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionStepPrepared times the served step of the backends
+// whose Prepare does work: each iteration runs Prepare with the timer
+// stopped, as safemond does between frames, and times the Push that
+// follows, the part a verdict waits for. scripts/benchguard.sh gates it at
+// 0 allocs/op and a budget far below BenchmarkSessionStep's, so a Push
+// that ignores its prepared prefix fails the gate.
+func BenchmarkSessionStepPrepared(b *testing.B) {
+	for _, backend := range []string{"context-aware", "lookahead"} {
+		b.Run(backend, func(b *testing.B) {
+			sess, traj := warmSession(b, backend)
+			defer sess.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sess.Prepare()
+				b.StartTimer()
+				if _, err := sess.Push(&traj.Frames[i%traj.Len()]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSessionOpen times NewSession and Close on every backend's
 // fitted fixture: what a stream pays once, since serve opens one session
 // per stream. Run it with -benchmem for the bytes and allocations of an

@@ -117,6 +117,7 @@ func (s *poisonSession) Push(f *Frame) (FrameVerdict, error) {
 	return v, nil
 }
 
+func (s *poisonSession) Prepare()     {}
 func (s *poisonSession) Close() error { return nil }
 
 // TestRunnerTrajectoryError pins the error contract of Traces/Run: the

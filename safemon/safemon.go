@@ -18,7 +18,9 @@
 //     ...) builds a configured detector without struct-field poking.
 //   - Session: the constant-latency streaming interface — push one
 //     kinematics frame, get one FrameVerdict. A session serves one
-//     trajectory, from NewSession to Close.
+//     trajectory, from NewSession to Close; Prepare, called between
+//     frames, moves the frame-independent part of the next Push off the
+//     verdict path.
 //   - Runner: a concurrent batch evaluator that fans trajectories across
 //     workers, scores each through Detector.Run, and merges the traces
 //     into a PipelineReport byte-identical to the sequential path.
@@ -146,6 +148,14 @@ type Detector interface {
 type Session interface {
 	// Push consumes one frame and returns its verdict.
 	Push(f *Frame) (FrameVerdict, error)
+	// Prepare does the part of the next Push that does not depend on its
+	// frame, so a caller that idles between frames can take that work
+	// off the verdict path; safemond calls it after each verdict it
+	// sends. Push returns the same verdict with or without it, and runs
+	// whatever was not prepared itself, so callers that never call it
+	// lose nothing. Calling it twice before a Push is calling it once.
+	// Backends with nothing to prepare make it a no-op.
+	Prepare()
 	// Close releases the session.
 	Close() error
 }

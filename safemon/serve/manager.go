@@ -24,8 +24,8 @@ var (
 	// ErrUnknownBackend reports a backend name the server does not serve.
 	ErrUnknownBackend = errors.New("serve: unknown backend")
 	// ErrSessionPanic reports that a session's backend panicked while
-	// scoring a frame. The stream ends and its session is closed; the
-	// process and every other stream keep running.
+	// scoring or preparing a frame. The stream ends and its session is
+	// closed; the process and every other stream keep running.
 	ErrSessionPanic = errors.New("serve: session panic")
 )
 
@@ -35,7 +35,7 @@ type managerStats struct {
 	frames         atomic.Uint64 // frames pushed through sessions
 	sessionsOpened atomic.Uint64 // streams attached by Open
 	sessionsClosed atomic.Uint64 // streams released (opened - closed = active)
-	panics         atomic.Uint64 // pushes ended by a recovered panic
+	panics         atomic.Uint64 // pushes and prepares ended by a recovered panic
 }
 
 // ManagerConfig tunes the session manager.
@@ -189,27 +189,57 @@ func (m *Manager) Open(backend string, groundTruth []int) (*Session, error) {
 // the stream should end.
 func (s *Session) Push(ctx context.Context, frame *safemon.Frame) (v safemon.FrameVerdict, err error) {
 	m := s.m
-	m.mu.RLock()
-	if m.draining {
-		m.mu.RUnlock()
+	if !m.enter() {
 		return v, ErrDraining
 	}
-	m.inflight.Add(1)
-	m.mu.RUnlock()
 	defer m.inflight.Done()
 	if err := ctx.Err(); err != nil {
 		return v, err
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			m.stats.panics.Add(1)
-			v, err = safemon.FrameVerdict{}, fmt.Errorf("%w: %v", ErrSessionPanic, r)
-		}
-	}()
+	defer m.recoverPanic(&err)
 	if v, err = s.sess.Push(frame); err == nil {
 		m.stats.frames.Add(1)
 	}
 	return v, err
+}
+
+// Prepare runs the frame-independent part of the session's next Push
+// (safemon.Session.Prepare) on the calling goroutine, under Push's rules:
+// it does nothing while the manager drains, counts as in flight for
+// Close, and recovers a backend panic into an error wrapping
+// ErrSessionPanic, after which the stream should end. Like Push, it is
+// single-caller.
+func (s *Session) Prepare() (err error) {
+	m := s.m
+	if !m.enter() {
+		return nil
+	}
+	defer m.inflight.Done()
+	defer m.recoverPanic(&err)
+	s.sess.Prepare()
+	return nil
+}
+
+// enter admits one push or prepare as in flight, unless the manager
+// drains; the caller owes inflight.Done when it returns true.
+func (m *Manager) enter() bool {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if m.draining {
+		return false
+	}
+	m.inflight.Add(1)
+	return true
+}
+
+// recoverPanic, deferred, turns a backend panic into an error wrapping
+// ErrSessionPanic in *err and counts it. The call that panicked assigned
+// no results, so a push's verdict stays zero.
+func (m *Manager) recoverPanic(err *error) {
+	if r := recover(); r != nil {
+		m.stats.panics.Add(1)
+		*err = fmt.Errorf("%w: %v", ErrSessionPanic, r)
+	}
 }
 
 // Release detaches the stream and closes its session, freeing its slot.

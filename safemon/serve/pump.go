@@ -142,9 +142,11 @@ func (p *pump) close() {
 // step carries one decoded frame (decNS is its record-decode time):
 // session push, ledger verdict, guard step with its ledger action edge,
 // then the action and verdict out through the sink, with every stage fed
-// to the trace. A failed push — a recovered backend panic included — or a
-// verdict the sink cannot write ends the stream with an error record and
-// returns false.
+// to the trace. Once the verdict is out, it prepares the session's next
+// push, off the verdict path: the stream idles until its next frame
+// anyway. A failed push or prepare — a recovered backend panic included
+// — or a verdict the sink cannot write ends the stream with an error
+// record and returns false.
 func (p *pump) step(ctx context.Context, f *safemon.Frame, decNS int64) bool {
 	p.frame = *f
 	p.tr.setStage(stageDecode, decNS)
@@ -186,6 +188,11 @@ func (p *pump) step(ctx context.Context, f *safemon.Frame, decNS int64) bool {
 	p.tr.setStage(stageGuard, t3.Sub(t2).Nanoseconds())
 	p.tr.setStage(stageEncode, end.Sub(t3).Nanoseconds())
 	p.tr.observe(p.frames-1, end.UnixNano())
+	if err := p.sess.Prepare(); err != nil {
+		p.end("error: prepare")
+		p.out.fail(pushError(err))
+		return false
+	}
 	return true
 }
 

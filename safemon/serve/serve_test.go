@@ -474,8 +474,12 @@ func TestBeginDrainKeepsInFlightStreams(t *testing.T) {
 }
 
 // stubDetector is a minimal backend whose sessions take a configurable
-// time per push — used to exercise backpressure deterministically.
-type stubDetector struct{ delay time.Duration }
+// time per push, and per prepare — used to exercise backpressure and the
+// drain deterministically. prepares counts the prepares that finished.
+type stubDetector struct {
+	delay, prepareDelay time.Duration
+	prepares            atomic.Int32
+}
 
 func (d *stubDetector) Info() safemon.Info { return safemon.Info{Name: "stub", Threshold: 0.5} }
 
@@ -498,12 +502,13 @@ func (d *stubDetector) Run(ctx context.Context, traj *safemon.Trajectory) (*safe
 }
 
 func (d *stubDetector) NewSession(...safemon.SessionOption) (safemon.Session, error) {
-	return &stubSession{delay: d.delay}, nil
+	return &stubSession{delay: d.delay, prepareDelay: d.prepareDelay, prepares: &d.prepares}, nil
 }
 
 type stubSession struct {
-	delay time.Duration
-	idx   int
+	delay, prepareDelay time.Duration
+	prepares            *atomic.Int32
+	idx                 int
 }
 
 func (s *stubSession) Push(*safemon.Frame) (safemon.FrameVerdict, error) {
@@ -515,39 +520,67 @@ func (s *stubSession) Push(*safemon.Frame) (safemon.FrameVerdict, error) {
 	return v, nil
 }
 
+func (s *stubSession) Prepare() {
+	if s.prepareDelay > 0 {
+		time.Sleep(s.prepareDelay)
+	}
+	if s.prepares != nil {
+		s.prepares.Add(1)
+	}
+}
+
 func (s *stubSession) Close() error { return nil }
 
 // TestManagerDrain pins the shutdown contract: Close waits for in-flight
-// pushes, and later pushes and opens fail with ErrDraining.
+// pushes and prepares, later pushes and opens fail with ErrDraining, and
+// a later prepare does nothing.
 func TestManagerDrain(t *testing.T) {
-	m, err := NewManager(map[string]safemon.Detector{"stub": &stubDetector{delay: 50 * time.Millisecond}},
-		ManagerConfig{})
+	// The prepare outlasts the push, so Close can only wait for it by
+	// counting it in flight.
+	det := &stubDetector{delay: 50 * time.Millisecond, prepareDelay: 100 * time.Millisecond}
+	m, err := NewManager(map[string]safemon.Detector{"stub": det}, ManagerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Reserve(); err != nil {
-		t.Fatal(err)
+	open := func() *Session {
+		t.Helper()
+		if err := m.Reserve(); err != nil {
+			t.Fatal(err)
+		}
+		s, err := m.Open("stub", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	s, err := m.Open("stub", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, ps := open(), open()
 
 	var frame safemon.Frame
-	pushed := make(chan error, 1)
+	pushed, prepared := make(chan error, 1), make(chan error, 1)
 	go func() {
 		_, err := s.Push(context.Background(), &frame)
 		pushed <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // let the push commit
+	go func() { prepared <- ps.Prepare() }()
+	time.Sleep(10 * time.Millisecond) // let the push and the prepare commit
 	m.Close()
+	if n := det.prepares.Load(); n != 1 {
+		t.Errorf("Close returned with %d prepares finished, want the in-flight one", n)
+	}
 	if err := <-pushed; err != nil {
 		t.Errorf("in-flight push during drain: %v", err)
+	}
+	if err := <-prepared; err != nil {
+		t.Errorf("in-flight prepare during drain: %v", err)
 	}
 	if _, err := s.Push(context.Background(), &frame); !errors.Is(err, ErrDraining) {
 		t.Errorf("push after drain = %v, want ErrDraining", err)
 	}
+	if err := ps.Prepare(); err != nil || det.prepares.Load() != 1 {
+		t.Errorf("prepare after drain = %v with %d prepares, want nil and no call", err, det.prepares.Load())
+	}
 	s.Release(true)
+	ps.Release(true)
 	if err := m.Reserve(); !errors.Is(err, ErrDraining) {
 		t.Errorf("reserve after drain = %v, want ErrDraining", err)
 	}
@@ -612,14 +645,18 @@ func TestManagerSessionCycles(t *testing.T) {
 }
 
 // panicDetector is a stub backend whose sessions panic on any frame whose
-// first value is panicTrigger, standing in for a model whose arithmetic
+// first value is panicTrigger, and in the Prepare after a frame whose
+// first value is prepareTrigger, standing in for a model whose arithmetic
 // or state broke; it counts the sessions closed on it.
 type panicDetector struct {
 	stubDetector
 	closed atomic.Int32
 }
 
-const panicTrigger = 13
+const (
+	panicTrigger   = 13
+	prepareTrigger = 14
+)
 
 func (d *panicDetector) NewSession(...safemon.SessionOption) (safemon.Session, error) {
 	return &panicSession{d: d}, nil
@@ -628,13 +665,22 @@ func (d *panicDetector) NewSession(...safemon.SessionOption) (safemon.Session, e
 type panicSession struct {
 	stubSession
 	d *panicDetector
+	// prepPanic makes the next Prepare panic.
+	prepPanic bool
 }
 
 func (s *panicSession) Push(f *safemon.Frame) (safemon.FrameVerdict, error) {
 	if f[0] == panicTrigger {
 		panic("stub: broken model state")
 	}
+	s.prepPanic = f[0] == prepareTrigger
 	return s.stubSession.Push(f)
+}
+
+func (s *panicSession) Prepare() {
+	if s.prepPanic {
+		panic("stub: broken prepared state")
+	}
 }
 
 func (s *panicSession) Close() error { s.d.closed.Add(1); return nil }
@@ -698,6 +744,83 @@ func TestSessionPanicIsolated(t *testing.T) {
 		if got := serverMetrics(t, srv).get(t, "safemon_session_panics_total"); got != 2 {
 			t.Errorf("safemon_session_panics_total = %v, want 2", got)
 		}
+	}
+}
+
+// TestPreparePanicIsolated drives a backend whose Prepare panics after a
+// trigger frame, over NDJSON and over one /v1/mux connection that carries
+// a healthy sid beside the failing one. The failing stream must answer
+// the trigger frame's verdict and then end with a 500 record; the panic
+// is counted and its session released and closed; and the healthy sid
+// keeps streaming before and after it on the same connection.
+func TestPreparePanicIsolated(t *testing.T) {
+	det := &panicDetector{}
+	srv, err := NewServer(Config{Detectors: map[string]safemon.Detector{"stub": det}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newHTTPTestServer(t, srv)
+	ctx := context.Background()
+	jc := &Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
+	mc, err := jc.OpenMux(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	healthy, err := mc.Open(ctx, "stub", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var good, trigger safemon.Frame
+	trigger[0] = prepareTrigger
+	frame := 0
+	stepHealthy := func() {
+		t.Helper()
+		if err := healthy.Send(&good); err != nil {
+			t.Fatalf("healthy sid: send: %v", err)
+		}
+		if v, err := healthy.Recv(); err != nil || v.FrameIndex != frame {
+			t.Fatalf("healthy sid: frame %d: %+v, %v", frame, v, err)
+		}
+		frame++
+	}
+	open := map[string]func() (lockstepStream, error){
+		"json":       func() (lockstepStream, error) { return jc.Open(ctx, "stub", nil) },
+		"binary-mux": func() (lockstepStream, error) { return mc.Open(ctx, "stub", "", nil) },
+	}
+	for codec, openStream := range open {
+		stepHealthy()
+		st, err := openStream()
+		if err != nil {
+			t.Fatalf("%s: open: %v", codec, err)
+		}
+		for i, f := range []*safemon.Frame{&good, &trigger} {
+			if err := st.Send(f); err != nil {
+				t.Fatalf("%s: send %d: %v", codec, i, err)
+			}
+			if v, err := st.Recv(); err != nil || v.FrameIndex != i {
+				t.Fatalf("%s: frame %d: %+v, %v; want its verdict", codec, i, v, err)
+			}
+		}
+		// Half-close first: a stream that did not fail answers done
+		// instead of blocking the Recv.
+		st.CloseSend()
+		var em *ErrorMsg
+		if _, err := st.Recv(); !errors.As(err, &em) || em.Code != http.StatusInternalServerError ||
+			!strings.HasPrefix(em.Message, ErrSessionPanic.Error()) {
+			t.Errorf("%s: after the trigger verdict: %v, want a 500 %q record", codec, err, ErrSessionPanic)
+		}
+		stepHealthy()
+	}
+	if got := serverMetrics(t, srv).get(t, "safemon_session_panics_total"); got != 2 {
+		t.Errorf("safemon_session_panics_total = %v, want 2", got)
+	}
+	if _, err := lockstep(healthy, []safemon.Frame{good}); err != nil {
+		t.Fatalf("healthy sid after the panics: %v", err)
+	}
+	waitReleased(t, srv)
+	if got := det.closed.Load(); got != 3 {
+		t.Errorf("sessions closed = %d, want 3 (two failed streams and the healthy sid)", got)
 	}
 }
 

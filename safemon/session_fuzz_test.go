@@ -45,17 +45,37 @@ func encodeFrames(frames []Frame) []byte {
 	return out
 }
 
-// FuzzSessionPush drives arbitrary finite frames through a fresh session
-// of every registered backend, on the fitted fixtures. Push must neither
-// panic nor fail, every verdict must carry its frame's index, a NaN score
-// must be unsafe, and a warm Push must not allocate. The seeds are a fold
-// trajectory, all-zero frames, ±1e10 mixed in sign, and
-// ±math.MaxFloat64. `make fuzz-replay` (part of `make ci`) replays them.
+// prepares returns how many times the schedule calls Prepare before push
+// i: its two bits for that push, 0 to 3, with 3 read as 2. The schedule
+// repeats every 32 pushes.
+func prepares(schedule uint64, i int) int {
+	return min(int(schedule>>(2*(i%32))&3), 2)
+}
+
+// Prepare schedules for the fuzz seeds: 0, 1 and 2 calls before every
+// push, and 1 call before every other push.
+const (
+	neverPrepare       = 0
+	alwaysPrepare      = 0x5555555555555555
+	twicePrepare       = 0xaaaaaaaaaaaaaaaa
+	alternatingPrepare = 0x1111111111111111
+)
+
+// FuzzSessionPush drives arbitrary finite frames through two fresh
+// sessions of every registered backend, on the fitted fixtures: one that
+// never prepares, and one that calls Prepare 0, 1 or 2 times before each
+// Push as the schedule's bits say. Push must neither panic nor fail,
+// every verdict must carry its frame's index, a NaN score must be unsafe,
+// and the prepared session's verdicts must equal the unprepared one's in
+// every field, the score bit for bit. A warm Push, and a warm Prepare
+// plus Push, must not allocate. The seeds are a fold trajectory, all-zero
+// frames, ±1e10 mixed in sign, and ±math.MaxFloat64, each with the never,
+// always, twice and alternating schedules. `make fuzz-replay` (part of
+// `make ci`) replays them.
 func FuzzSessionPush(f *testing.F) {
 	for _, backend := range Backends() {
 		fittedDetector(f, backend)
 	}
-	f.Add(encodeFrames(testFold(f).Test[0].Frames))
 	extreme := func(mag float64) []Frame {
 		frames := make([]Frame, 20)
 		for i := range frames {
@@ -68,24 +88,38 @@ func FuzzSessionPush(f *testing.F) {
 		}
 		return frames
 	}
-	f.Add(encodeFrames(make([]Frame, 20)))
-	f.Add(encodeFrames(extreme(1e10)))
-	f.Add(encodeFrames(extreme(math.MaxFloat64)))
+	for _, data := range [][]Frame{testFold(f).Test[0].Frames, make([]Frame, 20), extreme(1e10), extreme(math.MaxFloat64)} {
+		for _, schedule := range []uint64{neverPrepare, alwaysPrepare, twicePrepare, alternatingPrepare} {
+			f.Add(encodeFrames(data), schedule)
+		}
+	}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, schedule uint64) {
 		frames := fuzzFrames(data)
 		if len(frames) == 0 {
 			return
 		}
 		for _, backend := range Backends() {
-			sess, err := fittedDetector(t, backend).NewSession()
+			det := fittedDetector(t, backend)
+			ref, err := det.NewSession()
+			if err != nil {
+				t.Fatalf("%s: %v", backend, err)
+			}
+			sess, err := det.NewSession()
 			if err != nil {
 				t.Fatalf("%s: %v", backend, err)
 			}
 			for i := range frames {
-				v, err := sess.Push(&frames[i])
+				want, err := ref.Push(&frames[i])
 				if err != nil {
 					t.Fatalf("%s frame %d: %v", backend, i, err)
+				}
+				for n := prepares(schedule, i); n > 0; n-- {
+					sess.Prepare()
+				}
+				v, err := sess.Push(&frames[i])
+				if err != nil {
+					t.Fatalf("%s frame %d: prepared session: %v", backend, i, err)
 				}
 				if v.FrameIndex != i {
 					t.Fatalf("%s: push %d answered frame %d", backend, i, v.FrameIndex)
@@ -93,10 +127,14 @@ func FuzzSessionPush(f *testing.F) {
 				if math.IsNaN(v.Score) && !v.Unsafe {
 					t.Fatalf("%s frame %d: NaN score is safe: %+v", backend, i, v)
 				}
+				if v.FrameIndex != want.FrameIndex || v.Gesture != want.Gesture || v.Unsafe != want.Unsafe ||
+					math.Float64bits(v.Score) != math.Float64bits(want.Score) {
+					t.Fatalf("%s frame %d, %d prepares: verdict %+v, never-prepared %+v", backend, i, prepares(schedule, i), v, want)
+				}
 			}
 			i := 0
 			allocs := testing.AllocsPerRun(20, func() {
-				if _, err := sess.Push(&frames[i%len(frames)]); err != nil {
+				if _, err := ref.Push(&frames[i%len(frames)]); err != nil {
 					t.Fatal(err)
 				}
 				i++
@@ -104,6 +142,17 @@ func FuzzSessionPush(f *testing.F) {
 			if allocs != 0 {
 				t.Errorf("%s: warm Push allocates %.1f objects/frame, want 0", backend, allocs)
 			}
+			allocs = testing.AllocsPerRun(20, func() {
+				sess.Prepare()
+				if _, err := sess.Push(&frames[i%len(frames)]); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("%s: warm Prepare plus Push allocates %.1f objects/frame, want 0", backend, allocs)
+			}
+			ref.Close()
 			sess.Close()
 		}
 	})

@@ -4,9 +4,10 @@
 #
 # Runs the per-backend session-step benchmarks with -benchmem — the
 # fitted-detector path (BenchmarkSessionStep), the artifact-loaded path
-# (BenchmarkSessionStepLoaded) and the ledger-recording path
-# (BenchmarkSessionStepLedgered) — plus the guard policy engine's
-# BenchmarkGuardStep, the event ledger's emit path
+# (BenchmarkSessionStepLoaded), the ledger-recording path
+# (BenchmarkSessionStepLedgered) and the served step whose Prepare ran
+# between frames (BenchmarkSessionStepPrepared) — plus the guard policy
+# engine's BenchmarkGuardStep, the event ledger's emit path
 # (BenchmarkLedgerAppend), the wire codecs' encode+decode round trips
 # (BenchmarkCodecRoundTrip: the binary records, and the NDJSON frame and
 # verdict records through their production appenders and scanners), and
@@ -54,7 +55,7 @@ BENCHCOUNT="${BENCHCOUNT:-5}"
 BENCHGUARD_NSOP_SCALE="${BENCHGUARD_NSOP_SCALE:-1}"
 baseline="scripts/bench_baseline.txt"
 
-out="$("$GO" test -run='^$' -bench='^BenchmarkSessionStep(Loaded|Ledgered)?$' \
+out="$("$GO" test -run='^$' -bench='^BenchmarkSessionStep(Loaded|Ledgered|Prepared)?$' \
 	-benchtime="$BENCHTIME" -count="$BENCHCOUNT" -benchmem ./safemon/)" || {
 	echo "$out"
 	echo "benchguard: benchmark run failed" >&2
