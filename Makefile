@@ -52,8 +52,9 @@
 #                      and every backend's session Push for 30s each
 #   make test        - tests only
 #   make race        - race-detector pass over the concurrency-bearing packages
-#                      (safemon, its serving layer, and internal/nn's
-#                      pipelined Fit)
+#                      (safemon, its serving layer, internal/nn's
+#                      pipelined Fit, and ten runs of the ledger
+#                      appender's tests)
 #   make fmt         - apply gofmt in place
 
 GO ?= go
@@ -91,11 +92,14 @@ test:
 # carry the concurrency; they get a dedicated race-detector pass. So does
 # internal/nn, whose Network.Fit runs its forward and backward stages on
 # two goroutines; the pipeline test runs ten times over, since
-# ./safemon/... reaches Fit only through fixtures.
+# ./safemon/... reaches Fit only through fixtures. The ledger appender's
+# writer races its tick, Flush and Close, so its tests run ten times
+# over too.
 race:
 	$(GO) test -race ./safemon/...
 	$(GO) test -race ./internal/nn
 	$(GO) test -race -count=10 -run '^TestFitPipelineMatchesSequential$$' ./internal/nn
+	$(GO) test -race -count=10 -run '^TestAppender' ./safemon/ledger
 
 bench:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x .

@@ -39,8 +39,10 @@
 // with their input frames, guard action edges, and model swaps. A stream
 // on which a latching mitigation (safe-stop, retract) engaged becomes an
 // incident, listable and replayable — across restarts — through the
-// incident endpoints. The drain sequence flushes and seals the ledger, so
-// a SIGTERM loses no recorded tail.
+// incident endpoints. Events are group-committed: they reach the disk
+// within 10 ms. The drain sequence flushes and seals the ledger, so a
+// SIGTERM loses no recorded tail; a killed process loses at most the
+// events of its last 10 ms.
 //
 // Endpoints: POST /v1/stream?backend=NAME[&policy=NAME] (NDJSON duplex;
 // a binary Content-Type gets 415), POST /v1/mux (binary, many sessions
@@ -210,7 +212,7 @@ func run(args []string) error {
 		"comma-separated backends to serve, or 'all' ("+strings.Join(safemon.Backends(), ", ")+")")
 	modelDir := fs.String("model-dir", "", "versioned model store; serve its artifacts instead of fitting at startup (SIGHUP hot-swaps to new versions)")
 	policyFile := fs.String("policies", "", "guard policy config file (JSON: {\"policies\":[...]}); streams opt in with ?policy=NAME")
-	ledgerDir := fs.String("ledger-dir", "", "durable event-ledger directory; records every stream and enables the incident endpoints")
+	ledgerDir := fs.String("ledger-dir", "", "durable event-ledger directory; records every stream and enables the incident endpoints (events reach disk within 10 ms; segments are fsynced on seal and at shutdown)")
 	ledgerMaxBytes := fs.Int64("ledger-max-bytes", 0, "ledger retention budget in bytes (0 = 256 MiB); incident segments are never compacted")
 	ledgerMaxAge := fs.Duration("ledger-max-age", 0, "additionally compact ledger segments older than this (0 = keep until -ledger-max-bytes)")
 	trainOnly := fs.Bool("train-only", false, "fit the backends, save artifacts into -model-dir, and exit")

@@ -12,6 +12,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/kinematics"
 )
@@ -19,6 +20,62 @@ import (
 // ErrBadModelSpec is wrapped by every unmarshal failure caused by corrupt or
 // inconsistent serialized model state.
 var ErrBadModelSpec = errors.New("baseline: bad model spec")
+
+// sortedMap is a map[int]V written as parallel slices in ascending key
+// order. gob writes a Go map in iteration order, which changes from run
+// to run, so a model holding maps would save to different bytes each
+// time; every spec below writes its maps in this form instead.
+type sortedMap[V any] struct {
+	Keys   []int
+	Values []V
+}
+
+// sortMap returns m in key order, each value converted by conv.
+func sortMap[M ~map[int]E, E, V any](m M, conv func(E) V) sortedMap[V] {
+	out := sortedMap[V]{Keys: make([]int, 0, len(m)), Values: make([]V, 0, len(m))}
+	for k := range m {
+		out.Keys = append(out.Keys, k)
+	}
+	slices.Sort(out.Keys)
+	for _, k := range out.Keys {
+		out.Values = append(out.Values, conv(m[k]))
+	}
+	return out
+}
+
+// same is the identity conversion for sortMap.
+func same[V any](v V) V { return v }
+
+// keep is the identity conversion for restoreMap.
+func keep[V any](v V) (V, error) { return v, nil }
+
+// restoreMap rebuilds the map, converting each value by conv. A payload
+// from a build that wrote the bare map (legacy) carries no sorted form,
+// and the legacy map is used as it is; a payload carrying both is
+// refused, as are mismatched key and value counts and duplicate keys.
+func restoreMap[V, E any](s sortedMap[V], legacy map[int]E, name string, conv func(V) (E, error)) (map[int]E, error) {
+	if len(s.Keys) == 0 && len(s.Values) == 0 {
+		return legacy, nil
+	}
+	if legacy != nil {
+		return nil, fmt.Errorf("%w: %s in both map and sorted form", ErrBadModelSpec, name)
+	}
+	if len(s.Keys) != len(s.Values) {
+		return nil, fmt.Errorf("%w: %s has %d keys and %d values", ErrBadModelSpec, name, len(s.Keys), len(s.Values))
+	}
+	m := make(map[int]E, len(s.Keys))
+	for i, k := range s.Keys {
+		if _, dup := m[k]; dup {
+			return nil, fmt.Errorf("%w: %s repeats key %d", ErrBadModelSpec, name, k)
+		}
+		v, err := conv(s.Values[i])
+		if err != nil {
+			return nil, err
+		}
+		m[k] = v
+	}
+	return m, nil
+}
 
 // ---- StaticEnvelope ----
 
@@ -40,13 +97,16 @@ func (s envSpec) restore(dim int) (*envelope, error) {
 	return &envelope{lo: s.Lo, hi: s.Hi, n: s.N}, nil
 }
 
-// envelopeSpec serializes a fitted StaticEnvelope.
+// envelopeSpec serializes a fitted StaticEnvelope. MarshalBinary writes
+// the per-gesture envelopes as SortedByGesture (artifact format 2);
+// ByGesture is the map form of format 1 artifacts, still read on load.
 type envelopeSpec struct {
-	Margin     float64
-	PerGesture bool
-	Features   []int
-	Global     envSpec
-	ByGesture  map[int]envSpec
+	Margin          float64
+	PerGesture      bool
+	Features        []int
+	Global          envSpec
+	ByGesture       map[int]envSpec
+	SortedByGesture sortedMap[envSpec]
 }
 
 // MarshalBinary serializes the fitted envelope's full state.
@@ -55,14 +115,11 @@ func (s *StaticEnvelope) MarshalBinary() ([]byte, error) {
 		return nil, ErrNotFitted
 	}
 	spec := envelopeSpec{
-		Margin:     s.Margin,
-		PerGesture: s.PerGesture,
-		Features:   featureInts(s.features),
-		Global:     s.global.spec(),
-		ByGesture:  make(map[int]envSpec, len(s.byGesture)),
-	}
-	for g, e := range s.byGesture {
-		spec.ByGesture[g] = e.spec()
+		Margin:          s.Margin,
+		PerGesture:      s.PerGesture,
+		Features:        featureInts(s.features),
+		Global:          s.global.spec(),
+		SortedByGesture: sortMap(s.byGesture, (*envelope).spec),
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(spec); err != nil {
@@ -90,8 +147,12 @@ func (s *StaticEnvelope) UnmarshalBinary(data []byte) error {
 	if global.n == 0 {
 		return fmt.Errorf("%w: envelope has no observed frames", ErrBadModelSpec)
 	}
-	byGesture := make(map[int]*envelope, len(spec.ByGesture))
-	for g, es := range spec.ByGesture {
+	specs, err := restoreMap(spec.SortedByGesture, spec.ByGesture, "envelope gestures", keep[envSpec])
+	if err != nil {
+		return err
+	}
+	byGesture := make(map[int]*envelope, len(specs))
+	for g, es := range specs {
 		e, err := es.restore(dim)
 		if err != nil {
 			return fmt.Errorf("gesture %d: %w", g, err)
@@ -109,17 +170,34 @@ func (s *StaticEnvelope) UnmarshalBinary(data []byte) error {
 
 // ---- SkipChain ----
 
-// skipChainSpec serializes a fitted SkipChain.
+// skipChainSpec serializes a fitted SkipChain. MarshalBinary writes each
+// per-class table in its Sorted field (artifact format 2); the bare maps
+// are the form of format 1 artifacts, still read on load.
 type skipChainSpec struct {
-	SkipLag    int
-	SkipWeight float64
-	SelfBias   float64
-	Classes    []int
-	Means      map[int][]float64
-	Vars       map[int][]float64
-	LogPrior   map[int]float64
-	LogTrans   map[int]map[int]float64
-	LogSkip    map[int]map[int]float64
+	SkipLag        int
+	SkipWeight     float64
+	SelfBias       float64
+	Classes        []int
+	Means          map[int][]float64
+	Vars           map[int][]float64
+	LogPrior       map[int]float64
+	LogTrans       map[int]map[int]float64
+	LogSkip        map[int]map[int]float64
+	SortedMeans    sortedMap[[]float64]
+	SortedVars     sortedMap[[]float64]
+	SortedLogPrior sortedMap[float64]
+	SortedLogTrans sortedMap[sortedMap[float64]]
+	SortedLogSkip  sortedMap[sortedMap[float64]]
+}
+
+// sortRow is sortMap for one transition-table row.
+func sortRow(row map[int]float64) sortedMap[float64] { return sortMap(row, same[float64]) }
+
+// restoreRows is restoreMap for a transition table.
+func restoreRows(s sortedMap[sortedMap[float64]], legacy map[int]map[int]float64, name string) (map[int]map[int]float64, error) {
+	return restoreMap(s, legacy, name, func(row sortedMap[float64]) (map[int]float64, error) {
+		return restoreMap(row, nil, name+" row", keep[float64])
+	})
 }
 
 // MarshalBinary serializes the fitted decoder's full state.
@@ -128,15 +206,15 @@ func (sc *SkipChain) MarshalBinary() ([]byte, error) {
 		return nil, ErrNotFitted
 	}
 	spec := skipChainSpec{
-		SkipLag:    sc.SkipLag,
-		SkipWeight: sc.SkipWeight,
-		SelfBias:   sc.SelfBias,
-		Classes:    sc.classes,
-		Means:      sc.means,
-		Vars:       sc.vars,
-		LogPrior:   sc.logPrior,
-		LogTrans:   sc.logTrans,
-		LogSkip:    sc.logSkip,
+		SkipLag:        sc.SkipLag,
+		SkipWeight:     sc.SkipWeight,
+		SelfBias:       sc.SelfBias,
+		Classes:        sc.classes,
+		SortedMeans:    sortMap(sc.means, same[[]float64]),
+		SortedVars:     sortMap(sc.vars, same[[]float64]),
+		SortedLogPrior: sortMap(sc.logPrior, same[float64]),
+		SortedLogTrans: sortMap(sc.logTrans, sortRow),
+		SortedLogSkip:  sortMap(sc.logSkip, sortRow),
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(spec); err != nil {
@@ -152,6 +230,22 @@ func (sc *SkipChain) UnmarshalBinary(data []byte) error {
 	var spec skipChainSpec
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&spec); err != nil {
 		return fmt.Errorf("%w: decode skipchain: %v", ErrBadModelSpec, err)
+	}
+	var err error
+	if spec.Means, err = restoreMap(spec.SortedMeans, spec.Means, "skipchain means", keep[[]float64]); err != nil {
+		return err
+	}
+	if spec.Vars, err = restoreMap(spec.SortedVars, spec.Vars, "skipchain variances", keep[[]float64]); err != nil {
+		return err
+	}
+	if spec.LogPrior, err = restoreMap(spec.SortedLogPrior, spec.LogPrior, "skipchain priors", keep[float64]); err != nil {
+		return err
+	}
+	if spec.LogTrans, err = restoreRows(spec.SortedLogTrans, spec.LogTrans, "skipchain transition table"); err != nil {
+		return err
+	}
+	if spec.LogSkip, err = restoreRows(spec.SortedLogSkip, spec.LogSkip, "skipchain skip table"); err != nil {
+		return err
 	}
 	if spec.SkipLag <= 0 {
 		return fmt.Errorf("%w: skipchain lag %d", ErrBadModelSpec, spec.SkipLag)

@@ -20,7 +20,7 @@ import (
 //
 //	offset size  field
 //	0      4     magic "SFMA"
-//	4      2     artifact format version, big-endian (currently 1)
+//	4      2     artifact format version, big-endian (currently 2)
 //	6      2     reserved, zero
 //	8      2     backend name length N, big-endian
 //	10     N     backend name (registry name, UTF-8)
@@ -35,9 +35,16 @@ import (
 // a typed *ArtifactError wrapping one of the sentinel errors below; corrupt
 // input never panics.
 
-// ArtifactFormatVersion is the artifact format this build writes and the
-// only one it accepts. See the format-version policy in safemon/modelstore.
-const ArtifactFormatVersion = 1
+// ArtifactFormatVersion is the artifact format this build writes. Version
+// 2 payloads write every model map as key-sorted slices, so a fitted
+// detector saves to one byte string; version 1 payloads wrote them as gob
+// maps, and a version 1 build would read a version 2 payload's maps as
+// empty. See the format-version policy in safemon/modelstore.
+const ArtifactFormatVersion = 2
+
+// OldestArtifactFormatVersion is the oldest artifact format this build
+// still loads: version 1 payloads decode into the map fields unchanged.
+const OldestArtifactFormatVersion = 1
 
 // artifactMagic brands every detector artifact.
 var artifactMagic = [4]byte{'S', 'F', 'M', 'A'}
@@ -144,8 +151,8 @@ func parseArtifact(data []byte) (backend string, payload []byte, err error) {
 	if len(data) < 14 {
 		return "", nil, artifactErr("parse", "", ErrTruncated)
 	}
-	if v := binary.BigEndian.Uint16(data[4:6]); v != ArtifactFormatVersion {
-		return "", nil, artifactErr("parse", "", fmt.Errorf("%w: got v%d, support v%d", ErrBadFormatVersion, v, ArtifactFormatVersion))
+	if v := binary.BigEndian.Uint16(data[4:6]); v < OldestArtifactFormatVersion || v > ArtifactFormatVersion {
+		return "", nil, artifactErr("parse", "", fmt.Errorf("%w: got v%d, support v%d-v%d", ErrBadFormatVersion, v, OldestArtifactFormatVersion, ArtifactFormatVersion))
 	}
 	nameLen := int(binary.BigEndian.Uint16(data[8:10]))
 	if nameLen == 0 {

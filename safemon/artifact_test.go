@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"os/exec"
 	"reflect"
@@ -105,13 +106,14 @@ func TestArtifactRoundTripVerdicts(t *testing.T) {
 	}
 }
 
-// TestSaveDeterministic saves every context-family fixture 50 times: one
+// TestSaveDeterministic saves every backend's fixture 50 times: one
 // fitted detector must always save to one byte string, and so to one
-// modelstore checksum. The monitor's per-gesture heads live in a map,
-// whose iteration order changes from walk to walk, so the encoder must
-// not write them in map order.
+// modelstore checksum. The monitor's per-gesture heads, the per-gesture
+// envelopes and the skip chain's tables live in maps, whose iteration
+// order changes from walk to walk, so no encoder may write them in map
+// order.
 func TestSaveDeterministic(t *testing.T) {
-	for _, backend := range []string{"context-aware", "lookahead", "monolithic", "cascade"} {
+	for _, backend := range Backends() {
 		t.Run(backend, func(t *testing.T) {
 			det := fittedDetector(t, backend)
 			first := saveArtifact(t, det)
@@ -199,6 +201,43 @@ func TestLoadCorruptArtifactTypedErrors(t *testing.T) {
 			var ae *ArtifactError
 			if !errors.As(err, &ae) {
 				t.Fatalf("error %T is not a *ArtifactError", err)
+			}
+		})
+	}
+}
+
+// relabel rewrites an artifact's format version and re-seals its
+// checksum, so only the version check can refuse it.
+func relabel(art []byte, version uint16) []byte {
+	out := corrupt(art, func(b []byte) { binary.BigEndian.PutUint16(b[4:6], version) })
+	crcAt := len(out) - 4
+	binary.BigEndian.PutUint32(out[crcAt:], crc32.ChecksumIEEE(out[:crcAt]))
+	return out
+}
+
+// TestLoadFormatVersionWindow pins the format versions this build reads:
+// it writes ArtifactFormatVersion and still loads a format 1 artifact
+// (how a format 1 payload's gob maps decode is pinned by internal/
+// baseline's TestParentMapSpecsLoad), while a version outside the window
+// is refused even under a valid checksum.
+func TestLoadFormatVersionWindow(t *testing.T) {
+	for _, backend := range Backends() {
+		t.Run(backend, func(t *testing.T) {
+			art := saveArtifact(t, fittedDetector(t, backend))
+			if v := binary.BigEndian.Uint16(art[4:6]); v != ArtifactFormatVersion {
+				t.Fatalf("saved format %d, want %d", v, ArtifactFormatVersion)
+			}
+			det, err := LoadDetector(bytes.NewReader(relabel(art, OldestArtifactFormatVersion)))
+			if err != nil {
+				t.Fatalf("format %d artifact: %v", OldestArtifactFormatVersion, err)
+			}
+			if !bytes.Equal(saveArtifact(t, det), art) {
+				t.Fatal("the loaded format 1 artifact re-saves to other bytes than its source")
+			}
+			for _, v := range []uint16{OldestArtifactFormatVersion - 1, ArtifactFormatVersion + 1} {
+				if _, err := LoadDetector(bytes.NewReader(relabel(art, v))); !errors.Is(err, ErrBadFormatVersion) {
+					t.Errorf("format %d artifact: err %v, want ErrBadFormatVersion", v, err)
+				}
 			}
 		})
 	}

@@ -16,8 +16,11 @@ type Options struct {
 	// Batch caps how many events one store Append call carries; <= 0
 	// means 256.
 	Batch int
-	// FlushEvery is the idle flush interval of the writer goroutine;
-	// <= 0 means 200 ms.
+	// FlushEvery is the group-commit interval: the writer hands what is
+	// queued to the store this often, so it bounds how long an event
+	// waits in the queue before it is written to the OS; <= 0 means
+	// 10 ms. It is not an fsync interval: the store syncs on segment
+	// seal, Flush and Close.
 	FlushEvery time.Duration
 }
 
@@ -29,7 +32,7 @@ func (o Options) withDefaults() Options {
 		o.Batch = 256
 	}
 	if o.FlushEvery <= 0 {
-		o.FlushEvery = 200 * time.Millisecond
+		o.FlushEvery = 10 * time.Millisecond
 	}
 	return o
 }
@@ -59,11 +62,14 @@ type Snapshot struct {
 	LastSeq uint64 `json:"last_seq"`
 }
 
-// Appender is the async batched writer between the streaming hot path
-// and a Store. Emit copies the event into a bounded queue and returns
-// immediately — zero allocations, never blocking on the store — while a
-// single writer goroutine assigns sequence numbers, batches events, and
-// appends them. Backpressure is expressed as explicit drops, not stalls.
+// Appender is the group-committing writer between the streaming hot
+// path and a Store. Emit copies the event into a bounded queue and
+// returns immediately — zero allocations, never blocking on the store —
+// while a single writer goroutine assigns sequence numbers and appends
+// what is queued, Batch events per store call, every FlushEvery and on
+// Flush and Close. The writer never waits on the queue itself, so an
+// emitted event does not wake it. Backpressure is expressed as explicit
+// drops, not stalls.
 type Appender struct {
 	store Store
 	opts  Options
@@ -110,9 +116,9 @@ func (a *Appender) NextSession() uint64 { return a.session.Add(1) }
 
 // Emit enqueues one event without blocking: if the queue is full or the
 // event exceeds the codec's caps, it is dropped and counted. The event
-// is copied; e remains owned by the caller. Safe for concurrent use and
-// allocation-free (the nil receiver is a no-op, so call sites need no
-// ledger-enabled branch).
+// is copied; e remains owned by the caller, and the event waits for the
+// writer's next tick. Safe for concurrent use and allocation-free (the
+// nil receiver is a no-op, so call sites need no ledger-enabled branch).
 func (a *Appender) Emit(e *Event) {
 	if a == nil {
 		return
@@ -128,8 +134,8 @@ func (a *Appender) Emit(e *Event) {
 	}
 }
 
-// run is the writer goroutine: dequeue, stamp sequence numbers, batch,
-// append.
+// run is the writer goroutine: on each tick, Flush or Close it takes
+// what is queued, stamps sequence numbers and appends it in batches.
 func (a *Appender) run() {
 	defer close(a.done)
 	ticker := time.NewTicker(a.opts.FlushEvery)
@@ -137,12 +143,10 @@ func (a *Appender) run() {
 	batch := make([]Event, 0, a.opts.Batch)
 	for {
 		select {
-		case e := <-a.queue:
-			batch = a.gather(append(batch, e))
 		case <-ticker.C:
-			batch = a.write(batch)
+			batch = a.drain(batch)
 		case ack := <-a.flush:
-			batch = a.write(a.drain(batch))
+			batch = a.drain(batch)
 			if err := a.store.Sync(); err != nil {
 				// Flush is the drain-time durability barrier; a failed
 				// fsync must show up in the error count, not vanish.
@@ -150,39 +154,21 @@ func (a *Appender) run() {
 			}
 			close(ack)
 		case <-a.quit:
-			batch = a.write(a.drain(batch))
+			a.drain(batch)
 			return
 		}
 	}
 }
 
-// gather pulls whatever else is already queued (up to the batch cap) and
-// writes once the batch is full.
-func (a *Appender) gather(batch []Event) []Event {
-	for len(batch) < a.opts.Batch {
-		select {
-		case e := <-a.queue:
-			batch = append(batch, e)
-		default:
-			return a.write(batch)
+// drain appends the events queued when it starts, Batch at a time. Only
+// the writer receives from the queue, so it never blocks.
+func (a *Appender) drain(batch []Event) []Event {
+	for n := len(a.queue); n > 0; n-- {
+		if batch = append(batch, <-a.queue); len(batch) == a.opts.Batch {
+			batch = a.write(batch)
 		}
 	}
 	return a.write(batch)
-}
-
-// drain empties the queue completely, writing full batches as it goes.
-func (a *Appender) drain(batch []Event) []Event {
-	for {
-		select {
-		case e := <-a.queue:
-			batch = append(batch, e)
-			if len(batch) >= a.opts.Batch {
-				batch = a.write(batch)
-			}
-		default:
-			return batch
-		}
-	}
 }
 
 // write stamps sequence numbers and appends the batch, returning the

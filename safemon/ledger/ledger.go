@@ -17,11 +17,14 @@
 //     fsynced, size-rotated segment files, with retention/compaction by
 //     age and bytes and crash-safe recovery that truncates a torn tail
 //     instead of refusing to open). Tests substitute fakes through it.
-//   - Appender: the async batched writer between the zero-allocation
+//   - Appender: the group-committing writer between the zero-allocation
 //     streaming hot path and the store. Emit enqueues one event without
 //     blocking and without allocating; a bounded queue plus explicit drop
 //     counters means a slow disk degrades the ledger, never the monitor.
-//     Recorder is the per-session emission handle.
+//     The writer appends what is queued every Options.FlushEvery (10 ms
+//     by default), never once per event, so emitting a verdict does not
+//     wake it; Flush and Close write everything queued and fsync. Recorder is the per-session emission
+//     handle.
 //   - Incidents: ScanIncidents / LoadIncident materialize an incident —
 //     the full recorded input stream of a session on which a latching
 //     mitigation (safe-stop, retract) engaged — ready for time-travel

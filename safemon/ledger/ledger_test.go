@@ -3,6 +3,7 @@ package ledger
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -260,6 +261,127 @@ func TestAppenderBatchingAndFlush(t *testing.T) {
 		if q != uint64(i+1) {
 			t.Fatalf("seq[%d] = %d, want %d", i, q, i+1)
 		}
+	}
+}
+
+// countingStore is a DiskStore that records the sequence numbers each
+// Append call carried.
+type countingStore struct {
+	*DiskStore
+	mu    sync.Mutex
+	calls [][]uint64
+}
+
+func (s *countingStore) Append(events []Event) error {
+	seqs := make([]uint64, len(events))
+	for i := range events {
+		seqs[i] = events[i].Seq
+	}
+	s.mu.Lock()
+	s.calls = append(s.calls, seqs)
+	s.mu.Unlock()
+	return s.DiskStore.Append(events)
+}
+
+// appends returns the seqs of every Append call so far.
+func (s *countingStore) appends() [][]uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([][]uint64(nil), s.calls...)
+}
+
+// TestAppenderGroupCommits pins group commit: events that trickle in
+// stay queued until the writer's next drain — here Flush, since the tick
+// is an hour away — and then reach the store in one call; a drain of more
+// than Batch events splits into calls of at most Batch.
+func TestAppenderGroupCommits(t *testing.T) {
+	s := &countingStore{DiskStore: testStore(t)}
+	a := NewAppender(s, Options{Queue: 64, Batch: 32, FlushEvery: time.Hour})
+	defer a.Close()
+	emit := func(n int) {
+		for i := 0; i < n; i++ {
+			e := Event{Kind: KindVerdict, Session: 1, FrameIndex: int32(i)}
+			a.Emit(&e)
+			time.Sleep(200 * time.Microsecond)
+		}
+	}
+	emit(20)
+	if calls, st := s.appends(), a.Stats(); len(calls) != 0 || st.Appended != 0 {
+		t.Fatalf("before Flush: %d store appends and %d events appended, want 0 and 0", len(calls), st.Appended)
+	}
+	a.Flush()
+	emit(40)
+	a.Flush()
+	calls := s.appends()
+	if len(calls) != 3 || len(calls[0]) != 20 || len(calls[1]) != 32 || len(calls[2]) != 8 {
+		t.Fatalf("store appends %v, want one call carrying seqs 1-20, then 21-52 and 53-60", calls)
+	}
+	want := uint64(1)
+	for _, call := range calls {
+		for _, q := range call {
+			if q != want {
+				t.Fatalf("store appends %v: seq %d where %d belongs", calls, q, want)
+			}
+			want++
+		}
+	}
+}
+
+// TestAppenderWritesWithinFlushEvery pins the tick: a lone event reaches
+// the store within FlushEvery, with no Flush.
+func TestAppenderWritesWithinFlushEvery(t *testing.T) {
+	a := NewAppender(testStore(t), Options{FlushEvery: 5 * time.Millisecond})
+	defer a.Close()
+	e := Event{Kind: KindVerdict, Session: 1}
+	a.Emit(&e)
+	deadline := time.Now().Add(time.Second)
+	for a.Stats().Appended != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("stats %+v 1s after one Emit, want it appended", a.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestAppenderConcurrentEmitters races emitters against the writer's
+// tick and concurrent Flush calls: every event lands once, with dense
+// sequence numbers, in each emitter's own order.
+func TestAppenderConcurrentEmitters(t *testing.T) {
+	s := testStore(t)
+	a := NewAppender(s, Options{Queue: 4096, Batch: 16, FlushEvery: time.Millisecond})
+	defer a.Close()
+	const emitters, each = 4, 500
+	var wg sync.WaitGroup
+	for g := 0; g < emitters; g++ {
+		wg.Add(1)
+		go func(session uint64) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				e := Event{Kind: KindVerdict, Session: session, FrameIndex: int32(i)}
+				a.Emit(&e)
+				if i%100 == 0 {
+					a.Flush()
+				}
+			}
+		}(uint64(g + 1))
+	}
+	wg.Wait()
+	a.Flush()
+	if st := a.Stats(); st.Appended != emitters*each || st.Dropped != 0 {
+		t.Fatalf("stats %+v, want %d appended and none dropped", st, emitters*each)
+	}
+	var seq uint64
+	next := map[uint64]int32{}
+	err := s.Scan(0, func(e *Event) bool {
+		if e.Seq != seq+1 || e.FrameIndex != next[e.Session] {
+			t.Fatalf("event seq %d (after %d) of session %d is frame %d, want frame %d", e.Seq, seq, e.Session, e.FrameIndex, next[e.Session])
+		}
+		seq = e.Seq
+		next[e.Session]++
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -19,7 +19,8 @@ func (discardStore) Append([]Event) error { return nil }
 
 // BenchmarkLedgerAppend measures the hot-path enqueue: one stack-built
 // verdict event per iteration through Recorder.Verdict into a live
-// appender. benchguard.sh gates it at 0 allocs/op and 0 dropped/op — a
+// appender, whose writer drains the queue on its own tick, so no emit
+// wakes it. benchguard.sh gates it at 0 allocs/op and 0 dropped/op — a
 // slow disk may drop events, but emitting must never allocate or block,
 // and a row that drops is timing the drop branch, not the enqueue. The
 // closing drain runs outside the timer: it is teardown, not emit cost.

@@ -16,17 +16,25 @@
 //
 // # Artifact format-version policy
 //
-// Every artifact embeds safemon.ArtifactFormatVersion (currently 1) in its
+// Every artifact embeds safemon.ArtifactFormatVersion (currently 2) in its
 // header and every manifest records it as "format_version". The format is
-// strict-versioned: a build loads only artifacts whose format version
-// matches its own, and bumping the version is reserved for incompatible
-// layout changes (field reordering, new compression, changed checksums).
-// Backward-compatible additions must instead extend the backend payloads,
-// which are self-describing gob and tolerate unknown fields on decode.
-// After a bump, old artifacts fail loudly with ErrBadFormatVersion — the
-// remedy is retraining (make train), never silent reinterpretation. The
-// store keeps old versions on disk untouched, so operators can pin a
-// daemon of the matching build to an old artifact during a migration.
+// strict-versioned: a build writes only its own format version and loads
+// only artifacts whose version lies between
+// safemon.OldestArtifactFormatVersion and its own, so an artifact from a
+// newer build fails loudly with ErrBadFormatVersion. Bumping the version
+// is reserved for changes an older build would misread: incompatible
+// layout changes (field reordering, new compression, changed checksums)
+// and payload fields that replace ones older builds read — version 2
+// writes model maps as key-sorted slices where version 1 wrote gob maps,
+// which a version 1 build would read as empty. Backward-compatible
+// additions must instead extend the backend payloads, which are
+// self-describing gob and tolerate unknown fields on decode. A bump keeps
+// the old version readable only when its payloads still decode to the
+// same model (version 2 reads version 1); otherwise the old artifacts
+// fail loudly with ErrBadFormatVersion — the remedy is retraining (make
+// train), never silent reinterpretation. The store keeps old versions on
+// disk untouched, so operators can pin a daemon of the matching build to
+// an old artifact during a migration.
 package modelstore
 
 import (
@@ -111,8 +119,8 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	if !validName.MatchString(m.Version) {
 		return nil, fmt.Errorf("%w: bad version %q", ErrBadManifest, m.Version)
 	}
-	if m.FormatVersion != safemon.ArtifactFormatVersion {
-		return nil, fmt.Errorf("%w: format version %d, support %d", ErrBadManifest, m.FormatVersion, safemon.ArtifactFormatVersion)
+	if m.FormatVersion < safemon.OldestArtifactFormatVersion || m.FormatVersion > safemon.ArtifactFormatVersion {
+		return nil, fmt.Errorf("%w: format version %d, support %d-%d", ErrBadManifest, m.FormatVersion, safemon.OldestArtifactFormatVersion, safemon.ArtifactFormatVersion)
 	}
 	if m.SizeBytes <= 0 {
 		return nil, fmt.Errorf("%w: non-positive artifact size %d", ErrBadManifest, m.SizeBytes)

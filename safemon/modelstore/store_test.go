@@ -275,10 +275,16 @@ func TestParseManifestValidation(t *testing.T) {
 	if _, err := ParseManifest(enc(good)); err != nil {
 		t.Fatalf("valid manifest rejected: %v", err)
 	}
+	old := good
+	old.FormatVersion = safemon.OldestArtifactFormatVersion
+	if _, err := ParseManifest(enc(old)); err != nil {
+		t.Fatalf("format %d manifest rejected: %v", old.FormatVersion, err)
+	}
 	cases := map[string]Manifest{
 		"empty backend":  {Version: "v1", FormatVersion: 1, SizeBytes: 10},
 		"bad version":    {Backend: "envelope", Version: "../up", FormatVersion: 1, SizeBytes: 10},
 		"future format":  {Backend: "envelope", Version: "v1", FormatVersion: 99, SizeBytes: 10},
+		"format zero":    {Backend: "envelope", Version: "v1", FormatVersion: 0, SizeBytes: 10},
 		"zero size":      {Backend: "envelope", Version: "v1", FormatVersion: 1},
 		"dotted version": {Backend: "envelope", Version: ".v1", FormatVersion: 1, SizeBytes: 10},
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,6 +46,13 @@ func newLedgeredService(t *testing.T, detectors map[string]safemon.Detector, pol
 func newLedgeredServiceIn(t *testing.T, dir string, detectors map[string]safemon.Detector, policies ...guard.Policy) (*Server, *Client, *ledger.Appender) {
 	t.Helper()
 	app := newDiskLedger(t, dir)
+	srv, client := newServiceOver(t, app, detectors, policies...)
+	return srv, client, app
+}
+
+// newServiceOver stands up a Server recording into app.
+func newServiceOver(t *testing.T, app *ledger.Appender, detectors map[string]safemon.Detector, policies ...guard.Policy) (*Server, *Client) {
+	t.Helper()
 	srv, err := NewServer(Config{
 		Detectors: detectors,
 		Policies:  policies,
@@ -58,7 +66,7 @@ func newLedgeredServiceIn(t *testing.T, dir string, detectors map[string]safemon
 		ts.Close()
 		srv.Shutdown()
 	})
-	return srv, &Client{BaseURL: ts.URL, HTTPClient: ts.Client()}, app
+	return srv, &Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
 }
 
 // driveIncident streams safe/wild/safe frames through a guarded NDJSON
@@ -565,6 +573,92 @@ func TestShutdownFlushesInFlightStream(t *testing.T) {
 	}
 	if starts != 1 || verdicts != sent {
 		t.Fatalf("after shutdown store has %d starts / %d verdicts, want 1 / %d", starts, verdicts, sent)
+	}
+}
+
+// countingDiskStore is a DiskStore that counts its Append calls.
+type countingDiskStore struct {
+	*ledger.DiskStore
+	appends atomic.Int64
+}
+
+func (s *countingDiskStore) Append(events []ledger.Event) error {
+	s.appends.Add(1)
+	return s.DiskStore.Append(events)
+}
+
+// TestLedgeredStreamAppendsInBatches pins group commit on the served
+// path: a guarded /v1/mux stream does not write its events one per
+// frame, and the Flush barrier then lands every event in order, in store
+// calls of at most Batch events.
+func TestLedgeredStreamAppendsInBatches(t *testing.T) {
+	disk, err := ledger.OpenDisk(t.TempDir(), ledger.DiskConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &countingDiskStore{DiskStore: disk}
+	const batch = 16
+	app := ledger.NewAppender(store, ledger.Options{Batch: batch, FlushEvery: time.Hour})
+	t.Cleanup(func() { app.Close() })
+	det := fittedDetector(t, "envelope")
+	srv, client := newServiceOver(t, app, map[string]safemon.Detector{"envelope": det}, testGuardPolicy())
+
+	// A held-out trajectory with a wild stretch, so the trail carries
+	// action edges beside the verdicts.
+	_, wild := guardProbeFrames(t)
+	traj := testFold(t).Test[0]
+	frames := make([]*safemon.Frame, traj.Len())
+	for i := range frames {
+		frames[i] = &traj.Frames[i]
+	}
+	for i := 20; i < 24; i++ {
+		frames[i] = &wild
+	}
+	verdicts, actions := driveIncidentOver(t, client, "binary-mux", "envelope", "stop-fast", frames)
+	if len(actions) == 0 {
+		t.Fatal("the wild stretch engaged no action")
+	}
+	waitReleased(t, srv) // the session-end event is emitted before release
+
+	events := 1 + len(verdicts) + len(actions) + 1
+	most := int64((events + batch - 1) / batch)
+	if calls := store.appends.Load(); calls > most {
+		t.Fatalf("before Flush: %d store appends for %d events, want at most %d", calls, events, most)
+	}
+	app.Flush()
+	if calls := store.appends.Load(); calls > most {
+		t.Fatalf("after Flush: %d store appends for %d events, want at most %d", calls, events, most)
+	}
+
+	type entry struct {
+		kind  ledger.Kind
+		frame int32
+	}
+	want := []entry{{ledger.KindSessionStart, 0}}
+	next := 0
+	for i := range verdicts {
+		want = append(want, entry{ledger.KindVerdict, int32(i)})
+		if next < len(actions) && actions[next].I == i {
+			want = append(want, entry{ledger.KindAction, int32(i)})
+			next++
+		}
+	}
+	want = append(want, entry{ledger.KindSessionEnd, int32(len(verdicts))})
+	var got []entry
+	var seq uint64
+	err = app.Store().Scan(0, func(e *ledger.Event) bool {
+		if e.Seq != seq+1 {
+			t.Errorf("event %d has seq %d after %d", len(got), e.Seq, seq)
+		}
+		seq = e.Seq
+		got = append(got, entry{e.Kind, e.FrameIndex})
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("store holds %d events %v, want %d in stream order %v", len(got), got, len(want), want)
 	}
 }
 
