@@ -20,8 +20,9 @@
 #                      ledger's BenchmarkLedgerAppend, every sub of
 #                      BenchmarkCodecRoundTrip (binary and NDJSON records),
 #                      and BenchmarkServeStreamWarm
-#                      (the production serve pump's per-frame step), gated
-#                      by scripts/benchguard.sh: 0 allocs/op, and the median
+#                      (the production serve pump's per-frame step: a
+#                      guarded session steps its policy inside its push),
+#                      gated by scripts/benchguard.sh: 0 allocs/op, and the median
 #                      of BENCHCOUNT repeats, each run for BENCHTIME
 #                      (default 100ms, so every row times the steady state),
 #                      must stay within the per-benchmark ns/op budgets in

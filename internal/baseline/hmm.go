@@ -8,6 +8,7 @@ package baseline
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"repro/internal/gesture"
 )
@@ -116,6 +117,9 @@ func (sc *SkipChain) Fit(xs [][][]float64, ys [][]int) error {
 		sc.vars[c] = va
 		sc.logPrior[c] = math.Log(n / total)
 	}
+	// Map iteration order is random: sort, so each transition row sums in
+	// one order and one fit of the same data saves one byte string.
+	slices.Sort(sc.classes)
 	sc.logTrans = normalizeLog(trans, sc.classes)
 	sc.logSkip = normalizeLog(skip, sc.classes)
 	sc.fitted = true

@@ -11,16 +11,6 @@ import (
 	"repro/internal/nn"
 )
 
-// Alert is one unsafe-event detection raised by the online monitor.
-type Alert struct {
-	// FrameIndex is the kinematics frame at which the alert fired.
-	FrameIndex int
-	// Gesture is the inferred operational context at the alert instant.
-	Gesture int
-	// Score is the unsafe probability that crossed the threshold.
-	Score float64
-}
-
 // Monitor is the online context-aware safety monitor: it couples the
 // gesture classifier with the erroneous-gesture library and streams
 // per-frame verdicts.
@@ -68,7 +58,6 @@ type FrameVerdict struct {
 // Trace is the monitor's full output over one trajectory.
 type Trace struct {
 	Verdicts []FrameVerdict
-	Alerts   []Alert
 	// GestureComputeNS and ErrorComputeNS are the mean per-frame
 	// inference times of the two stages in nanoseconds.
 	GestureComputeNS float64
@@ -184,9 +173,6 @@ func (m *Monitor) Run(traj *kinematics.Trajectory) (*Trace, error) {
 			Unsafe:     m.unsafe(score),
 		}
 		trace.Verdicts = append(trace.Verdicts, v)
-		if v.Unsafe {
-			trace.Alerts = append(trace.Alerts, Alert{FrameIndex: end, Gesture: v.Gesture, Score: score})
-		}
 	}
 	trace.ErrorComputeNS = float64(time.Since(start).Nanoseconds()) / float64(len(traj.Frames))
 	return trace, nil

@@ -126,6 +126,30 @@ func TestSaveDeterministic(t *testing.T) {
 	}
 }
 
+// TestFitDeterministic refits every backend on the fixture's data with
+// the fixture's options: a fit must be reproducible byte for byte, so
+// that a retrained model gets the same modelstore checksum and breaks
+// exact score ties the same way. A fit that walks a map to order what it
+// learns fails here.
+func TestFitDeterministic(t *testing.T) {
+	fold := testFold(t)
+	for _, backend := range Backends() {
+		t.Run(backend, func(t *testing.T) {
+			first := saveArtifact(t, fittedDetector(t, backend))
+			det, err := Open(backend, quickOptions(backend)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := det.Fit(context.Background(), fold.Train); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(saveArtifact(t, det), first) {
+				t.Fatal("a second fit on the same data saves different bytes")
+			}
+		})
+	}
+}
+
 func TestSaveUnfittedFails(t *testing.T) {
 	for _, backend := range Backends() {
 		det, err := Open(backend)

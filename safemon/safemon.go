@@ -62,8 +62,6 @@ type (
 	FeatureSet = kinematics.FeatureSet
 	// FrameVerdict is a detector's output for one frame.
 	FrameVerdict = core.FrameVerdict
-	// Alert is one unsafe-event detection.
-	Alert = core.Alert
 	// Trace is a detector's full output over one trajectory.
 	Trace = core.Trace
 	// PipelineReport aggregates accuracy and timeliness metrics over a

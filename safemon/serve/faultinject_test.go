@@ -73,7 +73,7 @@ func TestFaultInjectionCampaignOverServe(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trajectory %d: %v", i, err)
 		}
-		traces[i] = TraceFromVerdicts(verdicts)
+		traces[i] = &safemon.Trace{Verdicts: verdicts}
 	}
 	served, err := core.EvaluateTraces(perturbed, traces, nil, info.Threshold, info.PredictsContext)
 	if err != nil {

@@ -5,9 +5,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"repro/safemon"
+	"repro/safemon/guard"
 )
 
 // TestGoldenVerdictsAcrossCodecs is the cross-codec leg of the golden
@@ -73,23 +76,29 @@ func TestGoldenVerdictsAcrossCodecs(t *testing.T) {
 }
 
 // TestGoldenGuardedAcrossCodecs extends the cross-codec contract to
-// guarded streams: verdicts and guard action records must agree exactly
-// across the NDJSON and multiplexed binary transports running the same
-// policy over the same frames.
+// guarded streams and pins the one guard path: for every registered
+// backend, a held-out trajectory with a wild stretch must yield the same
+// verdicts and guard action records over NDJSON, over a multiplexed
+// binary session, and from an offline safemon.WithGuard session on the
+// same detector. Envelope and context-aware must act at least once, so
+// the check cannot pass on empty trails.
 func TestGoldenGuardedAcrossCodecs(t *testing.T) {
-	_, client := newGuardedService(t, testGuardPolicy())
+	policy := guard.Policy{
+		Name: "golden", Threshold: 0.5,
+		DebounceFrames: 2, ReleaseFrames: 2, EscalateFrames: 2,
+		InitialAction: guard.ActionWarn, MaxAction: guard.ActionSafeStop,
+		ReactionBudgetFrames: 5,
+	}
+	held := testFold(t).Test[0]
+	traj := *held
+	traj.Frames = append([]safemon.Frame(nil), held.Frames...)
+	for i := len(traj.Frames) / 2; i < len(traj.Frames)/2+8; i++ {
+		for j := range traj.Frames[i] {
+			traj.Frames[i][j] += 50
+		}
+	}
+	labels := trajectoryLabels(&traj)
 	ctx := context.Background()
-	safe, wild := guardProbeFrames(t)
-	var frames []safemon.Frame
-	for i := 0; i < 5; i++ {
-		frames = append(frames, safe)
-	}
-	for i := 0; i < 4; i++ {
-		frames = append(frames, wild)
-	}
-	for i := 0; i < 5; i++ {
-		frames = append(frames, safe)
-	}
 
 	type run struct {
 		verdicts []safemon.FrameVerdict
@@ -98,8 +107,8 @@ func TestGoldenGuardedAcrossCodecs(t *testing.T) {
 	drive := func(send func(*safemon.Frame) error, recv func() (safemon.FrameVerdict, error),
 		closeSend func() error, actions func() []ActionMsg) (run, error) {
 		var out run
-		for i := range frames {
-			if err := send(&frames[i]); err != nil {
+		for i := range traj.Frames {
+			if err := send(&traj.Frames[i]); err != nil {
 				return out, fmt.Errorf("send %d: %w", i, err)
 			}
 			v, err := recv()
@@ -118,42 +127,74 @@ func TestGoldenGuardedAcrossCodecs(t *testing.T) {
 		return out, nil
 	}
 
-	runs := map[string]run{}
-	js, err := client.OpenGuarded(ctx, "envelope", "stop-fast", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := drive(js.Send, js.Recv, js.CloseSend, js.Actions)
-	js.Close()
-	if err != nil {
-		t.Fatalf("json: %v", err)
-	}
-	runs["json"] = out
-	m, err := client.OpenMux(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	st, err := m.Open(ctx, "envelope", "stop-fast", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err = drive(st.Send, st.Recv, st.CloseSend, st.Actions)
-	if err != nil {
-		t.Fatalf("binary-mux: %v", err)
-	}
-	runs["binary-mux"] = out
+	for _, backend := range safemon.Backends() {
+		t.Run(backend, func(t *testing.T) {
+			det := fittedDetector(t, backend)
+			sess, err := det.NewSession(safemon.WithSessionLabels(labels), safemon.WithGuard(policy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			g := sess.(safemon.GuardedSession)
+			var offline run
+			for i := range traj.Frames {
+				v, err := sess.Push(&traj.Frames[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				offline.verdicts = append(offline.verdicts, v)
+				if d := g.Decision(); d.Changed {
+					offline.actions = append(offline.actions, ActionMsg{I: d.FrameIndex, Level: d.Action.String(),
+						AlertFrame: d.AlertFrame, Score: d.Score, Policy: policy.Name})
+				}
+			}
+			if (backend == "envelope" || backend == "context-aware") && len(offline.actions) == 0 {
+				t.Fatal("the offline guarded run produced no actions")
+			}
 
-	ref := runs["json"]
-	if len(ref.actions) == 0 {
-		t.Fatal("guarded reference run produced no actions")
-	}
-	for name, got := range runs {
-		if fmt.Sprintf("%+v", got.verdicts) != fmt.Sprintf("%+v", ref.verdicts) {
-			t.Errorf("%s: verdicts diverge from NDJSON", name)
-		}
-		if fmt.Sprintf("%+v", got.actions) != fmt.Sprintf("%+v", ref.actions) {
-			t.Errorf("%s: actions diverge from NDJSON:\n got  %+v\n want %+v", name, got.actions, ref.actions)
-		}
+			srv, err := NewServer(Config{Detectors: map[string]safemon.Detector{backend: det}, Policies: []guard.Policy{policy}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			defer srv.Shutdown()
+			defer ts.Close()
+			client := &Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
+
+			runs := map[string]run{}
+			js, err := client.OpenGuarded(ctx, backend, policy.Name, labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := drive(js.Send, js.Recv, js.CloseSend, js.Actions)
+			js.Close()
+			if err != nil {
+				t.Fatalf("ndjson: %v", err)
+			}
+			runs["ndjson"] = out
+			m, err := client.OpenMux(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			st, err := m.Open(ctx, backend, policy.Name, labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out, err = drive(st.Send, st.Recv, st.CloseSend, st.Actions); err != nil {
+				t.Fatalf("binary-mux: %v", err)
+			}
+			runs["binary-mux"] = out
+
+			for name, got := range runs {
+				if !slices.Equal(got.verdicts, offline.verdicts) {
+					t.Errorf("%s: verdicts diverge from the offline guarded session", name)
+				}
+				if !slices.Equal(got.actions, offline.actions) {
+					t.Errorf("%s: actions diverge from the offline guarded session:\n got  %+v\n want %+v",
+						name, got.actions, offline.actions)
+				}
+			}
+		})
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/safemon/guard"
 	"repro/safemon/ledger"
 )
 
@@ -181,9 +180,9 @@ func wireActions(actions []ledger.ActionRecord, policy string) []ActionMsg {
 // original policy replays unguarded. The replay goes through a live
 // stream's admission, so its refusals are the same *ErrorMsg (404 for an
 // unknown backend or policy, 429 at the session cap, 503 while
-// draining), and it holds a session slot while it runs. It opens its
-// session directly, not through the pump, so it is never recorded and can
-// never create an incident.
+// draining), and it holds a session slot while it runs. Its pump binds
+// the session, guarded like a live stream's, but never opens a recorder,
+// so a replay is never recorded and can never create an incident.
 func (s *Server) Replay(ctx context.Context, id, backend, policy string) (*ReplayResult, error) {
 	store := s.ledgerStore()
 	if store == nil {
@@ -212,54 +211,39 @@ func (s *Server) Replay(ctx context.Context, id, backend, policy string) (*Repla
 	if em != nil {
 		return nil, em
 	}
-
-	labels := make([]int, len(inc.Labels))
-	for i, l := range inc.Labels {
-		labels[i] = int(l)
-	}
-	if len(labels) == 0 {
-		labels = nil
-	}
-	sess, err := s.manager.Open(backend, labels)
-	if err != nil {
-		s.manager.Unreserve()
-		return nil, openError(err)
-	}
-	defer sess.Release(false)
-	var eng *guard.Engine
-	if policy != "" {
-		if eng, err = guard.NewEngine(p.policy); err != nil {
-			return nil, err
-		}
+	defer p.close()
+	// The recorded trail in wire form; its labels bind the replay too.
+	orig := incidentDetail(inc)
+	if em := p.bind(orig.Labels); em != nil {
+		return nil, em
 	}
 
 	replay := ReplayTrail{
 		Backend:  backend,
-		Model:    sess.Version(),
+		Model:    p.sess.Version(),
 		Policy:   policy,
 		Verdicts: make([]VerdictMsg, 0, len(inc.Inputs)),
 		Actions:  []ActionMsg{},
 	}
 	for i := range inc.Inputs {
-		v, err := sess.Push(ctx, &inc.Inputs[i])
+		v, err := p.sess.Push(ctx, &inc.Inputs[i])
 		if err != nil {
 			return nil, fmt.Errorf("serve: replay frame %d: %w", i, err)
 		}
-		wire := WireVerdict(v)
-		if eng != nil {
-			if d := eng.Step(v); d.Changed {
+		if p.gs != nil {
+			if d := p.gs.Decision(); d.Changed {
 				replay.Actions = append(replay.Actions, actionMsg(d, policy))
 			}
 		}
-		replay.Verdicts = append(replay.Verdicts, wire)
+		replay.Verdicts = append(replay.Verdicts, WireVerdict(v))
 	}
 
 	original := ReplayTrail{
 		Backend:  inc.Backend,
 		Model:    inc.Model,
 		Policy:   inc.Policy,
-		Verdicts: incidentDetail(inc).Verdicts,
-		Actions:  wireActions(inc.Actions, inc.Policy),
+		Verdicts: orig.Verdicts,
+		Actions:  orig.Actions,
 	}
 	return &ReplayResult{
 		Incident:      inc.IncidentSummary,

@@ -48,11 +48,6 @@ type ManagerConfig struct {
 	// on a session's full frame channel before answering that sid with
 	// ErrQueueFull (429); <= 0 means 100ms.
 	EnqueueTimeout time.Duration
-	// Metrics receives the manager's frame, session and panic counters
-	// (and, under a Server, everything else the service exports at
-	// /metrics). Nil mints a private registry. A registry must not be
-	// shared between managers: series names would collide.
-	Metrics *obs.Registry
 }
 
 func (c ManagerConfig) withDefaults() ManagerConfig {
@@ -61,9 +56,6 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	}
 	if c.EnqueueTimeout <= 0 {
 		c.EnqueueTimeout = 100 * time.Millisecond
-	}
-	if c.Metrics == nil {
-		c.Metrics = obs.NewRegistry()
 	}
 	return c
 }
@@ -75,6 +67,7 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 type Manager struct {
 	cfg      ManagerConfig
 	stats    managerStats
+	metrics  *obs.Registry // the manager's counters; a Server exports everything through it
 	inflight sync.WaitGroup
 	active   atomic.Int64 // attached streams, for the MaxSessions cap
 
@@ -101,7 +94,7 @@ func NewManagerModels(models map[string]Model, cfg ManagerConfig) (*Manager, err
 		return nil, errors.New("serve: no detectors to serve")
 	}
 	cfg = cfg.withDefaults()
-	m := &Manager{cfg: cfg, models: map[string]*backendModel{}}
+	m := &Manager{cfg: cfg, metrics: obs.NewRegistry(), models: map[string]*backendModel{}}
 	now := time.Now().UTC()
 	for name, mod := range models {
 		if mod.Detector == nil {
@@ -109,7 +102,7 @@ func NewManagerModels(models map[string]Model, cfg ManagerConfig) (*Manager, err
 		}
 		m.models[name] = &backendModel{det: mod.Detector, version: mod.Version, loadedAt: now}
 	}
-	reg := cfg.Metrics
+	reg := m.metrics
 	reg.CounterFunc("safemon_frames_total",
 		"Frames pushed through sessions.", m.stats.frames.Load)
 	reg.CounterFunc("safemon_sessions_opened_total",
@@ -161,8 +154,9 @@ func (m *Manager) Unreserve() { m.active.Add(-1) }
 // stream attached before the swap). The caller must hold a Reserve slot;
 // on success the Session owns it (Release frees it), on error the caller
 // keeps it and must Unreserve. groundTruth supplies per-frame gesture
-// labels (nil when the backend infers its own context).
-func (m *Manager) Open(backend string, groundTruth []int) (*Session, error) {
+// labels (nil when the backend infers its own context); opts decorate the
+// session as in safemon.Detector.NewSession (the server's WithGuard).
+func (m *Manager) Open(backend string, groundTruth []int, opts ...safemon.SessionOption) (*Session, error) {
 	m.mu.RLock()
 	draining := m.draining
 	bm := m.models[backend]
@@ -173,7 +167,7 @@ func (m *Manager) Open(backend string, groundTruth []int) (*Session, error) {
 	if bm == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownBackend, backend)
 	}
-	sess, err := bm.det.NewSession(safemon.WithSessionLabels(groundTruth))
+	sess, err := bm.det.NewSession(append([]safemon.SessionOption{safemon.WithSessionLabels(groundTruth)}, opts...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -182,11 +176,12 @@ func (m *Manager) Open(backend string, groundTruth []int) (*Session, error) {
 }
 
 // Push scores one frame on the calling goroutine and returns its
-// verdict. Push is single-caller, like safemon.Session: the goroutine
-// that owns the stream is its only caller, so a stream has at most one
-// push in flight and MaxSessions bounds concurrent inference. A panic in
-// the backend is recovered into an error wrapping ErrSessionPanic, and
-// the stream should end.
+// verdict; a session opened with a guard has also stepped its policy.
+// Push is single-caller, like safemon.Session: the goroutine that owns
+// the stream is its only caller, so a stream has at most one push in
+// flight and MaxSessions bounds concurrent inference. A panic in the
+// backend or its guard is recovered into an error wrapping
+// ErrSessionPanic, and the stream should end.
 func (s *Session) Push(ctx context.Context, frame *safemon.Frame) (v safemon.FrameVerdict, err error) {
 	m := s.m
 	if !m.enter() {

@@ -9,10 +9,10 @@ package serve
 // The per-frame pipeline decomposes into attributable stages:
 //
 //	decode  parse of the request record (excluding network wait)
-//	infer   the session's Push (the model forward)
-//	guard   mitigation policy engine step and its ledger action edge
-//	        (guarded streams only)
-//	ledger  event-ledger verdict emit (ledgered servers only)
+//	infer   the session's Push: the model forward, and on a guarded
+//	        stream the policy step the session runs after it
+//	ledger  event-ledger verdict emit and any action edge (ledgered
+//	        servers only)
 //	encode  action and verdict record writes plus one flush
 //
 // Each admitted stream registers its stage histograms once (a map
@@ -35,7 +35,6 @@ import (
 const (
 	stageDecode = iota
 	stageInfer
-	stageGuard
 	stageLedger
 	stageEncode
 	numStages
@@ -44,7 +43,7 @@ const (
 // stageNames are the stage label values of safemon_frame_stage_seconds,
 // in pipeline order.
 var stageNames = [numStages]string{
-	"decode", "infer", "guard", "ledger", "encode",
+	"decode", "infer", "ledger", "encode",
 }
 
 // slowStageNames names the slow-frame ring's stage slots (the trace's
@@ -90,8 +89,8 @@ type streamTrace struct {
 }
 
 // streamTrace resolves the stage histograms for one admitted stream.
-// Guard only exists on policy streams and ledger on ledgered servers;
-// their histograms stay nil otherwise so inactive stages record nothing.
+// Ledger only exists on ledgered servers; its histogram stays nil
+// otherwise so the inactive stage records nothing.
 func (m *serveMetrics) streamTrace(backend, codec, version, policyName string, ledgered bool) *streamTrace {
 	tr := &streamTrace{
 		slow: m.slow,
@@ -102,15 +101,8 @@ func (m *serveMetrics) streamTrace(backend, codec, version, policyName string, l
 		},
 	}
 	for i := 0; i < numStages; i++ {
-		switch i {
-		case stageGuard:
-			if policyName == "" {
-				continue
-			}
-		case stageLedger:
-			if !ledgered {
-				continue
-			}
+		if i == stageLedger && !ledgered {
+			continue
 		}
 		tr.hists[i] = m.reg.Histogram("safemon_frame_stage_seconds", stageHelp,
 			obs.Label{Key: "backend", Value: backend},

@@ -422,6 +422,37 @@ func TestMetricsMatchTraffic(t *testing.T) {
 	}
 }
 
+// TestGuardedStreamStages pins the stage set of a guarded stream on a
+// ledgered server: the policy steps inside the session's Push, so every
+// frame is timed in decode, infer, ledger and encode, and no guard stage
+// exists, neither in the histograms nor in a slow-frame exemplar.
+func TestGuardedStreamStages(t *testing.T) {
+	srv, client := metricsTestService(t)
+	n := float64(len(testFold(t).Test[0].Frames))
+	scrape := scrapeMetrics(t, client.httpClient(), client.BaseURL+"/metrics")
+	for _, c := range []struct {
+		codec  string
+		frames float64
+	}{{"json", n + 8}, {"binary-mux", n}} {
+		key := func(stage string) string {
+			return fmt.Sprintf(`safemon_frame_stage_seconds_count{backend="envelope",codec=%q,stage=%q}`, c.codec, stage)
+		}
+		for _, stage := range []string{"decode", "infer", "ledger", "encode"} {
+			if got := scrape.get(t, key(stage)); got != c.frames {
+				t.Errorf("%s %s stage count = %v, want %v", c.codec, stage, got, c.frames)
+			}
+		}
+		if _, ok := scrape.samples[key("guard")]; ok {
+			t.Errorf("%s streams register a guard stage", c.codec)
+		}
+	}
+	for i, f := range srv.SlowFrames() {
+		if len(f.StageMS) != 4 {
+			t.Errorf("exemplar %d stages = %v, want decode, infer, ledger and encode", i, f.StageMS)
+		}
+	}
+}
+
 // TestSlowFrameExemplars requires the debug ring to surface frames from
 // the traffic above with a full, consistent stage breakdown.
 func TestSlowFrameExemplars(t *testing.T) {

@@ -278,17 +278,3 @@ func (c *jsonStream) verdict(a *ActionMsg, v *VerdictMsg) bool {
 
 func (c *jsonStream) done(frames int)  { c.emit(ServerMsg{Done: &DoneMsg{Frames: frames}}) }
 func (c *jsonStream) fail(e *ErrorMsg) { c.emit(ServerMsg{Error: e}) }
-
-// TraceFromVerdicts rebuilds an offline-shaped trace from streamed
-// verdicts, with Alerts derived exactly as the session replay derives them
-// (one alert per unsafe verdict). It lets served streams feed the same
-// EvaluateTraces aggregation as the batch Runner.
-func TraceFromVerdicts(verdicts []safemon.FrameVerdict) *safemon.Trace {
-	trace := &safemon.Trace{Verdicts: verdicts}
-	for _, v := range verdicts {
-		if v.Unsafe {
-			trace.Alerts = append(trace.Alerts, safemon.Alert{FrameIndex: v.FrameIndex, Gesture: v.Gesture, Score: v.Score})
-		}
-	}
-	return trace
-}

@@ -1,12 +1,13 @@
 package serve
 
 // The session pump: the one admission sequence and the one per-frame
-// step that /v1/stream connections and /v1/mux sessions share. A
-// transport keeps only its record loop — reading records off its wire
-// and deciding when the stream ends — and hands each decoded frame to
-// step, which scores it through the session on the transport's own
-// goroutine, records it in the ledger, steps the guard engine and writes
-// the action and verdict through the transport's sink.
+// step that /v1/stream connections and /v1/mux sessions share (incident
+// replays admit and bind through it too). A transport keeps only its
+// record loop — reading records off its wire and deciding when the
+// stream ends — and hands each decoded frame to step, which scores it
+// through the session (a guarded one steps its policy inside Push) on the
+// transport's own goroutine, records it in the ledger and writes the
+// action and verdict through the transport's sink.
 
 import (
 	"context"
@@ -43,11 +44,11 @@ type pump struct {
 	policy  guard.Policy // zero (no name) on unguarded streams
 
 	out  sink
-	sess *Session // nil until open succeeds
-	eng  *guard.Engine
+	sess *Session               // nil until bind succeeds
+	gs   safemon.GuardedSession // sess's guard; nil on unguarded streams
 	rec  *ledger.Recorder
 	tr   *streamTrace
-	last guard.Counters // engine counters at the previous edge
+	last guard.Counters // guard counters at the previous edge
 
 	frames int
 	reason string // the ledger end reason
@@ -94,34 +95,44 @@ func (s *Server) admit(backend, policy string) (*pump, *ErrorMsg) {
 	return &pump{s: s, backend: backend, policy: pol}, nil
 }
 
-// open binds the admitted session: a new session of the backend's
-// current model for labels, the guard engine, the ledger recorder (a nil
-// appender makes every recorder call a no-op) and the stage histograms
-// for codec. out receives the session's records. On failure the caller
+// bind opens the admitted session on the backend's current model for
+// labels, safemon.WithGuard on a policy stream. On failure the caller
 // still owes close.
-func (p *pump) open(labels []int, codec string, out sink) *ErrorMsg {
-	s := p.s
-	sess, err := s.manager.Open(p.backend, labels)
+func (p *pump) bind(labels []int) *ErrorMsg {
+	var opts []safemon.SessionOption
+	if p.policy.Name != "" {
+		opts = append(opts, safemon.WithGuard(p.policy))
+	}
+	sess, err := p.s.manager.Open(p.backend, labels, opts...)
 	if err != nil {
 		return openError(err)
 	}
-	p.sess, p.out, p.reason = sess, out, "error: handler exit"
-	if p.policy.Name != "" {
-		if p.eng, err = guard.NewEngine(p.policy); err != nil {
-			// Policies are validated at construction; reaching this is a
-			// server bug, not a client error.
-			return &ErrorMsg{Code: http.StatusInternalServerError, Message: err.Error()}
-		}
+	p.sess = sess
+	p.gs, _ = sess.sess.(safemon.GuardedSession)
+	return nil
+}
+
+// open binds the admitted session, then its per-stream state: the ledger
+// recorder (a nil appender makes every recorder call a no-op) and the
+// stage histograms for codec. out receives the session's records. On
+// failure the caller still owes close.
+func (p *pump) open(labels []int, codec string, out sink) *ErrorMsg {
+	if em := p.bind(labels); em != nil {
+		return em
+	}
+	s := p.s
+	p.out, p.reason = out, "error: handler exit"
+	if p.gs != nil {
 		s.mitigation.guardedStreams.Add(1)
 	}
 	// The whole stream — lifecycle, verdicts with their input frames,
 	// guard edges — lands in the event log, where a latching action
 	// turns it into a replayable incident.
-	p.rec = ledger.NewRecorder(s.cfg.Ledger, p.backend, sess.Version(), p.policy.Name)
+	p.rec = ledger.NewRecorder(s.cfg.Ledger, p.backend, p.sess.Version(), p.policy.Name)
 	p.rec.Start(labels)
 	// Stage histograms resolve once here, so frames feed them without
 	// allocating.
-	p.tr = s.metrics.streamTrace(p.backend, codec, sess.Version(), p.policy.Name, s.cfg.Ledger != nil)
+	p.tr = s.metrics.streamTrace(p.backend, codec, p.sess.Version(), p.policy.Name, s.cfg.Ledger != nil)
 	return nil
 }
 
@@ -129,7 +140,7 @@ func (p *pump) open(labels []int, codec string, out sink) *ErrorMsg {
 func (p *pump) end(reason string) { p.reason = reason }
 
 // close ends the session: the ledger end event, then the session's
-// release. Before open succeeded it frees the reserved slot.
+// release. Before bind succeeded it frees the reserved slot.
 func (p *pump) close() {
 	if p.sess == nil {
 		p.s.manager.Unreserve()
@@ -140,13 +151,13 @@ func (p *pump) close() {
 }
 
 // step carries one decoded frame (decNS is its record-decode time):
-// session push, ledger verdict, guard step with its ledger action edge,
-// then the action and verdict out through the sink, with every stage fed
-// to the trace. Once the verdict is out, it prepares the session's next
-// push, off the verdict path: the stream idles until its next frame
-// anyway. A failed push or prepare — a recovered backend panic included
-// — or a verdict the sink cannot write ends the stream with an error
-// record and returns false.
+// session push, which steps a guarded stream's policy, then the ledger
+// verdict and any action edge, then the action and verdict out through
+// the sink, with every stage fed to the trace. Once the verdict is out,
+// it prepares the session's next push, off the verdict path: the stream
+// idles until its next frame anyway. A failed push or prepare — a
+// recovered backend or guard panic included — or a verdict the sink
+// cannot write ends the stream with an error record and returns false.
 func (p *pump) step(ctx context.Context, f *safemon.Frame, decNS int64) bool {
 	p.frame = *f
 	p.tr.setStage(stageDecode, decNS)
@@ -161,23 +172,20 @@ func (p *pump) step(ctx context.Context, f *safemon.Frame, decNS int64) bool {
 	p.frames++
 	p.wire = WireVerdict(v)
 	p.rec.Verdict(v, &p.frame)
-	t2 := time.Now()
-	// Guard covers the engine step and its ledger edge; encode covers the
-	// action and verdict writes, which the sink flushes once, so an edge
-	// frame's pair lands in encode together.
-	t3 := t2
+	// An edge goes out immediately before its verdict, so a lockstep
+	// client sees the action no later than the verdict that caused it.
 	var act *ActionMsg
-	if p.eng != nil {
-		// An edge goes out immediately before its verdict, so a lockstep
-		// client sees the action no later than the verdict that caused it.
-		if d := p.eng.Step(v); d.Changed {
+	if p.gs != nil {
+		if d := p.gs.Decision(); d.Changed {
 			p.countEdge()
 			p.rec.Action(d)
 			p.act = actionMsg(d, p.policy.Name)
 			act = &p.act
 		}
-		t3 = time.Now()
 	}
+	// Encode covers the action and verdict writes, which the sink flushes
+	// once, so an edge frame's pair lands in encode together.
+	t2 := time.Now()
 	if !p.out.verdict(act, &p.wire) {
 		p.end("error: score has no wire form")
 		return false
@@ -185,8 +193,7 @@ func (p *pump) step(ctx context.Context, f *safemon.Frame, decNS int64) bool {
 	end := time.Now()
 	p.tr.setStage(stageInfer, t1.Sub(t0).Nanoseconds())
 	p.tr.setStage(stageLedger, t2.Sub(t1).Nanoseconds())
-	p.tr.setStage(stageGuard, t3.Sub(t2).Nanoseconds())
-	p.tr.setStage(stageEncode, end.Sub(t3).Nanoseconds())
+	p.tr.setStage(stageEncode, end.Sub(t2).Nanoseconds())
 	p.tr.observe(p.frames-1, end.UnixNano())
 	if err := p.sess.Prepare(); err != nil {
 		p.end("error: prepare")
@@ -197,12 +204,12 @@ func (p *pump) step(ctx context.Context, f *safemon.Frame, decNS int64) bool {
 }
 
 // countEdge feeds the service mitigation counters from the deltas of the
-// engine's own guard.Counters — one source of truth for transition
-// classification — live, so /metrics reflects in-flight streams. Every
-// counted event coincides with a level change, so the common unchanged
-// frame touches no shared atomics.
+// session guard's own guard.Counters — one source of truth for
+// transition classification — live, so /metrics reflects in-flight
+// streams. Every counted event coincides with a level change, so the
+// common unchanged frame touches no shared atomics.
 func (p *pump) countEdge() {
-	c, m := p.eng.Counters(), &p.s.mitigation
+	c, m := p.gs.GuardCounters(), &p.s.mitigation
 	m.alerts.Add(c.Alerts - p.last.Alerts)
 	m.warns.Add(c.Warns - p.last.Warns)
 	m.pauses.Add(c.Pauses - p.last.Pauses)

@@ -15,7 +15,6 @@ import (
 	"repro/safemon"
 	"repro/safemon/guard"
 	"repro/safemon/ledger"
-	"repro/safemon/obs"
 )
 
 // Config assembles a Server.
@@ -54,11 +53,6 @@ type Config struct {
 	// the caller: Server.Shutdown flushes it but does not close it. Nil
 	// disables recording and the incident API.
 	Ledger *ledger.Appender
-	// Metrics is the registry GET /metrics renders; every service
-	// counter is exported through it. Nil mints a private registry (the
-	// common case). A registry must not be shared between servers: series
-	// names would collide.
-	Metrics *obs.Registry
 	// Logger receives service log lines with keyed fields; nil discards
 	// them.
 	Logger *slog.Logger
@@ -114,21 +108,13 @@ type Server struct {
 // models). It starts no goroutines: each stream is scored on the
 // goroutine that serves it.
 func NewServer(cfg Config) (*Server, error) {
-	models := cfg.Models
-	if models == nil {
-		models = make(map[string]Model, len(cfg.Detectors))
-		for name, det := range cfg.Detectors {
-			models[name] = Model{Detector: det, Version: "unversioned"}
-		}
+	var manager *Manager
+	var err error
+	if cfg.Models != nil {
+		manager, err = NewManagerModels(cfg.Models, cfg.Manager)
+	} else {
+		manager, err = NewManager(cfg.Detectors, cfg.Manager)
 	}
-	// One registry backs the whole server: the manager registers its
-	// frame, session and panic counters into it, the server everything
-	// else, and GET /metrics renders it.
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewRegistry()
-	}
-	cfg.Manager.Metrics = cfg.Metrics
-	manager, err := NewManagerModels(models, cfg.Manager)
 	if err != nil {
 		return nil, err
 	}
@@ -140,9 +126,12 @@ func NewServer(cfg Config) (*Server, error) {
 		manager.Close()
 		return nil, err
 	}
+	// One registry backs the whole server: the manager registered its
+	// frame, session and panic counters into it, the server adds
+	// everything else, and GET /metrics renders it.
 	s := &Server{
 		cfg: cfg, manager: manager, start: time.Now(),
-		metrics:  newServeMetrics(cfg.Metrics),
+		metrics:  newServeMetrics(manager.metrics),
 		policies: policies, policyNames: policyNames,
 	}
 	s.registerMetrics()
@@ -156,7 +145,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/incidents", s.handleIncidents)
 	s.mux.HandleFunc("/v1/incidents/", s.handleIncident)
 	s.mux.HandleFunc("/v1/debug/slowframes", s.handleSlowFrames)
-	s.mux.Handle("/metrics", cfg.Metrics.Handler())
+	s.mux.Handle("/metrics", s.metrics.reg.Handler())
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	return s, nil

@@ -2,9 +2,10 @@ package serve
 
 // Warm-path gates for the production frame path, on /v1/mux, the binary
 // transport the serving workloads run. BenchmarkServeStreamWarm times
-// the pump's step — session push, ledger emit, guard step, the mux
-// session's verdict encode and the stage-histogram and slow-ring
-// telemetry — behind a binary record decode, with the HTTP transport
+// the pump's step — session push (a guarded session steps its policy
+// inside it), ledger emit, the mux session's verdict encode and the
+// stage-histogram and slow-ring telemetry — behind a binary record
+// decode, with the HTTP transport
 // replaced by in-memory readers so the measurement is the server's own
 // work. It stays at pump level, one admitted session fed forever, so
 // every op is a warm frame and none pays per-session admission.

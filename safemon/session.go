@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"repro/internal/core"
 	"repro/safemon/guard"
 	"repro/safemon/ledger"
 )
@@ -44,9 +43,6 @@ func runViaSession(ctx context.Context, d Detector, traj *Trajectory, timing boo
 			return nil, err
 		}
 		trace.Verdicts = append(trace.Verdicts, v)
-		if v.Unsafe {
-			trace.Alerts = append(trace.Alerts, core.Alert{FrameIndex: v.FrameIndex, Gesture: v.Gesture, Score: v.Score})
-		}
 	}
 	if timing && len(traj.Frames) > 0 {
 		trace.ErrorComputeNS = float64(elapsed.Nanoseconds()) / float64(len(traj.Frames))

@@ -85,9 +85,9 @@ codecout="$("$GO" test -run='^$' -bench='^BenchmarkCodecRoundTrip$' \
 	exit 1
 }
 # The instrumented serve warm path: the per-frame step of a /v1/mux
-# session — binary decode, session push, ledger emit, guard step, mux
-# verdict encode — with the stage-histogram and slow-ring telemetry
-# enabled must stay 0 allocs/op.
+# session — binary decode, session push (a guarded session steps its
+# policy inside it), ledger emit, mux verdict encode — with the
+# stage-histogram and slow-ring telemetry enabled must stay 0 allocs/op.
 warmout="$("$GO" test -run='^$' -bench='^BenchmarkServeStreamWarm$' \
 	-benchtime="$BENCHTIME" -count="$BENCHCOUNT" -benchmem ./safemon/serve/)" || {
 	echo "$warmout"
