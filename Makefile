@@ -54,8 +54,8 @@
 #   make test        - tests only
 #   make race        - race-detector pass over the concurrency-bearing packages
 #                      (safemon, its serving layer, internal/nn's
-#                      pipelined Fit, and ten runs of the ledger
-#                      appender's tests)
+#                      pipelined Fit, and ten runs each of the ledger
+#                      appender's tests and the /v1/mux lifecycle tests)
 #   make fmt         - apply gofmt in place
 
 GO ?= go
@@ -95,12 +95,16 @@ test:
 # two goroutines; the pipeline test runs ten times over, since
 # ./safemon/... reaches Fit only through fixtures. The ledger appender's
 # writer races its tick, Flush and Close, so its tests run ten times
-# over too.
+# over too. So do the /v1/mux tests: the connection reader and its
+# session goroutines coordinate through a channel close (a half-close)
+# and a cancel cause (a cut), and a second close would panic the
+# handler.
 race:
 	$(GO) test -race ./safemon/...
 	$(GO) test -race ./internal/nn
 	$(GO) test -race -count=10 -run '^TestFitPipelineMatchesSequential$$' ./internal/nn
 	$(GO) test -race -count=10 -run '^TestAppender' ./safemon/ledger
+	$(GO) test -race -count=10 -run '^TestMux' ./safemon/serve
 
 bench:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x .

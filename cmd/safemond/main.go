@@ -218,7 +218,6 @@ func run(args []string) error {
 	trainOnly := fs.Bool("train-only", false, "fit the backends, save artifacts into -model-dir, and exit")
 	modelVersion := fs.String("model-version", "", "version for -train-only artifacts (empty = next sequential)")
 	maxSessions := fs.Int("max-sessions", 0, "concurrent stream cap (0 = serve default)")
-	enqueueTimeout := fs.Duration("enqueue-timeout", 0, "backpressure wait on a /v1/mux session's full frame queue before its 429 (0 = serve default)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 	threshold := fs.Float64("threshold", 0.5, "unsafe-score alert threshold (training paths)")
 	demos := fs.Int("demos", 24, "synthetic training demonstrations")
@@ -388,10 +387,7 @@ func run(args []string) error {
 	}
 
 	cfg.Policies = policies
-	cfg.Manager = serve.ManagerConfig{
-		MaxSessions:    *maxSessions,
-		EnqueueTimeout: *enqueueTimeout,
-	}
+	cfg.Manager = serve.ManagerConfig{MaxSessions: *maxSessions}
 	cfg.Logger = logger
 	srv, err := serve.NewServer(cfg)
 	if err != nil {

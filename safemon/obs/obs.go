@@ -4,7 +4,7 @@
 // demand in the Prometheus text exposition format.
 //
 // The design premise is that the serving hot path (one frame through
-// decode → inference → guard → encode) must stay 0 allocs/frame
+// decode → infer → ledger → encode) must stay 0 allocs/frame
 // with telemetry enabled, so every instrument is registered once at
 // stream admission or startup (where allocation is fine) and updated
 // through plain atomic adds (a few ns, no locks, no interface calls).

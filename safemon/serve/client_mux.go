@@ -96,7 +96,6 @@ func (c *Client) OpenMux(ctx context.Context) (*MuxConn, error) {
 // connection dies, then wakes every remaining stream.
 func (m *MuxConn) readLoop() {
 	br := newBinReader(m.resp.Body)
-	defer br.release()
 	var connErr error // sid-0 BinError: the whole connection failed
 	for {
 		rec, err := br.next()

@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 	"time"
 
 	"repro/safemon"
@@ -382,25 +381,15 @@ func (bw *binWriter) writeVerdict(sid uint32, v *VerdictMsg) error {
 	return bw.emit(&bw.rec)
 }
 
-// binReaderBufSize is the bufio read-buffer size shared by the pooled
-// binary readers: a few frames deep, far under the NDJSON scanner's
-// per-line buffer because binary records need no line scanning.
+// binReaderBufSize is a binary reader's bufio read-buffer size: a few
+// frames deep, far under the NDJSON scanner's per-line buffer because
+// binary records need no line scanning.
 const binReaderBufSize = 8 << 10
 
-// binReaderPool recycles binary readers across connections so a busy
-// edge does not allocate a bufio.Reader plus payload scratch per stream.
-var binReaderPool = sync.Pool{
-	New: func() any {
-		return &binReader{
-			br:      bufio.NewReaderSize(nil, binReaderBufSize),
-			scratch: make([]byte, binHeaderSize+binFramePayload),
-		}
-	},
-}
-
-// binReader decodes binary records from a stream. Hot records decode
-// with zero allocations: the payload is staged in a reusable scratch
-// buffer and decoded into a reusable BinaryRecord.
+// binReader decodes binary records from a stream. Its buffers, about
+// 8 KiB, are allocated once per connection; hot records then decode with
+// zero allocations: the payload is staged in a reusable scratch buffer
+// and decoded into a reusable BinaryRecord.
 type binReader struct {
 	br      *bufio.Reader
 	scratch []byte
@@ -416,18 +405,10 @@ type binReader struct {
 }
 
 func newBinReader(r io.Reader) *binReader {
-	d := binReaderPool.Get().(*binReader)
-	d.br.Reset(r)
-	d.lastSID = 0
-	return d
-}
-
-// release returns the reader's buffers to the pool. The reader must not
-// be used afterwards.
-func (d *binReader) release() {
-	d.br.Reset(nil)
-	d.rec = BinaryRecord{}
-	binReaderPool.Put(d)
+	return &binReader{
+		br:      bufio.NewReaderSize(r, binReaderBufSize),
+		scratch: make([]byte, binHeaderSize+binFramePayload),
+	}
 }
 
 // next reads and decodes the next record. io.EOF means a clean end at a

@@ -73,7 +73,6 @@ func FuzzDecodeBinaryRecord(f *testing.F) {
 
 		// Streaming decode: bounded records, clean termination, no panic.
 		br := newBinReader(bytes.NewReader(data))
-		defer br.release()
 		for i := 0; ; i++ {
 			_, err := br.next()
 			if errors.Is(err, io.EOF) {

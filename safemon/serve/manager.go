@@ -14,8 +14,9 @@ import (
 
 // Backpressure and lifecycle sentinels.
 var (
-	// ErrQueueFull reports that a /v1/mux session's frame channel stayed
-	// full past the enqueue timeout — the per-sid backpressure signal.
+	// ErrQueueFull reports that a /v1/mux session's frame queue was full
+	// when its next frame arrived — the per-sid backpressure signal,
+	// answered at once, since the connection reader never waits.
 	ErrQueueFull = errors.New("serve: queue full")
 	// ErrBusy reports that the service is at its concurrent-session cap.
 	ErrBusy = errors.New("serve: too many concurrent sessions")
@@ -38,24 +39,19 @@ type managerStats struct {
 	panics         atomic.Uint64 // pushes and prepares ended by a recovered panic
 }
 
-// ManagerConfig tunes the session manager.
+// ManagerConfig tunes the session manager. A /v1/mux session's frame
+// queue has no setting: a full queue is answered ErrQueueFull (429) at
+// once.
 type ManagerConfig struct {
 	// MaxSessions caps concurrently attached streams; <= 0 means 1024.
 	// Each stream has at most one push in flight, so it also bounds
 	// concurrent inference.
 	MaxSessions int
-	// EnqueueTimeout bounds how long a /v1/mux connection reader waits
-	// on a session's full frame channel before answering that sid with
-	// ErrQueueFull (429); <= 0 means 100ms.
-	EnqueueTimeout time.Duration
 }
 
 func (c ManagerConfig) withDefaults() ManagerConfig {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 1024
-	}
-	if c.EnqueueTimeout <= 0 {
-		c.EnqueueTimeout = 100 * time.Millisecond
 	}
 	return c
 }

@@ -81,21 +81,24 @@ type muxFrame struct {
 }
 
 // muxSession is the connection reader's handle on one logical session:
-// a bounded frame channel into the session goroutine plus the kill
-// switch for per-sid backpressure cuts.
+// a bounded frame channel into the session goroutine, which the reader
+// closes to half-close the session, and a cancel that cuts it without
+// draining. The reader deletes a session in the branch that closes or
+// cuts it, so each session ends once; a second close of in would panic
+// the handler.
 type muxSession struct {
-	sid  uint32
-	mw   *muxWriter
-	in   chan muxFrame
-	quit chan struct{} // closed by kill: abandon queued frames and exit
-	// reason is the ledger end-reason for a killed session; written
-	// before quit closes, read after it fires.
-	reason string
+	sid uint32
+	mw  *muxWriter
+	in  chan muxFrame
+	// ctx is cut by the reader, with the session's ledger end reason as
+	// its cause; the goroutine then abandons queued frames and emits
+	// nothing further (the reader already emitted the per-sid error, or
+	// the whole connection failed).
+	ctx context.Context
+	cut context.CancelCauseFunc
 	// failed is set by the session goroutine when its stream died (push
 	// error); the reader then drops further frames for the sid.
 	failed atomic.Bool
-	killed bool // reader-side: kill() called
-	closed bool // reader-side: in closed
 }
 
 // verdict, done and fail make the session the pump's sink: its records
@@ -114,42 +117,15 @@ func (ms *muxSession) fail(e *ErrorMsg) {
 	ms.mw.error(ms.sid, e)
 }
 
-// offer routes one frame, waiting up to timeout when the channel is
-// full; false means the session goroutine cannot keep up (per-sid 429).
-func (ms *muxSession) offer(f *safemon.Frame, decNS int64, timeout time.Duration) bool {
-	mf := muxFrame{frame: *f, decNS: decNS}
+// offer routes one frame without waiting; false means the session's
+// queue is full, so its goroutine cannot keep up (per-sid 429). The
+// connection reader serves every sid, so it never blocks on one.
+func (ms *muxSession) offer(f *safemon.Frame, decNS int64) bool {
 	select {
-	case ms.in <- mf:
+	case ms.in <- muxFrame{frame: *f, decNS: decNS}:
 		return true
 	default:
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case ms.in <- mf:
-		return true
-	case <-t.C:
 		return false
-	}
-}
-
-// closeInput half-closes the session: queued frames still process, then
-// the goroutine emits its done record. Idempotent, reader-side only.
-func (ms *muxSession) closeInput() {
-	if !ms.closed && !ms.killed {
-		ms.closed = true
-		close(ms.in)
-	}
-}
-
-// kill cuts the session without draining: the goroutine abandons queued
-// frames and emits nothing further (the reader already emitted the
-// per-sid error, or the whole connection failed). Reader-side only.
-func (ms *muxSession) kill(reason string) {
-	if !ms.killed {
-		ms.killed = true
-		ms.reason = reason
-		close(ms.quit)
 	}
 }
 
@@ -184,7 +160,6 @@ func (s *Server) handleMux(w http.ResponseWriter, r *http.Request) {
 
 	mw := &muxWriter{w: newBinWriter(w), flush: func() { rc.Flush() }}
 	dec := newBinReader(r.Body)
-	defer dec.release()
 	armIdle := func() { rc.SetReadDeadline(time.Now().Add(s.cfg.StreamIdleTimeout)) }
 
 	sessions := map[uint32]*muxSession{}
@@ -194,13 +169,13 @@ func (s *Server) handleMux(w http.ResponseWriter, r *http.Request) {
 		// Connection over. On a clean end (request side closed at a record
 		// boundary) the remaining sessions half-close: queued frames still
 		// process and each session gets its done record. On a failed
-		// connection they are killed instead — a done record after a fatal
+		// connection they are cut instead — a done record after a fatal
 		// error would misreport the streams as complete.
 		for _, ms := range sessions {
 			if clean {
-				ms.closeInput()
+				close(ms.in)
 			} else {
-				ms.kill("error: connection failure")
+				ms.cut(errors.New("error: connection failure"))
 			}
 		}
 		wg.Wait()
@@ -230,7 +205,7 @@ func (s *Server) handleMux(w http.ResponseWriter, r *http.Request) {
 				sid := dec.lastSID
 				mw.error(sid, &ErrorMsg{Code: http.StatusBadRequest, Message: "bad record: " + err.Error()})
 				if ms := sessions[sid]; ms != nil {
-					ms.kill("error: bad record")
+					ms.cut(errors.New("error: bad record"))
 					delete(sessions, sid)
 				}
 				continue
@@ -248,15 +223,15 @@ func (s *Server) handleMux(w http.ResponseWriter, r *http.Request) {
 			if ms == nil || ms.failed.Load() {
 				continue // unknown or already-failed sid: drop
 			}
-			if !ms.offer(&rec.Frame, dec.decNS, s.manager.cfg.EnqueueTimeout) {
+			if !ms.offer(&rec.Frame, dec.decNS) {
 				s.codec.muxQueueFull.Add(1)
 				mw.error(rec.SID, &ErrorMsg{Code: http.StatusTooManyRequests, Message: ErrQueueFull.Error()})
-				ms.kill("error: queue full")
+				ms.cut(errors.New("error: queue full"))
 				delete(sessions, rec.SID)
 			}
 		case BinClose:
 			if ms := sessions[rec.SID]; ms != nil {
-				ms.closeInput()
+				close(ms.in)
 				delete(sessions, rec.SID)
 			}
 		default:
@@ -287,7 +262,7 @@ func (s *Server) muxOpen(ctx context.Context, mw *muxWriter, sessions map[uint32
 	if len(rec.Labels) > 0 {
 		labels = append([]int{}, rec.Labels...)
 	}
-	ms := &muxSession{sid: sid, mw: mw, in: make(chan muxFrame, muxInDepth), quit: make(chan struct{})}
+	ms := &muxSession{sid: sid, mw: mw, in: make(chan muxFrame, muxInDepth)}
 	// Per-sid admission control: the session cap answers with a 429
 	// record for this sid, leaving the connection's other sessions alone.
 	p, em := s.admit(rec.Backend, rec.Policy)
@@ -300,6 +275,11 @@ func (s *Server) muxOpen(ctx context.Context, mw *muxWriter, sessions map[uint32
 		mw.error(sid, em)
 		return
 	}
+	// The cut context derives from Background, not from the request: a
+	// cancelled request ends its sessions through the reader, as a
+	// connection failure, and a session ended by a close, never cut,
+	// holds nothing.
+	ms.ctx, ms.cut = context.WithCancelCause(context.Background())
 	s.codec.muxSessions.Add(1)
 	sessions[sid] = ms
 	mw.emit(&BinaryRecord{Type: BinOpened, SID: sid, Version: p.sess.Version()})
@@ -311,22 +291,22 @@ func (s *Server) muxOpen(ctx context.Context, mw *muxWriter, sessions map[uint32
 }
 
 // runMuxSession is one logical session's record loop: frames in from
-// the connection reader, each carried by the pump.
+// the connection reader, each carried by the pump on the request's
+// context, so a cut mid-step still writes that frame's verdict.
 func runMuxSession(ctx context.Context, ms *muxSession, p *pump) {
 	defer p.close()
+	cut := ms.ctx.Done()
 	for {
-		// Kill wins over queued frames: a 429-cut session must stop
+		// A cut wins over queued frames: a 429-cut session must stop
 		// promptly, not finish its backlog.
 		select {
-		case <-ms.quit:
-			p.end(ms.reason)
+		case <-cut:
+			p.end(context.Cause(ms.ctx).Error())
 			return
 		default:
 		}
 		select {
-		case <-ms.quit:
-			p.end(ms.reason)
-			return
+		case <-cut: // the check above ends the session
 		case mf, ok := <-ms.in:
 			if !ok {
 				p.end("eof")

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/safemon"
+	"repro/safemon/ledger"
 )
 
 // TestMuxEndToEnd multiplexes several concurrent logical sessions over
@@ -189,19 +191,23 @@ func TestMuxFramingErrorKillsConnection(t *testing.T) {
 	}
 }
 
-// TestMuxPerSessionBackpressure floods one logical session faster than
-// its slow backend drains and requires a per-sid 429 record — never an
-// HTTP status or a connection teardown — counted once in
-// safemon_queue_full_total, while the connection survives.
+// TestMuxPerSessionBackpressure floods one logical session while its
+// backend holds the session's first frame, and requires a per-sid 429
+// record — never an HTTP status or a connection teardown — before the
+// backend lets go, counted once in safemon_queue_full_total. A second
+// sid on the same connection streams lockstep through the flood, and the
+// connection survives it.
 func TestMuxPerSessionBackpressure(t *testing.T) {
+	gate := make(chan struct{})
 	srv, err := NewServer(Config{
-		Detectors: map[string]safemon.Detector{"stub": &stubDetector{delay: 50 * time.Millisecond}},
-		Manager:   ManagerConfig{EnqueueTimeout: 5 * time.Millisecond},
+		Detectors: map[string]safemon.Detector{"stub": &stubDetector{gate: gate}, "free": &stubDetector{}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := newHTTPTestServer(t, srv)
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
 	client := &Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
 	ctx := context.Background()
 
@@ -214,37 +220,46 @@ func TestMuxPerSessionBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	other, err := m.Open(ctx, "free", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// muxInDepth frames fit the routing channel; pushing well past it
-	// while the stub sleeps must trip the per-sid timeout.
+	// The stub holds the first frame, muxInDepth more fill the session's
+	// queue, and the one after overflows it.
 	var frame safemon.Frame
-	for i := 0; i < muxInDepth+32; i++ {
+	for i := 0; i < muxInDepth+2; i++ {
 		if err := st.Send(&frame); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
-	deadline := time.After(30 * time.Second)
-	for {
-		done := make(chan struct{})
-		var v safemon.FrameVerdict
-		var rerr error
-		go func() { v, rerr = st.Recv(); close(done) }()
-		select {
-		case <-done:
-		case <-deadline:
-			t.Fatal("timed out waiting for the per-sid 429")
+	for i := 0; i < 2*muxInDepth; i++ {
+		if err := other.Send(&frame); err != nil {
+			t.Fatal(err)
 		}
-		if rerr == nil {
-			_ = v
-			continue
+		if v, err := other.Recv(); err != nil || v.FrameIndex != i {
+			t.Fatalf("other sid frame %d: verdict %+v err %v", i, v, err)
 		}
-		if !isHTTPError(rerr, http.StatusTooManyRequests) {
-			t.Fatalf("flooded session: %v, want per-sid 429", rerr)
-		}
-		break
 	}
+	got := make(chan error, 1)
+	go func() { _, err := st.Recv(); got <- err }()
+	select {
+	case err := <-got:
+		if !isHTTPError(err, http.StatusTooManyRequests) {
+			t.Fatalf("flooded session: %v, want per-sid 429", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("no per-sid 429 while the stub held the session's first frame")
+	}
+	release()
 	if got := serverMetrics(t, srv).get(t, `safemon_queue_full_total{codec="binary-mux"}`); got != 1 {
 		t.Errorf("queue-full counter = %v after one per-sid 429, want 1", got)
+	}
+	if err := other.CloseSend(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Recv(); err != io.EOF {
+		t.Fatalf("other sid close: %v, want io.EOF done", err)
 	}
 
 	// The connection survived: a fresh session on it still works.
@@ -257,6 +272,138 @@ func TestMuxPerSessionBackpressure(t *testing.T) {
 	}
 	if _, err := st2.Recv(); err != nil {
 		t.Fatalf("fresh session after 429: %v", err)
+	}
+}
+
+// TestMuxSessionEndReasons pins the ledger end reason of every way a
+// /v1/mux session ends. Each case streams on a backend of its own, so
+// its session-end event names the case.
+func TestMuxSessionEndReasons(t *testing.T) {
+	gate := make(chan struct{})
+	srv, client, app := newLedgeredService(t, map[string]safemon.Detector{
+		"close":      &stubDetector{},
+		"half-close": &stubDetector{},
+		"flood":      &stubDetector{gate: gate},
+		"bad-record": &stubDetector{},
+		"framing":    &stubDetector{},
+		"push":       &panicDetector{},
+	})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	ctx := context.Background()
+	openMux := func() *MuxConn {
+		t.Helper()
+		m, err := client.OpenMux(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		return m
+	}
+	open := func(m *MuxConn, backend string) *MuxStream {
+		t.Helper()
+		st, err := m.Open(ctx, backend, "", nil)
+		if err != nil {
+			t.Fatalf("%s: open: %v", backend, err)
+		}
+		return st
+	}
+	wantErr := func(st *MuxStream, backend string, code int) {
+		t.Helper()
+		if _, err := st.Recv(); !isHTTPError(err, code) {
+			t.Fatalf("%s: %v, want a %d error record", backend, err, code)
+		}
+	}
+	var frame safemon.Frame
+	step := func(st *MuxStream, backend string) {
+		t.Helper()
+		if err := st.Send(&frame); err != nil {
+			t.Fatalf("%s: send: %v", backend, err)
+		}
+		if _, err := st.Recv(); err != nil {
+			t.Fatalf("%s: recv: %v", backend, err)
+		}
+	}
+
+	m := openMux()
+	st := open(m, "close")
+	step(st, "close")
+	if err := st.CloseSend(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recv(); err != io.EOF {
+		t.Fatalf("close: %v, want io.EOF done", err)
+	}
+
+	st = open(m, "flood")
+	for i := 0; i < muxInDepth+2; i++ {
+		if err := st.Send(&frame); err != nil {
+			t.Fatalf("flood: send %d: %v", i, err)
+		}
+	}
+	wantErr(st, "flood", http.StatusTooManyRequests)
+	release()
+
+	st = open(m, "bad-record")
+	bad := frame
+	bad[0] = math.NaN()
+	if err := st.Send(&bad); err != nil {
+		t.Fatal(err)
+	}
+	wantErr(st, "bad-record", http.StatusBadRequest)
+
+	st = open(m, "push")
+	boom := frame
+	boom[0] = panicTrigger
+	if err := st.Send(&boom); err != nil {
+		t.Fatal(err)
+	}
+	wantErr(st, "push", http.StatusInternalServerError)
+
+	hm := openMux()
+	st = open(hm, "half-close")
+	step(st, "half-close")
+	if err := hm.CloseSend(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recv(); err != io.EOF {
+		t.Fatalf("half-close: %v, want io.EOF done", err)
+	}
+
+	fm := openMux()
+	st = open(fm, "framing")
+	step(st, "framing")
+	fm.wmu.Lock()
+	_, err := fm.bw.w.Write(appendBinHeader(nil, BinFrame, st.sid, maxRecordBytes+1))
+	fm.wmu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantErr(st, "framing", http.StatusBadRequest)
+
+	waitReleased(t, srv)
+	app.Flush()
+	ends := map[string][]string{}
+	err = app.Store().Scan(0, func(e *ledger.Event) bool {
+		if e.Kind == ledger.KindSessionEnd {
+			ends[e.Backend] = append(ends[e.Backend], e.Note)
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for backend, reason := range map[string]string{
+		"close":      "eof",
+		"half-close": "eof",
+		"flood":      "error: queue full",
+		"bad-record": "error: bad record",
+		"framing":    "error: connection failure",
+		"push":       "error: push",
+	} {
+		if got := ends[backend]; len(got) != 1 || got[0] != reason {
+			t.Errorf("%s: session-end notes %q, want [%q]", backend, got, reason)
+		}
 	}
 }
 

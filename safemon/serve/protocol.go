@@ -36,7 +36,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/safemon"
@@ -170,23 +169,11 @@ func DecodeRecord(line []byte, msg *ClientMsg) error {
 	return nil
 }
 
-// scanBufPool recycles the per-connection NDJSON scan buffers: 64 KiB
-// per stream is real money at high connection churn, and the buffer's
-// lifetime is exactly the handler's, so pooling is safe. A line that
-// outgrows the pooled buffer makes the Scanner allocate internally (up
-// to maxRecordBytes) and abandon the pooled one, which then simply
-// returns to the pool at release.
-var scanBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 64<<10)
-		return &b
-	},
-}
-
 // recordReader decodes NDJSON records line by line under maxRecordBytes.
+// Its scanner allocates a 4 KiB line buffer when the stream opens and
+// doubles it only for a longer line, up to maxRecordBytes.
 type recordReader struct {
 	scan *bufio.Scanner
-	buf  *[]byte // pooled scan buffer, returned by release
 	// decNS is the parse time of the most recent record — just the
 	// DecodeRecord call, excluding the network wait for the line — for
 	// the decode stage histogram.
@@ -195,19 +182,8 @@ type recordReader struct {
 
 func newRecordReader(r io.Reader) *recordReader {
 	scan := bufio.NewScanner(r)
-	buf := scanBufPool.Get().(*[]byte)
-	scan.Buffer(*buf, maxRecordBytes)
-	return &recordReader{scan: scan, buf: buf}
-}
-
-// release returns the pooled scan buffer. The reader must not be used
-// afterwards.
-func (d *recordReader) release() {
-	if d.buf != nil {
-		scanBufPool.Put(d.buf)
-		d.buf = nil
-		d.scan = nil
-	}
+	scan.Buffer(nil, maxRecordBytes)
+	return &recordReader{scan: scan}
 }
 
 // next decodes the next non-empty line into msg; io.EOF at clean stream

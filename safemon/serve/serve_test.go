@@ -475,9 +475,11 @@ func TestBeginDrainKeepsInFlightStreams(t *testing.T) {
 
 // stubDetector is a minimal backend whose sessions take a configurable
 // time per push, and per prepare — used to exercise backpressure and the
-// drain deterministically. prepares counts the prepares that finished.
+// drain deterministically. A non-nil gate holds every push until it is
+// closed. prepares counts the prepares that finished.
 type stubDetector struct {
 	delay, prepareDelay time.Duration
+	gate                chan struct{}
 	prepares            atomic.Int32
 }
 
@@ -502,16 +504,20 @@ func (d *stubDetector) Run(ctx context.Context, traj *safemon.Trajectory) (*safe
 }
 
 func (d *stubDetector) NewSession(...safemon.SessionOption) (safemon.Session, error) {
-	return &stubSession{delay: d.delay, prepareDelay: d.prepareDelay, prepares: &d.prepares}, nil
+	return &stubSession{delay: d.delay, prepareDelay: d.prepareDelay, gate: d.gate, prepares: &d.prepares}, nil
 }
 
 type stubSession struct {
 	delay, prepareDelay time.Duration
+	gate                chan struct{}
 	prepares            *atomic.Int32
 	idx                 int
 }
 
 func (s *stubSession) Push(*safemon.Frame) (safemon.FrameVerdict, error) {
+	if s.gate != nil {
+		<-s.gate
+	}
 	if s.delay > 0 {
 		time.Sleep(s.delay)
 	}
@@ -908,7 +914,6 @@ func TestJSONStreamUnencodableScore(t *testing.T) {
 		if c.verdict(nil, &VerdictMsg{I: 1, Score: score, Unsafe: true}) {
 			t.Fatalf("score %v: verdict reported written", score)
 		}
-		c.release()
 		var recs []ServerMsg
 		for dec := json.NewDecoder(&out); dec.More(); {
 			var m ServerMsg

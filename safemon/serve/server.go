@@ -291,7 +291,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// silent client cannot pin its session slot forever.
 	conn := newJSONStream(r.Body, w, func() { rc.Flush() })
 	s.codec.jsonStreams.Add(1)
-	defer conn.release()
 	armIdle := func() { rc.SetReadDeadline(time.Now().Add(s.cfg.StreamIdleTimeout)) }
 
 	// The first record may carry the stream's ground-truth labels; msg

@@ -103,10 +103,7 @@ func newWarmStream(tb testing.TB, guarded, ledgered bool) *warmStream {
 		tb.Fatal(em)
 	}
 	ws := &warmStream{p: p, r: newBinReader(&repeatReader{data: warmFrame(tb)})}
-	tb.Cleanup(func() {
-		p.close()
-		ws.r.release()
-	})
+	tb.Cleanup(p.close)
 	ms := &muxSession{sid: warmSID, mw: &muxWriter{w: newBinWriter(io.Discard), flush: func() {}}}
 	if em := p.open(nil, "binary-mux", ms); em != nil {
 		tb.Fatal(em)
@@ -267,7 +264,6 @@ func TestServeWarmPathZeroAlloc(t *testing.T) {
 			t.Fatalf("status %d: %s", w.code, w.body.String())
 		}
 		br := newBinReader(&w.body)
-		defer br.release()
 		for i := 0; ; i++ {
 			rec, err := br.next()
 			if err != nil {
@@ -286,8 +282,7 @@ func TestServeWarmPathZeroAlloc(t *testing.T) {
 		}
 		return after.Mallocs - before.Mallocs
 	}
-	// Warm every pooled buffer, the stage histograms and the slow ring's
-	// admission path.
+	// Warm the stage histograms and the slow ring's admission path.
 	session(100)
 	m1000, m2000 := session(1000), session(2000)
 	perFrame := (float64(m2000) - float64(m1000)) / 1000
