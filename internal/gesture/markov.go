@@ -3,8 +3,6 @@ package gesture
 import (
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"sort"
 	"strings"
 )
@@ -79,92 +77,6 @@ func (mc *MarkovChain) Row(i int) []float64 {
 		out[k] = mc.Counts[i][k] / row
 	}
 	return out
-}
-
-// States returns the states with at least one observed outgoing or incoming
-// transition, in ascending order (excluding Start/End).
-func (mc *MarkovChain) States() []int {
-	seen := map[int]bool{}
-	for i := 0; i < markovStates; i++ {
-		for j := 0; j < markovStates; j++ {
-			if mc.Counts[i][j] > 0 {
-				if i != StateStart && i != StateEnd {
-					seen[i] = true
-				}
-				if j != StateStart && j != StateEnd {
-					seen[j] = true
-				}
-			}
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Sample draws a gesture sequence from the chain using rng, bounded by
-// maxLen to guarantee termination even for chains with cycles.
-func (mc *MarkovChain) Sample(rng *rand.Rand, maxLen int) []int {
-	var seq []int
-	state := StateStart
-	for len(seq) < maxLen {
-		row := mc.Row(state)
-		next := sampleCategorical(rng, row)
-		if next == StateEnd || next < 0 {
-			break
-		}
-		seq = append(seq, next)
-		state = next
-	}
-	return seq
-}
-
-// sampleCategorical draws an index from an (unnormalized-tolerant)
-// probability row; returns -1 if the row is all zeros.
-func sampleCategorical(rng *rand.Rand, row []float64) int {
-	var total float64
-	for _, p := range row {
-		total += p
-	}
-	if total <= 0 {
-		return -1
-	}
-	u := rng.Float64() * total
-	var acc float64
-	for i, p := range row {
-		acc += p
-		if u < acc {
-			return i
-		}
-	}
-	return len(row) - 1
-}
-
-// LogLikelihood returns the log-likelihood of a gesture sequence under the
-// chain, or -Inf if the sequence uses an unobserved transition.
-func (mc *MarkovChain) LogLikelihood(seq []int) float64 {
-	var ll float64
-	prev := StateStart
-	step := func(next int) bool {
-		p := mc.Prob(prev, next)
-		if p == 0 {
-			ll = math.Inf(-1)
-			return false
-		}
-		ll += math.Log(p)
-		prev = next
-		return true
-	}
-	for _, g := range seq {
-		if !step(g) {
-			return ll
-		}
-	}
-	step(StateEnd)
-	return ll
 }
 
 // Render returns a human-readable transition table (the textual analogue of

@@ -97,9 +97,3 @@ func Rubric() map[Gesture]RubricEntry {
 		G12: {G12, []ErrorMode{ErrMultipleAttempts}, []FaultClass{FaultCartesian}},
 	}
 }
-
-// HasCommonErrors reports whether the rubric defines failure modes for g.
-func HasCommonErrors(g Gesture) bool {
-	_, ok := Rubric()[g]
-	return ok
-}

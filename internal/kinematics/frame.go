@@ -123,15 +123,6 @@ func (f *Frame) SetAngularVelocity(m Manipulator, wx, wy, wz float64) {
 	f[b], f[b+1], f[b+2] = wx, wy, wz
 }
 
-// Distance returns the Euclidean distance between the Cartesian positions of
-// manipulator m in frames f and g.
-func (f *Frame) Distance(g *Frame, m Manipulator) float64 {
-	x1, y1, z1 := f.Cartesian(m)
-	x2, y2, z2 := g.Cartesian(m)
-	dx, dy, dz := x1-x2, y1-y2, z1-z2
-	return math.Sqrt(dx*dx + dy*dy + dz*dz)
-}
-
 // IdentityRotation is the 3x3 identity rotation matrix in row-major order.
 func IdentityRotation() [9]float64 {
 	return [9]float64{1, 0, 0, 0, 1, 0, 0, 0, 1}

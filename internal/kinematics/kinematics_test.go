@@ -42,15 +42,6 @@ func TestManipulatorBlocksDisjoint(t *testing.T) {
 	}
 }
 
-func TestFrameDistance(t *testing.T) {
-	var a, b Frame
-	a.SetCartesian(Left, 0, 0, 0)
-	b.SetCartesian(Left, 3, 4, 0)
-	if d := a.Distance(&b, Left); math.Abs(d-5) > 1e-12 {
-		t.Errorf("distance = %v, want 5", d)
-	}
-}
-
 func TestRotationOrthonormal(t *testing.T) {
 	f := func(theta float64) bool {
 		if math.IsNaN(theta) || math.IsInf(theta, 0) {
@@ -168,17 +159,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if tr.Gestures[0] == 42 || tr.Unsafe[0] {
 		t.Error("clone shares label storage")
-	}
-}
-
-func TestPathLengthAndMaxJump(t *testing.T) {
-	tr := makeTraj([]int{1, 1, 1}, nil) // x = 0,1,2
-	if pl := tr.PathLength(Left); math.Abs(pl-2) > 1e-12 {
-		t.Errorf("path length %v, want 2", pl)
-	}
-	tr.Frames[2].SetCartesian(Left, 10, 0, 0)
-	if mj := tr.MaxJump(Left); math.Abs(mj-9) > 1e-12 {
-		t.Errorf("max jump %v, want 9", mj)
 	}
 }
 

@@ -173,28 +173,6 @@ func (t *Trajectory) Downsample(factor int) *Trajectory {
 	return out
 }
 
-// PathLength returns the total Cartesian path length traveled by
-// manipulator m across the trajectory, a standard motion-efficiency metric.
-func (t *Trajectory) PathLength(m Manipulator) float64 {
-	var total float64
-	for i := 1; i < len(t.Frames); i++ {
-		total += t.Frames[i].Distance(&t.Frames[i-1], m)
-	}
-	return total
-}
-
-// MaxJump returns the largest single-step Cartesian displacement of
-// manipulator m; abrupt jumps are one of the paper's fault signatures.
-func (t *Trajectory) MaxJump(m Manipulator) float64 {
-	var maxJ float64
-	for i := 1; i < len(t.Frames); i++ {
-		if d := t.Frames[i].Distance(&t.Frames[i-1], m); d > maxJ {
-			maxJ = d
-		}
-	}
-	return maxJ
-}
-
 // UnsafeFraction returns the fraction of frames labeled unsafe, or 0 when
 // the trajectory carries no safety labels.
 func (t *Trajectory) UnsafeFraction() float64 {

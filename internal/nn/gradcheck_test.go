@@ -105,6 +105,6 @@ func TestStackedConvGradients(t *testing.T) {
 
 func TestFlattenMLPGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	net := NewNetwork(&Flatten{}, NewDense(rng, 12, 8), &Tanh{}, NewDense(rng, 8, 4))
+	net := NewNetwork(&Flatten{}, NewDense(rng, 12, 8), &ReLU{}, NewDense(rng, 8, 4))
 	checkGradients(t, net, randSeq(rng, 3, 4), 3)
 }

@@ -204,23 +204,6 @@ func (r *ReLU) infer(x [][]float64, s *scratch) [][]float64 {
 	return out
 }
 
-func (a *Tanh) newScratch(maxT, inDim int) *scratch { return newSeqScratch(maxT, inDim) }
-
-func (a *Tanh) infer(x [][]float64, s *scratch) [][]float64 {
-	if len(x) == 0 {
-		return x
-	}
-	out := s.rows[:len(x)]
-	for t := range x {
-		ot := out[t][:len(x[t])]
-		for i, v := range x[t] {
-			ot[i] = math.Tanh(v)
-		}
-		out[t] = ot
-	}
-	return out
-}
-
 // Dropout is identity at inference; no scratch needed.
 func (d *Dropout) newScratch(int, int) *scratch                { return nil }
 func (d *Dropout) infer(x [][]float64, _ *scratch) [][]float64 { return x }

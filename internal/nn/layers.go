@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Dense is a fully connected layer applied independently to every timestep:
 // y_t = W x_t + b.
@@ -136,57 +133,6 @@ func (r *ReLU) twin() Layer { return &ReLU{} }
 
 // OutDim implements Layer.
 func (r *ReLU) OutDim(in int) int { return in }
-
-// Tanh is the hyperbolic-tangent activation applied elementwise.
-type Tanh struct {
-	lastOut     [][]float64
-	out, gradIn seqBuf
-}
-
-var _ Layer = (*Tanh)(nil)
-
-// Forward implements Layer.
-func (a *Tanh) Forward(x [][]float64, train bool) [][]float64 {
-	if len(x) == 0 {
-		return x
-	}
-	out := output(&a.out, train, len(x), len(x[0]))
-	for t := range x {
-		for i, v := range x[t] {
-			out[t][i] = math.Tanh(v)
-		}
-	}
-	if train {
-		a.lastOut = out
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (a *Tanh) Backward(gradOut [][]float64) [][]float64 {
-	gradIn := a.gradIn.zeroed(len(gradOut), len(gradOut[0]))
-	a.backward(gradOut, gradIn)
-	return gradIn
-}
-
-// backward implements Layer.
-func (a *Tanh) backward(gradOut, gradIn [][]float64) {
-	for t := range gradIn {
-		for i := range gradOut[t] {
-			y := a.lastOut[t][i]
-			gradIn[t][i] = gradOut[t][i] * (1 - y*y)
-		}
-	}
-}
-
-// Params implements Layer.
-func (a *Tanh) Params() []*Param { return nil }
-
-// twin implements Layer.
-func (a *Tanh) twin() Layer { return &Tanh{} }
-
-// OutDim implements Layer.
-func (a *Tanh) OutDim(in int) int { return in }
 
 // Dropout zeroes each activation with probability P during training and
 // scales survivors by 1/(1-P) (inverted dropout), so inference is identity.

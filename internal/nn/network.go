@@ -38,15 +38,6 @@ func (n *Network) Params() []*Param {
 	return ps
 }
 
-// NumWeights returns the total number of learnable weights.
-func (n *Network) NumWeights() int {
-	var total int
-	for _, p := range n.Params() {
-		total += len(p.W)
-	}
-	return total
-}
-
 // Forward runs the network on a window, returning the final logits (the
 // last layer must reduce to a single timestep). In training the logits
 // are a layer's buffer, overwritten by the next training Forward (see

@@ -155,7 +155,7 @@ func TestFitLearnsXORLikeTask(t *testing.T) {
 		}
 		samples = append(samples, Sample{X: [][]float64{{a, b}}, Y: y})
 	}
-	net := NewNetwork(NewDense(rng, 2, 16), &Tanh{}, &TakeLast{}, NewDense(rng, 16, 2))
+	net := NewNetwork(NewDense(rng, 2, 16), &ReLU{}, &TakeLast{}, NewDense(rng, 16, 2))
 	_, err := net.Fit(samples[:320], samples[320:], TrainConfig{
 		Epochs: 40, BatchSize: 16, LR: 0.01, Patience: 10, Rng: rng,
 	})
@@ -288,13 +288,5 @@ func TestFitRequiresRngAndData(t *testing.T) {
 	s := []Sample{{X: [][]float64{{1, 2}}, Y: 0}}
 	if _, err := net.Fit(s, nil, TrainConfig{}); err == nil {
 		t.Error("expected error for missing rng")
-	}
-}
-
-func TestNumWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	net := NewNetwork(NewDense(rng, 3, 4)) // 3*4 weights + 4 bias
-	if got := net.NumWeights(); got != 16 {
-		t.Errorf("NumWeights = %d, want 16", got)
 	}
 }

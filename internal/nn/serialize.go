@@ -40,8 +40,6 @@ func specFor(l Layer) (layerSpec, error) {
 		return layerSpec{Kind: "conv1d", Ints: []int{v.In, v.Out, v.K}, Weights: [][]float64{v.Weight.W, v.Bias.W}}, nil
 	case *ReLU:
 		return layerSpec{Kind: "relu"}, nil
-	case *Tanh:
-		return layerSpec{Kind: "tanh"}, nil
 	case *Dropout:
 		return layerSpec{Kind: "dropout", Float: v.P}, nil
 	case *TakeLast:
@@ -130,8 +128,6 @@ func layerFrom(s layerSpec, rng *rand.Rand) (Layer, error) {
 		return c, nil
 	case "relu":
 		return &ReLU{}, nil
-	case "tanh":
-		return &Tanh{}, nil
 	case "dropout":
 		if s.Float < 0 || s.Float >= 1 {
 			return nil, fmt.Errorf("%w: dropout probability %v out of [0,1)", ErrBadNetworkSpec, s.Float)

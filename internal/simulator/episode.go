@@ -178,14 +178,6 @@ func (e *Episode) Step(override *kinematics.Frame) StepEvent {
 	return ev
 }
 
-// DropFrame returns the frame index of a grip-failure drop so far, -1 when
-// none has occurred.
-func (e *Episode) DropFrame() int { return e.res.DropFrame }
-
-// Executed returns the executed trajectory accumulated so far. The episode
-// keeps appending to it on each Step; callers must not mutate it.
-func (e *Episode) Executed() *kinematics.Trajectory { return e.exec }
-
 // Finish classifies the episode outcome and returns the Result, exactly as
 // Run would have. It is idempotent; Step panics after it.
 func (e *Episode) Finish() *Result {

@@ -146,28 +146,3 @@ func JSDivergenceSamples(a, b []float64, gridN int) (float64, error) {
 	grid := SharedGrid(ka, kb, gridN)
 	return JSDivergence(ka.DiscretizeOn(grid), kb.DiscretizeOn(grid)), nil
 }
-
-// Histogram bins xs into n equal-width bins over [lo, hi], returning
-// normalized bin masses. Values outside the range are clamped into the
-// boundary bins.
-func Histogram(xs []float64, lo, hi float64, n int) []float64 {
-	if n <= 0 || hi <= lo || len(xs) == 0 {
-		return nil
-	}
-	bins := make([]float64, n)
-	w := (hi - lo) / float64(n)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		bins[i]++
-	}
-	for i := range bins {
-		bins[i] /= float64(len(xs))
-	}
-	return bins
-}

@@ -33,14 +33,6 @@ func (c *BinaryConfusion) Add(predictedPositive, actualPositive bool) {
 	}
 }
 
-// Merge accumulates another confusion matrix into c (micro-averaging).
-func (c *BinaryConfusion) Merge(o BinaryConfusion) {
-	c.TP += o.TP
-	c.FP += o.FP
-	c.TN += o.TN
-	c.FN += o.FN
-}
-
 // Total returns the number of recorded samples.
 func (c BinaryConfusion) Total() int { return c.TP + c.FP + c.TN + c.FN }
 
@@ -127,30 +119,6 @@ func (m *MultiConfusion) Accuracy() float64 {
 		correct += m.Counts[i][i]
 	}
 	return float64(correct) / float64(n)
-}
-
-// ClassAccuracy returns per-class recall (diagonal / row sum) for class c.
-func (m *MultiConfusion) ClassAccuracy(c int) float64 {
-	if c < 0 || c >= m.K {
-		return 0
-	}
-	var row int
-	for j := range m.Counts[c] {
-		row += m.Counts[c][j]
-	}
-	return ratio(m.Counts[c][c], row)
-}
-
-// ClassSupport returns the number of actual samples of class c.
-func (m *MultiConfusion) ClassSupport(c int) int {
-	if c < 0 || c >= m.K {
-		return 0
-	}
-	var row int
-	for j := range m.Counts[c] {
-		row += m.Counts[c][j]
-	}
-	return row
 }
 
 // ROCPoint is one operating point of a ROC curve.
@@ -266,21 +234,6 @@ func StdDev(xs []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Median returns the median, or 0 for empty input.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
 }
 
 // Min returns the minimum, or +Inf for empty input.

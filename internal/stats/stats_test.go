@@ -46,15 +46,6 @@ func TestBinaryConfusionMetrics(t *testing.T) {
 	}
 }
 
-func TestBinaryConfusionMerge(t *testing.T) {
-	a := BinaryConfusion{TP: 1, FP: 2, TN: 3, FN: 4}
-	b := BinaryConfusion{TP: 10, FP: 20, TN: 30, FN: 40}
-	a.Merge(b)
-	if a.TP != 11 || a.FP != 22 || a.TN != 33 || a.FN != 44 {
-		t.Errorf("merged = %+v", a)
-	}
-}
-
 func TestBinaryConfusionEmptyDenominators(t *testing.T) {
 	var c BinaryConfusion
 	for _, v := range []float64{c.TPR(), c.TNR(), c.PPV(), c.NPV(), c.F1(), c.Accuracy()} {
@@ -77,12 +68,6 @@ func TestMultiConfusion(t *testing.T) {
 	}
 	if acc := m.Accuracy(); math.Abs(acc-0.75) > 1e-12 {
 		t.Errorf("accuracy %v", acc)
-	}
-	if ca := m.ClassAccuracy(0); math.Abs(ca-0.5) > 1e-12 {
-		t.Errorf("class 0 accuracy %v", ca)
-	}
-	if s := m.ClassSupport(0); s != 2 {
-		t.Errorf("class 0 support %d", s)
 	}
 }
 
@@ -184,19 +169,13 @@ func TestSummaryStats(t *testing.T) {
 	if m := Mean(xs); m != 3 {
 		t.Errorf("mean %v", m)
 	}
-	if m := Median(xs); m != 3 {
-		t.Errorf("median %v", m)
-	}
-	if m := Median([]float64{1, 2, 3, 4}); m != 2.5 {
-		t.Errorf("even median %v", m)
-	}
 	if sd := StdDev(xs); math.Abs(sd-math.Sqrt(2)) > 1e-12 {
 		t.Errorf("stddev %v", sd)
 	}
 	if Min(xs) != 1 || Max(xs) != 5 {
 		t.Error("min/max wrong")
 	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 || Median(nil) != 0 {
+	if Mean(nil) != 0 || StdDev(nil) != 0 {
 		t.Error("empty-input stats must be 0")
 	}
 }
@@ -297,23 +276,5 @@ func TestJSDivergenceSamples(t *testing.T) {
 	}
 	if dDiff < 0.5 {
 		t.Errorf("well-separated distributions JSD = %v, expected near ln2", dDiff)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0.1, 0.2, 0.9, -5, 10}, 0, 1, 2)
-	if len(h) != 2 {
-		t.Fatalf("bins %v", h)
-	}
-	var sum float64
-	for _, v := range h {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("histogram mass %v", sum)
-	}
-	// clamping: -5 in first bin, 10 in last
-	if h[0] != 0.6 || h[1] != 0.4 {
-		t.Errorf("histogram = %v", h)
 	}
 }

@@ -22,20 +22,6 @@ const (
 	Novice
 )
 
-// String returns the skill name.
-func (s Skill) String() string {
-	switch s {
-	case Expert:
-		return "expert"
-	case Intermediate:
-		return "intermediate"
-	case Novice:
-		return "novice"
-	default:
-		return fmt.Sprintf("Skill(%d)", int(s))
-	}
-}
-
 // errorProb returns the per-gesture probability of committing one of the
 // gesture's common errors.
 func (s Skill) errorProb() float64 {

@@ -214,11 +214,6 @@ func TestTrajectoriesHelper(t *testing.T) {
 }
 
 func TestSkillStrings(t *testing.T) {
-	for _, s := range []Skill{Expert, Intermediate, Novice} {
-		if s.String() == "" {
-			t.Error("empty skill name")
-		}
-	}
 	if Expert.errorProb() >= Novice.errorProb() {
 		t.Error("experts must err less than novices")
 	}

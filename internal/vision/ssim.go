@@ -48,48 +48,6 @@ func ssimGray(ga, gb []float64) float64 {
 		((muA*muA + muB*muB + c1) * (varA + varB + c2))
 }
 
-// SSIMWindowed computes mean SSIM over sliding win×win windows with the
-// given stride, closer to the original formulation; it is slower but more
-// spatially sensitive than the global index.
-func SSIMWindowed(a, b *Image, win, stride int) (float64, error) {
-	if a.W != b.W || a.H != b.H {
-		return 0, ErrSizeMismatch
-	}
-	if win <= 0 {
-		win = 8
-	}
-	if stride <= 0 {
-		stride = win / 2
-		if stride == 0 {
-			stride = 1
-		}
-	}
-	ga, gb := a.Gray(), b.Gray()
-	var sum float64
-	var count int
-	bufA := make([]float64, win*win)
-	bufB := make([]float64, win*win)
-	for y := 0; y+win <= a.H; y += stride {
-		for x := 0; x+win <= a.W; x += stride {
-			k := 0
-			for dy := 0; dy < win; dy++ {
-				row := (y + dy) * a.W
-				for dx := 0; dx < win; dx++ {
-					bufA[k] = ga[row+x+dx]
-					bufB[k] = gb[row+x+dx]
-					k++
-				}
-			}
-			sum += ssimGray(bufA, bufB)
-			count++
-		}
-	}
-	if count == 0 {
-		return ssimGray(ga, gb), nil
-	}
-	return sum / float64(count), nil
-}
-
 // DropFrame scans a sequence of thresholded-region SSIM scores between
 // consecutive frames and returns the index of the first frame whose
 // similarity to its predecessor falls below minSSIM — the paper's method

@@ -2,7 +2,6 @@ package vision
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -88,26 +87,6 @@ func TestSSIMIdenticalAndDifferent(t *testing.T) {
 func TestSSIMSizeMismatch(t *testing.T) {
 	if _, err := SSIM(NewImage(2, 2), NewImage(3, 3)); err == nil {
 		t.Error("expected ErrSizeMismatch")
-	}
-	if _, err := SSIMWindowed(NewImage(2, 2), NewImage(3, 3), 4, 2); err == nil {
-		t.Error("expected ErrSizeMismatch")
-	}
-}
-
-func TestSSIMWindowedBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := NewImage(20, 20)
-	b := NewImage(20, 20)
-	for i := range a.Pix {
-		a.Pix[i] = RGB{uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))}
-		b.Pix[i] = RGB{uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))}
-	}
-	v, err := SSIMWindowed(a, b, 8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v < -1 || v > 1 {
-		t.Errorf("windowed SSIM out of range: %v", v)
 	}
 }
 

@@ -50,6 +50,30 @@ func newLedgeredServiceIn(t *testing.T, dir string, detectors map[string]safemon
 	return srv, client, app
 }
 
+// wantSessionEnds waits for every session to be released, flushes app,
+// and requires exactly one session-end event per backend in want, whose
+// note is that backend's ledger end reason.
+func wantSessionEnds(t *testing.T, srv *Server, app *ledger.Appender, want map[string]string) {
+	t.Helper()
+	waitReleased(t, srv)
+	app.Flush()
+	ends := map[string][]string{}
+	err := app.Store().Scan(0, func(e *ledger.Event) bool {
+		if e.Kind == ledger.KindSessionEnd {
+			ends[e.Backend] = append(ends[e.Backend], e.Note)
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for backend, reason := range want {
+		if got := ends[backend]; len(got) != 1 || got[0] != reason {
+			t.Errorf("%s: session-end notes %q, want [%q]", backend, got, reason)
+		}
+	}
+}
+
 // newServiceOver stands up a Server recording into app.
 func newServiceOver(t *testing.T, app *ledger.Appender, detectors map[string]safemon.Detector, policies ...guard.Policy) (*Server, *Client) {
 	t.Helper()

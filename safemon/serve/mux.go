@@ -97,7 +97,9 @@ type muxSession struct {
 	ctx context.Context
 	cut context.CancelCauseFunc
 	// failed is set by the session goroutine when its stream died (push
-	// error); the reader then drops further frames for the sid.
+	// or prepare error) and it ended the session; the reader then forgets
+	// the session and its queue, at the sid's next frame or at the
+	// connection's next open.
 	failed atomic.Bool
 }
 
@@ -221,7 +223,8 @@ func (s *Server) handleMux(w http.ResponseWriter, r *http.Request) {
 		case BinFrame:
 			ms := sessions[rec.SID]
 			if ms == nil || ms.failed.Load() {
-				continue // unknown or already-failed sid: drop
+				delete(sessions, rec.SID) // unknown or failed sid: drop the frame
+				continue
 			}
 			if !ms.offer(&rec.Frame, dec.decNS) {
 				s.codec.muxQueueFull.Add(1)
@@ -250,6 +253,13 @@ func (s *Server) muxOpen(ctx context.Context, mw *muxWriter, sessions map[uint32
 	if sid == 0 {
 		mw.error(0, &ErrorMsg{Code: http.StatusBadRequest, Message: "open needs a nonzero sid"})
 		return
+	}
+	// Failed sessions have ended: forget them, so their queues go and
+	// their sids can be opened again.
+	for fsid, ms := range sessions {
+		if ms.failed.Load() {
+			delete(sessions, fsid)
+		}
 	}
 	if _, dup := sessions[sid]; dup {
 		mw.error(sid, &ErrorMsg{Code: http.StatusBadRequest, Message: "sid already open"})

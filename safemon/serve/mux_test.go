@@ -6,12 +6,12 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/safemon"
-	"repro/safemon/ledger"
 )
 
 // TestMuxEndToEnd multiplexes several concurrent logical sessions over
@@ -287,6 +287,7 @@ func TestMuxSessionEndReasons(t *testing.T) {
 		"bad-record": &stubDetector{},
 		"framing":    &stubDetector{},
 		"push":       &panicDetector{},
+		"prepare":    &panicDetector{},
 	})
 	release := sync.OnceFunc(func() { close(gate) })
 	t.Cleanup(release)
@@ -360,6 +361,17 @@ func TestMuxSessionEndReasons(t *testing.T) {
 	}
 	wantErr(st, "push", http.StatusInternalServerError)
 
+	st = open(m, "prepare")
+	trigger := frame
+	trigger[0] = prepareTrigger
+	if err := st.Send(&trigger); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recv(); err != nil {
+		t.Fatalf("prepare: the trigger frame's verdict: %v", err)
+	}
+	wantErr(st, "prepare", http.StatusInternalServerError)
+
 	hm := openMux()
 	st = open(hm, "half-close")
 	step(st, "half-close")
@@ -381,30 +393,15 @@ func TestMuxSessionEndReasons(t *testing.T) {
 	}
 	wantErr(st, "framing", http.StatusBadRequest)
 
-	waitReleased(t, srv)
-	app.Flush()
-	ends := map[string][]string{}
-	err = app.Store().Scan(0, func(e *ledger.Event) bool {
-		if e.Kind == ledger.KindSessionEnd {
-			ends[e.Backend] = append(ends[e.Backend], e.Note)
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for backend, reason := range map[string]string{
+	wantSessionEnds(t, srv, app, map[string]string{
 		"close":      "eof",
 		"half-close": "eof",
 		"flood":      "error: queue full",
 		"bad-record": "error: bad record",
 		"framing":    "error: connection failure",
 		"push":       "error: push",
-	} {
-		if got := ends[backend]; len(got) != 1 || got[0] != reason {
-			t.Errorf("%s: session-end notes %q, want [%q]", backend, got, reason)
-		}
-	}
+		"prepare":    "error: prepare",
+	})
 }
 
 // TestMuxAbandonedOpenReleasesSlot pins that an Open given up on after
@@ -440,5 +437,73 @@ func TestMuxAbandonedOpenReleasesSlot(t *testing.T) {
 	}
 	if len(verdicts) != testFold(t).Test[0].Len() {
 		t.Fatalf("%d verdicts, want %d", len(verdicts), testFold(t).Test[0].Len())
+	}
+}
+
+// TestMuxFailedSessionsLeaveConnection pins that a session whose push
+// fails leaves its connection's reader: 200 sessions fail one after
+// another on one open connection, and the live heap must not keep their
+// muxInDepth-frame queues (~20 KB each) until the connection ends. The
+// last failed sid can then be opened again.
+func TestMuxFailedSessionsLeaveConnection(t *testing.T) {
+	srv, err := NewServer(Config{Detectors: map[string]safemon.Detector{"push": &panicDetector{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newHTTPTestServer(t, srv)
+	client := &Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
+	ctx := context.Background()
+	m, err := client.OpenMux(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var boom safemon.Frame
+	boom[0] = panicTrigger
+	fail := func() {
+		t.Helper()
+		st, err := m.Open(ctx, "push", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Send(&boom); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Recv(); !isHTTPError(err, http.StatusInternalServerError) {
+			t.Fatalf("push: %v, want a 500 error record", err)
+		}
+	}
+	liveHeap := func() int64 {
+		waitReleased(t, srv)
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+
+	fail() // the first session may build lazily shared state
+	before := liveHeap()
+	const sessions = 200
+	for i := 0; i < sessions; i++ {
+		fail()
+	}
+	// 2 KiB per session absorbs runtime noise.
+	if per := (liveHeap() - before) / sessions; per >= 2<<10 {
+		t.Errorf("live heap grew %d bytes per failed session on one open connection", per)
+	}
+
+	m.mu.Lock()
+	m.nextSID-- // the next Open reuses the last failed sid
+	m.mu.Unlock()
+	st, err := m.Open(ctx, "push", "", nil)
+	if err != nil {
+		t.Fatalf("reopening a failed sid: %v", err)
+	}
+	var frame safemon.Frame
+	if err := st.Send(&frame); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recv(); err != nil {
+		t.Fatalf("reopened sid: %v", err)
 	}
 }

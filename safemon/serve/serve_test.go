@@ -387,6 +387,107 @@ func TestStreamCombinedFirstRecordRejected(t *testing.T) {
 	}
 }
 
+// TestStreamSessionEndReasons pins the ledger end reason of every way an
+// admitted /v1/stream session ends. Each case streams on a backend of its
+// own, so its session-end event names the case.
+func TestStreamSessionEndReasons(t *testing.T) {
+	srv, client, app := newLedgeredService(t, map[string]safemon.Detector{
+		"eof":          &stubDetector{},
+		"bad-record":   &stubDetector{},
+		"late-labels":  &stubDetector{},
+		"bad-frame":    &stubDetector{},
+		"push":         &panicDetector{},
+		"prepare":      &panicDetector{},
+		"no-wire-form": &stubDetector{score: math.NaN()},
+	})
+	open := func(backend string) *Stream {
+		t.Helper()
+		st, err := client.Open(context.Background(), backend, nil)
+		if err != nil {
+			t.Fatalf("%s: open: %v", backend, err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+	send := func(st *Stream, backend string, f *safemon.Frame) {
+		t.Helper()
+		if err := st.Send(f); err != nil {
+			t.Fatalf("%s: send: %v", backend, err)
+		}
+	}
+	step := func(st *Stream, backend string, f *safemon.Frame) {
+		t.Helper()
+		send(st, backend, f)
+		if _, err := st.Recv(); err != nil {
+			t.Fatalf("%s: recv: %v", backend, err)
+		}
+	}
+	wantErr := func(st *Stream, backend string, code int) {
+		t.Helper()
+		if _, err := st.Recv(); !isHTTPError(err, code) {
+			t.Fatalf("%s: %v, want a %d error record", backend, err, code)
+		}
+	}
+	var frame safemon.Frame
+
+	st := open("eof")
+	step(st, "eof", &frame)
+	if err := st.CloseSend(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recv(); err != io.EOF {
+		t.Fatalf("eof: %v, want io.EOF done", err)
+	}
+
+	st = open("bad-record")
+	step(st, "bad-record", &frame)
+	if _, err := io.WriteString(st.body, "{\n"); err != nil {
+		t.Fatal(err)
+	}
+	wantErr(st, "bad-record", http.StatusBadRequest)
+
+	st = open("late-labels")
+	step(st, "late-labels", &frame)
+	if err := sendRecord(st, ClientMsg{Labels: []int{1}}); err != nil {
+		t.Fatal(err)
+	}
+	wantErr(st, "late-labels", http.StatusBadRequest)
+
+	// A frame record opens the session, so a first record of the wrong
+	// length ends an admitted stream.
+	st = open("bad-frame")
+	if err := sendRecord(st, ClientMsg{Frame: []float64{1, 2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	wantErr(st, "bad-frame", http.StatusBadRequest)
+
+	st = open("push")
+	boom := frame
+	boom[0] = panicTrigger
+	send(st, "push", &boom)
+	wantErr(st, "push", http.StatusInternalServerError)
+
+	st = open("prepare")
+	trigger := frame
+	trigger[0] = prepareTrigger
+	step(st, "prepare", &trigger) // the trigger frame's verdict goes out first
+	wantErr(st, "prepare", http.StatusInternalServerError)
+
+	st = open("no-wire-form")
+	send(st, "no-wire-form", &frame)
+	wantErr(st, "no-wire-form", http.StatusInternalServerError)
+
+	wantSessionEnds(t, srv, app, map[string]string{
+		"eof":          "eof",
+		"bad-record":   "error: bad record",
+		"late-labels":  "error: late labels",
+		"bad-frame":    "error: bad frame",
+		"push":         "error: push",
+		"prepare":      "error: prepare",
+		"no-wire-form": "error: score has no wire form",
+	})
+}
+
 // TestStreamIdleTimeout pins the idle-client bound: a stream that goes
 // silent past StreamIdleTimeout is terminated and its session slot freed.
 func TestStreamIdleTimeout(t *testing.T) {
@@ -476,10 +577,12 @@ func TestBeginDrainKeepsInFlightStreams(t *testing.T) {
 // stubDetector is a minimal backend whose sessions take a configurable
 // time per push, and per prepare — used to exercise backpressure and the
 // drain deterministically. A non-nil gate holds every push until it is
-// closed. prepares counts the prepares that finished.
+// closed. Every verdict carries score. prepares counts the prepares that
+// finished.
 type stubDetector struct {
 	delay, prepareDelay time.Duration
 	gate                chan struct{}
+	score               float64
 	prepares            atomic.Int32
 }
 
@@ -504,12 +607,13 @@ func (d *stubDetector) Run(ctx context.Context, traj *safemon.Trajectory) (*safe
 }
 
 func (d *stubDetector) NewSession(...safemon.SessionOption) (safemon.Session, error) {
-	return &stubSession{delay: d.delay, prepareDelay: d.prepareDelay, gate: d.gate, prepares: &d.prepares}, nil
+	return &stubSession{delay: d.delay, prepareDelay: d.prepareDelay, gate: d.gate, score: d.score, prepares: &d.prepares}, nil
 }
 
 type stubSession struct {
 	delay, prepareDelay time.Duration
 	gate                chan struct{}
+	score               float64
 	prepares            *atomic.Int32
 	idx                 int
 }
@@ -521,7 +625,7 @@ func (s *stubSession) Push(*safemon.Frame) (safemon.FrameVerdict, error) {
 	if s.delay > 0 {
 		time.Sleep(s.delay)
 	}
-	v := safemon.FrameVerdict{FrameIndex: s.idx}
+	v := safemon.FrameVerdict{FrameIndex: s.idx, Score: s.score}
 	s.idx++
 	return v, nil
 }
